@@ -115,9 +115,8 @@ class TopNDeterministicPruner(Pruner[float]):
         carried-in counter plus ``cumsum(values >= t_i)[k]`` — the value a
         sequential loop would see right after its own update.  Warmup
         entries (the first ``N`` of the query) replay through the scalar
-        path since they mutate ``t0``.  The ladder itself runs through
-        :func:`~repro.switch.fuse.ladder_pass`, which swaps in the
-        optional numba backend under ``CHEETAH_NUMBA=1``.
+        path since they mutate ``t0``.  The ladder itself is
+        :func:`~repro.switch.fuse.ladder_pass`.
         """
         values = np.asarray(entries, dtype=np.float64)
         count = len(values)

@@ -17,34 +17,43 @@ the switch-resident points at FIN.
 
 from __future__ import annotations
 
-from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.base import PassthroughPruner, PruneDecision, Pruner
 from ..core.distinct import DistinctPruner, FingerprintDistinctPruner
-from ..core.filtering import FilterPruner, TruthTable
-from ..core.groupby import GroupByPruner, master_groupby
+from ..core.filtering import FilterPruner
+from ..core.groupby import GroupByPruner
 from ..core.having import HavingPruner, master_having
 from ..core.join import JoinPruner
 from ..core.skyline import SkylinePruner, master_skyline
 from ..core.summary import is_reboot_safe
-from ..core.topn import TopNDeterministicPruner, TopNRandomizedPruner, master_topn
+from ..core.topn import TopNDeterministicPruner, TopNRandomizedPruner
 from ..errors import ConfigurationError, PlanError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultEvent, FaultPlan
 from ..obs import MetricsRegistry, ratio
-from ..switch.fuse import (
-    FUSED_DEFAULT_BATCH,
-    FusedProgram,
-    plan_fused,
-    record_fallback,
-)
+from ..switch.fuse import FUSED_DEFAULT_BATCH
 from ..switch.resources import ResourceModel, TOFINO
+from .dataplane import (
+    Step,
+    compile_program,
+    concat_ids,
+    having_sketch,
+    join_output,
+    join_probe,
+    merge_single_pass,
+    point_matrix,
+    pruner_step,
+    single_pass_partial,
+    skyline_stream,
+    stream_batches,
+)
 from .plan import (
     CountOp,
     DistinctOp,
@@ -74,9 +83,17 @@ class PhaseVolume:
         return self.streamed - self.forwarded
 
 
-@dataclass
-class _ChaosState:
-    """Mutable degradation flags one chaos run threads through its phases.
+#: Why a stage exhaustion may fail open, per operator.  HAVING is absent
+#: on purpose: keys counted before the failure may never re-cross the
+#: threshold, so it takes its refetch-all recovery instead.
+_EXHAUST_DETAIL = {
+    "join": "; remaining probes forward unfiltered",
+    "skyline": "; cache intact and drains at FIN",
+}
+
+
+class _Chaos:
+    """One chaos run's fault handling: apply switch events, drive segments.
 
     ``passthrough`` latches on when the switch can no longer prune soundly
     (stage exhaustion, or a reboot-unsafe operator choosing forward-all);
@@ -84,7 +101,93 @@ class _ChaosState:
     query itself — superset-safety keeps the output unchanged.
     """
 
-    passthrough: bool = False
+    def __init__(self, injector: FaultInjector, kind: str, pruner: Pruner) -> None:
+        self.injector = injector
+        self.kind = kind
+        self.pruner = pruner
+        self.passthrough = False
+        #: Row ids a recovery wants streamed again behind the remainder
+        #: (SKYLINE's restart-replay).
+        self.requeue: Optional[np.ndarray] = None
+
+    def apply(self, event: FaultEvent, recover: Optional[Callable] = None) -> None:
+        """Apply one switch fault and record the degradation it forces.
+
+        Stage exhaustion disables the pruning program outright: the stage
+        fails open and the remainder is forwarded unfiltered.  A reboot —
+        or a parity-detected bit flip, which is handled as one — empties
+        the dataplane state: operators Table 4 marks reboot-safe only ever
+        forward *more* from empty state, so they continue; the others
+        (JOIN, HAVING, SKYLINE) take the operator's own
+        ``recover(event) -> (action, detail)``.
+        """
+        injector, kind = self.injector, self.kind
+        if event.kind == "bitflip":
+            hit = self.pruner.corrupt_state(injector.rng)
+            injector.record(event.kind, event.at, op=kind, hit=hit)
+            if hit is None:
+                return  # landed in unallocated SRAM; nothing to recover
+            reason = f"parity-detected bit flip ({hit})"
+        else:
+            injector.record(event.kind, event.at, op=kind)
+            reason = (
+                "switch reboot" if event.kind == "reboot"
+                else "pipeline stage exhausted"
+            )
+        if event.kind == "exhaust" and kind != "having":
+            self.passthrough = True
+            action = "passthrough-remainder"
+            detail = _EXHAUST_DETAIL.get(
+                kind, "; stage fails open, remainder forwarded"
+            )
+        elif is_reboot_safe(kind):
+            self.pruner.reboot()
+            action = "continue-empty-state"
+            detail = f"; {kind} is reboot-safe (Table 4) — superset forwarded"
+        else:
+            action, detail = recover(event)
+        injector.record_degradation(kind, action, event.at, reason + detail)
+
+    def stream(
+        self,
+        ids: np.ndarray,
+        kernel: Callable,
+        recover: Optional[Callable] = None,
+        bypass: Callable = lambda segment: segment,
+    ) -> Tuple[int, int, list]:
+        """Drive a perturbed row-id stream one fault-free segment at a time.
+
+        The injector says how many entries may pass before the next switch
+        event; the stream is split there, the due events are applied, and
+        the segment runs through ``kernel(segment) -> (forwarded, out)``
+        as one batch stream — or, once passthrough has latched, through
+        ``bypass(segment) -> out`` with every entry forwarded.  An event
+        at global position ``k`` therefore still fires after entry
+        ``k - 1`` and before entry ``k``.  Returns ``(streamed,
+        forwarded, outs)``.
+        """
+        forwarded = position = 0
+        outs = []
+        while position < len(ids):
+            count = len(ids) - position
+            gap = self.injector.entries_until_event()
+            if gap is not None:
+                count = min(count, gap)
+            for event in self.injector.advance(count):
+                self.apply(event, recover)
+            if self.requeue is not None:
+                ids = np.concatenate([ids, self.requeue])
+                self.requeue = None
+            segment = ids[position : position + count]
+            position += count
+            if self.passthrough:
+                forwarded += count
+                outs.append(bypass(segment))
+            else:
+                kept, out = kernel(segment)
+                forwarded += kept
+                outs.append(out)
+        return position, forwarded, outs
 
 
 @dataclass
@@ -308,8 +411,9 @@ class ClusterConfig:
     worker_assist_filters: bool = False
     seed: int = 0
     #: Optional fault schedule: when set, Cheetah runs execute on the
-    #: chaos path (scalar streaming, per-entry fault cursor, graceful
-    #: degradation).  Baseline (``use_cheetah=False``) runs ignore it.
+    #: chaos path (batch kernels between switch events, graceful
+    #: degradation; ``batch_size`` never changes a chaos run's result).
+    #: Baseline (``use_cheetah=False``) runs ignore it.
     fault_plan: Optional[FaultPlan] = None
     #: What a reboot-unsafe JOIN does when its Bloom filters are lost
     #: mid-probe: ``"rebuild"`` re-streams the build pass,
@@ -638,7 +742,6 @@ class Cluster:
             )
         shared = MetricsRegistry()
         phase = PhaseVolume("packed-stream")
-        per_query: List[List[Tuple[int, Tuple]]] = [[] for _ in queries]
         # Packed slots stream through resident views too (same fence and
         # fallback semantics as the sequential single-pass path; lazy
         # build only when no store exists, so a stale-snapshot slot can
@@ -652,83 +755,42 @@ class Cluster:
         with shared.trace("partition"):
             parts = self._partitions(stream_table)
         # Fused dataplane: compile the packed program once; when every
-        # query fuses, one vectorized pass accumulates all keep-masks and
-        # survivors stay row-id arrays (no per-entry tuples at all).
-        program: Optional[FusedProgram] = None
+        # query fuses, one vectorized pass accumulates all keep-masks.
+        # Otherwise each pruner sees the batch through its own entry
+        # mapping (decisions match the plain loop exactly, and this is the
+        # fair baseline the fused benchmark races against).
+        program = None
         if self.config.fused:
-            plan = plan_fused(queries, columns, plan_config)
-            if plan.fused:
-                program = FusedProgram(
-                    plan,
-                    pruners,
-                    registry=shared,
-                    trace_sample=self.config.fused_trace_sample,
-                )
-            else:
-                record_fallback(shared, plan.fallback_reason)
-        survivor_ids: Optional[List[np.ndarray]] = None
+            program = compile_program(
+                queries, columns, self.config, pruners, shared, plan_config
+            )
+        batch_size = self.config.batch_size
+        if program is not None:
+            batch_size = batch_size or FUSED_DEFAULT_BATCH
         with shared.trace("packed-stream"):
-            if program is not None:
-                survivor_ids = self._stream_fused(
-                    program,
-                    parts,
-                    columns,
-                    phase,
-                    shared,
-                    self.config.batch_size or FUSED_DEFAULT_BATCH,
-                )
-            elif self.config.batch_size is not None:
-                self._stream_packed_batched(
-                    queries,
-                    pruners,
-                    parts,
-                    columns,
-                    phase,
-                    shared,
-                    per_query,
-                    self.config.batch_size,
+            if batch_size is None:
+                survivor_ids = self._plain_packed(
+                    queries, pruners, parts, columns, phase, shared
                 )
             else:
-                row_base = 0
-                for worker, part in enumerate(parts):
-                    streamed_before = phase.streamed
-                    forwarded_before = phase.forwarded
-                    for offset, payload in enumerate(part.iter_rows(columns)):
-                        phase.streamed += 1
-                        any_forward = False
-                        for i, (query, pruner) in enumerate(zip(queries, pruners)):
-                            entry = self._payload_to_entry(
-                                query.operator, columns, payload
-                            )
-                            if pruner.process(entry) is PruneDecision.FORWARD:
-                                any_forward = True
-                                per_query[i].append((row_base + offset, payload))
-                        if any_forward:
-                            phase.forwarded += 1
-                    _record_worker_volume(
-                        shared,
-                        phase.name,
-                        worker,
-                        phase.streamed - streamed_before,
-                        phase.forwarded - forwarded_before,
-                    )
-                    row_base += part.num_rows
+                step = (
+                    program.run_batch if program is not None
+                    else pruner_step(queries, columns, pruners)
+                )
+                survivor_ids = self._stream_partitions(
+                    step, parts, columns, phase, shared, batch_size, len(queries)
+                )
         _record_phase(shared, phase)
         results = []
-        for i, (query, pruner) in enumerate(zip(queries, pruners)):
+        for query, pruner, ids in zip(queries, pruners, survivor_ids):
             # Per-query isolation: each result carries a registry holding
             # only its own pruner's counters and completion span.
             registry = MetricsRegistry()
             kind = _op_kind(query.operator)
             with registry.trace("master-complete"):
-                if survivor_ids is not None:
-                    output = self._complete_single_pass_arrays(
-                        query, columns, table, survivor_ids[i]
-                    )
-                else:
-                    output = self._complete_single_pass(
-                        query, columns, per_query[i], pruner
-                    )
+                output = merge_single_pass(
+                    query, [single_pass_partial(query, columns, table, ids)]
+                )
             _absorb_pruner(registry, pruner, query=kind, role="primary")
             results.append(
                 RunResult(
@@ -744,10 +806,6 @@ class Cluster:
         return PackedRunResult(results=results, phase=phase, metrics=shared)
 
     # -- shared plumbing -------------------------------------------------------
-
-    def _filtered_table(self, query: Query, tables: TableMap) -> Table:
-        table = tables[query.operator.table]
-        return table
 
     def _partitions(self, table: Table) -> List[Table]:
         return table.partition(self.workers)
@@ -792,16 +850,6 @@ class Cluster:
                     worker=worker,
                     phase=phase,
                 ).inc(int(forward_shares[worker]))
-
-    def _where_columns(self, query: Query) -> List[str]:
-        return query.where.columns() if query.where is not None else []
-
-    def _where_keep(self, query: Query, columns: Sequence[str], entry: Tuple) -> bool:
-        """Full (master-side) WHERE check on a streamed entry."""
-        if query.where is None:
-            return True
-        formula = query.where.to_formula(columns)
-        return formula.evaluate(entry)
 
     def _build_pruner(
         self,
@@ -860,7 +908,30 @@ class Cluster:
                 cols=cfg.groupby_cols,
                 seed=cfg.seed,
             )
-        raise PlanError(f"no single-pass pruner for {type(op).__name__}")
+        if isinstance(op, JoinOp):
+            return JoinPruner(
+                left=op.table,
+                right=op.right_table,
+                memory_bits=cfg.join_memory_bits,
+                hashes=cfg.join_hashes,
+                variant=cfg.join_variant,
+                seed=cfg.seed,
+            )
+        if isinstance(op, HavingOp):
+            return HavingPruner(
+                threshold=op.threshold,
+                aggregate=op.aggregate,
+                width=cfg.having_width,
+                depth=cfg.having_depth,
+                seed=cfg.seed,
+            )
+        if isinstance(op, SkylineOp):
+            return SkylinePruner(
+                dims=len(op.columns),
+                points=cfg.skyline_points,
+                score=cfg.skyline_score,
+            )
+        raise PlanError(f"no pruner for {type(op).__name__}")
 
     def _maybe_validate(self, pruner: Pruner) -> None:
         if self.config.validate_resources:
@@ -890,227 +961,11 @@ class Cluster:
             )
         return FilterPruner(formula, worker_assist=self.config.worker_assist_filters)
 
-    # -- graceful degradation (fault injection) --------------------------------
-
-    def _apply_single_pass_fault(
-        self,
-        event: FaultEvent,
-        kind: str,
-        pruner: Pruner,
-        injector: FaultInjector,
-        state: _ChaosState,
-    ) -> None:
-        """Apply one switch fault on the single-pass path.
-
-        Every single-pass operator (filter/COUNT, DISTINCT, TOP N,
-        GROUP BY) is reboot-safe per Table 4: emptied dataplane state only
-        ever makes the switch forward *more*, so the sound recovery is to
-        continue with empty state.  Stage exhaustion instead disables the
-        pruning program outright — the stage fails open and the remainder
-        of the stream is forwarded unfiltered.
-        """
-        if event.kind == "exhaust":
-            injector.record(event.kind, event.at, op=kind)
-            state.passthrough = True
-            injector.record_degradation(
-                kind,
-                "passthrough-remainder",
-                event.at,
-                "pipeline stage exhausted; stage fails open, remainder forwarded",
-            )
-            return
-        if event.kind == "bitflip":
-            description = pruner.corrupt_state(injector.rng)
-            injector.record(event.kind, event.at, op=kind, hit=description)
-            if description is None:
-                return  # landed in unallocated SRAM; nothing to recover
-            reason = f"parity-detected bit flip ({description})"
-        else:  # reboot
-            injector.record(event.kind, event.at, op=kind)
-            reason = "switch reboot"
-        if is_reboot_safe(kind):
-            pruner.reboot()
-            injector.record_degradation(
-                kind,
-                "continue-empty-state",
-                event.at,
-                f"{reason}; {kind} is reboot-safe (Table 4) — superset forwarded",
-            )
-        else:  # pragma: no cover - single-pass operators are all reboot-safe
-            state.passthrough = True
-            injector.record_degradation(
-                kind,
-                "passthrough-remainder",
-                event.at,
-                f"{reason}; {kind} is not reboot-safe — forward-all fallback",
-            )
-
-    def _apply_join_fault(
-        self,
-        event: FaultEvent,
-        pruner: JoinPruner,
-        injector: FaultInjector,
-        state: _ChaosState,
-        rebuild: PhaseVolume,
-        left_keys: List,
-        right_keys: List,
-        during: str,
-    ) -> None:
-        """Apply one switch fault to the JOIN pruner (not reboot-safe).
-
-        Losing the Bloom filters mid-*build* simply restarts the build
-        pass.  Losing them mid-*probe* is the Table 4 hazard: an empty
-        filter would prune every remaining probe, silently losing join
-        rows.  :attr:`ClusterConfig.degrade_policy` decides between
-        re-streaming the build pass (extra ``join-rebuild`` traffic) and
-        forwarding the remaining probes unfiltered; ``"auto"`` consults
-        the filters' fill ratio — a nearly-full filter barely prunes, so
-        rebuilding it buys nothing.
-        """
-        if event.kind == "exhaust":
-            injector.record(event.kind, event.at, op="join")
-            state.passthrough = True
-            injector.record_degradation(
-                "join",
-                "passthrough-remainder",
-                event.at,
-                "pipeline stage exhausted; remaining probes forward unfiltered",
-            )
-            return
-        if event.kind == "bitflip":
-            description = pruner.corrupt_state(injector.rng)
-            injector.record(event.kind, event.at, op="join", hit=description)
-            if description is None:
-                return
-            reason = f"parity-detected bit flip ({description})"
-        else:  # reboot
-            injector.record(event.kind, event.at, op="join")
-            reason = "switch reboot"
-        rebuild_volume = len(left_keys) + len(right_keys)
-        if during == "build":
-            pruner.reboot()
-            pruner.build(left_keys, right_keys)
-            rebuild.streamed += rebuild_volume
-            injector.record_degradation(
-                "join",
-                "rebuild-build",
-                event.at,
-                f"{reason} during the build pass; both key columns re-streamed",
-            )
-            return
-        # Health gauges survive a reboot (the controller keeps metrics),
-        # so capture the fill ratio before wiping the filters.
-        pruner.observe_health()
-        fill = max(f.fill_ratio() for f in pruner._filters.values())
-        action = self.config.degrade_policy
-        if action == "auto":
-            action = "passthrough" if fill > 0.5 else "rebuild"
-        pruner.reboot()
-        if action == "rebuild":
-            pruner.build(left_keys, right_keys)
-            rebuild.streamed += rebuild_volume
-            injector.record_degradation(
-                "join",
-                "rebuild",
-                event.at,
-                f"{reason} during probe; bloom fill {fill:.3f} — "
-                "build pass re-streamed",
-            )
-        else:
-            state.passthrough = True
-            injector.record_degradation(
-                "join",
-                "passthrough",
-                event.at,
-                f"{reason} during probe; bloom fill {fill:.3f} — "
-                "remaining probes forward unfiltered",
-            )
-
-    def _apply_having_fault(
-        self,
-        event: FaultEvent,
-        pruner: HavingPruner,
-        injector: FaultInjector,
-        state: _ChaosState,
-    ) -> bool:
-        """Apply one switch fault to HAVING's sketch pass; True → refetch all.
-
-        HAVING is not reboot-safe (Table 4): a key whose entries all
-        arrived before the fault may never re-cross the threshold, so no
-        amount of forward-from-here-on recovers it.  The only sound
-        fallback is to treat *every* key as a candidate — the partial
-        second pass becomes a full one (baseline traffic, correct output).
-        """
-        if event.kind == "bitflip":
-            description = pruner.corrupt_state(injector.rng)
-            injector.record(event.kind, event.at, op="having", hit=description)
-            if description is None:
-                return False
-            reason = f"parity-detected bit flip ({description})"
-            pruner.reboot()
-        elif event.kind == "reboot":
-            injector.record(event.kind, event.at, op="having")
-            reason = "switch reboot"
-            pruner.reboot()
-        else:  # exhaust: the sketch stops updating but keeps its state
-            injector.record(event.kind, event.at, op="having")
-            reason = "pipeline stage exhausted"
-        state.passthrough = True
-        injector.record_degradation(
-            "having",
-            "refetch-all",
-            event.at,
-            f"{reason}; HAVING is not reboot-safe — every key becomes a "
-            "candidate for the second pass",
-        )
-        return True
-
-    def _apply_skyline_fault(
-        self,
-        event: FaultEvent,
-        pruner: SkylinePruner,
-        injector: FaultInjector,
-        state: _ChaosState,
-        replay: List,
-    ) -> bool:
-        """Apply one switch fault to SKYLINE's stream; True → replay prefix.
-
-        SKYLINE is not reboot-safe (Table 4): pruned points were dominated
-        by *cached* points, so losing the cache before the FIN drain could
-        lose their dominators from the master's view.  Recovery re-streams
-        every point processed since the last reboot through the fresh
-        cache (duplicates are superset-safe).  Stage exhaustion keeps the
-        register cache intact — it still drains at FIN — so forwarding the
-        remainder unfiltered is sound without a replay.
-        """
-        if event.kind == "exhaust":
-            injector.record(event.kind, event.at, op="skyline")
-            state.passthrough = True
-            injector.record_degradation(
-                "skyline",
-                "passthrough-remainder",
-                event.at,
-                "pipeline stage exhausted; cache intact and drains at FIN",
-            )
-            return False
-        if event.kind == "bitflip":
-            description = pruner.corrupt_state(injector.rng)
-            injector.record(event.kind, event.at, op="skyline", hit=description)
-            if description is None:
-                return False
-            reason = f"parity-detected bit flip ({description})"
-        else:  # reboot
-            injector.record(event.kind, event.at, op="skyline")
-            reason = "switch reboot"
-        pruner.reboot()
-        injector.record_degradation(
-            "skyline",
-            "restart-replay",
-            event.at,
-            f"{reason}; {len(replay)} processed points re-streamed through "
-            "the fresh cache",
-        )
-        return True
+    def _batch_size(self, injector: Optional[FaultInjector]) -> Optional[int]:
+        """The run's batch size; chaos runs always stream in batches."""
+        if injector is not None:
+            return self.config.batch_size or FUSED_DEFAULT_BATCH
+        return self.config.batch_size
 
     # -- single-pass operators -------------------------------------------------
 
@@ -1134,11 +989,7 @@ class Cluster:
             self._build_where_stage(query, columns) if use_cheetah else None
         )
         phase = PhaseVolume("stream")
-        survivors: List[Tuple[int, Tuple]] = []  # (row_id, payload)
-        row_base = 0
-        # Fault injection needs per-entry granularity; force the scalar path.
-        batch_size = self.config.batch_size if injector is None else None
-        chaos = _ChaosState()
+        batch_size = self._batch_size(injector)
         # Stream through resident views when the store owns this exact
         # table: the sequential path then reads the same physical pages
         # the shard processes map.  Completion still gathers from the
@@ -1150,96 +1001,39 @@ class Cluster:
                 stream_table = projection
         with registry.trace("partition"):
             parts = self._partitions(stream_table)
-        # The fused dataplane engages only on batched Cheetah runs (so a
-        # batch_size=None run keeps its exact counter schema) and only
+        # The fused program engages only on batched fault-free Cheetah
+        # runs (a batch_size=None run keeps its exact counter schema; a
+        # chaos run drives the pruners' own reboot/corrupt hooks) and only
         # when the single-query program compiles; unfusable programs are
-        # counted and take the per-pruner batched path below.
-        program: Optional[FusedProgram] = None
-        if use_cheetah and batch_size is not None and self.config.fused:
-            plan = plan_fused([query], columns, self.config)
-            if plan.fused:
-                program = FusedProgram(
-                    plan,
-                    [pruner],
-                    registry=registry,
-                    trace_sample=self.config.fused_trace_sample,
-                )
-            else:
-                record_fallback(registry, plan.fallback_reason)
-        fused_ids: Optional[List[np.ndarray]] = None
+        # counted and take the per-pruner kernel.
+        program = None
+        if use_cheetah and injector is None and batch_size and self.config.fused:
+            program = compile_program(
+                [query], columns, self.config, [pruner], registry
+            )
         with registry.trace("stream"):
-            if program is not None:
-                fused_ids = self._stream_fused(
-                    program, parts, columns, phase, registry, batch_size
-                )
-                parts = []  # fused pass consumed the partitions
-            for worker, part in enumerate(parts):
-                streamed_before = phase.streamed
-                forwarded_before = phase.forwarded
-                if batch_size is not None:
-                    self._stream_partition_batched(
-                        op, part, columns, pruner, where_pruner, phase,
-                        survivors, row_base, batch_size,
-                    )
-                elif injector is not None:
-                    stream = [
-                        (row_base + offset, payload)
-                        for offset, payload in enumerate(part.iter_rows(columns))
-                    ]
-                    stream = injector.perturb_partition(
-                        stream, injector.cursor, worker, phase.name
-                    )
-                    for row_id, payload in stream:
-                        phase.streamed += 1
-                        for event in injector.advance(1):
-                            self._apply_single_pass_fault(
-                                event, kind, pruner, injector, chaos
-                            )
-                        if chaos.passthrough:
-                            phase.forwarded += 1
-                            survivors.append((row_id, payload))
-                            continue
-                        if (
-                            where_pruner is not None
-                            and where_pruner.process(payload) is PruneDecision.PRUNE
-                        ):
-                            continue
-                        entry = self._payload_to_entry(op, columns, payload)
-                        if pruner.process(entry) is PruneDecision.FORWARD:
-                            phase.forwarded += 1
-                            survivors.append((row_id, payload))
-                else:
-                    for offset, payload in enumerate(part.iter_rows(columns)):
-                        phase.streamed += 1
-                        # The packed filter stage (§6) runs first, so
-                        # WHERE-violating rows never pollute the stateful
-                        # operator's caches.
-                        if (
-                            where_pruner is not None
-                            and where_pruner.process(payload) is PruneDecision.PRUNE
-                        ):
-                            continue
-                        entry = self._payload_to_entry(op, columns, payload)
-                        if pruner.process(entry) is PruneDecision.FORWARD:
-                            phase.forwarded += 1
-                            survivors.append((row_base + offset, payload))
-                _record_worker_volume(
-                    registry,
-                    phase.name,
-                    worker,
-                    phase.streamed - streamed_before,
-                    phase.forwarded - forwarded_before,
-                )
-                row_base += part.num_rows
-        with registry.trace("master-complete"):
-            if fused_ids is not None:
-                output = self._complete_single_pass_arrays(
-                    query, columns, table, fused_ids[0]
+            if batch_size is None:
+                ids = self._plain_single_pass(
+                    op, parts, columns, pruner, where_pruner, phase, registry
                 )
             else:
-                output = self._complete_single_pass(
-                    query, columns, survivors, pruner
+                step = (
+                    program.run_batch if program is not None
+                    else pruner_step([query], columns, [pruner], where_pruner)
                 )
+                chaos = (
+                    _Chaos(injector, kind, pruner) if injector is not None else None
+                )
+                (ids,) = self._stream_partitions(
+                    step, parts, columns, phase, registry, batch_size, chaos=chaos
+                )
+        with registry.trace("master-complete"):
+            # Under faults the same row can arrive twice (duplicated
+            # packets, a crashed worker's replay): dedup by row id.
+            survivors = single_pass_partial(
+                query, columns, table, ids, dedup=injector is not None
+            )
+            output = merge_single_pass(query, [survivors])
         _record_phase(registry, phase)
         _absorb_pruner(registry, pruner, query=kind, role="primary")
         if where_pruner is not None:
@@ -1254,103 +1048,101 @@ class Cluster:
             metrics=registry,
         )
 
-    def _stream_partition_batched(
+    def _stream_partitions(
         self,
-        op,
-        part: Table,
-        columns: Sequence[str],
-        pruner: Pruner,
-        where_pruner: Optional[FilterPruner],
-        phase: PhaseVolume,
-        survivors: List[Tuple[int, Tuple]],
-        row_base: int,
-        batch_size: int,
-    ) -> None:
-        """Stream one worker partition as column slices (batch dataplane).
-
-        Mirrors the scalar loop exactly: the packed WHERE stage sees every
-        row, the primary pruner sees only WHERE-passing rows, and
-        survivors carry the same ``(row_id, payload)`` tuples — so phase
-        volumes, pruner stats and the master's input are unchanged.
-        """
-        arrays = [part.column(name) for name in columns]
-        total = part.num_rows
-        for lo in range(0, total, batch_size):
-            hi = min(lo + batch_size, total)
-            slices = tuple(array[lo:hi] for array in arrays)
-            phase.streamed += hi - lo
-            if where_pruner is not None:
-                keep = where_pruner.process_batch(slices)
-                where_idx = np.flatnonzero(keep)
-                if len(where_idx) == 0:
-                    continue
-                subset = tuple(column[where_idx] for column in slices)
-            else:
-                where_idx = None
-                subset = slices
-            entries = self._entries_batch(op, columns, subset)
-            forward = pruner.process_batch(entries)
-            forwarded_positions = np.flatnonzero(forward)
-            phase.forwarded += len(forwarded_positions)
-            for j in forwarded_positions:
-                local = int(where_idx[j]) if where_idx is not None else int(j)
-                survivors.append(
-                    (
-                        row_base + lo + local,
-                        tuple(column[local] for column in slices),
-                    )
-                )
-
-    def _stream_fused(
-        self,
-        program: FusedProgram,
+        step: Step,
         parts: Sequence[Table],
         columns: Sequence[str],
         phase: PhaseVolume,
         registry: MetricsRegistry,
         batch_size: int,
+        outputs: int = 1,
+        chaos: Optional[_Chaos] = None,
     ) -> List[np.ndarray]:
-        """One fused vectorized pass over all partitions.
+        """Stream every worker partition through ``step``; row ids per query.
 
-        Each batch is a tuple of column slices (views into the partition
-        arrays — no copies); :meth:`FusedProgram.run_batch` returns every
-        query's keep-mask plus their union, which is the §6 forward bit.
-        Survivors stay global row-id arrays — the caller does exactly one
-        columnar gather per query at completion time, so no intermediate
-        entry tuples exist anywhere on this path.
+        One :func:`stream_batches` call per partition — or, under a fault
+        plan, one per fault-free segment of the partition's perturbed
+        row-id stream (link and worker faults reorder, repeat and replay
+        row ids; the segment's columns are gathered by id).
         """
-        per_kernel: List[List[np.ndarray]] = [[] for _ in program.plan.specs]
+        per_query: List[List[np.ndarray]] = [[] for _ in range(outputs)]
         row_base = 0
         for worker, part in enumerate(parts):
-            streamed_before = phase.streamed
-            forwarded_before = phase.forwarded
             arrays = [part.column(name) for name in columns]
-            total = part.num_rows
-            for lo in range(0, total, batch_size):
-                hi = min(lo + batch_size, total)
-                slices = tuple(array[lo:hi] for array in arrays)
-                masks, any_forward = program.run_batch(slices)
-                phase.streamed += hi - lo
-                phase.forwarded += int(np.count_nonzero(any_forward))
-                base = row_base + lo
-                for i, mask in enumerate(masks):
-                    ids = np.flatnonzero(mask)
-                    if len(ids):
-                        per_kernel[i].append(ids.astype(np.int64) + base)
+            if chaos is None:
+                streamed, forwarded, ids = stream_batches(
+                    step, arrays, row_base, batch_size, outputs
+                )
+            else:
+                injector = chaos.injector
+
+                def kernel(segment: np.ndarray):
+                    local = segment - row_base
+                    _, kept, out = stream_batches(
+                        step, [a[local] for a in arrays], segment, batch_size
+                    )
+                    return kept, out[0]
+
+                stream = injector.perturb_partition(
+                    range(row_base, row_base + part.num_rows),
+                    injector.cursor,
+                    worker,
+                    phase.name,
+                )
+                streamed, forwarded, outs = chaos.stream(
+                    np.asarray(stream, dtype=np.int64), kernel
+                )
+                ids = [concat_ids(outs)]
+            phase.streamed += streamed
+            phase.forwarded += forwarded
+            for kept, chunk in zip(per_query, ids):
+                kept.append(chunk)
+            _record_worker_volume(registry, phase.name, worker, streamed, forwarded)
+            row_base += part.num_rows
+        return [concat_ids(kept) for kept in per_query]
+
+    # -- the plain batch_size=None loops: one process() call per entry ---------
+
+    def _plain_single_pass(
+        self,
+        op,
+        parts: Sequence[Table],
+        columns: Sequence[str],
+        pruner: Pruner,
+        where_pruner: Optional[FilterPruner],
+        phase: PhaseVolume,
+        registry: MetricsRegistry,
+    ) -> np.ndarray:
+        survivors: List[int] = []
+        row_base = 0
+        for worker, part in enumerate(parts):
+            forwarded_before = phase.forwarded
+            for offset, payload in enumerate(part.iter_rows(columns)):
+                # The packed filter stage (§6) runs first, so
+                # WHERE-violating rows never pollute the stateful
+                # operator's caches.
+                if (
+                    where_pruner is not None
+                    and where_pruner.process(payload) is PruneDecision.PRUNE
+                ):
+                    continue
+                entry = self._payload_to_entry(op, columns, payload)
+                if pruner.process(entry) is PruneDecision.FORWARD:
+                    phase.forwarded += 1
+                    survivors.append(row_base + offset)
+            phase.streamed += part.num_rows
             _record_worker_volume(
                 registry,
                 phase.name,
                 worker,
-                phase.streamed - streamed_before,
+                part.num_rows,
                 phase.forwarded - forwarded_before,
             )
             row_base += part.num_rows
-        return [
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-            for chunks in per_kernel
-        ]
+        return np.asarray(survivors, dtype=np.int64)
 
-    def _stream_packed_batched(
+    def _plain_packed(
         self,
         queries: Sequence[Query],
         pruners: Sequence[Pruner],
@@ -1358,120 +1150,65 @@ class Cluster:
         columns: Sequence[str],
         phase: PhaseVolume,
         registry: MetricsRegistry,
-        per_query: List[List[Tuple[int, Tuple]]],
-        batch_size: int,
-    ) -> None:
-        """Per-pruner batched packed pass (the fused path's fallback).
-
-        Each pruner sees the batch through its own entry materialization
-        and survivors are gathered as ``(row_id, payload)`` tuples per
-        query — decisions match the scalar packed loop exactly (each
-        ``process_batch`` is scalar-equivalent), only the dispatch is
-        vectorized.  This is also the fair baseline the fused benchmark
-        races against.
-        """
+    ) -> List[np.ndarray]:
+        per_query: List[List[int]] = [[] for _ in queries]
         row_base = 0
         for worker, part in enumerate(parts):
-            streamed_before = phase.streamed
             forwarded_before = phase.forwarded
-            arrays = [part.column(name) for name in columns]
-            total = part.num_rows
-            for lo in range(0, total, batch_size):
-                hi = min(lo + batch_size, total)
-                slices = tuple(array[lo:hi] for array in arrays)
-                phase.streamed += hi - lo
-                any_forward = np.zeros(hi - lo, dtype=bool)
-                for i, (query, pruner) in enumerate(zip(queries, pruners)):
-                    entries = self._entries_batch(query.operator, columns, slices)
-                    forward = pruner.process_batch(entries)
-                    np.logical_or(any_forward, forward, out=any_forward)
-                    for j in np.flatnonzero(forward):
-                        local = int(j)
-                        per_query[i].append(
-                            (
-                                row_base + lo + local,
-                                tuple(column[local] for column in slices),
-                            )
-                        )
-                phase.forwarded += int(np.count_nonzero(any_forward))
+            for offset, payload in enumerate(part.iter_rows(columns)):
+                any_forward = False
+                for survivors, query, pruner in zip(per_query, queries, pruners):
+                    entry = self._payload_to_entry(query.operator, columns, payload)
+                    if pruner.process(entry) is PruneDecision.FORWARD:
+                        any_forward = True
+                        survivors.append(row_base + offset)
+                phase.forwarded += any_forward
+            phase.streamed += part.num_rows
             _record_worker_volume(
                 registry,
                 phase.name,
                 worker,
-                phase.streamed - streamed_before,
+                part.num_rows,
                 phase.forwarded - forwarded_before,
             )
             row_base += part.num_rows
+        return [np.asarray(survivors, dtype=np.int64) for survivors in per_query]
 
-    def _complete_single_pass_arrays(
-        self,
-        query: Query,
-        columns: Sequence[str],
-        table: Table,
-        ids: np.ndarray,
-    ) -> object:
-        """Columnar CMaster completion for fused survivors.
+    def _plain_join_probe(
+        self, op: JoinOp, pruner: JoinPruner, left_keys, right_keys, probe: PhaseVolume
+    ) -> np.ndarray:
+        survivors: List[int] = []
+        sides = ((op.table, left_keys, 0), (op.right_table, right_keys, len(left_keys)))
+        for side, keys, base in sides:
+            for offset, key in enumerate(keys):
+                if pruner.process((side, key)) is PruneDecision.FORWARD:
+                    survivors.append(base + offset)
+        probe.streamed = len(left_keys) + len(right_keys)
+        probe.forwarded = len(survivors)
+        return np.asarray(survivors, dtype=np.int64)
 
-        ``ids`` are unique ascending global row ids (the fused pass emits
-        each row at most once per query, in stream order), so the scalar
-        path's fault dedup is a no-op here and one gather per column
-        reconstructs the survivor stream exactly.
-        """
-        op = query.operator
-        gathered = tuple(table.column(name)[ids] for name in columns)
-        count = len(ids)
-        if isinstance(op, (CountOp, FilterOp)):
-            formula = op.predicate.to_formula(columns)
-            keep = TruthTable.from_formula(formula).accepts_batch(gathered, count)
-            if query.where is not None:
-                where_formula = query.where.to_formula(columns)
-                keep &= TruthTable.from_formula(where_formula).accepts_batch(
-                    gathered, count
-                )
-            if isinstance(op, CountOp):
-                return int(np.count_nonzero(keep))
-            return set(ids[keep].tolist())
-        if query.where is not None:
-            where_formula = query.where.to_formula(columns)
-            keep = TruthTable.from_formula(where_formula).accepts_batch(
-                gathered, count
-            )
-            gathered = tuple(column[keep] for column in gathered)
-        if isinstance(op, DistinctOp):
-            if len(op.columns) == 1:
-                return set(gathered[columns.index(op.columns[0])].tolist())
-            parts = [gathered[columns.index(c)] for c in op.columns]
-            return set(zip(*(p.tolist() for p in parts)))
-        if isinstance(op, TopNOp):
-            values = gathered[columns.index(op.order_by)].astype(np.float64)
-            if not op.descending:
-                values = -values
-            top = master_topn(values.tolist(), op.n)
-            return top if op.descending else [-v for v in top]
-        if isinstance(op, GroupByOp):
-            keys = gathered[columns.index(op.key)].tolist()
-            values = gathered[columns.index(op.value)].astype(np.float64).tolist()
-            return master_groupby(list(zip(keys, values)), op.aggregate)
-        raise PlanError(f"no completion for {type(op).__name__}")
+    def _plain_having_sketch(
+        self, pruner: HavingPruner, data: Sequence[Tuple], sketch: PhaseVolume
+    ) -> np.ndarray:
+        survivors = [
+            row
+            for row, entry in enumerate(data)
+            if pruner.process(entry) is PruneDecision.FORWARD
+        ]
+        sketch.streamed = len(data)
+        sketch.forwarded = len(survivors)
+        return np.asarray(survivors, dtype=np.int64)
 
-    def _entries_batch(self, op, columns: Sequence[str], slices: Tuple):
-        """Columnar analog of :meth:`_payload_to_entry` for a row batch."""
-        if isinstance(op, (CountOp, FilterOp)):
-            return slices
-        if isinstance(op, DistinctOp):
-            if len(op.columns) == 1:
-                return slices[columns.index(op.columns[0])]
-            parts = [slices[columns.index(c)] for c in op.columns]
-            return list(zip(*parts))
-        if isinstance(op, TopNOp):
-            values = slices[columns.index(op.order_by)].astype(np.float64)
-            return values if op.descending else -values
-        if isinstance(op, GroupByOp):
-            return (
-                slices[columns.index(op.key)],
-                slices[columns.index(op.value)].astype(np.float64),
-            )
-        raise PlanError(f"no entry mapping for {type(op).__name__}")
+    def _plain_skyline_stream(
+        self, pruner: SkylinePruner, matrix: np.ndarray, phase: PhaseVolume
+    ) -> List[Tuple[float, ...]]:
+        received = []
+        for point in map(tuple, matrix.tolist()):
+            if pruner.process(point) is PruneDecision.FORWARD:
+                received.append(pruner.last_carried)
+        phase.streamed = len(matrix)
+        phase.forwarded = len(received)
+        return received
 
     def _payload_to_entry(self, op, columns: Sequence[str], payload: Tuple):
         """Map the streamed payload to the pruner's entry shape."""
@@ -1493,67 +1230,6 @@ class Cluster:
             )
         raise PlanError(f"no entry mapping for {type(op).__name__}")
 
-    def _complete_single_pass(
-        self,
-        query: Query,
-        columns: Sequence[str],
-        survivors: List[Tuple[int, Tuple]],
-        pruner: Pruner,
-    ) -> object:
-        """The CMaster's completion step for single-pass operators.
-
-        Survivors are deduplicated by row id first: under fault injection
-        the same row can arrive more than once (duplicated packets, a
-        crashed worker replaying its partition), and a double-counted row
-        would corrupt COUNT/SUM results.  Fault-free streams carry unique
-        row ids, so the dedup is a no-op there.
-        """
-        seen_rows: Set[int] = set()
-        deduped: List[Tuple[int, Tuple]] = []
-        for row_id, payload in survivors:
-            if row_id in seen_rows:
-                continue
-            seen_rows.add(row_id)
-            deduped.append((row_id, payload))
-        survivors = deduped
-        op = query.operator
-        if isinstance(op, (CountOp, FilterOp)):
-            formula = op.predicate.to_formula(columns)
-            kept = [
-                (row_id, payload)
-                for row_id, payload in survivors
-                if formula.evaluate(payload)
-                and self._where_keep(query, columns, payload)
-            ]
-            if isinstance(op, CountOp):
-                return len(kept)
-            return {row_id for row_id, _ in kept}
-        kept_payloads = [
-            payload
-            for _, payload in survivors
-            if self._where_keep(query, columns, payload)
-        ]
-        if isinstance(op, DistinctOp):
-            entries = [
-                self._payload_to_entry(op, columns, payload)
-                for payload in kept_payloads
-            ]
-            return set(entries)
-        if isinstance(op, TopNOp):
-            values = [
-                self._payload_to_entry(op, columns, payload)
-                for payload in kept_payloads
-            ]
-            top = master_topn(values, op.n)
-            return top if op.descending else [-v for v in top]
-        if isinstance(op, GroupByOp):
-            entries = [
-                self._payload_to_entry(op, columns, payload)
-                for payload in kept_payloads
-            ]
-            return master_groupby(entries, op.aggregate)
-        raise PlanError(f"no completion for {type(op).__name__}")
-
     # -- JOIN: two passes --------------------------------------------------------
 
     def _run_join(
@@ -1567,135 +1243,120 @@ class Cluster:
         assert isinstance(op, JoinOp)
         if query.where is not None:
             raise PlanError("pre-filtered JOIN is not modeled; filter the table first")
-        left = tables[op.table]
-        right = tables[op.right_table]
-        left_col = left.column(op.left_on)
-        right_col = right.column(op.right_on)
-        left_keys = left_col.tolist()
-        right_keys = right_col.tolist()
-        batch_size = self.config.batch_size if injector is None else None
+        left_col = tables[op.table].column(op.left_on)
+        right_col = tables[op.right_table].column(op.right_on)
+        #: Probe row ids: the left table's rows, then the right table's.
+        split = len(left_col)
+        total = split + len(right_col)
+        batch_size = self._batch_size(injector)
         registry = MetricsRegistry()
         phases = []
         if use_cheetah:
-            pruner = JoinPruner(
-                left=op.table,
-                right=op.right_table,
-                memory_bits=self.config.join_memory_bits,
-                hashes=self.config.join_hashes,
-                variant=self.config.join_variant,
-                seed=self.config.seed,
-            )
+            pruner = self._build_pruner(query, tables)
             self._maybe_validate(pruner)
-            build = PhaseVolume("join-build", streamed=len(left_keys) + len(right_keys))
-            chaos = _ChaosState()
+            keys = (
+                (left_col, right_col) if batch_size is not None
+                else (left_col.tolist(), right_col.tolist())
+            )
+            build = PhaseVolume("join-build", streamed=total)
             rebuild = PhaseVolume("join-rebuild")
+            chaos = _Chaos(injector, "join", pruner) if injector is not None else None
+
+            def recover(event: FaultEvent, during: str) -> Tuple[str, str]:
+                # JOIN is not reboot-safe.  Losing the Bloom filters
+                # mid-*build* simply restarts the build pass.  Losing them
+                # mid-*probe* is the Table 4 hazard: an empty filter would
+                # prune every remaining probe, silently losing join rows.
+                # ``degrade_policy`` decides between re-streaming the build
+                # pass (extra ``join-rebuild`` traffic) and forwarding the
+                # remaining probes unfiltered; ``"auto"`` consults the
+                # filters' fill ratio — a nearly-full filter barely prunes,
+                # so rebuilding it buys nothing.
+                if during == "build":
+                    pruner.reboot()
+                    pruner.build(*keys)
+                    rebuild.streamed += total
+                    return (
+                        "rebuild-build",
+                        " during the build pass; both key columns re-streamed",
+                    )
+                # Health gauges survive a reboot (the controller keeps
+                # metrics), so capture the fill ratio before the wipe.
+                pruner.observe_health()
+                fill = max(f.fill_ratio() for f in pruner._filters.values())
+                action = self.config.degrade_policy
+                if action == "auto":
+                    action = "passthrough" if fill > 0.5 else "rebuild"
+                pruner.reboot()
+                detail = f" during probe; bloom fill {fill:.3f} — "
+                if action == "rebuild":
+                    pruner.build(*keys)
+                    rebuild.streamed += total
+                    return action, detail + "build pass re-streamed"
+                chaos.passthrough = True
+                return action, detail + "remaining probes forward unfiltered"
+
             with registry.trace("join-build"):
-                if batch_size is not None:
-                    pruner.build(left_col, right_col)
-                else:
-                    pruner.build(left_keys, right_keys)
-                if injector is not None:
+                pruner.build(*keys)
+                if chaos is not None:
                     # Build-pass entries advance the fault cursor in one
                     # step; a reboot/bitflip inside the span restarts the
                     # whole build (re-streamed traffic lands on rebuild).
-                    for event in injector.advance(build.streamed):
-                        self._apply_join_fault(
-                            event, pruner, injector, chaos, rebuild,
-                            left_keys, right_keys, during="build",
-                        )
+                    for event in injector.advance(total):
+                        chaos.apply(event, partial(recover, during="build"))
             phases.append(build)
             probe = PhaseVolume("join-probe")
-            left_survivors: List = []
-            right_survivors: List = []
-            with registry.trace("join-probe"):
-                if injector is not None:
-                    probe_stream = [
-                        (op.table, key, rid)
-                        for rid, key in enumerate(left_keys)
-                    ] + [
-                        (op.right_table, key, len(left_keys) + rid)
-                        for rid, key in enumerate(right_keys)
-                    ]
-                    probe_stream = injector.perturb_partition(
-                        probe_stream, injector.cursor, 0, probe.name
+
+            def probe_segment(segment: np.ndarray):
+                # A perturbed segment can mix sides; each run of one side
+                # probes the other side's filter as one batch stream.
+                forwarded, chunks = 0, []
+                cuts = np.flatnonzero(np.diff(segment >= split)) + 1
+                for run in filter(len, np.split(segment, cuts)):
+                    side, column, base = (
+                        (op.right_table, right_col, split) if run[0] >= split
+                        else (op.table, left_col, 0)
                     )
-                    seen_rids: Set[int] = set()
-                    for side, key, rid in probe_stream:
-                        probe.streamed += 1
-                        for event in injector.advance(1):
-                            self._apply_join_fault(
-                                event, pruner, injector, chaos, rebuild,
-                                left_keys, right_keys, during="probe",
-                            )
-                        if chaos.passthrough:
-                            forward = True
-                        else:
-                            forward = (
-                                pruner.process((side, key))
-                                is PruneDecision.FORWARD
-                            )
-                        if forward:
-                            probe.forwarded += 1
-                            if rid in seen_rids:
-                                continue  # master dedups replayed probes
-                            seen_rids.add(rid)
-                            if side == op.table:
-                                left_survivors.append(key)
-                            else:
-                                right_survivors.append(key)
-                elif batch_size is not None:
-                    # Pass 2, batched: each side probes as column chunks.
-                    for side, keys_array, side_survivors in (
-                        (op.table, left_col, left_survivors),
-                        (op.right_table, right_col, right_survivors),
-                    ):
-                        for lo in range(0, len(keys_array), batch_size):
-                            chunk = keys_array[lo : lo + batch_size]
-                            forward = pruner.process_batch((side, chunk))
-                            probe.streamed += len(chunk)
-                            probe.forwarded += int(forward.sum())
-                            side_survivors.extend(chunk[forward].tolist())
+                    _, kept, ids = join_probe(
+                        pruner, side, column[run - base], run, batch_size
+                    )
+                    forwarded += kept
+                    chunks.append(ids)
+                return forwarded, concat_ids(chunks)
+
+            with registry.trace("join-probe"):
+                if batch_size is None:
+                    ids = self._plain_join_probe(op, pruner, *keys, probe)
+                elif chaos is None:
+                    probe.streamed = total
+                    probe.forwarded, ids = probe_segment(
+                        np.arange(total, dtype=np.int64)
+                    )
                 else:
-                    for key in left_keys:
-                        probe.streamed += 1
-                        if pruner.process((op.table, key)) is PruneDecision.FORWARD:
-                            probe.forwarded += 1
-                            left_survivors.append(key)
-                    for key in right_keys:
-                        probe.streamed += 1
-                        if (
-                            pruner.process((op.right_table, key))
-                            is PruneDecision.FORWARD
-                        ):
-                            probe.forwarded += 1
-                            right_survivors.append(key)
+                    stream = injector.perturb_partition(
+                        range(total), injector.cursor, 0, probe.name
+                    )
+                    probe.streamed, probe.forwarded, outs = chaos.stream(
+                        np.asarray(stream, dtype=np.int64),
+                        probe_segment,
+                        partial(recover, during="probe"),
+                    )
+                    ids = np.unique(concat_ids(outs))  # replayed probes dedup
             phases.append(probe)
             if rebuild.streamed:
                 phases.append(rebuild)
             for phase in phases:
                 self._record_worker_shares(registry, phase.name, phase.streamed)
             _absorb_pruner(registry, pruner, query=_op_kind(op), role="primary")
+            left_survivors = left_col[ids[ids < split]]
+            right_survivors = right_col[ids[ids >= split] - split]
         else:
-            stream = PhaseVolume(
-                "join-stream",
-                streamed=len(left_keys) + len(right_keys),
-                forwarded=len(left_keys) + len(right_keys),
-            )
+            stream = PhaseVolume("join-stream", streamed=total, forwarded=total)
             phases.append(stream)
-            self._record_worker_shares(
-                registry, stream.name, len(left_keys) + len(right_keys)
-            )
-            left_survivors, right_survivors = left_keys, right_keys
+            self._record_worker_shares(registry, stream.name, total)
+            left_survivors, right_survivors = left_col, right_col
         with registry.trace("master-complete"):
-            left_counts = Counter(left_survivors)
-            right_counts = Counter(right_survivors)
-            output = Counter(
-                {
-                    key: left_counts[key] * right_counts[key]
-                    for key in left_counts
-                    if key in right_counts
-                }
-            )
+            output = join_output(left_survivors.tolist(), right_survivors.tolist())
         for phase in phases:
             _record_phase(registry, phase)
         return RunResult(
@@ -1724,59 +1385,59 @@ class Cluster:
             table = table.mask(query.where.mask(table))
         keys_col = table.column(op.key)
         values_col = table.column(op.value)
-        keys = keys_col.tolist()
-        values = values_col.tolist()
-        data = list(zip(keys, values))
-        batch_size = self.config.batch_size if injector is None else None
+        data = list(zip(keys_col.tolist(), values_col.tolist()))
+        batch_size = self._batch_size(injector)
         registry = MetricsRegistry()
         phases = []
         if use_cheetah:
-            pruner = HavingPruner(
-                threshold=op.threshold,
-                aggregate=op.aggregate,
-                width=self.config.having_width,
-                depth=self.config.having_depth,
-                seed=self.config.seed,
-            )
+            pruner = self._build_pruner(query, tables)
             self._maybe_validate(pruner)
             sketch_pass = PhaseVolume("having-sketch")
-            candidates: Set = set()
-            chaos = _ChaosState()
-            refetch_all = False
+            chaos = (
+                _Chaos(injector, "having", pruner) if injector is not None else None
+            )
+
+            def recover(event: FaultEvent) -> Tuple[str, str]:
+                # HAVING is not reboot-safe (Table 4): a key whose entries
+                # all arrived before the fault may never re-cross the
+                # threshold, so no amount of forward-from-here-on recovers
+                # it.  The only sound fallback is to treat *every* key as
+                # a candidate — the partial second pass becomes a full one
+                # (baseline traffic, correct output).  An exhausted stage
+                # stops updating the sketch but keeps its state.
+                if event.kind != "exhaust":
+                    pruner.reboot()
+                chaos.passthrough = True
+                return (
+                    "refetch-all",
+                    "; HAVING is not reboot-safe — every key becomes a "
+                    "candidate for the second pass",
+                )
+
             with registry.trace("having-sketch"):
-                if injector is not None:
-                    stream = injector.perturb_partition(
-                        data, injector.cursor, 0, sketch_pass.name
+                if batch_size is None:
+                    ids = self._plain_having_sketch(pruner, data, sketch_pass)
+                elif chaos is None:
+                    sketch_pass.streamed, sketch_pass.forwarded, ids = having_sketch(
+                        pruner, keys_col, values_col, 0, batch_size
                     )
-                    for key, value in stream:
-                        sketch_pass.streamed += 1
-                        for event in injector.advance(1):
-                            refetch_all |= self._apply_having_fault(
-                                event, pruner, injector, chaos
-                            )
-                        if chaos.passthrough:
-                            sketch_pass.forwarded += 1
-                            candidates.add(key)
-                            continue
-                        if pruner.process((key, value)) is PruneDecision.FORWARD:
-                            sketch_pass.forwarded += 1
-                            candidates.add(key)
-                    if refetch_all:
-                        candidates.update(key for key, _ in data)
-                elif batch_size is not None:
-                    for lo in range(0, len(keys_col), batch_size):
-                        key_chunk = keys_col[lo : lo + batch_size]
-                        value_chunk = values_col[lo : lo + batch_size]
-                        forward = pruner.process_batch((key_chunk, value_chunk))
-                        sketch_pass.streamed += len(key_chunk)
-                        sketch_pass.forwarded += int(forward.sum())
-                        candidates.update(key_chunk[forward].tolist())
                 else:
-                    for entry in data:
-                        sketch_pass.streamed += 1
-                        if pruner.process(entry) is PruneDecision.FORWARD:
-                            sketch_pass.forwarded += 1
-                            candidates.add(entry[0])
+                    stream = injector.perturb_partition(
+                        range(len(data)), injector.cursor, 0, sketch_pass.name
+                    )
+                    sketch_pass.streamed, sketch_pass.forwarded, outs = chaos.stream(
+                        np.asarray(stream, dtype=np.int64),
+                        lambda segment: having_sketch(
+                            pruner, keys_col[segment], values_col[segment],
+                            segment, batch_size,
+                        )[1:],
+                        recover,
+                    )
+                    ids = concat_ids(outs)
+                refetch_all = chaos is not None and chaos.passthrough
+                candidates = set(
+                    (keys_col if refetch_all else keys_col[ids]).tolist()
+                )
             phases.append(sketch_pass)
             # Partial second pass: only entries of candidate keys re-stream.
             second = PhaseVolume("having-refetch")
@@ -1831,80 +1492,63 @@ class Cluster:
         table = tables[op.table]
         if query.where is not None:
             table = table.mask(query.where.mask(table))
-        columns = list(op.columns)
-        points = [
-            tuple(float(v) for v in payload) for payload in table.iter_rows(columns)
-        ]
+        matrix = point_matrix(table, list(op.columns))
         phase = PhaseVolume("skyline-stream")
-        received: List[Tuple[float, ...]] = []
-        batch_size = self.config.batch_size if injector is None else None
+        batch_size = self._batch_size(injector)
         registry = MetricsRegistry()
         pruner = None
         if use_cheetah:
-            pruner = SkylinePruner(
-                dims=len(columns),
-                points=self.config.skyline_points,
-                score=self.config.skyline_score,
-            )
+            pruner = self._build_pruner(query, tables)
             self._maybe_validate(pruner)
             with registry.trace("skyline-stream"):
-                if injector is not None:
-                    chaos = _ChaosState()
-                    queue = injector.perturb_partition(
-                        points, injector.cursor, 0, phase.name
+                if batch_size is None:
+                    received = self._plain_skyline_stream(pruner, matrix, phase)
+                elif injector is None:
+                    phase.streamed, phase.forwarded, received = skyline_stream(
+                        pruner, matrix, batch_size
                     )
-                    replay: List[Tuple[float, ...]] = []
-                    index = 0
-                    while index < len(queue):
-                        point = queue[index]
-                        index += 1
-                        phase.streamed += 1
-                        for event in injector.advance(1):
-                            if self._apply_skyline_fault(
-                                event, pruner, injector, chaos, replay
-                            ):
-                                # Restart: the processed prefix re-enters
-                                # the work queue behind the remainder.
-                                queue.extend(replay)
-                                replay = []
-                        if chaos.passthrough:
-                            phase.forwarded += 1
-                            received.append(point)
-                            continue
-                        replay.append(point)
-                        if pruner.process(point) is PruneDecision.FORWARD:
-                            phase.forwarded += 1
-                            carried = pruner.last_carried
-                            assert carried is not None
-                            received.append(carried)
-                elif batch_size is not None:
-                    point_matrix = np.asarray(points, dtype=np.float64).reshape(
-                        -1, len(columns)
-                    )
-                    for lo in range(0, len(point_matrix), batch_size):
-                        chunk = point_matrix[lo : lo + batch_size]
-                        forward = pruner.process_batch(chunk)
-                        phase.streamed += len(chunk)
-                        phase.forwarded += int(forward.sum())
-                        for k in np.flatnonzero(forward):
-                            carried = pruner.last_batch_carried[k]
-                            assert carried is not None
-                            received.append(tuple(float(v) for v in carried))
                 else:
-                    for point in points:
-                        phase.streamed += 1
-                        if pruner.process(point) is PruneDecision.FORWARD:
-                            phase.forwarded += 1
-                            carried = pruner.last_carried
-                            assert carried is not None
-                            received.append(carried)
+                    chaos = _Chaos(injector, "skyline", pruner)
+                    #: Segments streamed through the cache since its last wipe.
+                    replay: List[np.ndarray] = []
+
+                    def recover(event: FaultEvent) -> Tuple[str, str]:
+                        # SKYLINE is not reboot-safe (Table 4): pruned
+                        # points were dominated by *cached* points, so
+                        # losing the cache before the FIN drain could lose
+                        # their dominators from the master's view.
+                        # Recovery re-streams every point processed since
+                        # the last wipe through the fresh cache, behind
+                        # the remainder (duplicates are superset-safe).
+                        pruner.reboot()
+                        chaos.requeue = concat_ids(replay)
+                        replay.clear()
+                        return (
+                            "restart-replay",
+                            f"; {len(chaos.requeue)} processed points "
+                            "re-streamed through the fresh cache",
+                        )
+
+                    def kernel(segment: np.ndarray):
+                        replay.append(segment)
+                        return skyline_stream(pruner, matrix[segment], batch_size)[1:]
+
+                    stream = injector.perturb_partition(
+                        range(len(matrix)), injector.cursor, 0, phase.name
+                    )
+                    phase.streamed, phase.forwarded, outs = chaos.stream(
+                        np.asarray(stream, dtype=np.int64),
+                        kernel,
+                        recover,
+                        bypass=lambda segment: map(tuple, matrix[segment].tolist()),
+                    )
+                    received = [point for out in outs for point in out]
                 drained = pruner.drain()
                 received.extend(drained)
                 phase.forwarded += len(drained)
         else:
-            phase.streamed = len(points)
-            phase.forwarded = len(points)
-            received = points
+            phase.streamed = phase.forwarded = len(matrix)
+            received = list(map(tuple, matrix.tolist()))
         self._record_worker_shares(registry, phase.name, phase.streamed)
         with registry.trace("master-complete"):
             output = set(master_skyline(received))

@@ -13,10 +13,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..core.filtering import FilterPruner
-from ..errors import PlanError
 from ..switch.resources import ResourceModel, TOFINO
 from .cluster import Cluster, ClusterConfig
-from .plan import CountOp, FilterOp, HavingOp, JoinOp, Query, SkylineOp
+from .plan import CountOp, FilterOp, HavingOp, JoinOp, Query
 
 _MASTER_STEPS = {
     "filter": "re-check the full WHERE on survivors (late materialization fetch follows)",
@@ -57,38 +56,7 @@ def explain(
             "candidate keys"
         )
 
-    try:
-        pruner = cluster._build_pruner(query, tables={})
-    except PlanError:
-        pruner = None
-    if pruner is None and isinstance(op, JoinOp):
-        from ..core.join import JoinPruner
-
-        pruner = JoinPruner(
-            left=op.table,
-            right=op.right_table,
-            memory_bits=config.join_memory_bits,
-            hashes=config.join_hashes,
-            variant=config.join_variant,
-        )
-    if pruner is None and isinstance(op, HavingOp):
-        from ..core.having import HavingPruner
-
-        pruner = HavingPruner(
-            threshold=op.threshold,
-            aggregate=op.aggregate,
-            width=config.having_width,
-            depth=config.having_depth,
-        )
-    if pruner is None and isinstance(op, SkylineOp):
-        from ..core.skyline import SkylinePruner
-
-        pruner = SkylinePruner(
-            dims=len(op.columns),
-            points=config.skyline_points,
-            score=config.skyline_score,
-        )
-    assert pruner is not None
+    pruner = cluster._build_pruner(query, tables={})
 
     lines.append(
         f"switch  : {type(pruner).__name__} ({pruner.guarantee.value} guarantee)"

@@ -8,8 +8,9 @@ threads every entry through it:
   packet is retransmitted, so it arrives late; a corrupted packet is
   detected by checksum and retransmitted likewise; a crashed worker
   replays its partition from the start);
-* **switch side** — :meth:`advance` moves the global entry cursor and
-  returns the reboot/bitflip/exhaust events that just came due;
+* **switch side** — :meth:`entries_until_event` sizes the next
+  fault-free segment and :meth:`advance` moves the global entry cursor
+  over it, returning the reboot/bitflip/exhaust events due at its start;
 * **transport side** — :meth:`transport_fault` maps transmission indices
   to link faults for the discrete-event transport, and
   :meth:`corrupt_frame` flips a real bit in an encoded frame.
@@ -98,16 +99,31 @@ class FaultInjector:
     def advance(self, count: int = 1) -> List[FaultEvent]:
         """Advance the global entry cursor; return switch events now due.
 
-        Called once per processed entry (or once per batch with its
-        size); the reboot/bitflip/exhaust events scheduled at positions
-        the cursor just crossed are popped and returned for the caller to
-        apply.
+        Called once per fault-free segment: with ``count`` no larger than
+        :meth:`entries_until_event`, every returned reboot/bitflip/exhaust
+        event is due *before the segment's first entry* — an event at
+        global position ``k`` fires after entry ``k - 1`` and before
+        entry ``k``, exactly as a per-entry ``advance(1)`` loop would
+        fire it.  The caller applies the events, then streams the
+        segment's entries as one batch.
         """
         self._cursor += count
         due: List[FaultEvent] = []
         while self._switch_events and self._switch_events[0].at < self._cursor:
             due.append(self._switch_events.popleft())
         return due
+
+    def entries_until_event(self) -> Optional[int]:
+        """Entries the next :meth:`advance` may cover in one segment.
+
+        The distance from the cursor to the first switch event scheduled
+        strictly *after* it (events at or before the cursor fire at the
+        segment's start); ``None`` when no later event remains.
+        """
+        for event in self._switch_events:
+            if event.at > self._cursor:
+                return event.at - self._cursor
+        return None
 
     @property
     def cursor(self) -> int:

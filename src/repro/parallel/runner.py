@@ -30,7 +30,6 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import time
-from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -38,11 +37,15 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.groupby import master_groupby
 from ..core.having import master_having
 from ..core.skyline import master_skyline
-from ..core.topn import master_topn
-from ..engine.plan import CountOp, FilterOp, DistinctOp, GroupByOp, HavingOp, JoinOp, Query, SkylineOp, TopNOp
+from ..engine.dataplane import (
+    join_output,
+    merge_single_pass,
+    point_matrix,
+    single_pass_partial,
+)
+from ..engine.plan import HavingOp, JoinOp, Query, SkylineOp
 from ..engine.table import Table
 from ..errors import PlanError, ShardTimeout, SharedMemoryUnavailable
 from ..obs import MetricsRegistry
@@ -275,11 +278,6 @@ def _gather(
     return results
 
 
-def _scatter(cluster, specs, task, registry: MetricsRegistry) -> Dict[int, dict]:
-    """Run shard tasks, collecting results keyed by shard id."""
-    return _gather(cluster, specs, task, registry)
-
-
 def run_parallel(cluster, query: Query, tables) -> "RunResult":
     """Execute ``query`` across ``ClusterConfig.parallelism`` processes.
 
@@ -305,63 +303,6 @@ def run_parallel(cluster, query: Query, tables) -> "RunResult":
 
 
 # -- single-pass operators ---------------------------------------------------
-
-
-def _where_mask(query: Query, sub: Table) -> np.ndarray:
-    if query.where is None:
-        return np.ones(sub.num_rows, dtype=bool)
-    return query.where.mask(sub)
-
-
-def _prepare_single(query: Query, table: Table, ids: np.ndarray):
-    """The per-shard slice of master completion, run as futures land.
-
-    Gathers the shard's surviving rows from the parent's own columns
-    (only row ids crossed the process boundary) and reduces them to the
-    operator's completion-ready partial.
-    """
-    op = query.operator
-    sub = table.take(ids)
-    keep = _where_mask(query, sub)
-    if isinstance(op, (CountOp, FilterOp)):
-        keep &= op.predicate.mask(sub)
-        return ids[keep]
-    if isinstance(op, DistinctOp):
-        if len(op.columns) == 1:
-            return set(sub.column(op.columns[0])[keep].tolist())
-        parts = [sub.column(c)[keep].tolist() for c in op.columns]
-        return set(zip(*parts))
-    if isinstance(op, TopNOp):
-        values = sub.column(op.order_by)[keep].astype(np.float64)
-        return (values if op.descending else -values).tolist()
-    if isinstance(op, GroupByOp):
-        keys = sub.column(op.key)[keep].tolist()
-        values = sub.column(op.value)[keep].astype(np.float64).tolist()
-        return list(zip(keys, values))
-    raise PlanError(f"no parallel completion for {type(op).__name__}")
-
-
-def _merge_single(query: Query, partials: List) -> object:
-    """Merge per-shard partials (in shard order) into the final output."""
-    op = query.operator
-    if isinstance(op, CountOp):
-        return sum(len(part) for part in partials)
-    if isinstance(op, FilterOp):
-        return {int(row_id) for part in partials for row_id in part}
-    if isinstance(op, DistinctOp):
-        return set().union(*partials) if partials else set()
-    if isinstance(op, TopNOp):
-        merged: List[float] = []
-        for part in partials:
-            merged.extend(part)
-        top = master_topn(merged, op.n)
-        return top if op.descending else [-v for v in top]
-    if isinstance(op, GroupByOp):
-        entries = []
-        for part in partials:
-            entries.extend(part)
-        return master_groupby(entries, op.aggregate)
-    raise PlanError(f"no parallel merge for {type(op).__name__}")
 
 
 def _run_single_pass(cluster, query: Query, tables, policy: str) -> "RunResult":
@@ -444,8 +385,8 @@ def _run_single_pass(cluster, query: Query, tables, policy: str) -> "RunResult":
             def pipelined(result: dict) -> None:
                 # Pipelined completion: reduce this shard's survivors
                 # while other shards are still streaming.
-                partials[result["shard"]] = _prepare_single(
-                    query, table, result["survivors"]
+                partials[result["shard"]] = single_pass_partial(
+                    query, columns, table, result["survivors"]
                 )
 
             results = _gather(
@@ -468,7 +409,7 @@ def _run_single_pass(cluster, query: Query, tables, policy: str) -> "RunResult":
         )
         registry.absorb_sharded(MetricsRegistry.from_dict(results[k]["metrics"]), k)
     with registry.trace("master-complete"):
-        output = _merge_single(query, [partials[k] for k in range(shards)])
+        output = merge_single_pass(query, [partials[k] for k in range(shards)])
     _record_phase(registry, phase)
     return RunResult(
         query=query.describe(),
@@ -553,7 +494,7 @@ def _run_join(cluster, query: Query, tables) -> "RunResult":
             for k in range(shards)
         ]
         _attach_trace(specs)
-        results = _scatter(cluster, specs, worker.run_join_shard, registry)
+        results = _gather(cluster, specs, worker.run_join_shard, registry)
     finally:
         if ephemeral is not None:
             ephemeral.close()
@@ -562,23 +503,17 @@ def _run_join(cluster, query: Query, tables) -> "RunResult":
     total = len(left_col) + len(right_col)
     build = PhaseVolume("join-build", streamed=total)
     probe = PhaseVolume("join-probe", streamed=total)
-    left_counts: Counter = Counter()
-    right_counts: Counter = Counter()
+    left_keys: List = []
+    right_keys: List = []
     for k in range(shards):
         probe.forwarded += results[k]["forwarded"]
-        left_counts.update(left_col[results[k]["left_survivors"]].tolist())
-        right_counts.update(right_col[results[k]["right_survivors"]].tolist())
+        left_keys.extend(left_col[results[k]["left_survivors"]].tolist())
+        right_keys.extend(right_col[results[k]["right_survivors"]].tolist())
         registry.absorb_sharded(MetricsRegistry.from_dict(results[k]["metrics"]), k)
     for phase in (build, probe):
         cluster._record_worker_shares(registry, phase.name, phase.streamed)
     with registry.trace("master-complete"):
-        output = Counter(
-            {
-                key: left_counts[key] * right_counts[key]
-                for key in left_counts
-                if key in right_counts
-            }
-        )
+        output = join_output(left_keys, right_keys)
     for phase in (build, probe):
         _record_phase(registry, phase)
     return RunResult(
@@ -643,7 +578,7 @@ def _run_having(cluster, query: Query, tables) -> "RunResult":
             for k in range(shards)
         ]
         _attach_trace(specs)
-        results = _scatter(cluster, specs, worker.run_having_shard, registry)
+        results = _gather(cluster, specs, worker.run_having_shard, registry)
     finally:
         if ephemeral is not None:
             ephemeral.close()
@@ -695,11 +630,7 @@ def _run_skyline(cluster, query: Query, tables) -> "RunResult":
     columns = list(op.columns)
 
     def build_matrix() -> np.ndarray:
-        if not table.num_rows:
-            return np.empty((0, len(columns)))
-        return np.column_stack(
-            [table.column(name).astype(np.float64) for name in columns]
-        )
+        return point_matrix(table, columns)
 
     shards = cluster.config.parallelism
     registry = MetricsRegistry()
@@ -723,6 +654,7 @@ def _run_skyline(cluster, query: Query, tables) -> "RunResult":
                 "shard": k,
                 "handle": handle,
                 "resident": resident.token if resident is not None else None,
+                "query": query,
                 "config": _child_config(cluster, k),
                 "layout": ("bounds", int(bounds[k]), int(bounds[k + 1])),
                 "batch": _batch_size(cluster),
@@ -731,7 +663,7 @@ def _run_skyline(cluster, query: Query, tables) -> "RunResult":
         ]
         with registry.trace("skyline-stream"):
             _attach_trace(specs)
-            results = _scatter(cluster, specs, worker.run_skyline_shard, registry)
+            results = _gather(cluster, specs, worker.run_skyline_shard, registry)
     finally:
         if ephemeral is not None:
             ephemeral.close()

@@ -2,8 +2,8 @@
 
 Each function is module-level (importable under the ``spawn`` start
 method), receives one picklable *spec* dict, attaches the shared-memory
-columns, runs the existing vectorized ``process_batch`` dataplane over
-its shard's rows, and returns plain arrays plus a
+columns, runs the shared batch kernels of :mod:`repro.engine.dataplane`
+over its shard's rows, and returns plain arrays plus a
 :meth:`~repro.obs.MetricsRegistry.to_dict` snapshot — never live
 objects.  Survivors come back as **global row-id int64 arrays**: the
 parent completes the query by gathering those rows from its own column
@@ -22,16 +22,20 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from ..core.having import HavingPruner
-from ..core.join import JoinPruner
-from ..core.skyline import SkylinePruner
+from ..engine.dataplane import (
+    compile_program,
+    having_sketch,
+    join_probe,
+    pruner_step,
+    skyline_stream,
+    stream_batches,
+)
 from ..obs import MetricsRegistry
 from ..obs.tracing import TraceContext, clear_trace_context, trace_context
-from ..switch.fuse import FusedProgram, plan_fused, record_fallback
 from .shm import attach_columns, open_segment
 
 
@@ -178,12 +182,33 @@ def _template(
     return pruner
 
 
-def _empty_ids() -> np.ndarray:
-    return np.empty(0, dtype=np.int64)
+def _pruner(spec: dict, registry: MetricsRegistry, role: str = "primary"):
+    """This task's pruner — or, for ``role="where"``, its packed WHERE
+    stage — rebuilt locally from the picklable query and the shard's
+    config (resident tasks reset-and-reuse a cached template)."""
+    from ..engine.cluster import Cluster
+
+    cluster = Cluster(workers=1, config=spec["config"])
+    query = spec["query"]
+
+    def build():
+        if role == "where":
+            return cluster._build_where_stage(query, spec["columns"])
+        return cluster._build_pruner(query, {})
+
+    return _template(spec, role, query.cache_key(), registry, build)
 
 
-def _concat_ids(parts: List[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if parts else _empty_ids()
+def _reply(spec: dict, registry: MetricsRegistry, pruner, where_pruner=None, **payload) -> dict:
+    """The task's result: plain arrays plus a metrics snapshot carrying
+    the pruner labels the sequential path uses."""
+    from ..engine.cluster import _absorb_pruner, _op_kind
+
+    kind = _op_kind(spec["query"].operator)
+    _absorb_pruner(registry, pruner, query=kind, role="primary")
+    if where_pruner is not None:
+        _absorb_pruner(registry, where_pruner, query=kind, role="where")
+    return {"shard": spec["shard"], "metrics": registry.to_dict(), **payload}
 
 
 def run_single_pass_shard(spec: dict) -> dict:
@@ -191,101 +216,41 @@ def run_single_pass_shard(spec: dict) -> dict:
     TOP N, GROUP BY): stream the shard's rows through a locally built
     pruner and return surviving global row ids.
     """
-    from ..engine.cluster import Cluster, _absorb_pruner, _op_kind
-
     columns_map, close = _attach(spec)
     try:
         query = spec["query"]
-        op = query.operator
         columns = spec["columns"]
         if spec["layout"][0] == "index":
-            index = columns_map[spec["layout"][1]]
-            arrays = [columns_map[name][index] for name in columns]
+            row_ids = columns_map[spec["layout"][1]]
+            arrays = [columns_map[name][row_ids] for name in columns]
         else:
-            lo, hi = spec["layout"][1], spec["layout"][2]
-            index = None
-            arrays = [columns_map[name][lo:hi] for name in columns]
+            row_ids, hi = spec["layout"][1], spec["layout"][2]
+            arrays = [columns_map[name][row_ids:hi] for name in columns]
         cfg = spec["config"]
-        cluster = Cluster(workers=1, config=cfg)
         registry = MetricsRegistry()
-        plan_key = query.cache_key()
-        pruner = _template(
-            spec, "primary", plan_key, registry,
-            lambda: cluster._build_pruner(query, {}),
-        )
-        where_pruner = _template(
-            spec, "where", plan_key, registry,
-            lambda: cluster._build_where_stage(query, columns),
-        )
+        pruner = _pruner(spec, registry)
+        where_pruner = _pruner(spec, registry, role="where")
         # Fused kernel under the same engagement rule as the sequential
         # path (explicit batch_size), so the parent's absorb_sharded merge
         # reproduces the sequential counter families exactly.  Shard
         # slices on the "bounds" layout are shared-memory views end to
-        # end: the fused kernel turns them straight into global row ids
-        # with no intermediate column copies.
+        # end: the kernel turns them straight into global row ids with no
+        # intermediate column copies.
         program = None
         if cfg.fused and cfg.batch_size is not None:
-            plan = plan_fused([query], columns, cfg)
-            if plan.fused:
-                program = FusedProgram(
-                    plan,
-                    [pruner],
-                    registry=registry,
-                    trace_sample=cfg.fused_trace_sample,
-                )
-            else:
-                record_fallback(registry, plan.fallback_reason)
-        streamed = forwarded = 0
-        id_parts: List[np.ndarray] = []
-        total = len(arrays[0]) if arrays else 0
-        batch = spec["batch"]
+            program = compile_program([query], columns, cfg, [pruner], registry)
+        step = (
+            program.run_batch if program is not None
+            else pruner_step([query], columns, [pruner], where_pruner)
+        )
         with _shard_trace(spec, registry, "shard-stream"):
-            for start in range(0, total, batch):
-                stop = min(start + batch, total)
-                slices = tuple(array[start:stop] for array in arrays)
-                streamed += stop - start
-                if program is not None:
-                    masks, _ = program.run_batch(slices)
-                    positions = np.flatnonzero(masks[0])
-                    forwarded += len(positions)
-                    if len(positions) == 0:
-                        continue
-                    local = positions.astype(np.int64) + start
-                    if index is not None:
-                        id_parts.append(index[local])
-                    else:
-                        id_parts.append(spec["layout"][1] + local)
-                    continue
-                if where_pruner is not None:
-                    where_idx = np.flatnonzero(where_pruner.process_batch(slices))
-                    if len(where_idx) == 0:
-                        continue
-                    subset = tuple(column[where_idx] for column in slices)
-                else:
-                    where_idx = None
-                    subset = slices
-                entries = cluster._entries_batch(op, columns, subset)
-                positions = np.flatnonzero(pruner.process_batch(entries))
-                forwarded += len(positions)
-                if len(positions) == 0:
-                    continue
-                local = where_idx[positions] if where_idx is not None else positions
-                local = local.astype(np.int64) + start
-                if index is not None:
-                    id_parts.append(index[local])
-                else:
-                    id_parts.append(spec["layout"][1] + local)
-        kind = _op_kind(op)
-        _absorb_pruner(registry, pruner, query=kind, role="primary")
-        if where_pruner is not None:
-            _absorb_pruner(registry, where_pruner, query=kind, role="where")
-        return {
-            "shard": spec["shard"],
-            "streamed": streamed,
-            "forwarded": forwarded,
-            "survivors": _concat_ids(id_parts),
-            "metrics": registry.to_dict(),
-        }
+            streamed, forwarded, ids = stream_batches(
+                step, arrays, row_ids, spec["batch"]
+            )
+        return _reply(
+            spec, registry, pruner, where_pruner,
+            streamed=streamed, forwarded=forwarded, survivors=ids[0],
+        )
     finally:
         close()
 
@@ -295,53 +260,31 @@ def run_join_shard(spec: dict) -> dict:
     both key columns, then probe the same slice — the shard's build
     feeds its probe directly, with no cross-shard barrier.
     """
-    from ..engine.cluster import _absorb_pruner
-
     columns_map, close = _attach(spec)
     try:
         op = spec["query"].operator
-        cfg = spec["config"]
-        left_keys = columns_map["left"][columns_map[spec["left_index"]]]
-        right_keys = columns_map["right"][columns_map[spec["right_index"]]]
+        left_index = columns_map[spec["left_index"]]
+        right_index = columns_map[spec["right_index"]]
+        left_keys = columns_map["left"][left_index]
+        right_keys = columns_map["right"][right_index]
         registry = MetricsRegistry()
-        pruner = _template(
-            spec, "join", spec["query"].cache_key(), registry,
-            lambda: JoinPruner(
-                left=op.table,
-                right=op.right_table,
-                memory_bits=cfg.join_memory_bits,
-                hashes=cfg.join_hashes,
-                variant=cfg.join_variant,
-                seed=cfg.seed,
-            ),
-        )
+        pruner = _pruner(spec, registry)
         with _shard_trace(spec), registry.trace("join-build"):
             pruner.build(left_keys, right_keys)
-        probe_forwarded = 0
-        survivors: Dict[str, np.ndarray] = {}
-        batch = spec["batch"]
         with _shard_trace(spec), registry.trace("join-probe"):
-            for side, keys, index_name in (
-                (op.table, left_keys, spec["left_index"]),
-                (op.right_table, right_keys, spec["right_index"]),
-            ):
-                index = columns_map[index_name]
-                id_parts: List[np.ndarray] = []
-                for start in range(0, len(keys), batch):
-                    chunk = keys[start : start + batch]
-                    forward = pruner.process_batch((side, chunk))
-                    probe_forwarded += int(forward.sum())
-                    id_parts.append(index[start : start + batch][forward])
-                survivors[side] = _concat_ids(id_parts)
-        _absorb_pruner(registry, pruner, query="join", role="primary")
-        return {
-            "shard": spec["shard"],
-            "streamed": len(left_keys) + len(right_keys),
-            "forwarded": probe_forwarded,
-            "left_survivors": survivors[op.table],
-            "right_survivors": survivors[op.right_table],
-            "metrics": registry.to_dict(),
-        }
+            _, left_kept, left_ids = join_probe(
+                pruner, op.table, left_keys, left_index, spec["batch"]
+            )
+            _, right_kept, right_ids = join_probe(
+                pruner, op.right_table, right_keys, right_index, spec["batch"]
+            )
+        return _reply(
+            spec, registry, pruner,
+            streamed=len(left_keys) + len(right_keys),
+            forwarded=left_kept + right_kept,
+            left_survivors=left_ids,
+            right_survivors=right_ids,
+        )
     finally:
         close()
 
@@ -351,44 +294,23 @@ def run_having_shard(spec: dict) -> dict:
     rows; survivors are the rows whose key crossed the threshold here.
     Hash sharding guarantees every entry of a key hit this one sketch.
     """
-    from ..engine.cluster import _absorb_pruner
-
     columns_map, close = _attach(spec)
     try:
-        op = spec["query"].operator
-        cfg = spec["config"]
         index = columns_map[spec["index"]]
-        keys = columns_map["key"][index]
-        values = columns_map["value"][index]
         registry = MetricsRegistry()
-        pruner = _template(
-            spec, "having", spec["query"].cache_key(), registry,
-            lambda: HavingPruner(
-                threshold=op.threshold,
-                aggregate=op.aggregate,
-                width=cfg.having_width,
-                depth=cfg.having_depth,
-                seed=cfg.seed,
-            ),
-        )
-        forwarded = 0
-        id_parts: List[np.ndarray] = []
-        batch = spec["batch"]
+        pruner = _pruner(spec, registry)
         with _shard_trace(spec), registry.trace("having-sketch"):
-            for start in range(0, len(keys), batch):
-                key_chunk = keys[start : start + batch]
-                value_chunk = values[start : start + batch]
-                forward = pruner.process_batch((key_chunk, value_chunk))
-                forwarded += int(forward.sum())
-                id_parts.append(index[start : start + batch][forward])
-        _absorb_pruner(registry, pruner, query="having", role="primary")
-        return {
-            "shard": spec["shard"],
-            "streamed": len(keys),
-            "forwarded": forwarded,
-            "survivors": _concat_ids(id_parts),
-            "metrics": registry.to_dict(),
-        }
+            streamed, forwarded, ids = having_sketch(
+                pruner,
+                columns_map["key"][index],
+                columns_map["value"][index],
+                index,
+                spec["batch"],
+            )
+        return _reply(
+            spec, registry, pruner,
+            streamed=streamed, forwarded=forwarded, survivors=ids,
+        )
     finally:
         close()
 
@@ -398,48 +320,26 @@ def run_skyline_shard(spec: dict) -> dict:
     contiguous point slice; returns the points the master must see
     (forwarded carried points plus the FIN drain) as a float matrix.
     """
-    from ..engine.cluster import _absorb_pruner
-
     columns_map, close = _attach(spec)
     try:
-        cfg = spec["config"]
         lo, hi = spec["layout"][1], spec["layout"][2]
         matrix = columns_map["points"][lo:hi]
         registry = MetricsRegistry()
-        pruner = _template(
-            spec, "skyline", ("dims", int(matrix.shape[1])), registry,
-            lambda: SkylinePruner(
-                dims=matrix.shape[1],
-                points=cfg.skyline_points,
-                score=cfg.skyline_score,
-            ),
-        )
-        received: List[Tuple[float, ...]] = []
-        forwarded = 0
-        batch = spec["batch"]
+        pruner = _pruner(spec, registry)
         with _shard_trace(spec, registry, "shard-stream"):
-            for start in range(0, len(matrix), batch):
-                chunk = matrix[start : start + batch]
-                forward = pruner.process_batch(chunk)
-                forwarded += int(forward.sum())
-                for k in np.flatnonzero(forward):
-                    carried = pruner.last_batch_carried[k]
-                    received.append(tuple(float(v) for v in carried))
+            streamed, forwarded, received = skyline_stream(
+                pruner, matrix, spec["batch"]
+            )
             drained = pruner.drain()
             received.extend(drained)
-            forwarded += len(drained)
-        _absorb_pruner(registry, pruner, query="skyline", role="primary")
         points = (
             np.asarray(received, dtype=np.float64)
             if received
             else np.empty((0, matrix.shape[1]))
         )
-        return {
-            "shard": spec["shard"],
-            "streamed": len(matrix),
-            "forwarded": forwarded,
-            "received": points,
-            "metrics": registry.to_dict(),
-        }
+        return _reply(
+            spec, registry, pruner,
+            streamed=streamed, forwarded=forwarded + len(drained), received=points,
+        )
     finally:
         close()

@@ -33,19 +33,9 @@ to the per-pruner path with a ``fused_fallback_total{reason}`` counter:
 
 Plans are stateless and memoized module-level (like the compiler's
 fit/pack caches); binding a plan to fresh pruners per run is O(queries).
-
-Optional numba backend
-----------------------
-``CHEETAH_NUMBA=1`` swaps the deterministic TOP N threshold ladder for
-a numba-jitted loop when numba is importable; the pure-numpy kernel is
-the default and the jitted kernel is bit-for-bit identical (asserted in
-``tests/test_fused.py``).  Missing numba is never an error — the flag
-simply stays a no-op, so the library never grows a hard dependency.
 """
 
 from __future__ import annotations
-
-import os
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -62,8 +52,6 @@ __all__ = [
     "clear_fused_cache",
     "fused_cache_stats",
     "ladder_pass",
-    "numba_available",
-    "numba_enabled",
     "plan_fused",
 ]
 
@@ -395,29 +383,10 @@ def record_fallback(registry, reason: str) -> None:
     registry.counter("fused_fallback_total", _FALLBACK_HELP, reason=reason).inc()
 
 
-# ---------------------------------------------------------------------------
-# Optional numba backend for the TOP N threshold ladder
-# ---------------------------------------------------------------------------
-
-
-def numba_available() -> bool:
-    """True when numba is importable (never a hard dependency)."""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def numba_enabled() -> bool:
-    """True when ``CHEETAH_NUMBA=1`` *and* numba is importable."""
-    return os.environ.get("CHEETAH_NUMBA", "") == "1" and numba_available()
-
-
-def _ladder_numpy(
+def ladder_pass(
     rest: np.ndarray, thresholds: np.ndarray, counters: np.ndarray, n: int
 ) -> np.ndarray:
-    """Reference threshold-ladder pass (vectorized cumulative sums).
+    """One TOP N threshold-ladder pass over post-warmup values.
 
     Entry ``k``'s counter for threshold ``t_i`` is the carried-in value
     plus the inclusive cumsum of ``rest >= t_i`` — exactly what the
@@ -431,53 +400,3 @@ def _ladder_numpy(
         cutoffs = np.where(counts >= n, thresholds[i], cutoffs)
         counters[i] = counts[-1]
     return cutoffs
-
-
-def _ladder_numba_impl(rest, thresholds, counters, n):  # pragma: no cover
-    m = rest.shape[0]
-    cutoffs = np.full(m, -np.inf)
-    for i in range(thresholds.shape[0]):
-        t = thresholds[i]
-        c = counters[i]
-        for k in range(m):
-            if rest[k] >= t:
-                c += 1
-            if c >= n:
-                cutoffs[k] = t
-        counters[i] = c
-    return cutoffs
-
-
-_LADDER = None
-
-
-def _ladder_backend():
-    global _LADDER
-    if _LADDER is None:
-        _LADDER = _ladder_numpy
-        if numba_enabled():  # pragma: no cover - numba is optional
-            try:
-                import numba
-
-                _LADDER = numba.njit(cache=True)(_ladder_numba_impl)
-            except Exception:
-                _LADDER = _ladder_numpy
-    return _LADDER
-
-
-def reset_ladder_backend() -> None:
-    """Re-read ``CHEETAH_NUMBA`` on the next ladder call (tests)."""
-    global _LADDER
-    _LADDER = None
-
-
-def ladder_pass(
-    rest: np.ndarray, thresholds: np.ndarray, counters: np.ndarray, n: int
-) -> np.ndarray:
-    """One TOP N threshold-ladder pass over post-warmup values.
-
-    Dispatches to the numba backend when ``CHEETAH_NUMBA=1`` and numba
-    is importable, else the pure-numpy reference; both are bit-for-bit
-    identical (``counters`` mutated in place, cutoffs returned).
-    """
-    return _ladder_backend()(rest, thresholds, counters, n)

@@ -632,3 +632,29 @@ class TestClusterBatchStreaming:
         )
         assert batch.output == scalar.output
         assert self._phases(batch) == self._phases(scalar)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_chaos_runs_identical_at_every_batch_size(self, bigdata_tables, seed):
+        # Under a fault plan the cluster streams fault-free segments in
+        # batches: the batch size must be invisible in the output, the
+        # phase volumes and the whole fault account (what fired, where,
+        # and every degradation with its reason).
+        from repro.engine.cluster import Cluster, ClusterConfig
+        from repro.engine.reference import run_reference
+        from repro.faults import FAULT_KINDS, FaultPlan
+
+        plan = FaultPlan.random(seed, 2000, kinds=FAULT_KINDS, count=8)
+        queries = bigdata.benchmark_queries()
+        queries["Q7-having"] = bigdata.query7_having(threshold=4000.0)
+        for name, query in queries.items():
+            runs = [
+                Cluster(
+                    workers=3, config=ClusterConfig(fault_plan=plan, batch_size=b)
+                ).run(query, bigdata_tables)
+                for b in (None, 7, 4096)
+            ]
+            assert runs[0].output == run_reference(query, bigdata_tables), name
+            for other in runs[1:]:
+                assert other.output == runs[0].output, name
+                assert self._phases(other) == self._phases(runs[0]), name
+                assert other.faults == runs[0].faults, name

@@ -15,7 +15,9 @@ import pytest
 from repro.engine.cluster import Cluster, ClusterConfig
 from repro.engine.reference import run_reference
 from repro.errors import ConfigurationError
-from repro.faults import FAULT_KINDS, FaultPlan
+from repro.engine.plan import CountOp, GroupByOp, HavingOp, Query
+from repro.engine.expressions import col
+from repro.faults import FAULT_KINDS, FaultEvent, FaultPlan
 from repro.workloads import bigdata
 
 SEEDS = range(5)
@@ -205,6 +207,64 @@ class TestUnsafeOperatorsDegradeLoudly:
         # COUNT would double-count replayed rows without row-id dedup.
         assert result.output == references["Q1-filter"]
         assert result.total_streamed > 1500
+
+
+class TestRowIdDedup:
+    """Duplicated packets and crash replays reach the master more than
+    once; completion dedups by row id, so aggregates never double-count."""
+
+    #: Two duplicates and two worker crashes on the global entry cursor.
+    #: Single-pass runs stream five 600-row partitions: the first crash
+    #: makes partition 0 cross 901 entries, so 1000 and 1200 land in
+    #: partition 1; multi-pass runs stream the 3000 rows as one partition.
+    PLAN = FaultPlan(
+        [
+            FaultEvent(at=10, kind="duplicate"),
+            FaultEvent(at=300, kind="crash"),
+            FaultEvent(at=1000, kind="duplicate"),
+            FaultEvent(at=1200, kind="crash"),
+        ]
+    )
+
+    # The engine's GROUP BY prunes MIN/MAX only (§4); SUM and COUNT group
+    # aggregates exist as HAVING, so those are the sum/count cases here.
+    QUERIES = {
+        "count-star": Query(CountOp("UserVisits", col("duration") > 10)),
+        "groupby-max": Query(GroupByOp("UserVisits", "userAgent", "adRevenue", "max")),
+        "having-sum": Query(HavingOp("UserVisits", "languageCode", "adRevenue", 500.0, "sum")),
+        "having-count": Query(HavingOp("UserVisits", "languageCode", "adRevenue", 300, "count")),
+    }
+
+    @pytest.mark.parametrize("batch_size", [None, 7])
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_duplicates_and_crash_replays_never_double_count(
+        self, name, batch_size, tables
+    ):
+        query = self.QUERIES[name]
+        result = _run_chaos(query, tables, self.PLAN, batch_size=batch_size)
+        assert result.output == run_reference(query, tables)
+        assert result.faults["by_kind"] == {"crash": 2, "duplicate": 2}
+        # Every repeated entry crossed the switch: two duplicates plus the
+        # replayed prefixes of the two crashes.
+        assert result.phases[0].streamed > 3000 + 500
+
+
+class TestSkylineReplayAcrossBatches:
+    def test_replay_longer_than_a_batch(self, tables, queries, references):
+        plan = FaultPlan.single("reboot", at=20)
+        result = _run_chaos(queries["Q3-skyline"], tables, plan, batch_size=7)
+        assert result.output == references["Q3-skyline"]
+        (degradation,) = result.faults["degradations"]
+        assert degradation["action"] == "restart-replay"
+        # 20 points (almost three 7-row batches) went through the cache
+        # before the reboot; all of them re-stream behind the remainder.
+        assert degradation["reason"].startswith("switch reboot; 20 processed points")
+        assert result.total_streamed == 1500 + 20
+        per_entry_sized = _run_chaos(queries["Q3-skyline"], tables, plan, batch_size=1)
+        assert (result.total_streamed, result.total_forwarded) == (
+            per_entry_sized.total_streamed,
+            per_entry_sized.total_forwarded,
+        )
 
 
 class TestChaosDeterminism:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.base import PruneDecision
 from repro.core.distinct import DistinctPruner
@@ -171,6 +173,60 @@ class TestInjectorStreamSide:
         assert summary["injected"] == 1
         assert summary["by_kind"] == {"drop": 1}
         assert summary["degradations"][0]["action"] == "rebuild"
+
+
+class TestFaultCursorSegments:
+    """The segment protocol (``entries_until_event`` + one ``advance`` per
+    segment) fires every switch event exactly where a per-entry
+    ``advance(1)`` loop fires it."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 997, 4096])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.integers(0, 5200),
+                st.sampled_from(["reboot", "bitflip", "exhaust"]),
+            ),
+            max_size=8,
+        ),
+        prefix=st.integers(0, 64),
+        length=st.integers(0, 5000),
+    )
+    def test_segments_match_per_entry_advance(self, batch, events, prefix, length):
+        plan = FaultPlan([FaultEvent(at=at, kind=kind) for at, kind in events])
+        oracle = FaultInjector(plan)
+        # An earlier phase (e.g. JOIN's build) crossed ``prefix`` entries in
+        # one step; events inside it are already consumed.
+        assert oracle.advance(prefix) == [
+            e for e in plan.events if e.at < prefix
+        ]
+        per_entry = [oracle.advance(1) for _ in range(length)]
+
+        injector = FaultInjector(plan)
+        injector.advance(prefix)
+        position = 0
+        while position < length:
+            gap = injector.entries_until_event()
+            count = min(length - position, batch, gap if gap is not None else length)
+            assert count >= 1
+            fired = injector.advance(count)
+            # Everything due fires before the segment's first entry ...
+            assert fired == per_entry[position]
+            # ... and nothing fires inside the segment.
+            assert not any(per_entry[position + 1 : position + count])
+            position += count
+        assert injector.cursor == oracle.cursor == prefix + length
+        assert injector.entries_until_event() == oracle.entries_until_event()
+
+    def test_no_later_event_means_unbounded_segment(self):
+        injector = FaultInjector(FaultPlan.single("reboot", at=3))
+        assert injector.entries_until_event() == 3
+        assert injector.advance(3) == []
+        # The event at the cursor is due at the next segment's start, so it
+        # does not bound that segment.
+        assert injector.entries_until_event() is None
+        assert [e.at for e in injector.advance(10)] == [3]
 
 
 class TestChaosLink:

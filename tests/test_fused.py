@@ -36,11 +36,7 @@ from repro.switch.fuse import (
     FusedProgram,
     clear_fused_cache,
     fused_cache_stats,
-    ladder_pass,
-    numba_available,
     plan_fused,
-    reset_ladder_backend,
-    _ladder_numpy,
 )
 
 N_ROWS = 600
@@ -376,58 +372,6 @@ class TestZeroCopy:
                 workers=3, config=_config(True, 128, parallelism=2)
             ).run(query, tables)
             assert parallel.output == sequential.output == run_reference(query, tables)
-
-
-# ---------------------------------------------------------------------------
-# Numba backend: opt-in, bit-identical, absent-safe
-# ---------------------------------------------------------------------------
-
-
-class TestLadderBackend:
-    def _ladder_inputs(self):
-        rng = np.random.default_rng(5)
-        rest = rng.uniform(0.0, 1000.0, 512)
-        thresholds = np.sort(rng.uniform(0.0, 1000.0, 4))[::-1].copy()
-        counters = np.zeros(4, dtype=np.int64)
-        return rest, thresholds, counters
-
-    def test_numpy_backend_is_default(self, monkeypatch):
-        monkeypatch.delenv("CHEETAH_NUMBA", raising=False)
-        reset_ladder_backend()
-        try:
-            rest, thresholds, counters = self._ladder_inputs()
-            expected_counters = counters.copy()
-            expected = _ladder_numpy(rest, thresholds, expected_counters, 40)
-            got = ladder_pass(rest, thresholds, counters, 40)
-            assert np.array_equal(got, expected)
-            assert np.array_equal(counters, expected_counters)
-        finally:
-            reset_ladder_backend()
-
-    def test_missing_numba_is_never_an_error(self, monkeypatch):
-        monkeypatch.setenv("CHEETAH_NUMBA", "1")
-        reset_ladder_backend()
-        try:
-            rest, thresholds, counters = self._ladder_inputs()
-            reference = _ladder_numpy(rest, thresholds, counters.copy(), 40)
-            got = ladder_pass(rest, thresholds, counters, 40)
-            assert np.array_equal(got, reference)
-        finally:
-            reset_ladder_backend()
-
-    def test_numba_backend_bit_identical(self, monkeypatch):
-        pytest.importorskip("numba")
-        monkeypatch.setenv("CHEETAH_NUMBA", "1")
-        reset_ladder_backend()
-        try:
-            rest, thresholds, counters = self._ladder_inputs()
-            jit_counters = counters.copy()
-            reference = _ladder_numpy(rest, thresholds, counters, 40)
-            got = ladder_pass(rest, thresholds, jit_counters, 40)
-            assert np.array_equal(got, reference)
-            assert np.array_equal(jit_counters, counters)
-        finally:
-            reset_ladder_backend()
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,24 @@ def test_multi_phase_counters_equal_scalar(tables):
     assert _counters(batch) == _counters(scalar)
 
 
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_chaos_run_counters_equal_at_every_batch_size(tables, name):
+    from repro.faults import FAULT_KINDS, FaultPlan
+
+    plan = FaultPlan.random(2, 1500, kinds=FAULT_KINDS, count=6)
+    query = QUERIES[name]()
+    runs = [
+        Cluster(workers=3, config=ClusterConfig(fault_plan=plan, batch_size=b)).run(
+            query, tables
+        )
+        for b in (None, 7, 4096)
+    ]
+    for other in runs[1:]:
+        assert other.output == runs[0].output
+        assert other.faults == runs[0].faults
+        assert _counters(other) == _counters(runs[0])
+
+
 # ---------------------------------------------------------------------------
 # run results carry a usable registry
 # ---------------------------------------------------------------------------

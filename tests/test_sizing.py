@@ -119,3 +119,17 @@ class TestDistinctExpectedPruning:
         assert distinct_expected_pruning(15_000, 1000, 24) == pytest.approx(
             0.58, abs=0.02
         )
+
+
+def test_importing_the_serving_stack_leaves_scipy_out():
+    """scipy (~27 MiB RSS) is analysis-only: no query path may import it."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro, repro.serve, repro.fleet; "
+        "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

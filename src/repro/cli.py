@@ -52,9 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="shard processes for the dataplane (default 1: "
                             "sequential; >1 runs repro.parallel)")
     query.add_argument("--batch-size", type=int, default=None,
-                       help="vectorized batch size (default: scalar "
-                            "streaming sequentially, 65536 per shard when "
-                            "--parallelism > 1)")
+                       help="vectorized batch size (default: per-entry "
+                            "streaming in-process; wherever a run must "
+                            "batch anyway — pool shards, fused packed "
+                            "slots, fault plans — 65536)")
     query.add_argument("--resident", action="store_true",
                        help="keep table columns and shard plans resident in "
                             "shared memory across runs (repro.parallel.resident)")

@@ -9,64 +9,32 @@ equal to :func:`~repro.engine.reference.run_reference`) and the traffic
 volumes each phase moved, which the cost model turns into completion
 times.
 
-Multi-pass operators are faithful: JOIN streams the key columns of both
-tables to build the Bloom filters before the pruning pass; HAVING's
-master issues the partial second pass for candidate keys; SKYLINE drains
-the switch-resident points at FIN.
+One driver, :meth:`Cluster._execute`, runs every operator: what differs
+per operator — JOIN's build + probe, HAVING's partial refetch, SKYLINE's
+FIN drain — is a row of :mod:`repro.engine.operators`.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
-from dataclasses import dataclass, field
+from contextlib import ExitStack, nullcontext
+from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
-from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.base import PassthroughPruner, PruneDecision, Pruner
-from ..core.distinct import DistinctPruner, FingerprintDistinctPruner
+from ..core.base import PassthroughPruner, Pruner
 from ..core.filtering import FilterPruner
-from ..core.groupby import GroupByPruner
-from ..core.having import HavingPruner, master_having
-from ..core.join import JoinPruner
-from ..core.skyline import SkylinePruner, master_skyline
-from ..core.summary import is_reboot_safe
-from ..core.topn import TopNDeterministicPruner, TopNRandomizedPruner
-from ..errors import ConfigurationError, PlanError
+from ..errors import ConfigurationError, PlanError, SharedMemoryUnavailable
 from ..faults.injector import FaultInjector
-from ..faults.plan import FaultEvent, FaultPlan
+from ..faults.plan import FaultPlan
 from ..obs import MetricsRegistry, ratio
-from ..switch.fuse import FUSED_DEFAULT_BATCH
 from ..switch.resources import ResourceModel, TOFINO
-from .dataplane import (
-    Step,
-    compile_program,
-    concat_ids,
-    having_sketch,
-    join_output,
-    join_probe,
-    merge_single_pass,
-    point_matrix,
-    pruner_step,
-    single_pass_partial,
-    skyline_stream,
-    stream_batches,
-)
-from .plan import (
-    CountOp,
-    DistinctOp,
-    FilterOp,
-    GroupByOp,
-    HavingOp,
-    JoinOp,
-    Query,
-    SkylineOp,
-    TopNOp,
-)
+from .dataplane import DEFAULT_BATCH
+from .operators import SINGLE_PASS, Chaos, Shard, Side, fuse_config, plan_for
+from .plan import Query
 from .reference import TableMap, run_reference
-from .table import Table
+from .table import split_bounds
 
 
 @dataclass
@@ -81,113 +49,6 @@ class PhaseVolume:
     def pruned(self) -> int:
         """Entries the switch removed in this phase."""
         return self.streamed - self.forwarded
-
-
-#: Why a stage exhaustion may fail open, per operator.  HAVING is absent
-#: on purpose: keys counted before the failure may never re-cross the
-#: threshold, so it takes its refetch-all recovery instead.
-_EXHAUST_DETAIL = {
-    "join": "; remaining probes forward unfiltered",
-    "skyline": "; cache intact and drains at FIN",
-}
-
-
-class _Chaos:
-    """One chaos run's fault handling: apply switch events, drive segments.
-
-    ``passthrough`` latches on when the switch can no longer prune soundly
-    (stage exhaustion, or a reboot-unsafe operator choosing forward-all);
-    every later entry is forwarded unfiltered and the master completes the
-    query itself — superset-safety keeps the output unchanged.
-    """
-
-    def __init__(self, injector: FaultInjector, kind: str, pruner: Pruner) -> None:
-        self.injector = injector
-        self.kind = kind
-        self.pruner = pruner
-        self.passthrough = False
-        #: Row ids a recovery wants streamed again behind the remainder
-        #: (SKYLINE's restart-replay).
-        self.requeue: Optional[np.ndarray] = None
-
-    def apply(self, event: FaultEvent, recover: Optional[Callable] = None) -> None:
-        """Apply one switch fault and record the degradation it forces.
-
-        Stage exhaustion disables the pruning program outright: the stage
-        fails open and the remainder is forwarded unfiltered.  A reboot —
-        or a parity-detected bit flip, which is handled as one — empties
-        the dataplane state: operators Table 4 marks reboot-safe only ever
-        forward *more* from empty state, so they continue; the others
-        (JOIN, HAVING, SKYLINE) take the operator's own
-        ``recover(event) -> (action, detail)``.
-        """
-        injector, kind = self.injector, self.kind
-        if event.kind == "bitflip":
-            hit = self.pruner.corrupt_state(injector.rng)
-            injector.record(event.kind, event.at, op=kind, hit=hit)
-            if hit is None:
-                return  # landed in unallocated SRAM; nothing to recover
-            reason = f"parity-detected bit flip ({hit})"
-        else:
-            injector.record(event.kind, event.at, op=kind)
-            reason = (
-                "switch reboot" if event.kind == "reboot"
-                else "pipeline stage exhausted"
-            )
-        if event.kind == "exhaust" and kind != "having":
-            self.passthrough = True
-            action = "passthrough-remainder"
-            detail = _EXHAUST_DETAIL.get(
-                kind, "; stage fails open, remainder forwarded"
-            )
-        elif is_reboot_safe(kind):
-            self.pruner.reboot()
-            action = "continue-empty-state"
-            detail = f"; {kind} is reboot-safe (Table 4) — superset forwarded"
-        else:
-            action, detail = recover(event)
-        injector.record_degradation(kind, action, event.at, reason + detail)
-
-    def stream(
-        self,
-        ids: np.ndarray,
-        kernel: Callable,
-        recover: Optional[Callable] = None,
-        bypass: Callable = lambda segment: segment,
-    ) -> Tuple[int, int, list]:
-        """Drive a perturbed row-id stream one fault-free segment at a time.
-
-        The injector says how many entries may pass before the next switch
-        event; the stream is split there, the due events are applied, and
-        the segment runs through ``kernel(segment) -> (forwarded, out)``
-        as one batch stream — or, once passthrough has latched, through
-        ``bypass(segment) -> out`` with every entry forwarded.  An event
-        at global position ``k`` therefore still fires after entry
-        ``k - 1`` and before entry ``k``.  Returns ``(streamed,
-        forwarded, outs)``.
-        """
-        forwarded = position = 0
-        outs = []
-        while position < len(ids):
-            count = len(ids) - position
-            gap = self.injector.entries_until_event()
-            if gap is not None:
-                count = min(count, gap)
-            for event in self.injector.advance(count):
-                self.apply(event, recover)
-            if self.requeue is not None:
-                ids = np.concatenate([ids, self.requeue])
-                self.requeue = None
-            segment = ids[position : position + count]
-            position += count
-            if self.passthrough:
-                forwarded += count
-                outs.append(bypass(segment))
-            else:
-                kept, out = kernel(segment)
-                forwarded += kept
-                outs.append(out)
-        return position, forwarded, outs
 
 
 @dataclass
@@ -367,10 +228,10 @@ class ClusterConfig:
     ``parallelism`` > 1 executes Cheetah runs across that many OS
     processes (:mod:`repro.parallel`), each owning one pruner shard laid
     out by ``shard_policy`` (``"auto"``: multiswitch hash partitioning
-    for keyed stateful operators, contiguous replicas otherwise).  Runs
-    fall back to this sequential path when a fault plan is active,
-    shared memory is unavailable, or the run is a baseline
-    (``use_cheetah=False``).
+    for keyed stateful operators, contiguous replicas otherwise).  A run
+    is one in-process shard instead when a fault plan is active, the run
+    is a baseline (``use_cheetah=False``), or the fan-out cannot run
+    (no shared memory, pool died twice: ``parallel_fallback_total``).
     """
 
     batch_size: Optional[int] = None
@@ -380,7 +241,7 @@ class ClusterConfig:
     shard_timeout: Optional[float] = None
     #: Execute via the fused single-pass dataplane
     #: (:mod:`repro.switch.fuse`) where possible: the packed multi-query
-    #: path always (default batch ``FUSED_DEFAULT_BATCH`` when
+    #: path always (:data:`~repro.engine.dataplane.DEFAULT_BATCH` when
     #: ``batch_size`` is None), and the batched single-pass path when
     #: ``batch_size`` is set.  Programs the fusion layer cannot compile
     #: (randomized TOP N, fingerprint/multi-column DISTINCT, a stateful
@@ -543,7 +404,6 @@ class Cluster:
         """
         if not self.config.resident:
             return None
-        from ..errors import SharedMemoryUnavailable
         from ..parallel.resident import ResidentTableStore
 
         store = self.resident
@@ -576,76 +436,15 @@ class Cluster:
             store.retire()
         return store
 
-    def _resident_projection(
-        self, name: str, table: Table, columns: Sequence[str]
-    ) -> Optional[Table]:
-        """A zero-copy resident view of ``table`` for in-process streaming.
-
-        ``None`` whenever the store is absent, retired, or does not own
-        this exact ``table`` object (the identity version fence) — the
-        caller streams the original columns, which is always exact.  The
-        lease taken here lives exactly as long as the projection object:
-        it is released by a finalizer when the run drops its last
-        reference, so a concurrent retire can never unmap pages a
-        streaming pass is still reading (closing a segment invalidates
-        every view over it, even ones numpy still holds).
-        """
-        import weakref
-
-        from ..errors import SharedMemoryUnavailable
-
-        store = self.resident
-        if store is None or not store.owns(name, table):
-            return None
-        if not store.acquire():
-            return None
-        try:
-            projection = store.project(name, columns)
-        except SharedMemoryUnavailable:
-            store.release()
-            return None
-        weakref.finalize(projection, store.release)
-        return projection
-
     def _run_resolved(
         self, query: Query, tables: TableMap, use_cheetah: bool = True
     ) -> RunResult:
-        operator = query.operator
-        injector: Optional[FaultInjector] = None
-        if use_cheetah and self.config.fault_plan is not None:
-            injector = FaultInjector(self.config.fault_plan)
-        if (
-            use_cheetah
-            and injector is None
-            and self.config.resident
-            and self.resident is None
-        ):
-            # Lazy standalone residency — built only when no store exists
-            # at all.  A store that doesn't cover this run's tables is
-            # left alone (a request holding a stale snapshot must not
-            # retire the current epoch); the run just takes the per-run
-            # export path, which is always exact.
-            self.ensure_resident(tables)
-        if use_cheetah and self.config.parallelism > 1 and injector is None:
-            from ..errors import SharedMemoryUnavailable
+        config = self.config
+        if use_cheetah and config.parallelism > 1 and config.fault_plan is None:
             from ..parallel.runner import run_parallel
 
-            try:
-                return run_parallel(self, query, tables)
-            except SharedMemoryUnavailable:
-                pass  # no shared memory here; the sequential path is exact
-        if isinstance(operator, JoinOp):
-            result = self._run_join(query, tables, use_cheetah, injector)
-        elif isinstance(operator, HavingOp):
-            result = self._run_having(query, tables, use_cheetah, injector)
-        elif isinstance(operator, SkylineOp):
-            result = self._run_skyline(query, tables, use_cheetah, injector)
-        else:
-            result = self._run_single_pass(query, tables, use_cheetah, injector)
-        if injector is not None and result.metrics is not None:
-            result.metrics.absorb(injector.metrics)
-            result.faults = injector.summary()
-        return result
+            return run_parallel(self, query, tables)
+        return self._execute([query], tables, use_cheetah)[0][0]
 
     def run_verified(self, query: Query, tables: TableMap) -> RunResult:
         """Run with Cheetah and assert the pruning contract against reference."""
@@ -697,7 +496,7 @@ class Cluster:
         ops = [q.operator for q in queries]
         if any(q.where is not None for q in queries):
             raise PlanError("packed queries must fold WHERE into the operator")
-        if any(isinstance(op, (JoinOp, HavingOp, SkylineOp)) for op in ops):
+        if any(plan_for(op)[1] is not SINGLE_PASS for op in ops):
             raise PlanError(
                 "packed execution supports single-pass operators only "
                 "(filter/COUNT, DISTINCT, TOP N, GROUP BY)"
@@ -707,25 +506,11 @@ class Cluster:
             raise PlanError(
                 f"packed queries must scan one table, got {sorted(table_names)}"
             )
-        table = tables[ops[0].table]
-        columns: List[str] = []
-        for query in queries:
-            for column in query.stream_columns():
-                if column not in columns:
-                    columns.append(column)
         effective = (
             [override or self.config for override in overrides]
             if overrides is not None
             else [self.config] * len(queries)
         )
-        pruners = [
-            self._build_pruner(q, tables, columns=columns, config=effective[i])
-            for i, q in enumerate(queries)
-        ]
-        if self.config.validate_resources:
-            from ..switch.compiler import pack
-
-            pack([p.footprint() for p in pruners], self.config.model)
         # The fused plan depends only on the variant axes; with mixed
         # per-query overrides, OR-ing them is conservative — a query
         # whose override needs an unfusable variant forces the (exact)
@@ -740,116 +525,187 @@ class Cluster:
                     cfg.distinct_fingerprint for cfg in effective
                 ),
             )
-        shared = MetricsRegistry()
-        phase = PhaseVolume("packed-stream")
-        # Packed slots stream through resident views too (same fence and
-        # fallback semantics as the sequential single-pass path; lazy
-        # build only when no store exists, so a stale-snapshot slot can
-        # never retire the current epoch).
-        if self.config.resident and self.resident is None:
-            self.ensure_resident(tables)
-        stream_table = table
-        projection = self._resident_projection(ops[0].table, table, columns)
-        if projection is not None:
-            stream_table = projection
-        with shared.trace("partition"):
-            parts = self._partitions(stream_table)
-        # Fused dataplane: compile the packed program once; when every
-        # query fuses, one vectorized pass accumulates all keep-masks.
-        # Otherwise each pruner sees the batch through its own entry
-        # mapping (decisions match the plain loop exactly, and this is the
-        # fair baseline the fused benchmark races against).
-        program = None
-        if self.config.fused:
-            program = compile_program(
-                queries, columns, self.config, pruners, shared, plan_config
-            )
-        batch_size = self.config.batch_size
-        if program is not None:
-            batch_size = batch_size or FUSED_DEFAULT_BATCH
-        with shared.trace("packed-stream"):
-            if batch_size is None:
-                survivor_ids = self._plain_packed(
-                    queries, pruners, parts, columns, phase, shared
-                )
-            else:
-                step = (
-                    program.run_batch if program is not None
-                    else pruner_step(queries, columns, pruners)
-                )
-                survivor_ids = self._stream_partitions(
-                    step, parts, columns, phase, shared, batch_size, len(queries)
-                )
-        _record_phase(shared, phase)
-        results = []
-        for query, pruner, ids in zip(queries, pruners, survivor_ids):
-            # Per-query isolation: each result carries a registry holding
-            # only its own pruner's counters and completion span.
-            registry = MetricsRegistry()
-            kind = _op_kind(query.operator)
-            with registry.trace("master-complete"):
-                output = merge_single_pass(
-                    query, [single_pass_partial(query, columns, table, ids)]
-                )
-            _absorb_pruner(registry, pruner, query=kind, role="primary")
-            results.append(
-                RunResult(
-                    query=query.describe(),
-                    output=output,
-                    phases=[phase],
-                    used_cheetah=True,
-                    workers=self.workers,
-                    op_kind=kind,
-                    metrics=registry,
-                )
-            )
+        results, shared = self._execute(
+            queries, tables, configs=effective, plan_config=plan_config
+        )
+        phase = results[0].phases[0]
         return PackedRunResult(results=results, phase=phase, metrics=shared)
 
-    # -- shared plumbing -------------------------------------------------------
+    # -- the one run driver ----------------------------------------------------
 
-    def _partitions(self, table: Table) -> List[Table]:
-        return table.partition(self.workers)
-
-    def _record_worker_shares(
+    def _execute(
         self,
-        registry: MetricsRegistry,
-        phase: str,
-        total: int,
-        forwarded: Optional[int] = None,
-    ) -> None:
-        """Per-worker streamed attribution for unpartitioned streams.
+        queries: Sequence[Query],
+        tables: TableMap,
+        use_cheetah: bool = True,
+        configs: Optional[Sequence[ClusterConfig]] = None,
+        plan_config: Optional[ClusterConfig] = None,
+        transport: Optional[Callable] = None,
+    ):
+        """Run one operator plan; ``(results, registry)``.
 
-        The multi-pass operators (JOIN, HAVING, SKYLINE) drive whole
-        column arrays rather than explicit per-worker partitions; their
-        traffic is attributed to workers by the *same* split
-        ``Table.partition`` uses (remainder rows on the later workers),
-        so per-worker counters match the partition sizes an explicitly
-        partitioned phase would record, and their sum is exactly
-        ``total``.  ``forwarded``, when given, is attributed the same
-        way (the parallel runner uses it for schema parity with the
-        sequential single-pass counters).
+        Everything that is the same for every operator happens here,
+        once: build and validate the pruners, lease the resident store,
+        execute the shards — in this process (one shard, the cluster's
+        config and seed, the live registry handed over directly), or
+        through ``transport`` (the shard pool of
+        :func:`repro.parallel.runner.run_parallel`) — then sum the
+        phases, attribute workers, absorb metrics, trace the master's
+        completion and assemble one :class:`RunResult` per query.
+        ``configs`` marks a packed slot (one effective config per
+        query): per-query registries, and the shared ``packed-stream``
+        phase.  A fan-out that cannot run (no shared memory, pool died
+        twice) falls back to the in-process executor, counted and
+        evented, keeping the registry's respawn/timeout counters.
         """
-        bounds = np.linspace(0, total, self.workers + 1, dtype=int)
-        shares = np.diff(bounds)
-        forward_shares = (
-            np.diff(np.linspace(0, forwarded, self.workers + 1, dtype=int))
-            if forwarded is not None
-            else None
+        config = self.config
+        packed = configs is not None
+        kinds = [plan_for(query.operator)[0] for query in queries]
+        kind, plan = plan_for(queries[0].operator)
+        injector: Optional[FaultInjector] = None
+        if use_cheetah and not packed and config.fault_plan is not None:
+            injector = FaultInjector(config.fault_plan)
+        fault_free = use_cheetah and injector is None
+        if fault_free and config.resident and self.resident is None:
+            # Lazy standalone residency — built only when no store exists
+            # at all.  A store that doesn't cover this run's tables is
+            # left alone (a request holding a stale snapshot must not
+            # retire the current epoch); the run just takes the per-run
+            # export path, which is always exact.
+            self.ensure_resident(tables)
+        sides = plan.sides(queries, tables)
+        columns = sides[0].columns
+        registry = MetricsRegistry()
+        #: Per-query isolation in a packed slot: each result's registry
+        #: holds only its own pruner's counters and completion span.
+        registries = [MetricsRegistry() for _ in queries] if packed else [registry]
+        where: Optional[FilterPruner] = None
+        if packed:
+            pruners = [
+                self._build_pruner(query, tables, columns=columns, config=cfg)
+                for query, cfg in zip(queries, configs)
+            ]
+            if config.validate_resources:
+                from ..switch.compiler import pack
+
+                pack([pruner.footprint() for pruner in pruners], config.model)
+        elif use_cheetah:
+            pruners = [self._build_pruner(queries[0], tables)]
+            if config.validate_resources:
+                pruners[0].validate(config.model)
+            where = plan.where_stage(queries[0], columns, config)
+        else:
+            pruners = [] if plan.baseline_phase else [PassthroughPruner()]
+        shard = Shard(
+            queries, columns, pruners, config, registry, where,
+            fuse=fuse_config(config, packed, plan_config) if use_cheetah else None,
+            parts=self.workers,
         )
-        for worker in range(self.workers):
-            registry.counter(
-                "worker_entries_streamed_total",
-                "Entries streamed by each worker per phase.",
-                worker=worker,
-                phase=phase,
-            ).inc(int(shares[worker]))
-            if forward_shares is not None:
-                registry.counter(
-                    "worker_entries_forwarded_total",
-                    "Entries forwarded by each worker per phase.",
-                    worker=worker,
-                    phase=phase,
-                ).inc(int(forward_shares[worker]))
+        names = [plan.baseline_phase] if not pruners else [n for n, _ in plan.phases]
+        if packed:
+            names[0] = "packed-stream"
+        store = _lease(self.resident, sides) if fault_free else None
+        try:
+            partials = None
+            if transport is not None and injector is None:
+                try:
+                    partials = transport(self, plan, shard, sides, store)
+                except SharedMemoryUnavailable as exc:
+                    registry.counter(
+                        "parallel_fallback_total",
+                        "Parallel runs that fell back to the in-process executor.",
+                        reason=exc.reason,
+                    ).inc()
+                    if self.events is not None:
+                        self.events.emit(
+                            "parallel-fallback",
+                            f"shard fan-out unavailable ({exc}); running in-process",
+                            source="engine", severity="warning", reason=exc.reason,
+                        )
+            pooled = partials is not None
+            if not pooled:
+                with registry.trace("partition"):
+                    arrays: List[np.ndarray] = []
+                    row_ids: List[int] = []
+                    rows = 0
+                    for side in sides:
+                        arrays.extend(_stream_arrays(side, store))
+                        row_ids.append(rows)
+                        rows += side.table.num_rows
+                if not pruners:
+                    everything = np.arange(rows, dtype=np.int64)
+                    out = plan.bypass(arrays, everything)
+                    partials = [{"volumes": [(rows, rows)], "out": out}]
+                else:
+                    batch_size = config.batch_size
+                    chaos = None
+                    if injector is not None:
+                        chaos = Chaos(injector, kind, pruners[0])
+                        batch_size = batch_size or DEFAULT_BATCH
+                    span = None if plan.self_traced else names[0]
+                    with registry.trace(span) if span else nullcontext():
+                        partials = [
+                            plan.stream(shard, arrays, row_ids, batch_size, chaos)
+                        ]
+                    for own, pruner, tag in zip(registries, pruners, kinds):
+                        _absorb_pruner(own, pruner, query=tag, role="primary")
+                    if where is not None:
+                        _absorb_pruner(registry, where, query=kind, role="where")
+            volumes = [partial["volumes"] for partial in partials]
+            phases = [
+                PhaseVolume(
+                    name, sum(v[i][0] for v in volumes), sum(v[i][1] for v in volumes)
+                )
+                for i, name in enumerate(names[: len(volumes[0])])
+            ]
+            outputs = []
+            for index, own in enumerate(registries):
+                with own.trace("master-complete"):
+                    output, extra = plan.complete(shard, sides, partials, index)
+                outputs.append(output)
+                phases.extend(PhaseVolume(*volume) for volume in extra)
+        finally:
+            if store is not None:
+                store.release()
+        # Worker labels always range over the cluster's workers.  A
+        # single-pass kernel reports per-partition volumes: exact when
+        # the partitions were this cluster's workers (in-process), the
+        # shard totals split the way Table.partition splits rows on the
+        # pool.  Every other phase attributes its streamed total by the
+        # same split.
+        reported = partials[0].get("workers")
+        for phase in phases:
+            attributed = reported is not None and phase is phases[0]
+            if attributed and not pooled:
+                streamed, forwarded = zip(*reported)
+            else:
+                streamed = np.diff(split_bounds(phase.streamed, self.workers))
+                forwarded = (
+                    np.diff(split_bounds(phase.forwarded, self.workers))
+                    if attributed else None
+                )
+            _record_worker_volumes(registry, phase.name, streamed, forwarded)
+            _record_phase(registry, phase)
+        faults = None
+        if injector is not None:
+            registry.absorb(injector.metrics)
+            faults = injector.summary()
+        results = [
+            RunResult(
+                query=query.describe(),
+                output=output,
+                phases=phases,
+                used_cheetah=use_cheetah,
+                workers=self.workers,
+                op_kind=tag,
+                metrics=own,
+                faults=faults,
+            )
+            for query, output, tag, own in zip(queries, outputs, kinds, registries)
+        ]
+        return results, registry
+
+    # -- shared plumbing -------------------------------------------------------
 
     def _build_pruner(
         self,
@@ -865,727 +721,57 @@ class Cluster:
         ``config`` overrides the cluster config (the packed path builds
         each member query's pruner from its own adaptive override).
         """
-        op = query.operator
-        cfg = config if config is not None else self.config
-        if isinstance(op, (CountOp, FilterOp)):
-            if columns is None:
-                columns = query.stream_columns()
-            formula = op.predicate.to_formula(columns)
-            if query.where is not None:
-                formula = formula & query.where.to_formula(columns)
-            return FilterPruner(formula, worker_assist=cfg.worker_assist_filters)
-        if isinstance(op, DistinctOp):
-            if cfg.distinct_fingerprint:
-                return FingerprintDistinctPruner(
-                    rows=cfg.distinct_rows,
-                    cols=cfg.distinct_cols,
-                    delta=cfg.distinct_delta,
-                    policy=cfg.distinct_policy,
-                    seed=cfg.seed,
-                    model=cfg.model,
-                )
-            return DistinctPruner(
-                rows=cfg.distinct_rows,
-                cols=cfg.distinct_cols,
-                policy=cfg.distinct_policy,
-                seed=cfg.seed,
-                model=cfg.model,
-            )
-        if isinstance(op, TopNOp):
-            if cfg.topn_randomized:
-                return TopNRandomizedPruner(
-                    n=op.n,
-                    rows=cfg.topn_rows,
-                    cols=cfg.topn_cols,
-                    delta=cfg.topn_delta,
-                    seed=cfg.seed,
-                )
-            return TopNDeterministicPruner(n=op.n, thresholds=cfg.topn_thresholds)
-        if isinstance(op, GroupByOp):
-            return GroupByPruner(
-                aggregate=op.aggregate,
-                rows=cfg.groupby_rows,
-                cols=cfg.groupby_cols,
-                seed=cfg.seed,
-            )
-        if isinstance(op, JoinOp):
-            return JoinPruner(
-                left=op.table,
-                right=op.right_table,
-                memory_bits=cfg.join_memory_bits,
-                hashes=cfg.join_hashes,
-                variant=cfg.join_variant,
-                seed=cfg.seed,
-            )
-        if isinstance(op, HavingOp):
-            return HavingPruner(
-                threshold=op.threshold,
-                aggregate=op.aggregate,
-                width=cfg.having_width,
-                depth=cfg.having_depth,
-                seed=cfg.seed,
-            )
-        if isinstance(op, SkylineOp):
-            return SkylinePruner(
-                dims=len(op.columns),
-                points=cfg.skyline_points,
-                score=cfg.skyline_score,
-            )
-        raise PlanError(f"no pruner for {type(op).__name__}")
-
-    def _maybe_validate(self, pruner: Pruner) -> None:
-        if self.config.validate_resources:
-            pruner.validate(self.config.model)
-
-    def _build_where_stage(
-        self, query: Query, columns: Sequence[str]
-    ) -> Optional[FilterPruner]:
-        """The packed pre-filter stage for a stateful primary operator.
-
-        A WHERE-violating row must not reach a stateful pruner (it could
-        shadow a passing row in a DISTINCT/GROUP BY cache).  A fully
-        switch-supported WHERE filters exactly; unsupported predicates
-        require worker assist (the CWorker computes them and ships the
-        result bit, §4.1) — without it we refuse rather than risk a wrong
-        answer.
-        """
-        op = query.operator
-        if query.where is None or isinstance(op, (CountOp, FilterOp)):
-            return None
-        formula = query.where.to_formula(columns)
-        has_unsupported = any(not atom.supported for atom in formula.atoms())
-        if has_unsupported and not self.config.worker_assist_filters:
-            raise PlanError(
-                "WHERE contains switch-unsupported predicates before a stateful "
-                "operator; enable ClusterConfig.worker_assist_filters"
-            )
-        return FilterPruner(formula, worker_assist=self.config.worker_assist_filters)
-
-    def _batch_size(self, injector: Optional[FaultInjector]) -> Optional[int]:
-        """The run's batch size; chaos runs always stream in batches."""
-        if injector is not None:
-            return self.config.batch_size or FUSED_DEFAULT_BATCH
-        return self.config.batch_size
-
-    # -- single-pass operators -------------------------------------------------
-
-    def _run_single_pass(
-        self,
-        query: Query,
-        tables: TableMap,
-        use_cheetah: bool,
-        injector: Optional[FaultInjector] = None,
-    ) -> RunResult:
-        op = query.operator
-        table = tables[op.table]
-        columns = query.stream_columns()
-        kind = _op_kind(op)
-        registry = MetricsRegistry()
-        pruner: Pruner = (
-            self._build_pruner(query, tables) if use_cheetah else PassthroughPruner()
-        )
-        self._maybe_validate(pruner)
-        where_pruner = (
-            self._build_where_stage(query, columns) if use_cheetah else None
-        )
-        phase = PhaseVolume("stream")
-        batch_size = self._batch_size(injector)
-        # Stream through resident views when the store owns this exact
-        # table: the sequential path then reads the same physical pages
-        # the shard processes map.  Completion still gathers from the
-        # original table (identical values either way).
-        stream_table = table
-        if use_cheetah and injector is None:
-            projection = self._resident_projection(op.table, table, columns)
-            if projection is not None:
-                stream_table = projection
-        with registry.trace("partition"):
-            parts = self._partitions(stream_table)
-        # The fused program engages only on batched fault-free Cheetah
-        # runs (a batch_size=None run keeps its exact counter schema; a
-        # chaos run drives the pruners' own reboot/corrupt hooks) and only
-        # when the single-query program compiles; unfusable programs are
-        # counted and take the per-pruner kernel.
-        program = None
-        if use_cheetah and injector is None and batch_size and self.config.fused:
-            program = compile_program(
-                [query], columns, self.config, [pruner], registry
-            )
-        with registry.trace("stream"):
-            if batch_size is None:
-                ids = self._plain_single_pass(
-                    op, parts, columns, pruner, where_pruner, phase, registry
-                )
-            else:
-                step = (
-                    program.run_batch if program is not None
-                    else pruner_step([query], columns, [pruner], where_pruner)
-                )
-                chaos = (
-                    _Chaos(injector, kind, pruner) if injector is not None else None
-                )
-                (ids,) = self._stream_partitions(
-                    step, parts, columns, phase, registry, batch_size, chaos=chaos
-                )
-        with registry.trace("master-complete"):
-            # Under faults the same row can arrive twice (duplicated
-            # packets, a crashed worker's replay): dedup by row id.
-            survivors = single_pass_partial(
-                query, columns, table, ids, dedup=injector is not None
-            )
-            output = merge_single_pass(query, [survivors])
-        _record_phase(registry, phase)
-        _absorb_pruner(registry, pruner, query=kind, role="primary")
-        if where_pruner is not None:
-            _absorb_pruner(registry, where_pruner, query=kind, role="where")
-        return RunResult(
-            query=query.describe(),
-            output=output,
-            phases=[phase],
-            used_cheetah=use_cheetah,
-            workers=self.workers,
-            op_kind=kind,
-            metrics=registry,
-        )
-
-    def _stream_partitions(
-        self,
-        step: Step,
-        parts: Sequence[Table],
-        columns: Sequence[str],
-        phase: PhaseVolume,
-        registry: MetricsRegistry,
-        batch_size: int,
-        outputs: int = 1,
-        chaos: Optional[_Chaos] = None,
-    ) -> List[np.ndarray]:
-        """Stream every worker partition through ``step``; row ids per query.
-
-        One :func:`stream_batches` call per partition — or, under a fault
-        plan, one per fault-free segment of the partition's perturbed
-        row-id stream (link and worker faults reorder, repeat and replay
-        row ids; the segment's columns are gathered by id).
-        """
-        per_query: List[List[np.ndarray]] = [[] for _ in range(outputs)]
-        row_base = 0
-        for worker, part in enumerate(parts):
-            arrays = [part.column(name) for name in columns]
-            if chaos is None:
-                streamed, forwarded, ids = stream_batches(
-                    step, arrays, row_base, batch_size, outputs
-                )
-            else:
-                injector = chaos.injector
-
-                def kernel(segment: np.ndarray):
-                    local = segment - row_base
-                    _, kept, out = stream_batches(
-                        step, [a[local] for a in arrays], segment, batch_size
-                    )
-                    return kept, out[0]
-
-                stream = injector.perturb_partition(
-                    range(row_base, row_base + part.num_rows),
-                    injector.cursor,
-                    worker,
-                    phase.name,
-                )
-                streamed, forwarded, outs = chaos.stream(
-                    np.asarray(stream, dtype=np.int64), kernel
-                )
-                ids = [concat_ids(outs)]
-            phase.streamed += streamed
-            phase.forwarded += forwarded
-            for kept, chunk in zip(per_query, ids):
-                kept.append(chunk)
-            _record_worker_volume(registry, phase.name, worker, streamed, forwarded)
-            row_base += part.num_rows
-        return [concat_ids(kept) for kept in per_query]
-
-    # -- the plain batch_size=None loops: one process() call per entry ---------
-
-    def _plain_single_pass(
-        self,
-        op,
-        parts: Sequence[Table],
-        columns: Sequence[str],
-        pruner: Pruner,
-        where_pruner: Optional[FilterPruner],
-        phase: PhaseVolume,
-        registry: MetricsRegistry,
-    ) -> np.ndarray:
-        survivors: List[int] = []
-        row_base = 0
-        for worker, part in enumerate(parts):
-            forwarded_before = phase.forwarded
-            for offset, payload in enumerate(part.iter_rows(columns)):
-                # The packed filter stage (§6) runs first, so
-                # WHERE-violating rows never pollute the stateful
-                # operator's caches.
-                if (
-                    where_pruner is not None
-                    and where_pruner.process(payload) is PruneDecision.PRUNE
-                ):
-                    continue
-                entry = self._payload_to_entry(op, columns, payload)
-                if pruner.process(entry) is PruneDecision.FORWARD:
-                    phase.forwarded += 1
-                    survivors.append(row_base + offset)
-            phase.streamed += part.num_rows
-            _record_worker_volume(
-                registry,
-                phase.name,
-                worker,
-                part.num_rows,
-                phase.forwarded - forwarded_before,
-            )
-            row_base += part.num_rows
-        return np.asarray(survivors, dtype=np.int64)
-
-    def _plain_packed(
-        self,
-        queries: Sequence[Query],
-        pruners: Sequence[Pruner],
-        parts: Sequence[Table],
-        columns: Sequence[str],
-        phase: PhaseVolume,
-        registry: MetricsRegistry,
-    ) -> List[np.ndarray]:
-        per_query: List[List[int]] = [[] for _ in queries]
-        row_base = 0
-        for worker, part in enumerate(parts):
-            forwarded_before = phase.forwarded
-            for offset, payload in enumerate(part.iter_rows(columns)):
-                any_forward = False
-                for survivors, query, pruner in zip(per_query, queries, pruners):
-                    entry = self._payload_to_entry(query.operator, columns, payload)
-                    if pruner.process(entry) is PruneDecision.FORWARD:
-                        any_forward = True
-                        survivors.append(row_base + offset)
-                phase.forwarded += any_forward
-            phase.streamed += part.num_rows
-            _record_worker_volume(
-                registry,
-                phase.name,
-                worker,
-                part.num_rows,
-                phase.forwarded - forwarded_before,
-            )
-            row_base += part.num_rows
-        return [np.asarray(survivors, dtype=np.int64) for survivors in per_query]
-
-    def _plain_join_probe(
-        self, op: JoinOp, pruner: JoinPruner, left_keys, right_keys, probe: PhaseVolume
-    ) -> np.ndarray:
-        survivors: List[int] = []
-        sides = ((op.table, left_keys, 0), (op.right_table, right_keys, len(left_keys)))
-        for side, keys, base in sides:
-            for offset, key in enumerate(keys):
-                if pruner.process((side, key)) is PruneDecision.FORWARD:
-                    survivors.append(base + offset)
-        probe.streamed = len(left_keys) + len(right_keys)
-        probe.forwarded = len(survivors)
-        return np.asarray(survivors, dtype=np.int64)
-
-    def _plain_having_sketch(
-        self, pruner: HavingPruner, data: Sequence[Tuple], sketch: PhaseVolume
-    ) -> np.ndarray:
-        survivors = [
-            row
-            for row, entry in enumerate(data)
-            if pruner.process(entry) is PruneDecision.FORWARD
-        ]
-        sketch.streamed = len(data)
-        sketch.forwarded = len(survivors)
-        return np.asarray(survivors, dtype=np.int64)
-
-    def _plain_skyline_stream(
-        self, pruner: SkylinePruner, matrix: np.ndarray, phase: PhaseVolume
-    ) -> List[Tuple[float, ...]]:
-        received = []
-        for point in map(tuple, matrix.tolist()):
-            if pruner.process(point) is PruneDecision.FORWARD:
-                received.append(pruner.last_carried)
-        phase.streamed = len(matrix)
-        phase.forwarded = len(received)
-        return received
-
-    def _payload_to_entry(self, op, columns: Sequence[str], payload: Tuple):
-        """Map the streamed payload to the pruner's entry shape."""
-        if isinstance(op, (CountOp, FilterOp)):
-            return payload
-        if isinstance(op, DistinctOp):
-            if len(op.columns) == 1:
-                return payload[columns.index(op.columns[0])]
-            return tuple(payload[columns.index(c)] for c in op.columns)
-        if isinstance(op, TopNOp):
-            value = float(payload[columns.index(op.order_by)])
-            # Ascending order ("bottom N") negates into the max-domain
-            # the pruners are built for.
-            return value if op.descending else -value
-        if isinstance(op, GroupByOp):
-            return (
-                payload[columns.index(op.key)],
-                float(payload[columns.index(op.value)]),
-            )
-        raise PlanError(f"no entry mapping for {type(op).__name__}")
-
-    # -- JOIN: two passes --------------------------------------------------------
-
-    def _run_join(
-        self,
-        query: Query,
-        tables: TableMap,
-        use_cheetah: bool,
-        injector: Optional[FaultInjector] = None,
-    ) -> RunResult:
-        op = query.operator
-        assert isinstance(op, JoinOp)
-        if query.where is not None:
-            raise PlanError("pre-filtered JOIN is not modeled; filter the table first")
-        left_col = tables[op.table].column(op.left_on)
-        right_col = tables[op.right_table].column(op.right_on)
-        #: Probe row ids: the left table's rows, then the right table's.
-        split = len(left_col)
-        total = split + len(right_col)
-        batch_size = self._batch_size(injector)
-        registry = MetricsRegistry()
-        phases = []
-        if use_cheetah:
-            pruner = self._build_pruner(query, tables)
-            self._maybe_validate(pruner)
-            keys = (
-                (left_col, right_col) if batch_size is not None
-                else (left_col.tolist(), right_col.tolist())
-            )
-            build = PhaseVolume("join-build", streamed=total)
-            rebuild = PhaseVolume("join-rebuild")
-            chaos = _Chaos(injector, "join", pruner) if injector is not None else None
-
-            def recover(event: FaultEvent, during: str) -> Tuple[str, str]:
-                # JOIN is not reboot-safe.  Losing the Bloom filters
-                # mid-*build* simply restarts the build pass.  Losing them
-                # mid-*probe* is the Table 4 hazard: an empty filter would
-                # prune every remaining probe, silently losing join rows.
-                # ``degrade_policy`` decides between re-streaming the build
-                # pass (extra ``join-rebuild`` traffic) and forwarding the
-                # remaining probes unfiltered; ``"auto"`` consults the
-                # filters' fill ratio — a nearly-full filter barely prunes,
-                # so rebuilding it buys nothing.
-                if during == "build":
-                    pruner.reboot()
-                    pruner.build(*keys)
-                    rebuild.streamed += total
-                    return (
-                        "rebuild-build",
-                        " during the build pass; both key columns re-streamed",
-                    )
-                # Health gauges survive a reboot (the controller keeps
-                # metrics), so capture the fill ratio before the wipe.
-                pruner.observe_health()
-                fill = max(f.fill_ratio() for f in pruner._filters.values())
-                action = self.config.degrade_policy
-                if action == "auto":
-                    action = "passthrough" if fill > 0.5 else "rebuild"
-                pruner.reboot()
-                detail = f" during probe; bloom fill {fill:.3f} — "
-                if action == "rebuild":
-                    pruner.build(*keys)
-                    rebuild.streamed += total
-                    return action, detail + "build pass re-streamed"
-                chaos.passthrough = True
-                return action, detail + "remaining probes forward unfiltered"
-
-            with registry.trace("join-build"):
-                pruner.build(*keys)
-                if chaos is not None:
-                    # Build-pass entries advance the fault cursor in one
-                    # step; a reboot/bitflip inside the span restarts the
-                    # whole build (re-streamed traffic lands on rebuild).
-                    for event in injector.advance(total):
-                        chaos.apply(event, partial(recover, during="build"))
-            phases.append(build)
-            probe = PhaseVolume("join-probe")
-
-            def probe_segment(segment: np.ndarray):
-                # A perturbed segment can mix sides; each run of one side
-                # probes the other side's filter as one batch stream.
-                forwarded, chunks = 0, []
-                cuts = np.flatnonzero(np.diff(segment >= split)) + 1
-                for run in filter(len, np.split(segment, cuts)):
-                    side, column, base = (
-                        (op.right_table, right_col, split) if run[0] >= split
-                        else (op.table, left_col, 0)
-                    )
-                    _, kept, ids = join_probe(
-                        pruner, side, column[run - base], run, batch_size
-                    )
-                    forwarded += kept
-                    chunks.append(ids)
-                return forwarded, concat_ids(chunks)
-
-            with registry.trace("join-probe"):
-                if batch_size is None:
-                    ids = self._plain_join_probe(op, pruner, *keys, probe)
-                elif chaos is None:
-                    probe.streamed = total
-                    probe.forwarded, ids = probe_segment(
-                        np.arange(total, dtype=np.int64)
-                    )
-                else:
-                    stream = injector.perturb_partition(
-                        range(total), injector.cursor, 0, probe.name
-                    )
-                    probe.streamed, probe.forwarded, outs = chaos.stream(
-                        np.asarray(stream, dtype=np.int64),
-                        probe_segment,
-                        partial(recover, during="probe"),
-                    )
-                    ids = np.unique(concat_ids(outs))  # replayed probes dedup
-            phases.append(probe)
-            if rebuild.streamed:
-                phases.append(rebuild)
-            for phase in phases:
-                self._record_worker_shares(registry, phase.name, phase.streamed)
-            _absorb_pruner(registry, pruner, query=_op_kind(op), role="primary")
-            left_survivors = left_col[ids[ids < split]]
-            right_survivors = right_col[ids[ids >= split] - split]
-        else:
-            stream = PhaseVolume("join-stream", streamed=total, forwarded=total)
-            phases.append(stream)
-            self._record_worker_shares(registry, stream.name, total)
-            left_survivors, right_survivors = left_col, right_col
-        with registry.trace("master-complete"):
-            output = join_output(left_survivors.tolist(), right_survivors.tolist())
-        for phase in phases:
-            _record_phase(registry, phase)
-        return RunResult(
-            query=query.describe(),
-            output=output,
-            phases=phases,
-            used_cheetah=use_cheetah,
-            workers=self.workers,
-            op_kind=_op_kind(op),
-            metrics=registry,
-        )
-
-    # -- HAVING: sketch pass + partial second pass --------------------------------
-
-    def _run_having(
-        self,
-        query: Query,
-        tables: TableMap,
-        use_cheetah: bool,
-        injector: Optional[FaultInjector] = None,
-    ) -> RunResult:
-        op = query.operator
-        assert isinstance(op, HavingOp)
-        table = tables[op.table]
-        if query.where is not None:
-            table = table.mask(query.where.mask(table))
-        keys_col = table.column(op.key)
-        values_col = table.column(op.value)
-        data = list(zip(keys_col.tolist(), values_col.tolist()))
-        batch_size = self._batch_size(injector)
-        registry = MetricsRegistry()
-        phases = []
-        if use_cheetah:
-            pruner = self._build_pruner(query, tables)
-            self._maybe_validate(pruner)
-            sketch_pass = PhaseVolume("having-sketch")
-            chaos = (
-                _Chaos(injector, "having", pruner) if injector is not None else None
-            )
-
-            def recover(event: FaultEvent) -> Tuple[str, str]:
-                # HAVING is not reboot-safe (Table 4): a key whose entries
-                # all arrived before the fault may never re-cross the
-                # threshold, so no amount of forward-from-here-on recovers
-                # it.  The only sound fallback is to treat *every* key as
-                # a candidate — the partial second pass becomes a full one
-                # (baseline traffic, correct output).  An exhausted stage
-                # stops updating the sketch but keeps its state.
-                if event.kind != "exhaust":
-                    pruner.reboot()
-                chaos.passthrough = True
-                return (
-                    "refetch-all",
-                    "; HAVING is not reboot-safe — every key becomes a "
-                    "candidate for the second pass",
-                )
-
-            with registry.trace("having-sketch"):
-                if batch_size is None:
-                    ids = self._plain_having_sketch(pruner, data, sketch_pass)
-                elif chaos is None:
-                    sketch_pass.streamed, sketch_pass.forwarded, ids = having_sketch(
-                        pruner, keys_col, values_col, 0, batch_size
-                    )
-                else:
-                    stream = injector.perturb_partition(
-                        range(len(data)), injector.cursor, 0, sketch_pass.name
-                    )
-                    sketch_pass.streamed, sketch_pass.forwarded, outs = chaos.stream(
-                        np.asarray(stream, dtype=np.int64),
-                        lambda segment: having_sketch(
-                            pruner, keys_col[segment], values_col[segment],
-                            segment, batch_size,
-                        )[1:],
-                        recover,
-                    )
-                    ids = concat_ids(outs)
-                refetch_all = chaos is not None and chaos.passthrough
-                candidates = set(
-                    (keys_col if refetch_all else keys_col[ids]).tolist()
-                )
-            phases.append(sketch_pass)
-            # Partial second pass: only entries of candidate keys re-stream.
-            second = PhaseVolume("having-refetch")
-            with registry.trace("having-refetch"):
-                second.streamed = sum(1 for key, _ in data if key in candidates)
-                second.forwarded = second.streamed
-            phases.append(second)
-            self._record_worker_shares(
-                registry, sketch_pass.name, sketch_pass.streamed
-            )
-            self._record_worker_shares(registry, second.name, second.streamed)
-            with registry.trace("master-complete"):
-                output = set(
-                    master_having(candidates, data, op.threshold, op.aggregate)
-                )
-            _absorb_pruner(registry, pruner, query=_op_kind(op), role="primary")
-        else:
-            stream = PhaseVolume(
-                "having-stream", streamed=len(data), forwarded=len(data)
-            )
-            phases.append(stream)
-            self._record_worker_shares(registry, stream.name, len(data))
-            with registry.trace("master-complete"):
-                output = set(
-                    master_having(
-                        (key for key, _ in data), data, op.threshold, op.aggregate
-                    )
-                )
-        for phase in phases:
-            _record_phase(registry, phase)
-        return RunResult(
-            query=query.describe(),
-            output=output,
-            phases=phases,
-            used_cheetah=use_cheetah,
-            workers=self.workers,
-            op_kind=_op_kind(op),
-            metrics=registry,
-        )
-
-    # -- SKYLINE: stream + drain -------------------------------------------------
-
-    def _run_skyline(
-        self,
-        query: Query,
-        tables: TableMap,
-        use_cheetah: bool,
-        injector: Optional[FaultInjector] = None,
-    ) -> RunResult:
-        op = query.operator
-        assert isinstance(op, SkylineOp)
-        table = tables[op.table]
-        if query.where is not None:
-            table = table.mask(query.where.mask(table))
-        matrix = point_matrix(table, list(op.columns))
-        phase = PhaseVolume("skyline-stream")
-        batch_size = self._batch_size(injector)
-        registry = MetricsRegistry()
-        pruner = None
-        if use_cheetah:
-            pruner = self._build_pruner(query, tables)
-            self._maybe_validate(pruner)
-            with registry.trace("skyline-stream"):
-                if batch_size is None:
-                    received = self._plain_skyline_stream(pruner, matrix, phase)
-                elif injector is None:
-                    phase.streamed, phase.forwarded, received = skyline_stream(
-                        pruner, matrix, batch_size
-                    )
-                else:
-                    chaos = _Chaos(injector, "skyline", pruner)
-                    #: Segments streamed through the cache since its last wipe.
-                    replay: List[np.ndarray] = []
-
-                    def recover(event: FaultEvent) -> Tuple[str, str]:
-                        # SKYLINE is not reboot-safe (Table 4): pruned
-                        # points were dominated by *cached* points, so
-                        # losing the cache before the FIN drain could lose
-                        # their dominators from the master's view.
-                        # Recovery re-streams every point processed since
-                        # the last wipe through the fresh cache, behind
-                        # the remainder (duplicates are superset-safe).
-                        pruner.reboot()
-                        chaos.requeue = concat_ids(replay)
-                        replay.clear()
-                        return (
-                            "restart-replay",
-                            f"; {len(chaos.requeue)} processed points "
-                            "re-streamed through the fresh cache",
-                        )
-
-                    def kernel(segment: np.ndarray):
-                        replay.append(segment)
-                        return skyline_stream(pruner, matrix[segment], batch_size)[1:]
-
-                    stream = injector.perturb_partition(
-                        range(len(matrix)), injector.cursor, 0, phase.name
-                    )
-                    phase.streamed, phase.forwarded, outs = chaos.stream(
-                        np.asarray(stream, dtype=np.int64),
-                        kernel,
-                        recover,
-                        bypass=lambda segment: map(tuple, matrix[segment].tolist()),
-                    )
-                    received = [point for out in outs for point in out]
-                drained = pruner.drain()
-                received.extend(drained)
-                phase.forwarded += len(drained)
-        else:
-            phase.streamed = phase.forwarded = len(matrix)
-            received = list(map(tuple, matrix.tolist()))
-        self._record_worker_shares(registry, phase.name, phase.streamed)
-        with registry.trace("master-complete"):
-            output = set(master_skyline(received))
-        _record_phase(registry, phase)
-        if pruner is not None:
-            _absorb_pruner(registry, pruner, query=_op_kind(op), role="primary")
-        return RunResult(
-            query=query.describe(),
-            output=output,
-            phases=[phase],
-            used_cheetah=use_cheetah,
-            workers=self.workers,
-            op_kind=_op_kind(op),
-            metrics=registry,
+        return plan_for(query.operator)[1].pruner(
+            query, config if config is not None else self.config, columns
         )
 
 
-def _record_worker_volume(
+def _lease(store, sides: Sequence[Side]):
+    """Lease the resident store when it covers this run, else ``None``.
+
+    Object identity is the fence: a swapped or WHERE-masked table (a
+    fresh object) or a retired store means the per-run path, never a
+    mixed-version read.  The caller must ``release()`` the lease.
+    """
+    if store is None or not all(store.owns(s.name, s.table) for s in sides):
+        return None
+    return store if store.acquire() else None
+
+
+def _stream_arrays(side: Side, store):
+    """The side's arrays for in-process streaming: zero-copy resident
+    views (the same physical pages the shard processes map) under a
+    lease, the table's own columns otherwise — which is always exact.
+    Completion gathers from the original table either way."""
+    if store is not None and not side.matrix:
+        try:
+            return tuple(store.view(side.name, name) for name in side.columns)
+        except SharedMemoryUnavailable:
+            pass
+    return side.arrays()
+
+
+def _record_worker_volumes(
     registry: MetricsRegistry,
     phase: str,
-    worker: int,
-    streamed: int,
-    forwarded: int,
+    streamed: Sequence[int],
+    forwarded: Optional[Sequence[int]],
 ) -> None:
-    """Account one worker's share of a phase's traffic."""
-    registry.counter(
-        "worker_entries_streamed_total",
-        "Entries streamed by each worker per phase.",
-        worker=worker,
-        phase=phase,
-    ).inc(streamed)
-    registry.counter(
-        "worker_entries_forwarded_total",
-        "Entries forwarded by each worker per phase.",
-        worker=worker,
-        phase=phase,
-    ).inc(forwarded)
+    """Account each worker's share of a phase's traffic."""
+    for worker, count in enumerate(streamed):
+        registry.counter(
+            "worker_entries_streamed_total",
+            "Entries streamed by each worker per phase.",
+            worker=worker,
+            phase=phase,
+        ).inc(int(count))
+        if forwarded is not None:
+            registry.counter(
+                "worker_entries_forwarded_total",
+                "Entries forwarded by each worker per phase.",
+                worker=worker,
+                phase=phase,
+            ).inc(int(forwarded[worker]))
 
 
 def _record_phase(registry: MetricsRegistry, phase: PhaseVolume) -> None:
@@ -1608,18 +794,3 @@ def _absorb_pruner(
     """Refresh a pruner's health gauges, then fold its registry in."""
     pruner.observe_health()
     registry.absorb(pruner.metrics, **labels)
-
-
-def _op_kind(op) -> str:
-    """Short operator-kind tag used by the cost model."""
-    mapping = {
-        CountOp: "filter",
-        FilterOp: "filter",
-        DistinctOp: "distinct",
-        TopNOp: "topn",
-        GroupByOp: "groupby",
-        HavingOp: "having",
-        JoinOp: "join",
-        SkylineOp: "skyline",
-    }
-    return mapping[type(op)]

@@ -35,6 +35,11 @@ from ..switch.fuse import FusedProgram, plan_fused, record_fallback
 from .plan import CountOp, DistinctOp, FilterOp, GroupByOp, Query, TopNOp
 from .table import Table
 
+#: The one implicit batch size: what a ``batch_size=None`` run streams in
+#: wherever it must batch anyway (pool shards, fused packed slots, chaos
+#: segments).  Results are batch-invariant.
+DEFAULT_BATCH = 65536
+
 #: ``step(slices) -> (masks, any_forward)``: one keep-mask per query over
 #: the slice rows plus their union (the §6 forward bit) —
 #: :meth:`FusedProgram.run_batch`'s contract.

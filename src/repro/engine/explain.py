@@ -15,17 +15,8 @@ from typing import List, Optional
 from ..core.filtering import FilterPruner
 from ..switch.resources import ResourceModel, TOFINO
 from .cluster import Cluster, ClusterConfig
-from .plan import CountOp, FilterOp, HavingOp, JoinOp, Query
-
-_MASTER_STEPS = {
-    "filter": "re-check the full WHERE on survivors (late materialization fetch follows)",
-    "distinct": "drop remaining duplicates with an exact hash set",
-    "topn": "exact top-N over survivors with an N-sized heap",
-    "groupby": "recompute the MIN/MAX aggregate per surviving key",
-    "having": "partial second pass: exact totals for candidate keys only",
-    "join": "exact hash join over the surviving keys of both sides",
-    "skyline": "exact skyline over forwarded + drained points",
-}
+from .operators import plan_for
+from .plan import Query
 
 
 def explain(
@@ -41,23 +32,14 @@ def explain(
     config = config or ClusterConfig()
     model = model or config.model or TOFINO
     cluster = Cluster(workers=1, config=config)
-    op = query.operator
     lines: List[str] = [f"query   : {query.describe()}"]
     lines.append(f"stream  : columns {query.stream_columns()} (metadata pass)")
-
-    if isinstance(op, JoinOp):
-        lines.append(
-            "passes  : (1) key columns of both tables build the Bloom "
-            "filters; (2) pruning pass"
-        )
-    elif isinstance(op, HavingOp):
-        lines.append(
-            "passes  : (1) Count-Min sketch pass; (2) partial refetch of "
-            "candidate keys"
-        )
-
+    kind, plan = plan_for(query.operator)
+    lines.append(
+        "passes  : "
+        + "; ".join(f"({i}) {what}" for i, (_, what) in enumerate(plan.phases, 1))
+    )
     pruner = cluster._build_pruner(query, tables={})
-
     lines.append(
         f"switch  : {type(pruner).__name__} ({pruner.guarantee.value} guarantee)"
     )
@@ -84,10 +66,8 @@ def explain(
         f"fits    : {'yes' if footprint.fits(model) else 'NO'} "
         f"(target: {model.stages} stages x {model.alus_per_stage} ALUs)"
     )
-    from .cluster import _op_kind
-
-    lines.append(f"master  : {_MASTER_STEPS[_op_kind(op)]}")
-    if query.where is not None and not isinstance(op, (CountOp, FilterOp)):
+    lines.append(f"master  : {plan.completion[kind]}")
+    if query.where is not None and kind != "filter":
         lines.append(
             f"prefilt : WHERE {query.where!r} packed before the operator (§6)"
         )

@@ -15,6 +15,13 @@ import numpy as np
 from ..errors import PlanError
 
 
+def split_bounds(total: int, parts: int) -> np.ndarray:
+    """``parts + 1`` ascending ints cutting ``total`` items into contiguous
+    runs; remainder items land in the *later* runs.  The one split every
+    worker layout and per-worker account derives from."""
+    return np.linspace(0, total, parts + 1, dtype=int)
+
+
 class Table:
     """An immutable named collection of equal-length columns."""
 
@@ -105,7 +112,7 @@ class Table:
         """
         if parts <= 0:
             raise PlanError(f"need at least one partition, got {parts}")
-        return np.linspace(0, self.num_rows, parts + 1, dtype=int)
+        return split_bounds(self.num_rows, parts)
 
     def partition_shares(self, parts: int) -> List[int]:
         """Row counts per partition; sums to ``num_rows`` exactly.

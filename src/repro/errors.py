@@ -86,5 +86,10 @@ class SharedMemoryUnavailable(CheetahError):
 
     Raised by :mod:`repro.parallel.shm` when exporting column blocks
     fails (no ``/dev/shm``, exhausted segments, restricted sandbox).  The
-    cluster catches it and falls back to the sequential execution path.
+    cluster catches it and falls back to the sequential execution path;
+    ``reason`` labels that fallback (``parallel_fallback_total{reason}``).
     """
+
+    def __init__(self, message: str, reason: str = "no-shared-memory") -> None:
+        super().__init__(message)
+        self.reason = reason

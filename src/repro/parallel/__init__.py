@@ -1,20 +1,22 @@
-"""Process-parallel execution of the Cheetah dataplane.
+"""Process-parallel execution of the Cheetah dataplane: transport only.
 
 Cheetah's deployment is parallel by construction — many workers stream
-through the switch at once — but the simulator replayed worker
-partitions one after another on a single core.  This package runs them
-for real: :mod:`repro.parallel.runner` fans worker partitions out over
-an OS process pool, each process owning one pruner *shard* with the
-multiswitch partitioning semantics (:mod:`repro.parallel.shard`),
-reading its rows from zero-copy shared-memory column blocks
-(:mod:`repro.parallel.shm`) and returning survivor row-id arrays plus a
-metrics snapshot that the parent merges
+through the switch at once.  The run driver
+(:meth:`repro.engine.cluster.Cluster._execute`) cuts every run into
+shards and the operator table (:mod:`repro.engine.operators`) says what
+a shard does; this package is what crossing a process boundary needs:
+zero-copy shared-memory column blocks (:mod:`repro.parallel.shm`,
+:mod:`repro.parallel.resident`), hash-shard planning with the
+multiswitch partitioning semantics (:mod:`repro.parallel.shard`), the
+process pool with its crash and timeout guardrails
+(:mod:`repro.parallel.runner`) and the shard task with its warm-worker
+caches (:mod:`repro.parallel.worker`), which returns survivor row-id
+arrays plus a metrics snapshot the parent merges
 (:meth:`repro.obs.MetricsRegistry.absorb_sharded`).
 
 The entry point is :func:`repro.parallel.runner.run_parallel`;
 :class:`repro.engine.cluster.Cluster` dispatches to it whenever
-``ClusterConfig.parallelism > 1`` and falls back to the sequential path
-when shared memory is unavailable or a fault injector is active.
+``ClusterConfig.parallelism > 1`` and no fault plan is active.
 """
 
 from .shard import CONTIGUOUS, HASHED, derive_shard_seed, resolve_policy

@@ -1,28 +1,28 @@
-"""The parent side of the process-parallel dataplane.
+"""The parent side of the process-parallel dataplane: transport only.
 
-:func:`run_parallel` mirrors the sequential run paths phase for phase —
-same phase names, same span names, same counter families — while the
-actual pruning happens in a pool of shard processes:
+:func:`run_parallel` is the run driver (:meth:`Cluster._execute
+<repro.engine.cluster.Cluster>`) with the shard pool as its executor, so
+a parallel run reports through the same phases, spans and counter
+families as an in-process one.  What lives here is what crossing the
+process boundary needs (:func:`_pool_shards`):
 
-1. **partition** — export the streamed columns to shared memory once
-   (:class:`~repro.parallel.shm.SharedColumnStore`) and plan shard
-   ownership (:mod:`repro.parallel.shard`): contiguous worker-partition
-   bounds or multiswitch hash-partition index arrays.
-2. **stream** — submit one task per shard; as futures finish, the
-   master *immediately* does the per-shard part of completion (gather
-   survivor rows, evaluate predicates, extract entries) instead of
-   waiting for a global barrier.  JOIN needs no barrier at all: each
-   shard's Bloom build feeds its own probe inside the task.
-3. **master-complete** — merge the per-shard partials in shard order
-   (survivors are deterministically ordered by ``(shard, row_id)``) and
-   fold every shard's metrics snapshot into the run registry
-   (counters summed, gauges labeled per shard), so
-   :meth:`RunResult.report` is shape-identical to a sequential run.
+1. **partition** — reference the leased resident store's segments, or
+   export the plan's stream inputs to shared memory once
+   (:class:`~repro.parallel.shm.SharedColumnStore`), and cut shards
+   (:mod:`repro.parallel.shard`): contiguous worker-partition bounds or
+   multiswitch hash-partition index arrays, one cut per input side.
+2. **stream** — one :func:`~repro.parallel.worker.run_shard` task per
+   shard through :func:`_gather` (crash and timeout guardrails); each
+   runs the operator plan's shard kernel and returns its partial plus a
+   metrics snapshot.
+3. fold every shard's snapshot into the run registry (counters summed,
+   gauges labeled per shard) and hand the partials, in shard order, back
+   to the driver, which completes the query.
 
 Worker crashes (``BrokenProcessPool``) degrade to
-:class:`~repro.errors.SharedMemoryUnavailable`, which the cluster
-catches and reruns sequentially; ordinary exceptions from shard code
-propagate unchanged.
+:class:`~repro.errors.SharedMemoryUnavailable`, which the driver counts
+and reruns in-process; ordinary exceptions from shard code propagate
+unchanged.
 """
 
 from __future__ import annotations
@@ -32,32 +32,18 @@ import multiprocessing
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
-from ..core.having import master_having
-from ..core.skyline import master_skyline
-from ..engine.dataplane import (
-    join_output,
-    merge_single_pass,
-    point_matrix,
-    single_pass_partial,
-)
-from ..engine.plan import HavingOp, JoinOp, Query, SkylineOp
-from ..engine.table import Table
-from ..errors import PlanError, ShardTimeout, SharedMemoryUnavailable
+from ..engine.dataplane import DEFAULT_BATCH
+from ..engine.plan import Query
+from ..errors import ShardTimeout, SharedMemoryUnavailable
 from ..obs import MetricsRegistry
 from ..obs.tracing import current_context
 from . import shard as shard_mod
 from . import worker
 from .shm import SharedColumnStore
-
-#: Batch size shard processes stream in when ``ClusterConfig.batch_size``
-#: is unset (the sequential default of ``None`` means scalar streaming,
-#: which would waste the fan-out).
-DEFAULT_BATCH = 65536
 
 _POOLS: Dict[int, ProcessPoolExecutor] = {}
 
@@ -98,29 +84,6 @@ def _child_config(cluster, shard: int):
         parallelism=1,
         validate_resources=False,
     )
-
-
-def _batch_size(cluster) -> int:
-    return cluster.config.batch_size or DEFAULT_BATCH
-
-
-def _acquire_resident(cluster, needed: Dict[str, Table]):
-    """Lease the cluster's resident store when it covers this run.
-
-    ``needed`` maps table names to the exact :class:`Table` objects the
-    run streams; identity mismatch (a swapped or WHERE-masked table) or
-    a retired store returns ``None`` — the per-run export path, never a
-    mixed-version read.  The caller must ``release()`` the lease.
-    """
-    store = getattr(cluster, "resident", None)
-    if store is None:
-        return None
-    for name, table in needed.items():
-        if not store.owns(name, table):
-            return None
-    if not store.acquire():
-        return None
-    return store
 
 
 def _attach_trace(specs: Sequence[dict]) -> None:
@@ -198,7 +161,7 @@ def _gather(
         _shutdown_pools()
         if respawned:
             raise SharedMemoryUnavailable(
-                f"shard pool died twice: {exc}"
+                f"shard pool died twice: {exc}", reason="pool-died"
             ) from exc
         respawned = True
         registry.counter(
@@ -281,409 +244,105 @@ def _gather(
 def run_parallel(cluster, query: Query, tables) -> "RunResult":
     """Execute ``query`` across ``ClusterConfig.parallelism`` processes.
 
-    Raises :class:`SharedMemoryUnavailable` when the fan-out cannot run
-    (no shared memory, crashed pool) — the caller falls back to the
-    sequential path; every other exception is a real error.
+    The run driver with :func:`_pool_shards` as its executor.  When the
+    fan-out cannot run (no shared memory, crashed pool) the driver falls
+    back to its in-process executor and counts
+    ``parallel_fallback_total{reason}``; every other exception is a real
+    error.
     """
-    op = query.operator
-    policy = shard_mod.resolve_policy(
-        op, cluster.config.shard_policy, cluster.config.topn_randomized
+    return cluster._execute([query], tables, transport=_pool_shards)[0][0]
+
+
+def _pool_shards(cluster, plan, shard, sides, resident) -> List[dict]:
+    """The pool executor: the plan's per-shard partials, in shard order.
+
+    ``resident`` is the driver's lease on the cluster's resident store
+    (``None``: export an ephemeral store for this run, closed in
+    ``finally``).  Shard metrics are folded into ``shard.registry`` only
+    once every shard has answered.
+    """
+    config, registry, query = cluster.config, shard.registry, shard.queries[0]
+    shards = config.parallelism
+    hashed = shard_mod.HASHED == shard_mod.resolve_policy(
+        query.operator, config.shard_policy, config.topn_randomized
     )
-    try:
-        if isinstance(op, JoinOp):
-            return _run_join(cluster, query, tables)
-        if isinstance(op, HavingOp):
-            return _run_having(cluster, query, tables)
-        if isinstance(op, SkylineOp):
-            return _run_skyline(cluster, query, tables)
-        return _run_single_pass(cluster, query, tables, policy)
-    except BrokenProcessPool as exc:
-        _shutdown_pools()
-        raise SharedMemoryUnavailable(f"shard pool died: {exc}") from exc
-
-
-# -- single-pass operators ---------------------------------------------------
-
-
-def _run_single_pass(cluster, query: Query, tables, policy: str) -> "RunResult":
-    from ..engine.cluster import (
-        PhaseVolume,
-        RunResult,
-        _op_kind,
-        _record_phase,
-        _record_worker_volume,
-    )
-
-    op = query.operator
-    table = tables[op.table]
-    columns = query.stream_columns()
-    kind = _op_kind(op)
-    shards = cluster.config.parallelism
-    # Validate resources (and WHERE supportability) once, up front — the
-    # same failures the sequential path would surface before streaming.
-    cluster._maybe_validate(cluster._build_pruner(query, tables))
-    cluster._build_where_stage(query, columns)
-    registry = MetricsRegistry()
-    resident = _acquire_resident(cluster, {op.table: table})
     ephemeral: Optional[SharedColumnStore] = None
-    phase = PhaseVolume("stream")
-    partials: Dict[int, object] = {}
     try:
         with registry.trace("partition"):
-            layouts: List[tuple] = []
-            if resident is not None:
-                # Resident fast path: columns and hash plans were (or
-                # are now, once) exported for the table's lifetime.
-                handle = dict(resident.column_entries(op.table, columns))
-                if policy == shard_mod.HASHED:
-                    entries = resident.plan_entries(
-                        op.table,
-                        shard_mod.shard_key_signature(op),
-                        shards,
-                        lambda: shard_mod.cached_hash_plan(op, table, shards),
+            #: Handle entries (resident) or arrays to export, by name.
+            columns: Dict[str, object] = {}
+            #: Per shard, one ``(array names, cut)`` per side.
+            cuts: List[list] = [[] for _ in range(shards)]
+            for s, side in enumerate(sides):
+                if resident is None:
+                    exported = side.arrays()
+                elif side.matrix:
+                    # The derived float matrix is itself resident: built
+                    # and exported once per (table, dimension columns).
+                    exported = [
+                        resident.matrix_entry(
+                            side.name, side.columns, lambda: side.arrays()[0]
+                        )
+                    ]
+                else:
+                    entries = resident.column_entries(side.name, side.columns)
+                    exported = [entries[name] for name in side.columns]
+                names = [f"{s}.{i}" for i in range(len(exported))]
+                columns.update(zip(names, exported))
+                if hashed:
+                    # A key's rows meet on one shard — and JOIN's sides
+                    # shard by the SAME hash, so a key's build and probe
+                    # entries share one Bloom filter.
+                    def index_plan():
+                        return shard_mod.cached_hash_plan(side.key, side.table, shards)
+
+                    index = (
+                        index_plan() if resident is None
+                        else resident.plan_entries(
+                            side.name, side.key, shards, index_plan
+                        )
                     )
-                    for k, entry in enumerate(entries):
-                        handle[f"__shard_idx_{k}"] = entry
-                        layouts.append(("index", f"__shard_idx_{k}"))
+                    cut = [("index", f"{s}.idx{k}") for k in range(shards)]
+                    columns.update((name, index[k]) for k, (_, name) in enumerate(cut))
                 else:
-                    bounds = table.partition_bounds(shards)
-                    layouts = [
+                    bounds = side.table.partition_bounds(shards)
+                    cut = [
                         ("bounds", int(bounds[k]), int(bounds[k + 1]))
                         for k in range(shards)
                     ]
-            else:
-                export = {name: table.column(name) for name in columns}
-                if policy == shard_mod.HASHED:
-                    plan = shard_mod.cached_hash_plan(op, table, shards)
-                    for k, index in enumerate(plan):
-                        export[f"__shard_idx_{k}"] = index
-                        layouts.append(("index", f"__shard_idx_{k}"))
-                else:
-                    bounds = table.partition_bounds(shards)
-                    layouts = [
-                        ("bounds", int(bounds[k]), int(bounds[k + 1]))
-                        for k in range(shards)
-                    ]
-                ephemeral = SharedColumnStore(export)
-                handle = ephemeral.handle()
+                for k in range(shards):
+                    cuts[k].append((names, cut[k]))
+            if resident is None:
+                ephemeral = SharedColumnStore(columns)
+                columns = ephemeral.handle()
         specs = [
             {
                 "shard": k,
-                "handle": handle,
+                "handle": columns,
                 "resident": resident.token if resident is not None else None,
                 "query": query,
                 "config": _child_config(cluster, k),
-                "columns": columns,
-                "layout": layouts[k],
-                "batch": _batch_size(cluster),
+                "columns": shard.columns,
+                "sides": cuts[k],
+                "batch": config.batch_size or DEFAULT_BATCH,
             }
             for k in range(shards)
         ]
-        with registry.trace("stream"):
+        span = None if plan.self_traced else plan.phases[0][0]
+        with registry.trace(span) if span else nullcontext():
+            # Inside the phase span, so shard-recorded spans re-parent
+            # under it when absorb_sharded folds them back.
             _attach_trace(specs)
-
-            def pipelined(result: dict) -> None:
-                # Pipelined completion: reduce this shard's survivors
-                # while other shards are still streaming.
-                partials[result["shard"]] = single_pass_partial(
-                    query, columns, table, result["survivors"]
-                )
-
-            results = _gather(
-                cluster,
-                specs,
-                worker.run_single_pass_shard,
-                registry,
-                on_result=pipelined,
-            )
+            results = _gather(cluster, specs, worker.run_shard, registry)
+    except BrokenProcessPool as exc:
+        _shutdown_pools()
+        raise SharedMemoryUnavailable(
+            f"shard pool died: {exc}", reason="pool-died"
+        ) from exc
     finally:
         if ephemeral is not None:
             ephemeral.close()
-        if resident is not None:
-            resident.release()
-    for k in range(shards):
-        phase.streamed += results[k]["streamed"]
-        phase.forwarded += results[k]["forwarded"]
-        _record_worker_volume(
-            registry, phase.name, k, results[k]["streamed"], results[k]["forwarded"]
-        )
-        registry.absorb_sharded(MetricsRegistry.from_dict(results[k]["metrics"]), k)
-    with registry.trace("master-complete"):
-        output = merge_single_pass(query, [partials[k] for k in range(shards)])
-    _record_phase(registry, phase)
-    return RunResult(
-        query=query.describe(),
-        output=output,
-        phases=[phase],
-        used_cheetah=True,
-        workers=cluster.workers,
-        op_kind=kind,
-        metrics=registry,
-    )
-
-
-# -- JOIN --------------------------------------------------------------------
-
-
-def _run_join(cluster, query: Query, tables) -> "RunResult":
-    from ..engine.cluster import PhaseVolume, RunResult, _record_phase
-
-    op = query.operator
-    if query.where is not None:
-        raise PlanError("pre-filtered JOIN is not modeled; filter the table first")
-    left_table = tables[op.table]
-    right_table = tables[op.right_table]
-    left_col = left_table.column(op.left_on)
-    right_col = right_table.column(op.right_on)
-    shards = cluster.config.parallelism
-    registry = MetricsRegistry()
-    resident = _acquire_resident(
-        cluster, {op.table: left_table, op.right_table: right_table}
-    )
-    ephemeral: Optional[SharedColumnStore] = None
-    try:
-        # Both key columns shard by the SAME hash, so a key's build
-        # entries and probe entries meet on one shard's Bloom filter.
-        if resident is not None:
-            handle = {
-                "left": resident.column_entries(op.table, [op.left_on])[
-                    op.left_on
-                ],
-                "right": resident.column_entries(op.right_table, [op.right_on])[
-                    op.right_on
-                ],
-            }
-            left_entries = resident.plan_entries(
-                op.table,
-                ("column", op.left_on),
-                shards,
-                lambda: shard_mod.cached_column_plan(left_col, shards),
-            )
-            right_entries = resident.plan_entries(
-                op.right_table,
-                ("column", op.right_on),
-                shards,
-                lambda: shard_mod.cached_column_plan(right_col, shards),
-            )
-            for k in range(shards):
-                handle[f"__left_idx_{k}"] = left_entries[k]
-                handle[f"__right_idx_{k}"] = right_entries[k]
-        else:
-            export: Dict[str, np.ndarray] = {
-                "left": left_col,
-                "right": right_col,
-            }
-            left_shards = shard_mod.cached_column_plan(left_col, shards)
-            right_shards = shard_mod.cached_column_plan(right_col, shards)
-            for k in range(shards):
-                export[f"__left_idx_{k}"] = left_shards[k]
-                export[f"__right_idx_{k}"] = right_shards[k]
-            ephemeral = SharedColumnStore(export)
-            handle = ephemeral.handle()
-        specs = [
-            {
-                "shard": k,
-                "handle": handle,
-                "resident": resident.token if resident is not None else None,
-                "query": query,
-                "config": _child_config(cluster, k),
-                "left_index": f"__left_idx_{k}",
-                "right_index": f"__right_idx_{k}",
-                "batch": _batch_size(cluster),
-            }
-            for k in range(shards)
-        ]
-        _attach_trace(specs)
-        results = _gather(cluster, specs, worker.run_join_shard, registry)
-    finally:
-        if ephemeral is not None:
-            ephemeral.close()
-        if resident is not None:
-            resident.release()
-    total = len(left_col) + len(right_col)
-    build = PhaseVolume("join-build", streamed=total)
-    probe = PhaseVolume("join-probe", streamed=total)
-    left_keys: List = []
-    right_keys: List = []
-    for k in range(shards):
-        probe.forwarded += results[k]["forwarded"]
-        left_keys.extend(left_col[results[k]["left_survivors"]].tolist())
-        right_keys.extend(right_col[results[k]["right_survivors"]].tolist())
-        registry.absorb_sharded(MetricsRegistry.from_dict(results[k]["metrics"]), k)
-    for phase in (build, probe):
-        cluster._record_worker_shares(registry, phase.name, phase.streamed)
-    with registry.trace("master-complete"):
-        output = join_output(left_keys, right_keys)
-    for phase in (build, probe):
-        _record_phase(registry, phase)
-    return RunResult(
-        query=query.describe(),
-        output=output,
-        phases=[build, probe],
-        used_cheetah=True,
-        workers=cluster.workers,
-        op_kind="join",
-        metrics=registry,
-    )
-
-
-# -- HAVING ------------------------------------------------------------------
-
-
-def _run_having(cluster, query: Query, tables) -> "RunResult":
-    from ..engine.cluster import PhaseVolume, RunResult, _record_phase
-
-    op = query.operator
-    table = tables[op.table]
-    if query.where is not None:
-        # A WHERE-masked table is a fresh object, so it never matches the
-        # resident store (owns() is identity) — the per-run path below.
-        table = table.mask(query.where.mask(table))
-    keys_col = table.column(op.key)
-    values_col = table.column(op.value)
-    shards = cluster.config.parallelism
-    registry = MetricsRegistry()
-    resident = _acquire_resident(cluster, {op.table: table})
-    ephemeral: Optional[SharedColumnStore] = None
-    try:
-        if resident is not None:
-            entries = resident.column_entries(op.table, [op.key, op.value])
-            handle = {"key": entries[op.key], "value": entries[op.value]}
-            plan_entries = resident.plan_entries(
-                op.table,
-                shard_mod.shard_key_signature(op),
-                shards,
-                lambda: shard_mod.cached_hash_plan(op, table, shards),
-            )
-            for k, entry in enumerate(plan_entries):
-                handle[f"__idx_{k}"] = entry
-        else:
-            export: Dict[str, np.ndarray] = {"key": keys_col, "value": values_col}
-            for k, index in enumerate(
-                shard_mod.cached_hash_plan(op, table, shards)
-            ):
-                export[f"__idx_{k}"] = index
-            ephemeral = SharedColumnStore(export)
-            handle = ephemeral.handle()
-        specs = [
-            {
-                "shard": k,
-                "handle": handle,
-                "resident": resident.token if resident is not None else None,
-                "query": query,
-                "config": _child_config(cluster, k),
-                "index": f"__idx_{k}",
-                "batch": _batch_size(cluster),
-            }
-            for k in range(shards)
-        ]
-        _attach_trace(specs)
-        results = _gather(cluster, specs, worker.run_having_shard, registry)
-    finally:
-        if ephemeral is not None:
-            ephemeral.close()
-        if resident is not None:
-            resident.release()
-    sketch = PhaseVolume("having-sketch")
-    candidates: set = set()
-    for k in range(shards):
-        sketch.streamed += results[k]["streamed"]
-        sketch.forwarded += results[k]["forwarded"]
-        candidates.update(keys_col[results[k]["survivors"]].tolist())
-        registry.absorb_sharded(MetricsRegistry.from_dict(results[k]["metrics"]), k)
-    second = PhaseVolume("having-refetch")
-    with registry.trace("having-refetch"):
-        if candidates:
-            refetch = int(np.isin(keys_col, np.asarray(list(candidates))).sum())
-        else:
-            refetch = 0
-        second.streamed = second.forwarded = refetch
-    cluster._record_worker_shares(registry, sketch.name, sketch.streamed)
-    cluster._record_worker_shares(registry, second.name, second.streamed)
-    with registry.trace("master-complete"):
-        data = list(zip(keys_col.tolist(), values_col.tolist()))
-        output = set(master_having(candidates, data, op.threshold, op.aggregate))
-    for phase in (sketch, second):
-        _record_phase(registry, phase)
-    return RunResult(
-        query=query.describe(),
-        output=output,
-        phases=[sketch, second],
-        used_cheetah=True,
-        workers=cluster.workers,
-        op_kind="having",
-        metrics=registry,
-    )
-
-
-# -- SKYLINE -----------------------------------------------------------------
-
-
-def _run_skyline(cluster, query: Query, tables) -> "RunResult":
-    from ..engine.cluster import PhaseVolume, RunResult, _record_phase
-
-    op = query.operator
-    table = tables[op.table]
-    if query.where is not None:
-        # Fresh object after masking — never matches the resident store.
-        table = table.mask(query.where.mask(table))
-    columns = list(op.columns)
-
-    def build_matrix() -> np.ndarray:
-        return point_matrix(table, columns)
-
-    shards = cluster.config.parallelism
-    registry = MetricsRegistry()
-    bounds = table.partition_bounds(shards)
-    resident = _acquire_resident(cluster, {op.table: table})
-    ephemeral: Optional[SharedColumnStore] = None
-    phase = PhaseVolume("skyline-stream")
-    received: List[tuple] = []
-    try:
-        if resident is not None:
-            # The derived float matrix is itself resident: built and
-            # exported once per (table, dimension columns).
-            handle = {
-                "points": resident.matrix_entry(op.table, columns, build_matrix)
-            }
-        else:
-            ephemeral = SharedColumnStore({"points": build_matrix()})
-            handle = ephemeral.handle()
-        specs = [
-            {
-                "shard": k,
-                "handle": handle,
-                "resident": resident.token if resident is not None else None,
-                "query": query,
-                "config": _child_config(cluster, k),
-                "layout": ("bounds", int(bounds[k]), int(bounds[k + 1])),
-                "batch": _batch_size(cluster),
-            }
-            for k in range(shards)
-        ]
-        with registry.trace("skyline-stream"):
-            _attach_trace(specs)
-            results = _gather(cluster, specs, worker.run_skyline_shard, registry)
-    finally:
-        if ephemeral is not None:
-            ephemeral.close()
-        if resident is not None:
-            resident.release()
-    for k in range(shards):
-        phase.streamed += results[k]["streamed"]
-        phase.forwarded += results[k]["forwarded"]
-        received.extend(tuple(point) for point in results[k]["received"].tolist())
-        registry.absorb_sharded(MetricsRegistry.from_dict(results[k]["metrics"]), k)
-    cluster._record_worker_shares(registry, phase.name, phase.streamed)
-    with registry.trace("master-complete"):
-        output = set(master_skyline(received))
-    _record_phase(registry, phase)
-    return RunResult(
-        query=query.describe(),
-        output=output,
-        phases=[phase],
-        used_cheetah=True,
-        workers=cluster.workers,
-        op_kind="skyline",
-        metrics=registry,
-    )
+    partials = [results[k] for k in range(shards)]
+    for k, partial in enumerate(partials):
+        registry.absorb_sharded(MetricsRegistry.from_dict(partial.pop("metrics")), k)
+    return partials

@@ -32,71 +32,27 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..engine.plan import DistinctOp, GroupByOp, HavingOp, JoinOp, TopNOp
+from ..engine.operators import CONTIGUOUS, HASHED, resolve_policy  # noqa: F401
 from ..engine.table import Table
-from ..errors import ConfigurationError
 from ..extensions.multiswitch import hash_partition_batch
 from ..sketches.hashing import hash64_batch
 
-CONTIGUOUS = "contiguous"
-HASHED = "hash"
 
-#: Operators whose pruner state is keyed — hash sharding keeps a key's
-#: entries on one shard.  For these, hashing is at least sound; for the
-#: subset in _HASH_REQUIRED it is the only sound layout.
-_HASH_DEFAULT = (DistinctOp, GroupByOp, HavingOp, JoinOp)
-_HASH_REQUIRED = (HavingOp, JoinOp)
-
-
-def resolve_policy(op, requested: str, topn_randomized: bool) -> str:
-    """Map a ``ClusterConfig.shard_policy`` to the layout actually used.
-
-    ``auto`` chooses hash for keyed stateful operators and contiguous
-    replicas for the rest; keyless operators (filter/COUNT, deterministic
-    TOP N, SKYLINE) always shard contiguously — they have no key to hash
-    and any row layout is correct for their replicas.
-    """
-    if requested not in ("auto", CONTIGUOUS, HASHED):
-        raise ConfigurationError(
-            f"shard_policy must be 'auto', '{CONTIGUOUS}' or '{HASHED}', "
-            f"got {requested!r}"
-        )
-    keyed = isinstance(op, _HASH_DEFAULT) or (
-        isinstance(op, TopNOp) and topn_randomized
-    )
-    if requested == CONTIGUOUS and isinstance(op, _HASH_REQUIRED):
-        raise ConfigurationError(
-            f"{type(op).__name__} cannot shard contiguously: splitting a "
-            "key's entries across shards loses outputs (Bloom/Count-Min "
-            "state is only correct when each key lives on one shard)"
-        )
-    if requested == HASHED and not keyed:
-        # Nothing to hash on; contiguous replicas are the same computation.
-        return CONTIGUOUS
-    if requested == "auto":
-        return HASHED if keyed else CONTIGUOUS
-    return requested
-
-
-def shard_key_values(op, table: Table) -> np.ndarray:
-    """The per-row key array hash sharding partitions on."""
-    if isinstance(op, DistinctOp):
-        if len(op.columns) == 1:
-            return table.column(op.columns[0])
-        # Multi-column entries: fold per-column hashes into one 64-bit
-        # key.  Equal entries fold equally, which is all sharding needs.
-        acc: Optional[np.ndarray] = None
-        for i, name in enumerate(op.columns):
-            hashed = hash64_batch(table.column(name), seed=i)
-            acc = hashed if acc is None else (acc * np.uint64(0x100000001B3)) ^ hashed
-        return acc
-    if isinstance(op, TopNOp):
-        return table.column(op.order_by)
-    if isinstance(op, (GroupByOp, HavingOp)):
-        return table.column(op.key)
-    raise ConfigurationError(
-        f"{type(op).__name__} has no shard key; use contiguous sharding"
-    )
+def shard_key_values(key: tuple, table: Table) -> np.ndarray:
+    """The per-row key array hash sharding partitions on, for a plan
+    side's key signature (:attr:`repro.engine.operators.Side.key`)."""
+    kind, columns = key
+    if kind == "column":
+        return table.column(columns)
+    if len(columns) == 1:
+        return table.column(columns[0])
+    # Multi-column entries: fold per-column hashes into one 64-bit key.
+    # Equal entries fold equally, which is all sharding needs.
+    acc: Optional[np.ndarray] = None
+    for i, name in enumerate(columns):
+        hashed = hash64_batch(table.column(name), seed=i)
+        acc = hashed if acc is None else (acc * np.uint64(0x100000001B3)) ^ hashed
+    return acc
 
 
 def plan_hash_shards(values: np.ndarray, shards: int) -> List[np.ndarray]:
@@ -113,10 +69,10 @@ def plan_hash_shards(values: np.ndarray, shards: int) -> List[np.ndarray]:
 # Hash-shard planning is deterministic in (key array, shard count), and a
 # serving table's columns are immutable, so the per-run recomputation of
 # shard_key_values + plan_hash_shards is pure waste on repeat queries.
-# The cache keys on (anchor id, signature, parallelism) with a *weakref*
-# to the anchor (a Table or a column array): ``id()`` alone can collide
-# after garbage collection, so a hit also checks the weakref still points
-# at the same live object.  A swapped table map (the serving layer's
+# The cache keys on (table id, key signature, parallelism) with a
+# *weakref* to the table: ``id()`` alone can collide after garbage
+# collection, so a hit also checks the weakref still points at the same
+# live object.  A swapped table map (the serving layer's
 # ``tables_version`` bump) holds new objects, so stale plans can never be
 # served — they just age out.  :func:`invalidate_shard_plans` is the
 # explicit hook (the serving layer calls it on ``update_tables``).
@@ -150,55 +106,22 @@ def _plan_cache_store(key: tuple, anchor: object, value: object) -> None:
             _PLAN_CACHE.popitem(last=False)
 
 
-def shard_key_signature(op) -> tuple:
-    """What the shard key derivation depends on, as a hashable tuple.
-
-    GROUP BY and HAVING over the same key column share a signature (and
-    therefore a cached plan): both partition on that column's values.
-    """
-    if isinstance(op, DistinctOp):
-        return ("distinct", tuple(op.columns))
-    if isinstance(op, TopNOp):
-        return ("column", op.order_by)
-    if isinstance(op, (GroupByOp, HavingOp)):
-        return ("column", op.key)
-    raise ConfigurationError(
-        f"{type(op).__name__} has no shard key; use contiguous sharding"
-    )
-
-
-def cached_key_values(op, table: Table) -> np.ndarray:
-    """:func:`shard_key_values`, memoized per (table, key signature)."""
-    key = ("keys", id(table), shard_key_signature(op))
-    hit, values = _plan_cache_lookup(key, table)
-    if hit:
-        return values
-    values = shard_key_values(op, table)
-    _plan_cache_store(key, table, values)
-    return values
-
-
-def cached_hash_plan(op, table: Table, shards: int) -> List[np.ndarray]:
-    """:func:`plan_hash_shards` over the operator's shard key, memoized
-    per (table, key signature, parallelism)."""
-    key = ("plan", id(table), shard_key_signature(op), shards)
-    hit, plan = _plan_cache_lookup(key, table)
+def cached_hash_plan(key: tuple, table: Table, shards: int) -> List[np.ndarray]:
+    """:func:`plan_hash_shards` over a side's shard key, memoized per
+    (table, key signature, parallelism) — and the key values per (table,
+    key signature), so GROUP BY and HAVING over one key column, or the
+    same plan at another parallelism, share them."""
+    cache_key = ("plan", id(table), key, shards)
+    hit, plan = _plan_cache_lookup(cache_key, table)
     if hit:
         return plan
-    plan = plan_hash_shards(cached_key_values(op, table), shards)
-    _plan_cache_store(key, table, plan)
-    return plan
-
-
-def cached_column_plan(values: np.ndarray, shards: int) -> List[np.ndarray]:
-    """:func:`plan_hash_shards` over a raw key column (JOIN sides),
-    memoized per (column array, parallelism)."""
-    key = ("colplan", id(values), shards)
-    hit, plan = _plan_cache_lookup(key, values)
-    if hit:
-        return plan
+    values_key = ("keys", id(table), key)
+    hit, values = _plan_cache_lookup(values_key, table)
+    if not hit:
+        values = shard_key_values(key, table)
+        _plan_cache_store(values_key, table, values)
     plan = plan_hash_shards(values, shards)
-    _plan_cache_store(key, values, plan)
+    _plan_cache_store(cache_key, table, plan)
     return plan
 
 

@@ -1,18 +1,19 @@
-"""Shard task functions executed inside pool processes.
+"""The shard task executed inside pool processes.
 
-Each function is module-level (importable under the ``spawn`` start
+:func:`run_shard` is module-level (importable under the ``spawn`` start
 method), receives one picklable *spec* dict, attaches the shared-memory
-columns, runs the shared batch kernels of :mod:`repro.engine.dataplane`
-over its shard's rows, and returns plain arrays plus a
-:meth:`~repro.obs.MetricsRegistry.to_dict` snapshot — never live
-objects.  Survivors come back as **global row-id int64 arrays**: the
-parent completes the query by gathering those rows from its own column
-arrays, so no row payloads ever cross the process boundary.
+columns, runs the operator plan's shard kernel
+(:mod:`repro.engine.operators`) over its shard's rows, and returns plain
+arrays plus a :meth:`~repro.obs.MetricsRegistry.to_dict` snapshot —
+never live objects.  Survivors come back as **global row-id int64
+arrays**: the parent completes the query by gathering those rows from
+its own column arrays, so no row payloads ever cross the process
+boundary.
 
 The pruner is rebuilt locally from the (picklable) query and config —
 compiled formulas hold lambdas and cannot be pickled — with the shard's
 derived seed, and the per-shard registry carries the same pruner labels
-the sequential path uses, so the parent's
+the in-process executor uses, so the parent's
 :meth:`~repro.obs.MetricsRegistry.absorb_sharded` merge reproduces the
 sequential counter families exactly.
 """
@@ -26,14 +27,8 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from ..engine.dataplane import (
-    compile_program,
-    having_sketch,
-    join_probe,
-    pruner_step,
-    skyline_stream,
-    stream_batches,
-)
+from ..engine.cluster import _absorb_pruner
+from ..engine.operators import Shard, fuse_config, plan_for
 from ..obs import MetricsRegistry
 from ..obs.tracing import TraceContext, clear_trace_context, trace_context
 from .shm import attach_columns, open_segment
@@ -186,160 +181,58 @@ def _pruner(spec: dict, registry: MetricsRegistry, role: str = "primary"):
     """This task's pruner — or, for ``role="where"``, its packed WHERE
     stage — rebuilt locally from the picklable query and the shard's
     config (resident tasks reset-and-reuse a cached template)."""
-    from ..engine.cluster import Cluster
-
-    cluster = Cluster(workers=1, config=spec["config"])
-    query = spec["query"]
+    query, cfg = spec["query"], spec["config"]
+    _, plan = plan_for(query.operator)
 
     def build():
         if role == "where":
-            return cluster._build_where_stage(query, spec["columns"])
-        return cluster._build_pruner(query, {})
+            return plan.where_stage(query, spec["columns"], cfg)
+        return plan.pruner(query, cfg)
 
     return _template(spec, role, query.cache_key(), registry, build)
 
 
-def _reply(spec: dict, registry: MetricsRegistry, pruner, where_pruner=None, **payload) -> dict:
-    """The task's result: plain arrays plus a metrics snapshot carrying
-    the pruner labels the sequential path uses."""
-    from ..engine.cluster import _absorb_pruner, _op_kind
+def run_shard(spec: dict) -> dict:
+    """One shard of any operator plan: attach the columns, cut this
+    shard's rows from every input side, and run the plan's shard kernel
+    (:meth:`repro.engine.operators.OperatorPlan.stream`) over them with a
+    locally built pruner.
 
-    kind = _op_kind(spec["query"].operator)
-    _absorb_pruner(registry, pruner, query=kind, role="primary")
-    if where_pruner is not None:
-        _absorb_pruner(registry, where_pruner, query=kind, role="where")
-    return {"shard": spec["shard"], "metrics": registry.to_dict(), **payload}
-
-
-def run_single_pass_shard(spec: dict) -> dict:
-    """One shard of a single-pass operator (filter/COUNT, DISTINCT,
-    TOP N, GROUP BY): stream the shard's rows through a locally built
-    pruner and return surviving global row ids.
+    Returns the kernel's partial plus ``shard`` and a ``metrics``
+    snapshot carrying the pruner labels the in-process executor uses.
+    Rows of side *s* get global ids offset by the full length of the
+    sides before it (JOIN's probe ids: the left table's rows, then the
+    right table's).  Slices on the ``bounds`` layout are shared-memory
+    views end to end: the kernel turns them straight into global row
+    ids with no intermediate column copies.
     """
     columns_map, close = _attach(spec)
     try:
-        query = spec["query"]
-        columns = spec["columns"]
-        if spec["layout"][0] == "index":
-            row_ids = columns_map[spec["layout"][1]]
-            arrays = [columns_map[name][row_ids] for name in columns]
-        else:
-            row_ids, hi = spec["layout"][1], spec["layout"][2]
-            arrays = [columns_map[name][row_ids:hi] for name in columns]
-        cfg = spec["config"]
+        query, cfg = spec["query"], spec["config"]
+        kind, plan = plan_for(query.operator)
+        arrays, row_ids, base = [], [], 0
+        for names, cut in spec["sides"]:
+            if cut[0] == "index":
+                index = columns_map[cut[1]]
+                arrays.extend(columns_map[name][index] for name in names)
+                row_ids.append(index + base if base else index)
+            else:
+                arrays.extend(columns_map[name][cut[1] : cut[2]] for name in names)
+                row_ids.append(cut[1] + base)
+            base += len(columns_map[names[0]])
         registry = MetricsRegistry()
         pruner = _pruner(spec, registry)
-        where_pruner = _pruner(spec, registry, role="where")
-        # Fused kernel under the same engagement rule as the sequential
-        # path (explicit batch_size), so the parent's absorb_sharded merge
-        # reproduces the sequential counter families exactly.  Shard
-        # slices on the "bounds" layout are shared-memory views end to
-        # end: the kernel turns them straight into global row ids with no
-        # intermediate column copies.
-        program = None
-        if cfg.fused and cfg.batch_size is not None:
-            program = compile_program([query], columns, cfg, [pruner], registry)
-        step = (
-            program.run_batch if program is not None
-            else pruner_step([query], columns, [pruner], where_pruner)
+        where = _pruner(spec, registry, role="where")
+        shard = Shard(
+            [query], spec["columns"], [pruner], cfg, registry, where,
+            fuse=fuse_config(cfg),
         )
-        with _shard_trace(spec, registry, "shard-stream"):
-            streamed, forwarded, ids = stream_batches(
-                step, arrays, row_ids, spec["batch"]
-            )
-        return _reply(
-            spec, registry, pruner, where_pruner,
-            streamed=streamed, forwarded=forwarded, survivors=ids[0],
-        )
-    finally:
-        close()
-
-
-def run_join_shard(spec: dict) -> dict:
-    """One JOIN shard: build Bloom filters from this shard's slice of
-    both key columns, then probe the same slice — the shard's build
-    feeds its probe directly, with no cross-shard barrier.
-    """
-    columns_map, close = _attach(spec)
-    try:
-        op = spec["query"].operator
-        left_index = columns_map[spec["left_index"]]
-        right_index = columns_map[spec["right_index"]]
-        left_keys = columns_map["left"][left_index]
-        right_keys = columns_map["right"][right_index]
-        registry = MetricsRegistry()
-        pruner = _pruner(spec, registry)
-        with _shard_trace(spec), registry.trace("join-build"):
-            pruner.build(left_keys, right_keys)
-        with _shard_trace(spec), registry.trace("join-probe"):
-            _, left_kept, left_ids = join_probe(
-                pruner, op.table, left_keys, left_index, spec["batch"]
-            )
-            _, right_kept, right_ids = join_probe(
-                pruner, op.right_table, right_keys, right_index, spec["batch"]
-            )
-        return _reply(
-            spec, registry, pruner,
-            streamed=len(left_keys) + len(right_keys),
-            forwarded=left_kept + right_kept,
-            left_survivors=left_ids,
-            right_survivors=right_ids,
-        )
-    finally:
-        close()
-
-
-def run_having_shard(spec: dict) -> dict:
-    """One HAVING shard: sketch pass over this shard's ``(key, value)``
-    rows; survivors are the rows whose key crossed the threshold here.
-    Hash sharding guarantees every entry of a key hit this one sketch.
-    """
-    columns_map, close = _attach(spec)
-    try:
-        index = columns_map[spec["index"]]
-        registry = MetricsRegistry()
-        pruner = _pruner(spec, registry)
-        with _shard_trace(spec), registry.trace("having-sketch"):
-            streamed, forwarded, ids = having_sketch(
-                pruner,
-                columns_map["key"][index],
-                columns_map["value"][index],
-                index,
-                spec["batch"],
-            )
-        return _reply(
-            spec, registry, pruner,
-            streamed=streamed, forwarded=forwarded, survivors=ids,
-        )
-    finally:
-        close()
-
-
-def run_skyline_shard(spec: dict) -> dict:
-    """One SKYLINE shard: an independent pruner replica over a
-    contiguous point slice; returns the points the master must see
-    (forwarded carried points plus the FIN drain) as a float matrix.
-    """
-    columns_map, close = _attach(spec)
-    try:
-        lo, hi = spec["layout"][1], spec["layout"][2]
-        matrix = columns_map["points"][lo:hi]
-        registry = MetricsRegistry()
-        pruner = _pruner(spec, registry)
-        with _shard_trace(spec, registry, "shard-stream"):
-            streamed, forwarded, received = skyline_stream(
-                pruner, matrix, spec["batch"]
-            )
-            drained = pruner.drain()
-            received.extend(drained)
-        points = (
-            np.asarray(received, dtype=np.float64)
-            if received
-            else np.empty((0, matrix.shape[1]))
-        )
-        return _reply(
-            spec, registry, pruner,
-            streamed=streamed, forwarded=forwarded + len(drained), received=points,
-        )
+        span = "" if plan.self_traced else "shard-stream"
+        with _shard_trace(spec, registry, span):
+            partial = plan.stream(shard, arrays, row_ids, spec["batch"])
+        _absorb_pruner(registry, pruner, query=kind, role="primary")
+        if where is not None:
+            _absorb_pruner(registry, where, query=kind, role="where")
+        return {"shard": spec["shard"], "metrics": registry.to_dict(), **partial}
     finally:
         close()

@@ -45,7 +45,6 @@ import numpy as np
 from ..obs.tracing import current_context
 
 __all__ = [
-    "FUSED_DEFAULT_BATCH",
     "FusedPlan",
     "FusedProgram",
     "KernelSpec",
@@ -54,10 +53,6 @@ __all__ = [
     "ladder_pass",
     "plan_fused",
 ]
-
-#: Batch size the fused executor uses when the cluster config leaves
-#: ``batch_size=None`` (the packed path fuses by default).
-FUSED_DEFAULT_BATCH = 4096
 
 _FALLBACK_HELP = "Programs that fell back to the per-pruner path, by reason."
 _BATCHES_HELP = "Batches executed by the fused single-pass kernel."

@@ -67,3 +67,20 @@ def test_public_classes_and_functions_documented(module):
     assert not undocumented, (
         f"{module.__name__}: missing docstrings on {sorted(undocumented)}"
     )
+
+
+def test_architecture_prints_the_operator_plan_table():
+    """docs/architecture.md's operator-plan table is generated from the
+    code (``render_plan_table``), and its recovery column agrees with
+    Table 4's reboot-safety verdicts."""
+    from pathlib import Path
+
+    from repro.core.summary import is_reboot_safe
+    from repro.engine.operators import OPERATORS, render_plan_table
+
+    text = (Path(__file__).parent.parent / "docs" / "architecture.md").read_text()
+    for row in render_plan_table():
+        assert row in text, f"architecture.md is missing the generated row:\n{row}"
+    for kind, plan in OPERATORS.values():
+        assert kind in plan.completion
+        assert plan.recovery.startswith("reboot-safe") == is_reboot_safe(kind)

@@ -54,6 +54,25 @@ class TestExplain:
         assert "SkylinePruner" in text
         assert "TCAM" in text
 
+    def test_skyline_shows_stream_and_drain(self):
+        text = explain(parse("SELECT a FROM T SKYLINE OF x, y"))
+        assert "stream + FIN drain" in text
+        assert "exact skyline over forwarded + drained points" in text
+
+    def test_passes_and_master_lines_come_from_the_operator_table(self):
+        from repro.engine.operators import OPERATORS
+
+        for sql in (
+            "SELECT * FROM A JOIN B ON A.x = B.y",
+            "SELECT k FROM T GROUP BY k HAVING SUM(v) > 10",
+            "SELECT TOP 5 x FROM T ORDER BY x",
+        ):
+            query = parse(sql)
+            kind, plan = OPERATORS[type(query.operator)]
+            text = explain(query)
+            assert all(what in text for _, what in plan.phases)
+            assert plan.completion[kind] in text
+
     def test_topn_probabilistic_guarantee(self):
         text = explain(parse("SELECT TOP 100 x FROM T ORDER BY x"))
         assert "probabilistic" in text

@@ -29,10 +29,10 @@ from repro.engine.plan import (
     Query,
     TopNOp,
 )
+from repro.engine.dataplane import DEFAULT_BATCH
 from repro.engine.reference import run_reference
 from repro.engine.table import Table
 from repro.switch.fuse import (
-    FUSED_DEFAULT_BATCH,
     FusedProgram,
     clear_fused_cache,
     fused_cache_stats,
@@ -128,7 +128,7 @@ class TestFusedEquivalence:
 
     def test_packed_fuses_by_default_without_batch_size(self, tables):
         # batch_size=None: the packed path still fuses, using
-        # FUSED_DEFAULT_BATCH internally.
+        # DEFAULT_BATCH internally.
         queries = [_make_query("filter"), _make_query("topn")]
         result = Cluster(workers=3, config=_config(True, None)).run_packed(
             queries, tables
@@ -137,7 +137,7 @@ class TestFusedEquivalence:
             run_reference(query, tables) for query in queries
         ]
         counters = result.metrics.counter_values()
-        expected_batches = -(-N_ROWS // 3 // FUSED_DEFAULT_BATCH) * 3
+        expected_batches = -(-N_ROWS // 3 // DEFAULT_BATCH) * 3
         assert counters["fused_batches_total{}"] == expected_batches
 
     @pytest.mark.parametrize("kind", FUSED_KINDS + ("select",))
@@ -332,7 +332,7 @@ class TestZeroCopy:
 
     def test_worker_shard_uses_fused_kernel(self, tables):
         from repro.parallel.shm import SharedColumnStore, attach_columns
-        from repro.parallel.worker import run_single_pass_shard
+        from repro.parallel.worker import run_shard
 
         table = tables["T"]
         columns = ["price", "qty"]
@@ -343,18 +343,17 @@ class TestZeroCopy:
                 "handle": store.handle(),
                 "query": _make_query("filter"),
                 "columns": columns,
-                "layout": ("bounds", 0, N_ROWS),
+                "sides": [(columns, ("bounds", 0, N_ROWS))],
                 "config": _config(True, 128),
                 "batch": 128,
                 "shard": 0,
             }
-            result = run_single_pass_shard(spec)
+            result = run_shard(spec)
             expected = np.flatnonzero(
                 (source["price"] > 150.0) & (source["qty"] <= 30)
             )
-            assert np.array_equal(result["survivors"], expected)
-            assert result["streamed"] == N_ROWS
-            assert result["forwarded"] == len(expected)
+            assert np.array_equal(result["out"][0], expected)
+            assert result["volumes"] == [(N_ROWS, len(expected))]
             counter_names = {c["name"] for c in result["metrics"]["counters"]}
             assert "fused_batches_total" in counter_names
         finally:

@@ -28,8 +28,10 @@ from repro.engine.plan import (
 from repro.engine.reference import run_reference
 from repro.engine.table import Table
 from repro.errors import ConfigurationError, SharedMemoryUnavailable
+from repro.obs import EventLog
 
 SEEDS = (1, 7, 42)
+ALL_OPS = ["filter", "distinct", "topn", "groupby", "having", "join", "skyline"]
 PARALLELISMS = (1, 2, 4)
 BATCH = 128
 
@@ -76,10 +78,7 @@ class TestEquivalence:
     """All 7 operators x 3 seeds x parallelism {1, 2, 4}."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize(
-        "op_name",
-        ["filter", "distinct", "topn", "groupby", "having", "join", "skyline"],
-    )
+    @pytest.mark.parametrize("op_name", ALL_OPS)
     def test_output_and_volume_match_sequential(self, op_name, seed):
         tables = make_tables(seed)
         query = make_query(op_name)
@@ -91,6 +90,32 @@ class TestEquivalence:
             assert [p.name for p in result.phases] == [
                 p.name for p in sequential.phases
             ]
+
+    @pytest.mark.parametrize("op_name", ALL_OPS)
+    def test_every_plan_on_both_executors_at_every_batch_size(self, op_name):
+        """7 operator kinds x {in-process, 2 pool shards} x batch_size
+        {None, 7, 4096}: the reference output, one set of phase names, and
+        — within an executor — batch-invariant phase and pruner counters."""
+        tables = make_tables(21)
+        query = make_query(op_name)
+        expected = run_reference(query, tables)
+        phase_names = set()
+        for parallelism in (1, 2):
+            counters = []
+            for batch_size in (None, 7, 4096):
+                config = ClusterConfig(batch_size=batch_size, parallelism=parallelism)
+                result = Cluster(workers=5, config=config).run(query, tables)
+                assert result.output == expected
+                phase_names.add(tuple(phase.name for phase in result.phases))
+                counters.append(
+                    {
+                        name: value
+                        for name, value in result.metrics.counter_values().items()
+                        if name.startswith(("phase_", "pruner_"))
+                    }
+                )
+            assert counters[0] == counters[1] == counters[2]
+        assert len(phase_names) == 1
 
     def test_count_with_where(self):
         tables = make_tables(3)
@@ -237,8 +262,34 @@ class TestFallbacks:
         monkeypatch.setattr(runner, "SharedColumnStore", unavailable)
         tables = make_tables(1)
         query = make_query("filter")
-        result = cluster(2).run_verified(query, tables)
+        fleet = cluster(2)
+        fleet.events = EventLog()
+        result = fleet.run_verified(query, tables)
         assert result.output == cluster(1).run(query, tables).output
+        counters = result.metrics.counter_values()
+        assert counters["parallel_fallback_total{reason=no-shared-memory}"] == 1
+        (event,) = [
+            e for e in fleet.events.snapshot() if e["kind"] == "parallel-fallback"
+        ]
+        assert event["labels"]["reason"] == "no-shared-memory"
+
+    def test_pool_death_fallback_keeps_the_pool_counters(self, monkeypatch):
+        """The registry that saw the respawn is the result's registry."""
+        import repro.parallel.runner as runner
+
+        def dying_gather(cluster, specs, task, registry, on_result=None):
+            registry.counter("pool_respawns_total", "Respawns.").inc()
+            raise SharedMemoryUnavailable(
+                "shard pool died twice: injected", reason="pool-died"
+            )
+
+        monkeypatch.setattr(runner, "_gather", dying_gather)
+        tables = make_tables(1)
+        for op_name in ("filter", "join"):
+            result = cluster(2).run_verified(make_query(op_name), tables)
+            counters = result.metrics.counter_values()
+            assert counters["parallel_fallback_total{reason=pool-died}"] == 1
+            assert counters["pool_respawns_total{}"] == 1
 
     def test_baseline_runs_stay_sequential(self, monkeypatch):
         import repro.parallel.runner as runner
@@ -326,37 +377,53 @@ class TestPartitioner:
         assert seeds == [derive_shard_seed(0, shard) for shard in range(8)]
 
 
+def worker_counts(result, family: str, phase: str, workers: int = 5) -> list:
+    """One phase's per-worker counter values; KeyError if a label is missing."""
+    counters = result.metrics.counter_values()
+    return [counters[f"{family}{{phase={phase},worker={w}}}"] for w in range(workers)]
+
+
 class TestWorkerShares:
     def test_shares_match_table_partition_sizes(self):
-        from repro.obs import MetricsRegistry
-
-        table = Table("t", {"x": np.arange(10)})
-        registry = MetricsRegistry()
-        Cluster(workers=3)._record_worker_shares(registry, "p", 10)
-        counters = registry.counter_values()
-        shares = [
-            counters[f"worker_entries_streamed_total{{phase=p,worker={w}}}"]
-            for w in range(3)
-        ]
-        assert shares == [len(part) for part in table.partition(3)]
-        assert sum(shares) == 10
+        tables = make_tables(8)
+        result = cluster(1).run(make_query("having"), tables)
+        shares = worker_counts(result, "worker_entries_streamed_total", "having-sketch")
+        assert shares == [len(part) for part in tables["products"].partition(5)]
 
     def test_remainder_goes_to_later_workers(self):
-        from repro.obs import MetricsRegistry
+        table = Table("products", {"price": np.arange(7), "qty": np.arange(7)})
+        result = Cluster(workers=4, config=ClusterConfig(batch_size=BATCH)).run(
+            make_query("skyline"), {"products": table}
+        )
+        streamed = worker_counts(
+            result, "worker_entries_streamed_total", "skyline-stream", workers=4
+        )
+        assert streamed == [1, 2, 2, 2]
 
-        registry = MetricsRegistry()
-        Cluster(workers=4)._record_worker_shares(registry, "p", 7, forwarded=5)
-        counters = registry.counter_values()
-        streamed = [
-            counters[f"worker_entries_streamed_total{{phase=p,worker={w}}}"]
-            for w in range(4)
-        ]
-        forwarded = [
-            counters[f"worker_entries_forwarded_total{{phase=p,worker={w}}}"]
-            for w in range(4)
-        ]
-        assert sum(streamed) == 7 and streamed[-1] >= streamed[0]
-        assert sum(forwarded) == 5
+    @pytest.mark.parametrize("op_name", ALL_OPS)
+    def test_pool_runs_label_every_cluster_worker(self, op_name):
+        """Worker labels range over the cluster's workers, never the
+        shards, and sum to the phase totals — on both executors."""
+        tables = make_tables(8)
+        sequential = cluster(1).run(make_query(op_name), tables)
+        pooled = cluster(2).run(make_query(op_name), tables)
+        for result in (sequential, pooled):
+            counters = result.metrics.counter_values()
+            for phase in result.phases:
+                streamed = worker_counts(
+                    result, "worker_entries_streamed_total", phase.name
+                )
+                assert sum(streamed) == phase.streamed
+                if f"worker_entries_forwarded_total{{phase={phase.name},worker=0}}" in counters:
+                    forwarded = worker_counts(
+                        result, "worker_entries_forwarded_total", phase.name
+                    )
+                    assert sum(forwarded) == phase.forwarded
+            assert not any("worker=5" in name for name in counters)
+        worker_families = lambda result: {  # noqa: E731
+            name for name in result.metrics.counter_values() if name.startswith("worker_")
+        }
+        assert worker_families(sequential) == worker_families(pooled)
 
     def test_multi_pass_worker_totals_equal_phase_totals(self):
         tables = make_tables(8)
@@ -462,6 +529,7 @@ class TestShardPlanCache:
         assert after["misses"] == before["misses"]
 
     def test_groupby_and_having_share_key_plans(self):
+        from repro.engine.operators import shard_key
         from repro.parallel.shard import (
             cached_hash_plan,
             shard_plan_cache_stats,
@@ -469,8 +537,8 @@ class TestShardPlanCache:
 
         tables = make_tables(2)
         table = tables["products"]
-        groupby = make_query("groupby").operator
-        having = make_query("having").operator
+        groupby = shard_key(make_query("groupby").operator)
+        having = shard_key(make_query("having").operator)
         first = cached_hash_plan(groupby, table, 3)
         hits_before = shard_plan_cache_stats()["hits"]
         second = cached_hash_plan(having, table, 3)
@@ -478,9 +546,10 @@ class TestShardPlanCache:
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_swapped_table_never_reuses_plans(self):
+        from repro.engine.operators import shard_key
         from repro.parallel.shard import cached_hash_plan
 
-        op = make_query("distinct").operator
+        op = shard_key(make_query("distinct").operator)
         first = make_tables(1)["products"]
         plan_a = cached_hash_plan(op, first, 2)
         swapped = make_tables(30)["products"]
@@ -499,7 +568,7 @@ class TestShardPlanCache:
         )
 
         tables = make_tables(3)
-        cached_hash_plan(make_query("distinct").operator, tables["products"], 2)
+        cached_hash_plan(("distinct", ("cat",)), tables["products"], 2)
         assert shard_plan_cache_stats()["entries"] > 0
         assert invalidate_shard_plans() > 0
         assert shard_plan_cache_stats()["entries"] == 0

@@ -133,3 +133,35 @@ def test_importing_the_serving_stack_leaves_scipy_out():
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_sequential_runs_leave_the_process_pool_out():
+    """A one-shard run is free of transport: after one sequential run of
+    every operator plan, none of the pool's modules has been imported
+    (what keeps ``import repro`` + a query small and fast to start)."""
+    import os
+    import subprocess
+    import sys
+
+    code = """
+import sys
+import numpy as np
+import repro, repro.engine, repro.serve
+from repro import Cluster, Table, parse_sql
+tables = {
+    "t": Table("t", {"k": np.arange(40) % 7, "v": np.arange(40.0)}),
+    "u": Table("u", {"k": np.arange(10)}),
+}
+for sql in (
+    "SELECT COUNT(*) FROM t WHERE v > 3",
+    "SELECT * FROM t JOIN u ON t.k = u.k",
+    "SELECT k FROM t GROUP BY k HAVING SUM(v) > 50",
+    "SELECT * FROM t SKYLINE OF k, v",
+):
+    Cluster(workers=3).run_verified(parse_sql(sql), tables)
+banned = ("repro.parallel.runner", "repro.parallel.worker",
+          "multiprocessing.shared_memory", "concurrent.futures.process")
+sys.exit(any(name in sys.modules for name in banned))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -53,9 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "sequential; >1 runs repro.parallel)")
     query.add_argument("--batch-size", type=int, default=None,
                        help="vectorized batch size (default: per-entry "
-                            "streaming in-process; wherever a run must "
-                            "batch anyway — pool shards, fused packed "
-                            "slots, fault plans — 65536)")
+                            "streaming for single-pass plans in-process; "
+                            "JOIN/HAVING/SKYLINE, pool shards, fused "
+                            "packed slots and fault plans use 65536)")
     query.add_argument("--resident", action="store_true",
                        help="keep table columns and shard plans resident in "
                             "shared memory across runs (repro.parallel.resident)")

@@ -21,7 +21,7 @@ raises :class:`UnsupportedOperationError` here.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -207,8 +207,8 @@ class HavingPruner(Pruner[Tuple[Hashable, float]]):
 
 
 def master_having(
-    candidate_keys: Iterable[Hashable],
-    full_data: Sequence[Tuple[Hashable, float]],
+    candidate_keys: Optional[Iterable[Hashable]],
+    full_data,
     threshold: float,
     aggregate: str = "sum",
 ) -> List[Hashable]:
@@ -217,12 +217,36 @@ def master_having(
     ``candidate_keys`` is the key set extracted from forwarded entries (a
     superset of the answer); ``full_data`` stands for the second pass that
     re-streams entries of the candidate keys so the master can compute the
-    exact aggregate and drop false positives.
+    exact aggregate and drop false positives.  It is a sequence of
+    ``(key, value)`` entries or — the engine's form — a ``(keys, values)``
+    pair of aligned arrays, aggregated without boxing a row.
+    ``candidate_keys=None`` says ``full_data`` is already the second pass:
+    every entry belongs to a candidate.
     """
-    candidates: Set[Hashable] = set(candidate_keys)
+    if aggregate not in _SKETCH_AGGREGATES + _SINGLE_AGGREGATES:
+        raise ConfigurationError(f"unknown aggregate {aggregate!r}")
+    pair = isinstance(full_data, tuple) and len(full_data) == 2
+    if pair and isinstance(full_data[0], np.ndarray):
+        keys, values = full_data
+        if candidate_keys is not None:
+            second = np.isin(keys, np.asarray(list(candidate_keys)))
+            keys, values = keys[second], values[second]
+        unique, group = np.unique(keys, return_inverse=True)
+        if aggregate in _SKETCH_AGGREGATES:
+            # bincount adds in stream order from 0.0, like the loop below.
+            weights = values if aggregate == "sum" else None
+            totals = np.bincount(group, weights=weights, minlength=len(unique))
+        else:
+            # fmax/fmin skip NaN values, like max()/min() against a total.
+            best = np.fmax if aggregate == "max" else np.fmin
+            totals = np.full(len(unique), -np.inf if aggregate == "max" else np.inf)
+            best.at(totals, group, values)
+        keep = totals < threshold if aggregate == "min" else totals > threshold
+        return unique[keep].tolist()
+    candidates = None if candidate_keys is None else set(candidate_keys)
     totals: Dict[Hashable, float] = {}
     for key, value in full_data:
-        if key not in candidates:
+        if candidates is not None and key not in candidates:
             continue
         if aggregate == "sum":
             totals[key] = totals.get(key, 0.0) + value
@@ -230,10 +254,8 @@ def master_having(
             totals[key] = totals.get(key, 0) + 1
         elif aggregate == "max":
             totals[key] = max(totals.get(key, float("-inf")), value)
-        elif aggregate == "min":
-            totals[key] = min(totals.get(key, float("inf")), value)
         else:
-            raise ConfigurationError(f"unknown aggregate {aggregate!r}")
+            totals[key] = min(totals.get(key, float("inf")), value)
     if aggregate == "min":
         return [key for key, total in totals.items() if total < threshold]
     return [key for key, total in totals.items() if total > threshold]
@@ -243,4 +265,4 @@ def reference_having(
     data: Sequence[Tuple[Hashable, float]], threshold: float, aggregate: str = "sum"
 ) -> List[Hashable]:
     """Ground truth: the HAVING output over the unpruned data."""
-    return master_having((key for key, _ in data), data, threshold, aggregate)
+    return master_having(None, data, threshold, aggregate)

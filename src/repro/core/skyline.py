@@ -89,6 +89,14 @@ class AphScore:
             total += self._table.approx_log(int(value) + 1)
         return float(total)
 
+    def batch(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`__call__` over the rows of a 2-D float point batch."""
+        if not ((points >= 0) & (points < 2.0**62)).all():
+            # Negative, NaN or past int64: the scalar walk raises or scores it.
+            return np.array([self(row) for row in points.tolist()])
+        logs = self._table.approx_log_batch(points.astype(np.int64) + 1)
+        return logs.sum(axis=1).astype(np.float64)
+
 
 _SCORES: dict = {
     "sum": lambda: score_sum,
@@ -129,9 +137,7 @@ class SkylinePruner(Pruner[Point]):
             raise ConfigurationError(
                 f"score must be one of {sorted(_SCORES) + ['baseline']}, got {score!r}"
             )
-        self._slots: List[Optional[Tuple[float, Point]]] = [None] * points
-        #: Per-entry carried points of the last :meth:`process_batch` call.
-        self.last_batch_carried: List[Optional[Point]] = []
+        self._reset_state()
 
     def _check_dims(self, point: Point) -> None:
         if len(point) != self.dims:
@@ -177,7 +183,8 @@ class SkylinePruner(Pruner[Point]):
 
         SUM and PRODUCT accumulate dimension by dimension (vectorized
         across rows, sequential across dims) so float rounding matches the
-        scalar loops exactly; APH falls back to per-row table lookups.
+        scalar loops exactly; APH sums integer table lookups, which are
+        exact in any order.
         """
         count = len(points)
         if self.score_name in ("sum", "baseline"):
@@ -190,39 +197,72 @@ class SkylinePruner(Pruner[Point]):
             for j in range(self.dims):
                 acc *= points[:, j] + 1.0
             return acc
-        return np.fromiter(
-            (self._score(tuple(row)) for row in points),
-            dtype=np.float64,
-            count=count,
-        )
+        return self._score.batch(points)
+
+    def _floor(self) -> Optional[float]:
+        """The score an arrival must exceed to replace a stored point;
+        ``None`` while a slot is free (every arrival changes the state)."""
+        if None in self._slots:
+            return None
+        if self.score_name == "baseline":
+            return math.inf
+        # A NaN score never loses a ``>`` comparison, so it sets no floor.
+        return min((s for s, _ in self._slots if s == s), default=math.inf)
 
     def process_batch(self, entries) -> np.ndarray:
-        """Batch skyline: vectorized score projection, sequential slot walk.
+        """Batch skyline: the slot walk runs only where the state moves.
 
-        The ``w``-slot replacement chain is inherently order-dependent, so
-        only the monotone score ``h(x)`` vectorizes; each entry then
-        replays the slot walk with its precomputed score.  The carried
-        point of every entry lands in :attr:`last_batch_carried` (``None``
-        for absorbed entries) for the cluster's master-side accounting.
+        With every slot full, a point scoring no higher than any stored
+        point replaces nothing: the state stays, the packet carries the
+        point itself, and it is pruned iff a stored point weakly dominates
+        it.  Only the other points (about ``w ln(n/w)`` of a shuffled
+        stream, all of an ascending one) replay :meth:`_decide`; each run
+        between two of them is one ``(m, w, D)`` comparison.
+        :attr:`last_batch_carried` is the ``(n, D)`` array of the points
+        the packets carried out, meaningful where the mask forwards.
         """
         count = len(entries)
-        if count == 0:
-            self.last_batch_carried = []
-            return np.ones(0, dtype=bool)
         points = np.asarray(entries, dtype=np.float64)
+        if count == 0:
+            self.last_batch_carried = np.empty((0, self.dims))
+            return np.ones(0, dtype=bool)
         if points.ndim != 2:
             raise ConfigurationError(
                 "batch skyline entries must be fixed-dimension points"
             )
         self._check_dims(points[0])
         scores = self._score_batch(points)
+        score_of = scores.tolist()
         forward = np.zeros(count, dtype=bool)
-        carried_points: List[Optional[Point]] = []
-        for k in range(count):
-            decision = self._decide(tuple(points[k]), float(scores[k]))
-            forward[k] = decision is PruneDecision.FORWARD
-            carried_points.append(self._last_carried)
-        self.last_batch_carried = carried_points
+        self.last_batch_carried = carried = points.copy()
+
+        def decide_run(lo: int, hi: int) -> None:
+            if lo == hi:
+                return
+            stored = np.array([point for _, point in self._slots])
+            kept = ~(stored >= points[lo:hi, None, :]).all(axis=2).any(axis=1)
+            forward[lo:hi] = kept
+            self.stats.record_batch(hi - lo, hi - lo - int(kept.sum()))
+            self._last_carried = tuple(points[hi - 1].tolist())
+
+        floor = self._floor()
+        # The floor only rises, so the first cut is a superset of the movers.
+        movers = (
+            range(count) if floor is None
+            else np.flatnonzero(scores > floor).tolist()
+        )
+        done = 0
+        for k in movers:
+            if floor is not None and not score_of[k] > floor:
+                continue
+            decide_run(done, k)
+            point = tuple(points[k].tolist())
+            if self._decide(point, score_of[k]) is PruneDecision.FORWARD:
+                forward[k] = True
+                carried[k] = self._last_carried
+            floor = self._floor()
+            done = k + 1
+        decide_run(done, count)
         return forward
 
     @property
@@ -233,7 +273,7 @@ class SkylinePruner(Pruner[Point]):
         evicted point, not the arriving one; the engine uses this to build
         the master's received set faithfully.
         """
-        return getattr(self, "_last_carried", None)
+        return self._last_carried
 
     def drain(self) -> List[Point]:
         """End-of-stream: the stored points, which the master must receive."""
@@ -248,9 +288,10 @@ class SkylinePruner(Pruner[Point]):
         return footprint_skyline(dims=self.dims, points=self.num_points, score=score)
 
     def _reset_state(self) -> None:
-        self._slots = [None] * self.num_points
-        self._last_carried = None
-        self.last_batch_carried = []
+        self._slots: List[Optional[Tuple[float, Point]]] = [None] * self.num_points
+        self._last_carried: Optional[Point] = None
+        #: Per-entry carried points of the last :meth:`process_batch` call.
+        self.last_batch_carried = np.empty((0, self.dims))
 
     def _corrupt_state(self, rng) -> Optional[str]:
         """Replace a stored pruning point with a phantom dominator.
@@ -383,8 +424,8 @@ class DirectionalSkylinePruner(Pruner[Point]):
         count = len(forward)
         self.stats.record_batch(count, count - int(forward.sum()))
         self.last_batch_carried = [
-            None if carried is None else self._unreflect(carried)
-            for carried in self._inner.last_batch_carried
+            self._unreflect(carried)
+            for carried in self._inner.last_batch_carried.tolist()
         ]
         return forward
 

@@ -220,10 +220,10 @@ def _compile_cache_report() -> dict:
 class ClusterConfig:
     """Per-operator pruner parameters (paper defaults from Table 2 / §8).
 
-    ``batch_size`` switches the streaming loops to the vectorized batch
-    dataplane: workers hand the pruner column slices of up to this many
-    rows instead of one-entry packets.  Decisions, outputs and phase
-    volumes are identical to the scalar path (``None``, the default).
+    ``batch_size`` is the row count of the column slices the batch kernels
+    take; decisions, outputs and phase volumes do not depend on it.
+    ``None`` (the default) means one-entry packets for the single-pass
+    plan and ``dataplane.DEFAULT_BATCH`` for JOIN, HAVING and SKYLINE.
 
     ``parallelism`` > 1 executes Cheetah runs across that many OS
     processes (:mod:`repro.parallel`), each owning one pruner shard laid
@@ -641,6 +641,8 @@ class Cluster:
                     chaos = None
                     if injector is not None:
                         chaos = Chaos(injector, kind, pruners[0])
+                    if chaos is not None or plan is not SINGLE_PASS:
+                        # Only the single-pass plan has a per-entry loop.
                         batch_size = batch_size or DEFAULT_BATCH
                     span = None if plan.self_traced else names[0]
                     with registry.trace(span) if span else nullcontext():

@@ -36,8 +36,8 @@ from .plan import CountOp, DistinctOp, FilterOp, GroupByOp, Query, TopNOp
 from .table import Table
 
 #: The one implicit batch size: what a ``batch_size=None`` run streams in
-#: wherever it must batch anyway (pool shards, fused packed slots, chaos
-#: segments).  Results are batch-invariant.
+#: wherever it has no per-entry loop (JOIN, HAVING, SKYLINE, pool shards,
+#: fused packed slots, chaos segments).  Results are batch-invariant.
 DEFAULT_BATCH = 65536
 
 #: ``step(slices) -> (masks, any_forward)``: one keep-mask per query over
@@ -202,10 +202,7 @@ def skyline_stream(pruner, matrix: np.ndarray, batch_size: int):
     for lo in range(0, len(matrix), batch_size):
         forward = pruner.process_batch(matrix[lo : lo + batch_size])
         forwarded += int(np.count_nonzero(forward))
-        received.extend(
-            tuple(float(v) for v in pruner.last_batch_carried[k])
-            for k in np.flatnonzero(forward)
-        )
+        received.extend(map(tuple, pruner.last_batch_carried[forward].tolist()))
     return len(matrix), forwarded, received
 
 

@@ -10,10 +10,11 @@ declares only the operator-specific rest:
 * :meth:`OperatorPlan.sides` — the stream inputs after the operator's
   WHERE rule, and the key hash sharding must partition them on;
 * :meth:`OperatorPlan.stream` — the shard kernel: the operator's ordered
-  phases over ``(arrays, row_ids, batch_size, chaos)`` — the batch step,
-  the per-entry loop ``batch_size=None`` keeps, and the recovery a
-  reboot-unsafe operator (:func:`repro.core.summary.is_reboot_safe`)
-  takes when the switch loses its state;
+  phases over ``(arrays, row_ids, batch_size, chaos)`` — the batch step
+  (plus, for the single-pass plan only, the per-entry loop
+  ``batch_size=None`` keeps) and the recovery a reboot-unsafe operator
+  (:func:`repro.core.summary.is_reboot_safe`) takes when the switch
+  loses its state;
 * :meth:`OperatorPlan.complete` — the master's completion from the
   per-shard partials, including the phases only the master can add
   (``having-refetch``, ``join-rebuild``);
@@ -597,10 +598,6 @@ class _Join(OperatorPlan):
         op, (pruner,) = shard.queries[0].operator, shard.pruners
         (left_col, right_col), (left_ids, right_ids) = arrays, row_ids
         total = len(left_col) + len(right_col)
-        keys = (
-            (left_col, right_col) if batch_size is not None
-            else (left_col.tolist(), right_col.tolist())
-        )
         rebuilt = 0
 
         def recover(event: FaultEvent, during: str) -> Tuple[str, str]:
@@ -616,7 +613,7 @@ class _Join(OperatorPlan):
             nonlocal rebuilt
             if during == "build":
                 pruner.reboot()
-                pruner.build(*keys)
+                pruner.build(left_col, right_col)
                 rebuilt += total
                 return (
                     "rebuild-build",
@@ -632,14 +629,14 @@ class _Join(OperatorPlan):
             pruner.reboot()
             detail = f" during probe; bloom fill {fill:.3f} — "
             if action == "rebuild":
-                pruner.build(*keys)
+                pruner.build(left_col, right_col)
                 rebuilt += total
                 return action, detail + "build pass re-streamed"
             chaos.passthrough = True
             return action, detail + "remaining probes forward unfiltered"
 
         with shard.registry.trace("join-build"):
-            pruner.build(*keys)
+            pruner.build(left_col, right_col)
             if chaos is not None:
                 # Build-pass entries advance the fault cursor in one
                 # step; a reboot/bitflip inside the span restarts the
@@ -666,20 +663,7 @@ class _Join(OperatorPlan):
 
         with shard.registry.trace("join-probe"):
             streamed = total
-            if batch_size is None:
-                # One process() call per entry.
-                survivors: List[np.ndarray] = []
-                for side, side_keys, base in (
-                    (op.table, keys[0], left_ids),
-                    (op.right_table, keys[1], right_ids),
-                ):
-                    survivors.append(_global_ids(base, [
-                        offset for offset, key in enumerate(side_keys)
-                        if pruner.process((side, key)) is PruneDecision.FORWARD
-                    ]))
-                ids = concat_ids(survivors)
-                forwarded = len(ids)
-            elif chaos is None:
+            if chaos is None:
                 _, left_kept, left_out = join_probe(
                     pruner, op.table, left_col, left_ids, batch_size
                 )
@@ -767,14 +751,7 @@ class _Having(OperatorPlan):
                 "candidate for the second pass",
             )
 
-        if batch_size is None:
-            # One process() call per entry.
-            ids = _global_ids(row_ids, [
-                row for row, entry in enumerate(zip(keys.tolist(), values.tolist()))
-                if pruner.process(entry) is PruneDecision.FORWARD
-            ])
-            streamed, forwarded = len(keys), len(ids)
-        elif chaos is None:
+        if chaos is None:
             streamed, forwarded, ids = having_sketch(
                 pruner, keys, values, row_ids, batch_size
             )
@@ -796,23 +773,25 @@ class _Having(OperatorPlan):
     def complete(self, shard, sides, partials, index):
         op = shard.queries[0].operator
         keys, values = sides[0].arrays()
-        if any(p.get("refetch_all") for p in partials):
-            candidates = set(keys.tolist())
-        else:
-            ids = concat_ids([p["out"] for p in partials])
-            candidates = set(keys[ids].tolist())
         extra = []
-        if shard.pruners:  # a baseline has no second pass: everything streamed
-            # Partial second pass: only entries of candidate keys re-stream.
+        if not shard.pruners:
+            # A baseline has no second pass: everything streamed already.
+            second = slice(None)
+        else:
+            # Partial second pass: only entries of candidate keys re-stream
+            # (every entry once a recovery made every key a candidate).
             with shard.registry.trace("having-refetch"):
-                refetch = (
-                    int(np.isin(keys, np.asarray(list(candidates))).sum())
-                    if candidates else 0
-                )
+                if any(p.get("refetch_all") for p in partials):
+                    second = np.ones(len(keys), dtype=bool)
+                else:
+                    ids = concat_ids([p["out"] for p in partials])
+                    second = np.isin(keys, keys[ids])
+                refetch = int(np.count_nonzero(second))
             extra.append(("having-refetch", refetch, refetch))
-        data = list(zip(keys.tolist(), values.tolist()))
-        output = set(master_having(candidates, data, op.threshold, op.aggregate))
-        return output, extra
+        output = master_having(
+            None, (keys[second], values[second]), op.threshold, op.aggregate
+        )
+        return set(output), extra
 
 
 class _Skyline(OperatorPlan):
@@ -853,18 +832,8 @@ class _Skyline(OperatorPlan):
 
     def stream(self, shard, arrays, row_ids, batch_size, chaos=None):
         (pruner,), (matrix,) = shard.pruners, arrays
-        if batch_size is None:
-            # One process() call per entry; the switch forwards the
-            # *carried* point, not the arriving one.
-            received = []
-            for point in map(tuple, matrix.tolist()):
-                if pruner.process(point) is PruneDecision.FORWARD:
-                    received.append(pruner.last_carried)
-            streamed, forwarded = len(matrix), len(received)
-        elif chaos is None:
-            streamed, forwarded, received = skyline_stream(
-                pruner, matrix, batch_size
-            )
+        if chaos is None:
+            streamed, forwarded, received = skyline_stream(pruner, matrix, batch_size)
         else:
             #: Segments streamed through the cache since its last wipe.
             replay: List[np.ndarray] = []

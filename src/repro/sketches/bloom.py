@@ -144,7 +144,7 @@ class BloomFilter:
     def fill_ratio(self) -> float:
         """Fraction of set bits, an observable FP-rate proxy."""
         set_bits = int(
-            np.unpackbits(np.frombuffer(self._words, dtype=np.uint8)).sum()
+            np.bitwise_count(np.frombuffer(self._words, dtype=np.uint8)).sum()
         )
         return set_bits / self.size_bits
 
@@ -286,7 +286,7 @@ class RegisterBloomFilter:
 
     def fill_ratio(self) -> float:
         """Fraction of set bits across all registers."""
-        set_bits = int(np.unpackbits(self._registers.view(np.uint8)).sum())
+        set_bits = int(np.bitwise_count(self._registers).sum())
         return set_bits / self.size_bits
 
     def false_positive_rate(self) -> float:

@@ -453,6 +453,8 @@ class KeyedAggregateMatrix:
         self._cells = [[None] * self.cols for _ in range(self.rows)]
         self.hits = 0
         self.updates = 0
+        self.inserts = 0
+        self.evictions = 0
 
     def corrupt_cell(self, row: int, col: int, key: object, aggregate: float) -> str:
         """Overwrite one cell with a phantom ``(key, aggregate)`` pair.
@@ -468,8 +470,6 @@ class KeyedAggregateMatrix:
         previous = self._cells[row][col]
         self._cells[row][col] = (key, float(aggregate))
         return f"groupby[{row}][{col}] {previous!r} -> ({key!r}, {aggregate!r})"
-        self.inserts = 0
-        self.evictions = 0
 
     def observe_health(self, registry, **labels: object) -> None:
         """Publish occupancy and hit/update/insert/eviction totals as gauges."""

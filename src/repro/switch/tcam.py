@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional
+
+import numpy as np
 
 from ..errors import ConfigurationError, UnsupportedOperationError
 
@@ -40,8 +43,9 @@ class TcamTable:
 
     def add(self, value: int, mask: int, action: int, priority: int = 0) -> None:
         """Install a rule; higher ``priority`` matches first."""
-        self._entries.append(TcamEntry(value & mask, mask, action, priority))
-        self._entries.sort(key=lambda e: -e.priority)
+        # Behind every rule of at least this priority: no re-sort per insert.
+        index = sum(entry.priority >= priority for entry in self._entries)
+        self._entries.insert(index, TcamEntry(value & mask, mask, action, priority))
 
     def lookup(self, key: int) -> Optional[int]:
         """Return the action of the highest-priority matching rule, or None."""
@@ -75,6 +79,16 @@ def msb_rule_count(width_bits: int = 64) -> int:
     return width_bits
 
 
+@lru_cache(maxsize=8)
+def _log_table(beta: int) -> np.ndarray:
+    """``a -> round(beta * log2 a)`` over the 16-bit inputs (entry 0, the log
+    of 0, is an unused 0), built once per ``beta`` and shared read-only."""
+    logs = [round(beta * math.log2(a)) for a in range(1, LogApproxTable.ENTRY_COUNT)]
+    table = np.array([0] + logs, dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
 class LogApproxTable:
     """The 2^16-entry exact-match table ``a -> round(beta * log2 a)``.
 
@@ -92,10 +106,8 @@ class LogApproxTable:
         if beta <= 0:
             raise ConfigurationError(f"beta must be positive, got {beta}")
         self.beta = beta
-        # Entry 0 is unused (log of 0 undefined); store a floor sentinel.
-        self._table = [0] * self.ENTRY_COUNT
-        for a in range(1, self.ENTRY_COUNT):
-            self._table[a] = round(beta * math.log2(a))
+        #: The table as a read-only ``int64`` array, indexed by input.
+        self.table = _log_table(beta)
         self._msb = build_msb_table(64)
 
     def lookup(self, mantissa: int) -> int:
@@ -104,7 +116,7 @@ class LogApproxTable:
             raise UnsupportedOperationError(
                 f"log table input must be in [1, 2^16), got {mantissa}"
             )
-        return self._table[mantissa]
+        return int(self.table[mantissa])
 
     def approx_log(self, value: int) -> int:
         """Approximate ``beta * log2(value)`` for any positive 64-bit value.
@@ -118,11 +130,23 @@ class LogApproxTable:
             raise UnsupportedOperationError("approximate log of non-positive value")
         msb = self._msb.lookup(value)
         assert msb is not None  # every positive value matches a prefix rule
-        if msb < self.INPUT_BITS:
-            return self._table[value]
-        shift = msb - (self.INPUT_BITS - 1)
-        window = value >> shift
-        return self._table[window] + self.beta * shift
+        shift = max(msb - (self.INPUT_BITS - 1), 0)
+        return int(self.table[value >> shift]) + self.beta * shift
+
+    def approx_log_batch(self, values) -> np.ndarray:
+        """:meth:`approx_log` over an array of positive ``int64`` values.
+
+        The MSB is integer-exact over the whole range: the float64
+        exponent overshoots by one where the conversion rounds up to a
+        power of two (possible above 2^53), which the shift test undoes.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        if (values <= 0).any():
+            raise UnsupportedOperationError("approximate log of non-positive value")
+        msb = np.frexp(values.astype(np.float64))[1].astype(np.int64) - 1
+        msb -= (values >> msb) == 0
+        shift = np.maximum(msb - (self.INPUT_BITS - 1), 0)
+        return self.table[values >> shift] + self.beta * shift
 
     def max_relative_error(self) -> float:
         """Worst-case relative error of the windowed approximation.

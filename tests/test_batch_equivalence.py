@@ -602,6 +602,53 @@ class TestClusterBatchStreaming:
             assert batch.output == scalar.output, name
             assert self._phases(batch) == self._phases(scalar), name
 
+    @pytest.mark.parametrize("batch_size", [None, 7, 4096])
+    def test_multi_pass_plans_match_a_per_entry_walk(self, bigdata_tables, batch_size):
+        """JOIN, HAVING and SKYLINE stream through the batch kernels at
+        every ``batch_size``; the per-entry ``process()`` walk the engine
+        no longer has is the oracle here for their forwarded volumes."""
+        from repro.engine.cluster import Cluster, ClusterConfig
+        from repro.engine.operators import plan_for
+
+        config = ClusterConfig(batch_size=batch_size)
+        queries = bigdata.benchmark_queries()
+        queries["Q7-having"] = bigdata.query7_having(threshold=4000.0)
+        tables = dict(bigdata_tables)
+        tables["Rankings"] = bigdata.permuted(tables["Rankings"])
+        for name in ("Q3-skyline", "Q6-join", "Q7-having"):
+            query = queries[name]
+            plan = plan_for(query.operator)[1]
+            pruner = plan.pruner(query, config)
+            sides = plan.sides([query], tables)
+            if name == "Q3-skyline":
+                entries = list(map(tuple, sides[0].arrays()[0].tolist()))
+            elif name == "Q6-join":
+                left, right = (side.arrays()[0].tolist() for side in sides)
+                pruner.build(left, right)
+                entries = [(sides[0].name, key) for key in left]
+                entries += [(sides[1].name, key) for key in right]
+            else:
+                entries = list(zip(*(column.tolist() for column in sides[0].arrays())))
+            forwarded = sum(
+                pruner.process(entry) is PruneDecision.FORWARD for entry in entries
+            )
+            if name == "Q3-skyline":
+                forwarded += len(pruner.drain())
+            result = Cluster(workers=3, config=config).run(query, tables)
+            pruning = result.phases[1 if name == "Q6-join" else 0]
+            assert (pruning.streamed, pruning.forwarded) == (len(entries), forwarded)
+
+    def test_default_config_refuses_negative_sum_having_up_front(self):
+        from repro.engine.cluster import Cluster
+        from repro.engine.plan import HavingOp, Query
+        from repro.engine.table import Table
+        from repro.errors import UnsupportedOperationError
+
+        table = Table("t", {"k": np.array([1, 1, 2]), "v": np.array([5.0, -1.0, 2.0])})
+        query = Query(HavingOp("t", "k", "v", threshold=1.0, aggregate="sum"))
+        with pytest.raises(UnsupportedOperationError):
+            Cluster(workers=2).run(query, {"t": table})
+
     def test_bigdata_no_cheetah_baseline(self, bigdata_tables):
         from repro.engine.cluster import Cluster, ClusterConfig
 

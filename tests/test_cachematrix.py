@@ -6,6 +6,9 @@ import random
 
 import pytest
 
+from repro.core.distinct import DistinctPruner
+from repro.core.groupby import GroupByPruner
+from repro.core.topn import TopNRandomizedPruner
 from repro.errors import ConfigurationError
 from repro.sketches.cachematrix import (
     CacheMatrix,
@@ -218,6 +221,65 @@ class TestKeyedAggregateMatrix:
     def test_invalid_dimensions(self):
         with pytest.raises(ConfigurationError):
             KeyedAggregateMatrix(rows=0, cols=1, better=lambda a, b: a > b)
+
+
+def _full_cache_matrix():
+    matrix = CacheMatrix(rows=1, cols=1)
+    for value in (1, 2, 2):
+        matrix.lookup_insert(value)
+    return matrix, ("hits", "misses", "evictions")
+
+
+def _full_rolling_min_matrix():
+    matrix = RollingMinMatrix(rows=1, cols=1)
+    for value in (5.0, 1.0):
+        matrix.offer(value, 0)
+    return matrix, ("offers", "rejected")
+
+
+def _full_keyed_aggregate_matrix():
+    matrix = KeyedAggregateMatrix(rows=1, cols=1, better=lambda a, b: a > b)
+    for key, value in (("a", 1.0), ("b", 2.0), ("b", 3.0), ("b", 1.0)):
+        matrix.observe(key, value)
+    return matrix, ("hits", "updates", "inserts", "evictions")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_full_cache_matrix, _full_rolling_min_matrix, _full_keyed_aggregate_matrix],
+)
+def test_clear_zeroes_every_counter_and_the_occupancy(build):
+    matrix, counters = build()
+    assert matrix.occupancy() == 1
+    assert all(getattr(matrix, name) > 0 for name in counters)
+    matrix.clear()
+    assert matrix.occupancy() == 0
+    assert {name: getattr(matrix, name) for name in counters} == dict.fromkeys(
+        counters, 0
+    )
+
+
+@pytest.mark.parametrize(
+    "make, entries",
+    [
+        (lambda: DistinctPruner(rows=1, cols=1), [1, 2, 2]),
+        (lambda: TopNRandomizedPruner(n=1, rows=1, cols=1), [5.0, 1.0]),
+        (
+            lambda: GroupByPruner(aggregate="max", rows=1, cols=1),
+            [("a", 1.0), ("b", 2.0), ("b", 3.0), ("b", 1.0)],
+        ),
+    ],
+    ids=["distinct", "topn", "groupby"],
+)
+def test_health_gauges_read_zero_after_pruner_reset(make, entries):
+    pruner = make()
+    for entry in entries:
+        pruner.process(entry)
+    pruner.observe_health()
+    assert all(value > 0 for value in pruner.metrics.gauge_values().values())
+    pruner.reset()
+    pruner.observe_health()
+    assert set(pruner.metrics.gauge_values().values()) == {0.0}
 
 
 class TestExpectedDistinctPruning:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.base import Guarantee, PruneDecision
@@ -156,3 +158,33 @@ class TestMasterHaving:
     def test_invalid_aggregate(self):
         with pytest.raises(ConfigurationError):
             master_having({"a"}, [("a", 1.0)], 0, "median")
+
+    @pytest.mark.parametrize("aggregate", ["sum", "count", "max", "min"])
+    @pytest.mark.parametrize("string_keys", [False, True])
+    def test_column_form_totals_are_bit_equal_to_the_entry_loop(
+        self, aggregate, string_keys
+    ):
+        """The ``(keys, values)`` array form aggregates in stream order:
+        each key's total is the entry loop's to the last bit — a threshold
+        at the loop's total flips the key, one ulp inside it does not."""
+        rng = np.random.default_rng(9)
+        keys = rng.integers(0, 12, 4000)
+        if string_keys:
+            keys = np.array([f"k{key}" for key in keys])
+        values = rng.lognormal(2.0, 1.5, 4000)  # sums depend on the order
+        data = list(zip(keys.tolist(), values.tolist()))
+        candidates = set(keys[:40].tolist())
+        for key in sorted(candidates):
+            mine = [value for k, value in data if k == key]
+            reduce = {"sum": lambda v: sum(v, 0.0), "count": len, "max": max, "min": min}
+            total = reduce[aggregate](mine)
+            toward = math.inf if aggregate == "min" else -math.inf
+            for threshold, passes in (
+                (total, False),
+                (math.nextafter(total, toward), True),
+            ):
+                for form in (data, (keys, values)):
+                    kept = master_having(candidates, form, threshold, aggregate)
+                    assert (key in kept) is passes
+        everything = master_having(None, (keys, values), 50.0, aggregate)
+        assert set(everything) == set(reference_having(data, 50.0, aggregate))

@@ -91,13 +91,11 @@ class TestEquivalence:
                 p.name for p in sequential.phases
             ]
 
-    @pytest.mark.parametrize("op_name", ALL_OPS)
-    def test_every_plan_on_both_executors_at_every_batch_size(self, op_name):
-        """7 operator kinds x {in-process, 2 pool shards} x batch_size
-        {None, 7, 4096}: the reference output, one set of phase names, and
-        — within an executor — batch-invariant phase and pruner counters."""
-        tables = make_tables(21)
-        query = make_query(op_name)
+    @staticmethod
+    def _assert_executor_and_batch_invariant(query, tables):
+        """{in-process, 2 pool shards} x batch_size {None, 7, 4096}: the
+        reference output, one set of phase names, and — within an executor
+        — batch-invariant phase (names and volumes) and pruner counters."""
         expected = run_reference(query, tables)
         phase_names = set()
         for parallelism in (1, 2):
@@ -116,6 +114,55 @@ class TestEquivalence:
                 )
             assert counters[0] == counters[1] == counters[2]
         assert len(phase_names) == 1
+
+    @pytest.mark.parametrize("op_name", ALL_OPS)
+    def test_every_plan_on_both_executors_at_every_batch_size(self, op_name):
+        self._assert_executor_and_batch_invariant(
+            make_query(op_name), make_tables(21)
+        )
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "join-str", "having-str", "having-max-str", "join-empty",
+            "having-empty", "skyline-empty", "having-where-none",
+            "skyline-where-none",
+        ],
+    )
+    def test_multi_pass_plans_on_string_keys_and_empty_streams(self, case):
+        """What the multi-pass kernels meet beyond integer keys: ``str``
+        keys, a table with no rows, a WHERE that masks every row."""
+        op_name, _, variant = case.partition("-")
+        rng = np.random.default_rng(3)
+        n = 0 if variant == "empty" else 600
+
+        def tag(high, count):
+            return np.array(
+                [f"t{v}" for v in rng.integers(0, high, count)], dtype="<U3"
+            )
+
+        tables = {
+            "products": Table(
+                "products",
+                {
+                    "price": rng.integers(0, 400, n),
+                    "qty": rng.integers(0, 50, n),
+                    "tag": tag(30, n),
+                },
+            ),
+            "ratings": Table("ratings", {"tag": tag(40, 300)}),
+        }
+        where = col("price") < 0 if variant == "where-none" else None
+        operator = {
+            "join": JoinOp("products", "ratings", "tag", "tag"),
+            "having": HavingOp(
+                "products", "tag", "price",
+                threshold=390.0 if variant == "max-str" else 4000.0,
+                aggregate="max" if variant == "max-str" else "sum",
+            ),
+            "skyline": SkylineOp("products", ["price", "qty"]),
+        }[op_name]
+        self._assert_executor_and_batch_invariant(Query(operator, where=where), tables)
 
     def test_count_with_where(self):
         tables = make_tables(3)

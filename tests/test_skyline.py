@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.base import Guarantee, PruneDecision
 from repro.core.skyline import (
@@ -232,3 +237,100 @@ class TestMasterSkylineSfsEquivalence:
         # Equal sums, mutually incomparable: everything is skyline.
         points = [(float(i), float(10 - i)) for i in range(11)]
         assert set(master_skyline(points)) == set(points)
+
+
+_ORDERS = {
+    "shuffled": lambda points: points,
+    "ascending": lambda points: sorted(points, key=sum),
+    "descending": lambda points: sorted(points, key=sum, reverse=True),
+    "constant": lambda points: points[:1] * len(points),
+}
+
+
+@st.composite
+def _point_streams(draw):
+    """Point streams with what the segment kernel must get right: score
+    ties and duplicates (a small coordinate range), ascending, descending
+    and constant runs, at every dimensionality.  Run lengths are drawn
+    uniformly, so most streams outlast the ``w`` slots several times."""
+    dims = draw(st.integers(1, 4))
+    stream = []
+    for _ in range(draw(st.integers(0, 4))):
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        length, top = draw(st.integers(0, 60)), draw(st.sampled_from([3, 12, 70000]))
+        points = [
+            tuple(rng.randint(0, top) for _ in range(dims)) for _ in range(length)
+        ]
+        stream.extend(_ORDERS[draw(st.sampled_from(sorted(_ORDERS)))](points))
+    return dims, stream
+
+
+class TestSegmentKernelMatchesPerPointOracle:
+    """``process_batch`` at any split == one ``process()`` call per point:
+    forward mask, carried points, drain order, stored scores and stats —
+    across a mid-stream reboot and a phantom ``inf``-score slot."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        points=_point_streams(),
+        score=st.sampled_from(["sum", "product", "aph", "baseline"]),
+        w=st.integers(1, 12),
+        fault=st.sampled_from([None, "reboot", "corrupt"]),
+        fault_at=st.integers(0, 160),
+        seed=st.integers(0, 3),
+    )
+    def test_batch_equals_scalar(self, points, score, w, fault, fault_at, seed):
+        dims, stream = points
+        cut = min(fault_at, len(stream))
+
+        def inject(pruner):
+            if fault == "reboot":
+                pruner.reboot()
+            elif fault == "corrupt":
+                pruner._corrupt_state(random.Random(seed))
+
+        oracle = SkylinePruner(dims=dims, points=w, score=score)
+        expected_mask, expected_carried = [], []
+        for index, point in enumerate(stream):
+            if index == cut:
+                inject(oracle)
+            forwarded = oracle.process(point) is PruneDecision.FORWARD
+            expected_mask.append(forwarded)
+            if forwarded:
+                expected_carried.append(oracle.last_carried)
+        if cut == len(stream):
+            inject(oracle)
+
+        for batch_size in (1, 7, 4096):
+            pruner = SkylinePruner(dims=dims, points=w, score=score)
+            mask, carried = [], []
+            for lo, hi in ((0, cut), (cut, len(stream))):
+                if lo == cut:
+                    inject(pruner)
+                for start in range(lo, hi, batch_size):
+                    batch = stream[start : min(start + batch_size, hi)]
+                    forward = pruner.process_batch(batch)
+                    mask.extend(forward.tolist())
+                    carried.extend(
+                        map(tuple, pruner.last_batch_carried[forward].tolist())
+                    )
+            assert mask == expected_mask
+            assert carried == expected_carried
+            assert pruner.drain() == oracle.drain()
+            assert pruner.stored_scores() == oracle.stored_scores()
+            assert pruner.stats.processed == oracle.stats.processed
+            assert pruner.stats.pruned == oracle.stats.pruned
+            assert pruner.last_carried == oracle.last_carried
+
+    def test_aph_batch_score_matches_scalar_beyond_float_precision(self):
+        aph = AphScore()
+        points = [(0.0, 65535.0), (65536.0, 2.0**53), (2.0**53 + 2, 2.0**61)]
+        assert aph.batch(np.array(points)).tolist() == [aph(p) for p in points]
+        points.append((2.0**62, 2.0**63))  # past int64: the scalar fallback
+        assert aph.batch(np.array(points)).tolist() == [aph(p) for p in points]
+        with pytest.raises(UnsupportedOperationError):
+            aph.batch(np.array([[1.0, -1.0]]))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, UnsupportedOperationError
@@ -34,6 +35,13 @@ class TestTcamTable:
         table.add(value=0b1, mask=0b1, action=2, priority=10)
         assert table.lookup(0b1) == 2
         assert table.lookup(0b0) == 1
+
+    def test_add_inserts_by_priority_keeping_arrival_order_among_equals(self):
+        table = TcamTable(width_bits=8)
+        for action, priority in enumerate([1, 3, 1, 2, 3, 0]):
+            table.add(value=0, mask=0, action=action, priority=priority)
+        assert [entry.action for entry in table._entries] == [1, 4, 3, 0, 2, 5]
+        assert table.lookup(0b1) == 1
 
     def test_len(self):
         table = TcamTable()
@@ -94,6 +102,24 @@ class TestLogApproxTable:
         table = LogApproxTable()
         with pytest.raises(UnsupportedOperationError):
             table.approx_log(0)
+        with pytest.raises(UnsupportedOperationError):
+            table.approx_log_batch(np.array([3, 0]))
+
+    @pytest.mark.parametrize("beta", [1 << 8, 37])
+    def test_shared_table_is_the_formula_element_for_element(self, beta):
+        table = LogApproxTable(beta=beta).table
+        assert table is LogApproxTable(beta=beta).table  # built once per beta
+        assert not table.flags.writeable
+        assert table[1:].tolist() == [
+            round(beta * math.log2(a)) for a in range(1, 2**16)
+        ]
+
+    def test_approx_log_batch_equals_scalar(self):
+        table = LogApproxTable(beta=256)
+        values = list(range(1, 2**20 + 1))
+        values += [2**16 - 1, 2**16, 2**53 - 1, 2**53 + 1, 2**62, 2**63 - 1]
+        batch = table.approx_log_batch(np.array(values, dtype=np.int64))
+        assert batch.tolist() == [table.approx_log(value) for value in values]
 
     def test_resource_accounting(self):
         table = LogApproxTable()

@@ -211,14 +211,22 @@ class Pruner(ABC, Generic[Entry]):
 
         Final: zeroes the metrics registry (decision counters included,
         in place, so held ``stats`` views stay valid) and then delegates
-        pruner-specific state to :meth:`_reset_state`.
+        pruner-specific state to :meth:`_reset_state` and
+        :meth:`_reset_host_state`, so a reset pruner is indistinguishable
+        from a freshly built one with the same arguments.
         """
         self.metrics.reset()
         self.stats.reset()
         self._reset_state()
+        self._reset_host_state()
 
     def _reset_state(self) -> None:
         """Hook: clear subclass-specific dataplane state (sketches, slots)."""
+
+    def _reset_host_state(self) -> None:
+        """Hook: rewind state kept off the switch (a seeded draw stream).
+        Not called by :meth:`reboot`: a switch reboot wipes the dataplane
+        and the CWorker goes on where it was."""
 
     def observe_health(self) -> None:
         """Hook: refresh sketch-health gauges on :attr:`metrics`.

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..sketches.cachematrix import RollingMinMatrix
+from ..sketches.cachematrix import RollingMinMatrix, engages
 from ..switch.compiler import footprint_topn_det, footprint_topn_rand
 from ..switch.fuse import ladder_pass
 from ..switch.resources import ResourceFootprint
@@ -189,6 +189,33 @@ class TopNDeterministicPruner(Pruner[float]):
         ).set(len(self._thresholds))
 
 
+def draw_rows(rng: random.Random, n: int, count: int, bulk: bool = True) -> np.ndarray:
+    """``count`` successive ``rng.randrange(n)`` draws as one ``int64`` array.
+
+    ``randrange`` keeps the top ``n.bit_length()`` bits of one 32-bit
+    Mersenne word per attempt and rejects attempts ``>= n``.  One wide
+    ``getrandbits`` yields the same words (little-endian), so with ``bulk``
+    the draws are made at once and the generator is then rewound and
+    advanced by exactly the words they used: values and final
+    ``getstate()`` both equal the per-entry loop's.
+    """
+    bits = n.bit_length()
+    if not (bulk and count) or bits > 32:  # wider attempts take several words
+        return np.fromiter((rng.randrange(n) for _ in range(count)), np.int64, count)
+    start, used, need, accepted = rng.getstate(), 0, count, []
+    while need > 0:
+        words = need * (1 << bits) // n + 64
+        block = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        draws = np.frombuffer(block, dtype="<u4") >> np.uint32(32 - bits)
+        hits = np.flatnonzero(draws < n)[:need]
+        accepted.append(draws[hits])
+        need -= len(hits)
+        used += words if need > 0 else int(hits[-1]) + 1
+    rng.setstate(start)
+    rng.getrandbits(32 * used)
+    return np.concatenate(accepted).astype(np.int64)
+
+
 class TopNRandomizedPruner(Pruner[float]):
     """Rolling-minimum matrix TOP N with probabilistic guarantee (§5).
 
@@ -226,6 +253,7 @@ class TopNRandomizedPruner(Pruner[float]):
         if cols is None:
             cols = topn_cols(rows, n, delta)
         self._matrix = RollingMinMatrix(rows, cols)
+        self._seed = seed
         self._rng = random.Random(seed)
 
     @classmethod
@@ -255,19 +283,17 @@ class TopNRandomizedPruner(Pruner[float]):
         """Batch drive of the rolling-minimum matrix.
 
         Row draws come from the same sequential RNG stream as the scalar
-        path (one ``randrange`` per entry, in order), so decisions and
-        matrix state match the scalar loop bit for bit; the matrix's
-        chunked row-grouped driver does the rest.
+        path (one ``randrange`` per entry, in order; :func:`draw_rows`
+        makes them in bulk for a batch the matrix vectorises), so
+        decisions and matrix state match the scalar loop bit for bit; the
+        matrix's batch driver does the rest.
         """
         values = np.asarray(entries, dtype=np.float64)
         count = len(values)
         if count == 0:
             return np.ones(0, dtype=bool)
-        rows = np.fromiter(
-            (self._rng.randrange(self._matrix.rows) for _ in range(count)),
-            dtype=np.int64,
-            count=count,
-        )
+        d = self._matrix.rows
+        rows = draw_rows(self._rng, d, count, bulk=engages(count, d))
         pruned = self._matrix.offer_batch(values, rows)
         self.stats.record_batch(count, int(pruned.sum()))
         return ~pruned
@@ -277,6 +303,10 @@ class TopNRandomizedPruner(Pruner[float]):
 
     def _reset_state(self) -> None:
         self._matrix.clear()
+
+    def _reset_host_state(self) -> None:
+        """Rewind the CWorker's row draws to the seed."""
+        self._rng.seed(self._seed)
 
     def _corrupt_state(self, rng) -> Optional[str]:
         """Plant a huge phantom minimum in a random matrix cell."""

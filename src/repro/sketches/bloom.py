@@ -35,6 +35,10 @@ from .hashing import (
 
 _WORD_BITS = 64
 
+#: ``add_batch`` hashes this many values at a time: a whole build column at
+#: once makes its canonical/index/limb temporaries a query's memory peak.
+_INSERT_SLICE = 1 << 15
+
 
 class BloomFilter:
     """Standard Bloom filter over ``size_bits`` bits with ``hashes`` probes.
@@ -83,17 +87,16 @@ class BloomFilter:
         irrelevant to the final filter state).
         """
         count = len(values)
-        if count == 0:
-            return
         words = np.frombuffer(self._words, dtype=np.uint8)
-        canon = canonical_batch(values)
-        for seed in self._seeds:
-            index = hash_range_batch(None, self.size_bits, seed, canonical=canon)
-            np.bitwise_or.at(
-                words,
-                (index >> np.uint64(3)).astype(np.int64),
-                np.left_shift(np.uint8(1), (index & np.uint64(7)).astype(np.uint8)),
-            )
+        for lo in range(0, count, _INSERT_SLICE):
+            canon = canonical_batch(values[lo : lo + _INSERT_SLICE])
+            for seed in self._seeds:
+                index = hash_range_batch(None, self.size_bits, seed, canonical=canon)
+                np.bitwise_or.at(
+                    words,
+                    (index >> np.uint64(3)).astype(np.int64),
+                    np.left_shift(np.uint8(1), (index & np.uint64(7)).astype(np.uint8)),
+                )
         self._inserted += count
 
     def contains_batch(self, values: Sequence[Hashable]) -> np.ndarray:
@@ -239,13 +242,14 @@ class RegisterBloomFilter:
     def add_batch(self, values: Sequence[Hashable]) -> None:
         """Vectorized :meth:`add`: OR all masks into their registers."""
         count = len(values)
-        if count == 0:
-            return
-        canon = canonical_batch(values)
-        index = hash_range_batch(
-            None, self._num_words, self._seed ^ 0x5E6, canonical=canon
-        )
-        np.bitwise_or.at(self._registers, index.astype(np.int64), self._mask_batch(canon))
+        for lo in range(0, count, _INSERT_SLICE):
+            canon = canonical_batch(values[lo : lo + _INSERT_SLICE])
+            index = hash_range_batch(
+                None, self._num_words, self._seed ^ 0x5E6, canonical=canon
+            )
+            np.bitwise_or.at(
+                self._registers, index.astype(np.int64), self._mask_batch(canon)
+            )
         self._inserted += count
 
     def contains_batch(self, values: Sequence[Hashable]) -> np.ndarray:

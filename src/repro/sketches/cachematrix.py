@@ -15,20 +15,45 @@ Three row disciplines cover the paper's variants:
   ignores hits (cheaper: same-stage ALUs share memory; Table 2's FIFO row).
 * :class:`RollingMinMatrix` — each row keeps the ``w`` largest values seen,
   maintained as the paper's rolling minimum (randomized TOP N, Fig. 2).
+
+The per-entry operations walk Python lists; the batch drivers run
+*sort-partitioned rounds* over typed arrays: the batch is stable-sorted by
+row and round ``k`` updates "the ``k``-th arrival of every row" in a few
+``(lanes, w)`` vector operations in which no two lanes touch one row.  A
+batch the arrays cannot hold exactly replays per entry instead.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .hashing import Hashable, hash_range, hash_range_batch
+from .hashing import Hashable, hash_range, hash_range_batch, stable_order
 
 _EMPTY = object()
+
+#: The one dtype the arrays use for each kind of numeric cell.
+_WIDE = {"i": np.dtype(np.int64), "u": np.dtype(np.uint64), "f": np.dtype(np.float64)}
+
+#: A vector round costs a few dozen numpy calls whatever its width: with
+#: fewer lanes than this, replaying them per entry is cheaper.
+_FEW_LANES = 48
+
+
+def engages(count: int, rows: int) -> bool:
+    """Whether a ``count``-entry batch takes the vector path of a
+    ``rows``-row matrix (TOP N's bulk row draw asks the same question).
+
+    Temporary: see ROADMAP 1(a).  The ledger's ``peak_rss_mb`` counts the
+    samples its harness retains, so faster short slices on ``serve_burst``
+    fail that bound; until then they keep the per-entry replay.
+    """
+    return count >= rows
 
 
 def _iter_row_groups(rows: np.ndarray):
@@ -45,7 +70,211 @@ def _iter_row_groups(rows: np.ndarray):
         yield int(rows[group[0]]), group
 
 
-class CacheMatrix:
+def _numeric(values) -> Optional[np.ndarray]:
+    """``values`` in its 64-bit dtype when it is a 1-D int, uint or
+    all-finite float array — what the typed cells hold exactly — else None."""
+    if not isinstance(values, np.ndarray) or values.ndim != 1:
+        return None
+    wide = _WIDE.get(values.dtype.kind)
+    if wide is None or values.dtype.itemsize > wide.itemsize:
+        return None
+    typed = values.astype(wide, copy=False)
+    return typed if wide.kind != "f" or np.isfinite(typed).all() else None
+
+
+def _exactly(cells: Sequence, dtype: np.dtype) -> Optional[np.ndarray]:
+    """List-form ``cells`` as a ``dtype`` array, or None unless every one
+    is a number of that kind the array gives back unchanged."""
+    number = (float, np.floating) if dtype.kind == "f" else (int, np.integer)
+    if not all(isinstance(c, number) and not isinstance(c, bool) for c in cells):
+        return None
+    try:
+        typed = np.array(cells, dtype=dtype)
+    except OverflowError:
+        return None
+    exact = typed.tolist() == list(cells)  # no wrap-around, no NaN
+    return typed if exact and _numeric(typed) is not None else None
+
+
+def _schedule(rows: np.ndarray):
+    """Conflict-free rounds over lanes already sorted by row.
+
+    Round ``k`` is the positions of the ``k``-th lane of every row that
+    has one: no two lanes of a round share a row, and a row sees its lanes
+    in order.  Rounds stop once fewer than ``_FEW_LANES`` rows have a lane
+    left; the second result is what those busiest rows still hold, for
+    :meth:`_RowMatrix._each` to replay per entry.
+    """
+    if not len(rows):
+        return [], np.empty(0, dtype=np.int64)
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    counts = np.diff(np.r_[starts, len(rows)])
+    busiest_first = np.argsort(-counts, kind="stable")
+    starts, counts = starts[busiest_first], counts[busiest_first]
+    # waiting[k]: how many rows have a k-th lane; it only falls as k grows.
+    waiting = np.searchsorted(-counts, -np.arange(counts[0] + 1))
+    vector = int(np.count_nonzero(waiting >= _FEW_LANES))
+    rounds = [starts[: waiting[k]] + k for k in range(vector)]
+    late = [
+        np.arange(start + vector, start + count)
+        for start, count in zip(starts[: waiting[vector]], counts[: waiting[vector]])
+    ]
+    return rounds, np.concatenate(late) if late else np.empty(0, dtype=np.int64)
+
+
+def _running_best(best: np.ufunc, values: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """Inclusive running ``best`` (``np.maximum``/``np.minimum``) of
+    ``values`` inside each run of equal, contiguous ``run`` ids: a doubling
+    scan, over once no two entries ``span`` apart share a run."""
+    out = values.copy()
+    span = 1
+    while span < len(out):
+        same = run[span:] == run[:-span]
+        if not same.any():
+            break
+        out[span:] = np.where(same, best(out[span:], out[:-span]), out[span:])
+        span *= 2
+    return out
+
+
+class _RowMatrix:
+    """``d x w`` cells held in exactly one form at a time.
+
+    *List form* (``_cells``: ``d`` lists of ``w`` cells, ``_VACANT`` in the
+    empty ones) is what the per-entry operations walk.  *Array form*
+    (``_planes``: a typed ``(d, w)`` array per field of a cell; ``_fill``:
+    how many leading cells of each row are occupied) is what the rounds
+    update.  A cleared matrix holds neither and the first operation picks;
+    one arriving in the other form converts the whole matrix once.
+    Inspection reads either form without converting.
+    """
+
+    _VACANT: object = None
+    #: Words per cell; gauge-name prefix; what a cell holds; each counter
+    #: the matrix keeps, with the help text of the gauge publishing it.
+    _FIELDS, _GAUGES, _HELD, _TOTALS = 1, "", "", ()
+
+    def __init__(self, rows: int, cols: int) -> None:
+        if rows <= 0 or cols <= 0:
+            raise ConfigurationError(
+                f"matrix dimensions must be positive, got rows={rows} cols={cols}"
+            )
+        self.rows = rows
+        self.cols = cols
+        self.clear()
+
+    def clear(self) -> None:
+        """Empty every row and zero the counters (new query / switch reboot)."""
+        self._cells: Optional[List[list]] = None
+        self._planes: Optional[List[np.ndarray]] = None
+        self._fill: Optional[np.ndarray] = None
+        for name, _ in self._TOTALS:
+            setattr(self, name, 0)
+
+    def _listed(self) -> List[list]:
+        """The cells in list form, converted from the arrays if need be."""
+        if self._cells is None:
+            vacant, cols = self._VACANT, self.cols
+            if self._planes is None:  # the common case: a fresh or cleared matrix
+                self._cells = [[vacant] * cols for _ in range(self.rows)]
+            else:
+                rows = map(self.row_values, range(self.rows))
+                self._cells = [c + [vacant] * (cols - len(c)) for c in rows]
+                self._planes = self._fill = None
+        return self._cells
+
+    def _arrayed(self, count: int, *dtypes: np.dtype) -> bool:
+        """Hold the cells as ``dtypes`` arrays for a ``count``-entry batch.
+
+        False — the caller replays — when the batch is too short to start
+        on (a matrix already in array form stays there) or the cells are
+        not all such numbers in a prefix of their row (str/tuple keys, a
+        chaos phantom cell, another dtype kind).
+        """
+        if self._planes is not None:
+            return all(p.dtype == d for p, d in zip(self._planes, dtypes))
+        if not engages(count, self.rows):
+            return False
+        planes = [np.zeros((self.rows, self.cols), dtype=d) for d in dtypes]
+        fill = np.zeros(self.rows, dtype=np.int64)
+        if self._cells is not None:
+            kept = [[c for c in row if c is not self._VACANT] for row in self._cells]
+            if any(a is not b for k, row in zip(kept, self._cells) for a, b in zip(k, row)):
+                return False
+            fill[:] = [len(k) for k in kept]
+            flat = [cell for k in kept for cell in k]
+            occupied = np.arange(self.cols) < fill[:, None]
+            for plane, field in zip(planes, [flat] if len(planes) == 1 else zip(*flat)):
+                typed = _exactly(field, plane.dtype)
+                if typed is None:
+                    return False
+                plane[occupied] = typed
+        self._cells, self._planes, self._fill = None, planes, fill
+        return True
+
+    def _each(self, rows: np.ndarray, one: Callable[[int, int], bool]) -> List[bool]:
+        """``one(i, rows[i])``, a per-entry operation, for every ``i``.
+
+        These are a batch's late lanes (:func:`_schedule`), in a few rows:
+        a dict of just those rows stands in for the list form meanwhile.
+        """
+        planes, fill, vacant, rows = self._planes, self._fill, self._VACANT, rows.tolist()
+        listed = {row: self.row_values(row) for row in set(rows)}
+        self._planes = self._fill = None
+        self._cells = {r: c + [vacant] * (self.cols - len(c)) for r, c in listed.items()}
+        try:
+            return [one(i, row) for i, row in enumerate(rows)]
+        finally:
+            for row, cells in self._cells.items():
+                kept = [c for c in cells if c is not vacant]
+                fill[row] = len(kept)
+                for plane, field in zip(planes, [kept] if len(planes) == 1 else zip(*kept)):
+                    plane[row, : len(kept)] = field
+            self._cells, self._planes, self._fill = None, planes, fill
+
+    def row_values(self, row: int) -> list:
+        """``row``'s occupied cells in column order — most recent first in a
+        cache, largest first in a rolling minimum — as Python values."""
+        if self._cells is not None:
+            return [c for c in self._cells[row] if c is not self._VACANT]
+        if self._planes is None:
+            return []
+        fields = [p[row, : self._fill[row]].tolist() for p in self._planes]
+        return fields[0] if len(fields) == 1 else list(zip(*fields))
+
+    def _cell_of(self, row: int, col: int) -> list:
+        """The list-form row holding cell ``(row, col)`` (fault injection)."""
+        if not (0 <= row < self.rows and 0 <= col < self.cols):
+            raise ConfigurationError(
+                f"cell ({row}, {col}) out of range for {self.rows}x{self.cols}"
+            )
+        return self._listed()[row]
+
+    def occupancy(self) -> int:
+        """Total number of occupied cells across all rows."""
+        if self._cells is not None:
+            vacant = self._VACANT
+            return sum(1 for row in self._cells for c in row if c is not vacant)
+        return 0 if self._fill is None else int(self._fill.sum())
+
+    def observe_health(self, registry, **labels: object) -> None:
+        """Publish occupancy, fill ratio and the counters as gauges."""
+        occupancy = self.occupancy()
+        gauges = [
+            ("occupancy", f"{self._HELD} across all rows.", occupancy),
+            ("fill_ratio", "Occupied fraction of the d*w cells.",
+             occupancy / (self.rows * self.cols)),
+            *((name, text, getattr(self, name)) for name, text in self._TOTALS),
+        ]
+        for name, text, value in gauges:
+            registry.gauge(f"{self._GAUGES}_{name}", text, **labels).set(value)
+
+    def sram_bits(self, value_bits: int = 64) -> int:
+        """SRAM footprint per Table 2: ``(d*w) x value_bits`` per cell field."""
+        return self.rows * self.cols * value_bits * self._FIELDS
+
+
+class CacheMatrix(_RowMatrix):
     """A ``d x w`` matrix of per-row caches with rolling replacement.
 
     ``lookup_insert`` is the single dataplane operation: it reports whether
@@ -55,24 +284,20 @@ class CacheMatrix:
     with the first, etc." rolling scheme.
     """
 
+    _VACANT = _EMPTY
+    _GAUGES, _HELD = "cache_matrix", "Cached values"
+    _TOTALS = (
+        ("hits", "Row hits (value already cached)."),
+        ("misses", "Row misses (value installed)."),
+        ("evictions", "Values evicted by rolling replacement."),
+    )
+
     def __init__(self, rows: int, cols: int, policy: str = "lru", seed: int = 0) -> None:
-        if rows <= 0 or cols <= 0:
-            raise ConfigurationError(
-                f"matrix dimensions must be positive, got rows={rows} cols={cols}"
-            )
+        super().__init__(rows, cols)
         if policy not in ("lru", "fifo"):
             raise ConfigurationError(f"unknown policy {policy!r}; use 'lru' or 'fifo'")
-        self.rows = rows
-        self.cols = cols
         self.policy = policy
         self._seed = seed
-        self._cells: List[List[object]] = [[_EMPTY] * cols for _ in range(rows)]
-        #: Row hits observed (value already cached).
-        self.hits = 0
-        #: Row misses observed (value installed).
-        self.misses = 0
-        #: Values evicted by rolling replacement (a miss into a full row).
-        self.evictions = 0
 
     @property
     def seed(self) -> int:
@@ -87,7 +312,7 @@ class CacheMatrix:
         """Probe without mutating (not a dataplane op; used by tests)."""
         if row is None:
             row = self.row_of(value)
-        return value in self._cells[row]
+        return value in self.row_values(row)
 
     def lookup_insert(self, value: Hashable, row: Optional[int] = None) -> bool:
         """Return True on a row hit; install the value on a miss.
@@ -98,7 +323,7 @@ class CacheMatrix:
         """
         if row is None:
             row = self.row_of(value)
-        cells = self._cells[row]
+        cells = (self._cells or self._listed())[row]
         if value in cells:
             self.hits += 1
             if self.policy == "lru":
@@ -127,13 +352,13 @@ class CacheMatrix:
     def lookup_insert_batch(
         self, values: Sequence[Hashable], rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Chunked batch driver for :meth:`lookup_insert`.
+        """Batch driver for :meth:`lookup_insert`.
 
-        Row assignment is vectorized; within each row the entries are
-        replayed sequentially in stream order, because the hit/miss result
-        of each lookup depends on the row state left by the previous one.
-        The returned hit array and the final matrix state are therefore
-        exactly what the scalar loop would produce.
+        Row assignment is vectorized.  An int, uint or finite-float array
+        runs as conflict-free rounds (:meth:`_lookup_insert_rounds`);
+        anything else replays each row's entries in stream order, as a
+        lookup depends on the row state the previous one left.  The hit
+        array, final cells and counters are exactly the scalar loop's.
         """
         count = len(values)
         hits = np.zeros(count, dtype=bool)
@@ -141,17 +366,58 @@ class CacheMatrix:
             return hits
         if rows is None:
             rows = self.row_of_batch(values)
+        typed = _numeric(values)
+        if typed is not None and self._arrayed(count, typed.dtype):
+            return self._lookup_insert_rounds(typed, np.asarray(rows))
         for row, positions in _iter_row_groups(rows):
             for pos in positions:
                 hits[pos] = self.lookup_insert(values[pos], row)
         return hits
 
-    def clear(self) -> None:
-        """Empty every row (query teardown / switch reboot)."""
-        self._cells = [[_EMPTY] * self.cols for _ in range(self.rows)]
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+    def _lookup_insert_rounds(self, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Sort-partitioned rounds over the array form.
+
+        A run of one value inside a row is one lane: once its first entry
+        has run, the value sits in column 0 (LRU) or somewhere in the row
+        (FIFO), so the repeats are hits that move nothing.
+        """
+        (cache,), fill, cols = self._planes, self._fill, self.cols
+        order = stable_order(rows, self.rows)
+        rows, values = rows[order], values[order]
+        first = np.r_[True, (rows[1:] != rows[:-1]) | (values[1:] != values[:-1])]
+        hits = ~first
+        self.hits += int(np.count_nonzero(hits))
+        lane_entry = np.flatnonzero(first)
+        rows, values = rows[lane_entry], values[lane_entry]
+        columns = np.arange(cols)
+        rounds, late = _schedule(rows)
+        for lanes in rounds:
+            at, value = rows[lanes], values[lanes]
+            block, full = cache[at], fill[at]
+            match = (block == value[:, None]) & (columns < full[:, None])
+            hit = match.any(axis=1)
+            hits[lane_entry[lanes]] = hit
+            miss = ~hit
+            self.hits += int(np.count_nonzero(hit))
+            self.misses += int(np.count_nonzero(miss))
+            self.evictions += int(np.count_nonzero(full[miss] == cols))
+            fill[at[miss]] = np.minimum(full[miss] + 1, cols)
+            # A miss shifts the whole row right; an LRU hit only the cells
+            # in front of the match; a FIFO hit leaves the row alone.
+            upto = np.where(hit, match.argmax(axis=1), cols - 1)
+            if self.policy == "fifo":
+                at, value, block, upto = at[miss], value[miss], block[miss], upto[miss]
+            shift = (columns > 0) & (columns <= upto[:, None])
+            block = np.where(shift, np.roll(block, 1, axis=1), block)
+            block[:, 0] = value
+            cache[at] = block
+        value = values[late].tolist()
+        hits[lane_entry[late]] = self._each(
+            rows[late], lambda i, row: self.lookup_insert(value[i], row)
+        )
+        out = np.empty(len(hits), dtype=bool)
+        out[order] = hits
+        return out
 
     def corrupt_cell(self, row: int, col: int, garbage: object) -> str:
         """Overwrite one cell with a phantom value (fault injection).
@@ -161,47 +427,14 @@ class CacheMatrix:
         real occurrence, which is why injected corruption is escalated to
         a reboot rather than left in place.
         """
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise ConfigurationError(
-                f"cell ({row}, {col}) out of range for {self.rows}x{self.cols}"
-            )
-        previous = self._cells[row][col]
-        self._cells[row][col] = garbage
+        cells = self._cell_of(row, col)
+        previous = cells[col]
+        cells[col] = garbage
         was = "empty" if previous is _EMPTY else repr(previous)
         return f"cache[{row}][{col}] {was} -> {garbage!r}"
 
-    def observe_health(self, registry, **labels: object) -> None:
-        """Publish occupancy, fill ratio, and hit/eviction totals as gauges."""
-        registry.gauge(
-            "cache_matrix_occupancy", "Cached values across all rows.", **labels
-        ).set(self.occupancy())
-        registry.gauge(
-            "cache_matrix_fill_ratio", "Occupied fraction of the d*w cells.", **labels
-        ).set(self.occupancy() / (self.rows * self.cols))
-        registry.gauge(
-            "cache_matrix_hits", "Row hits (value already cached).", **labels
-        ).set(self.hits)
-        registry.gauge(
-            "cache_matrix_misses", "Row misses (value installed).", **labels
-        ).set(self.misses)
-        registry.gauge(
-            "cache_matrix_evictions", "Values evicted by rolling replacement.", **labels
-        ).set(self.evictions)
 
-    def row_values(self, row: int) -> List[object]:
-        """The cached values of ``row`` in recency order (tests/inspection)."""
-        return [cell for cell in self._cells[row] if cell is not _EMPTY]
-
-    def occupancy(self) -> int:
-        """Total number of cached values across all rows."""
-        return sum(1 for row in self._cells for cell in row if cell is not _EMPTY)
-
-    def sram_bits(self, value_bits: int = 64) -> int:
-        """SRAM footprint per Table 2: ``(d*w) x value_bits``."""
-        return self.rows * self.cols * value_bits
-
-
-class RollingMinMatrix:
+class RollingMinMatrix(_RowMatrix):
     """A ``d x w`` matrix where each row keeps its ``w`` largest values.
 
     The dataplane operation ``offer`` pushes a value through a row kept in
@@ -213,18 +446,11 @@ class RollingMinMatrix:
     at random; GROUP BY hashes the key) via the ``row`` argument.
     """
 
-    def __init__(self, rows: int, cols: int) -> None:
-        if rows <= 0 or cols <= 0:
-            raise ConfigurationError(
-                f"matrix dimensions must be positive, got rows={rows} cols={cols}"
-            )
-        self.rows = rows
-        self.cols = cols
-        self._cells: List[List[Optional[float]]] = [[None] * cols for _ in range(rows)]
-        #: Values offered to any row.
-        self.offers = 0
-        #: Offers rejected (value below a full row's minimum — prunable).
-        self.rejected = 0
+    _GAUGES, _HELD = "rolling_min", "Stored values"
+    _TOTALS = (
+        ("offers", "Values offered to any row."),
+        ("rejected", "Offers below a full row's minimum."),
+    )
 
     def offer(self, value: float, row: int) -> bool:
         """Push ``value`` through ``row``; return True if it was pruned.
@@ -239,7 +465,7 @@ class RollingMinMatrix:
         if not 0 <= row < self.rows:
             raise ConfigurationError(f"row {row} out of range [0, {self.rows})")
         self.offers += 1
-        cells = self._cells[row]
+        cells = (self._cells or self._listed())[row]
         if cells[-1] is not None and value < cells[-1]:
             # Full row, value below its minimum: nothing to update.
             self.rejected += 1
@@ -250,47 +476,77 @@ class RollingMinMatrix:
             position += 1
         kept.insert(position, value)
         kept = kept[: self.cols]
-        self._cells[row] = kept + [None] * (self.cols - len(kept))
+        cells[:] = kept + [None] * (self.cols - len(kept))
         return False
 
     def offer_batch(self, values: Sequence[float], rows: np.ndarray) -> np.ndarray:
-        """Chunked batch driver for :meth:`offer`.
+        """Batch driver for :meth:`offer`.
 
-        Entries are grouped by target row and replayed sequentially within
-        each group in stream order — a row's prune decision depends on the
-        values it already holds, so only the grouping is vectorized.
-        Returns the per-entry pruned flags the scalar loop would return.
+        All-finite values with in-range rows run as conflict-free rounds
+        (:meth:`_offer_rounds`); otherwise each row's entries replay in
+        stream order — a prune decision depends on what the row holds.
+        Pruned flags, cells and counters are exactly the scalar loop's.
         """
         count = len(values)
         pruned = np.zeros(count, dtype=bool)
         if count == 0:
             return pruned
         rows = np.asarray(rows)
+        typed = _numeric(values)
+        if (
+            typed is not None
+            and 0 <= rows.min() and rows.max() < self.rows
+            and self._arrayed(count, _WIDE["f"])
+        ):
+            return self._offer_rounds(typed.astype(np.float64, copy=False), rows)
         for row, positions in _iter_row_groups(rows):
             for pos in positions:
                 pruned[pos] = self.offer(float(values[pos]), row)
         return pruned
 
-    def row_values(self, row: int) -> List[float]:
-        """Stored values of ``row``, largest first."""
-        return [cell for cell in self._cells[row] if cell is not None]
+    def _offer_rounds(self, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Sort-partitioned rounds over the array form.
+
+        A row's minimum only rises, so a value below the minimum its row
+        has when the batch starts is pruned whatever arrives before it:
+        one compare settles those and only the rest enter rounds.
+        """
+        (kept,), fill, cols = self._planes, self._fill, self.cols
+        floor = np.where(fill == cols, kept[:, -1], -np.inf)
+        pruned = values < floor[rows]
+        settled = int(np.count_nonzero(pruned))
+        self.offers += settled
+        self.rejected += settled
+        entry = np.flatnonzero(~pruned)
+        entry = entry[stable_order(rows[entry], self.rows)]
+        rows, values = rows[entry], values[entry]
+        columns = np.arange(cols)
+        rounds, late = _schedule(rows)
+        for lanes in rounds:
+            at, value = rows[lanes], values[lanes]
+            block, full = kept[at], fill[at]
+            low = (full == cols) & (value < block[:, -1])
+            pruned[entry[lanes[low]]] = True
+            self.offers += len(lanes)
+            self.rejected += int(np.count_nonzero(low))
+            stay = ~low
+            at, value, block, full = at[stay], value[stay], block[stay], full[stay]
+            # The value lands behind every stored value >= it; the cells
+            # from there on shift right and the last one falls off.
+            slot = ((block >= value[:, None]) & (columns < full[:, None])).sum(axis=1)
+            block = np.where(columns > slot[:, None], np.roll(block, 1, axis=1), block)
+            kept[at] = np.where(columns == slot[:, None], value[:, None], block)
+            fill[at] = np.minimum(full + 1, cols)
+        value = values[late].tolist()
+        pruned[entry[late]] = self._each(
+            rows[late], lambda i, row: self.offer(value[i], row)
+        )
+        return pruned
 
     def minimum(self, row: int) -> Optional[float]:
         """Smallest stored value of a full row, or None when not full."""
-        cells = self._cells[row]
-        if cells[-1] is None:
-            return None
-        return cells[-1]
-
-    def occupancy(self) -> int:
-        """Total number of stored values across all rows."""
-        return sum(1 for row in self._cells for cell in row if cell is not None)
-
-    def clear(self) -> None:
-        """Empty every row."""
-        self._cells = [[None] * self.cols for _ in range(self.rows)]
-        self.offers = 0
-        self.rejected = 0
+        cells = self.row_values(row)
+        return cells[-1] if len(cells) == self.cols else None
 
     def corrupt_cell(self, row: int, col: int, value: float) -> str:
         """Overwrite one stored minimum with ``value`` (fault injection).
@@ -299,38 +555,16 @@ class RollingMinMatrix:
         invariant holds; a huge phantom value raises the row minimum and
         can wrongly prune genuine top-N entries.
         """
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise ConfigurationError(
-                f"cell ({row}, {col}) out of range for {self.rows}x{self.cols}"
-            )
-        previous = self._cells[row][col]
-        kept = [cell for i, cell in enumerate(self._cells[row]) if i != col and cell is not None]
+        cells = self._cell_of(row, col)
+        previous = cells[col]
+        kept = [cell for i, cell in enumerate(cells) if i != col and cell is not None]
         kept.append(float(value))
         kept.sort(reverse=True)
-        self._cells[row] = kept + [None] * (self.cols - len(kept))
+        cells[:] = kept + [None] * (self.cols - len(kept))
         return f"rollingmin[{row}][{col}] {previous!r} -> {value!r}"
 
-    def observe_health(self, registry, **labels: object) -> None:
-        """Publish occupancy and offer/reject totals as gauges."""
-        registry.gauge(
-            "rolling_min_occupancy", "Stored values across all rows.", **labels
-        ).set(self.occupancy())
-        registry.gauge(
-            "rolling_min_fill_ratio", "Occupied fraction of the d*w cells.", **labels
-        ).set(self.occupancy() / (self.rows * self.cols))
-        registry.gauge(
-            "rolling_min_offers", "Values offered to any row.", **labels
-        ).set(self.offers)
-        registry.gauge(
-            "rolling_min_rejected", "Offers below a full row's minimum.", **labels
-        ).set(self.rejected)
 
-    def sram_bits(self, value_bits: int = 64) -> int:
-        """SRAM footprint per Table 2: ``(d*w) x value_bits``."""
-        return self.rows * self.cols * value_bits
-
-
-class KeyedAggregateMatrix:
+class KeyedAggregateMatrix(_RowMatrix):
     """A ``d x w`` matrix caching ``(key, aggregate)`` pairs per row.
 
     Used by GROUP BY pruning with MIN/MAX aggregates: each row caches up to
@@ -339,6 +573,14 @@ class KeyedAggregateMatrix:
     its aggregate).
     """
 
+    _FIELDS, _GAUGES, _HELD = 2, "keyed_aggregate", "Cached keys"
+    _TOTALS = (
+        ("hits", "Observations dominated by the cache."),
+        ("updates", "Observations improving a cached key."),
+        ("inserts", "Observations installing a new key."),
+        ("evictions", "Keys evicted by rolling replacement."),
+    )
+
     def __init__(
         self,
         rows: int,
@@ -346,25 +588,9 @@ class KeyedAggregateMatrix:
         better: Callable[[float, float], bool],
         seed: int = 0,
     ) -> None:
-        if rows <= 0 or cols <= 0:
-            raise ConfigurationError(
-                f"matrix dimensions must be positive, got rows={rows} cols={cols}"
-            )
-        self.rows = rows
-        self.cols = cols
+        super().__init__(rows, cols)
         self._better = better
         self._seed = seed
-        self._cells: List[List[Optional[Tuple[Hashable, float]]]] = [
-            [None] * cols for _ in range(rows)
-        ]
-        #: Observations where the cached aggregate already dominated (pruned).
-        self.hits = 0
-        #: Observations that updated a cached key's aggregate.
-        self.updates = 0
-        #: Observations that installed a new key.
-        self.inserts = 0
-        #: Keys evicted by rolling replacement.
-        self.evictions = 0
 
     @property
     def seed(self) -> int:
@@ -400,7 +626,7 @@ class KeyedAggregateMatrix:
         """
         if row is None:
             row = self.row_of(key)
-        cells = self._cells[row]
+        cells = (self._cells or self._listed())[row]
         for col, cell in enumerate(cells):
             if cell is not None and cell[0] == key:
                 if self._better(value, cell[1]):
@@ -421,13 +647,14 @@ class KeyedAggregateMatrix:
         values: Sequence[float],
         rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Chunked batch driver for :meth:`observe`.
+        """Batch driver for :meth:`observe`.
 
-        Row assignment is vectorized; each row's entries replay
-        sequentially in stream order because a key's prune decision
-        depends on the aggregate left by its previous occurrences.
-        ``rows`` short-circuits the row hash when the caller (the fused
-        dataplane) already computed it from a shared digest.
+        Row assignment is vectorized.  Int, uint or finite-float key
+        arrays with finite values under a MAX/MIN ``better`` run as
+        conflict-free rounds (:meth:`_observe_rounds`); anything else
+        replays each row's entries in stream order, as a key's decision
+        depends on the aggregate its earlier occurrences left.  ``rows``
+        short-circuits the row hash when the fused dataplane has it.
         """
         count = len(keys)
         pruned = np.zeros(count, dtype=bool)
@@ -435,26 +662,86 @@ class KeyedAggregateMatrix:
             return pruned
         if rows is None:
             rows = self.row_of_batch(keys)
+        typed_keys, typed = _numeric(keys), _numeric(values)
+        if (
+            typed_keys is not None
+            and typed is not None
+            and self._better in (operator.gt, operator.lt)
+            and self._arrayed(count, typed_keys.dtype, _WIDE["f"])
+        ):
+            typed = typed.astype(np.float64, copy=False)
+            return self._observe_rounds(typed_keys, typed, np.asarray(rows))
         for row, positions in _iter_row_groups(rows):
             for pos in positions:
                 pruned[pos] = self.observe(keys[pos], float(values[pos]), row)
         return pruned
 
+    def _observe_rounds(
+        self, keys: np.ndarray, values: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """Sort-partitioned rounds over the array form.
+
+        A run of one key inside a row is one lane.  Only an entry beating
+        every earlier one of its run can matter, so a running best picks
+        those out first; a round then finds the key's cached aggregate
+        (which they must beat too) and writes the run's final one, once.
+        """
+        (cached, aggregate), fill, cols = self._planes, self._fill, self.cols
+        better, best, unset = (
+            (np.greater, np.maximum, -np.inf)
+            if self._better is operator.gt
+            else (np.less, np.minimum, np.inf)
+        )
+        order = stable_order(rows, self.rows)
+        rows, keys, values = rows[order], keys[order], values[order]
+        first = np.r_[True, (rows[1:] != rows[:-1]) | (keys[1:] != keys[:-1])]
+        run = np.cumsum(first) - 1
+        lane_entry = np.flatnonzero(first)
+        folded = _running_best(best, values, run)
+        forward = first.copy()
+        forward[1:] |= better(values[1:], folded[:-1])
+        final = folded[np.r_[lane_entry[1:], len(run)] - 1]
+        cached_best = np.full(len(lane_entry), unset)
+        columns, inserted = np.arange(cols), 0
+        lane_rows, lane_keys = rows[lane_entry], keys[lane_entry]
+        rounds, late = _schedule(lane_rows)
+        for lanes in rounds:
+            at, key, value = lane_rows[lanes], lane_keys[lanes], final[lanes]
+            block, full = cached[at], fill[at]
+            match = (block == key[:, None]) & (columns < full[:, None])
+            found = match.any(axis=1)
+            hit_at, hit_col = at[found], match.argmax(axis=1)[found]
+            cached_best[lanes[found]] = held = aggregate[hit_at, hit_col]
+            aggregate[hit_at, hit_col] = best(held, value[found])
+            new = ~found
+            at, full = at[new], full[new]
+            cached[at] = np.column_stack((key[new], block[new, :-1]))
+            aggregate[at] = np.column_stack((value[new], aggregate[at][:, :-1]))
+            fill[at] = np.minimum(full + 1, cols)
+            inserted += len(at)
+            self.evictions += int(np.count_nonzero(full == cols))
+        # Of a late run only the entries that beat their predecessors are
+        # replayed; the others are hits whatever the row holds.
+        is_late = np.zeros(len(lane_entry), dtype=bool)
+        is_late[late] = True
+        is_late = is_late[run]
+        replay = np.flatnonzero(forward & is_late)
+        forward &= ~is_late & better(values, cached_best[run])
+        forwarded = int(np.count_nonzero(forward))
+        self.inserts += inserted
+        self.updates += forwarded - inserted
+        self.hits += len(forward) - len(replay) - forwarded
+        key, value = keys[replay].tolist(), values[replay].tolist()
+        forward[replay] = np.logical_not(
+            self._each(rows[replay], lambda i, row: self.observe(key[i], value[i], row))
+        )
+        out = np.empty(len(forward), dtype=bool)
+        out[order] = ~forward
+        return out
+
     def cached_keys(self, row: int) -> List[Hashable]:
         """Keys currently cached in ``row``."""
-        return [cell[0] for cell in self._cells[row] if cell is not None]
-
-    def occupancy(self) -> int:
-        """Total number of cached keys across all rows."""
-        return sum(1 for row in self._cells for cell in row if cell is not None)
-
-    def clear(self) -> None:
-        """Empty every row."""
-        self._cells = [[None] * self.cols for _ in range(self.rows)]
-        self.hits = 0
-        self.updates = 0
-        self.inserts = 0
-        self.evictions = 0
+        return [key for key, _ in self.row_values(row)]
 
     def corrupt_cell(self, row: int, col: int, key: object, aggregate: float) -> str:
         """Overwrite one cell with a phantom ``(key, aggregate)`` pair.
@@ -463,38 +750,10 @@ class KeyedAggregateMatrix:
         updates under a wrong aggregate — undetectable downstream, hence
         escalated to a reboot by the degradation policy.
         """
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise ConfigurationError(
-                f"cell ({row}, {col}) out of range for {self.rows}x{self.cols}"
-            )
-        previous = self._cells[row][col]
-        self._cells[row][col] = (key, float(aggregate))
+        cells = self._cell_of(row, col)
+        previous = cells[col]
+        cells[col] = (key, float(aggregate))
         return f"groupby[{row}][{col}] {previous!r} -> ({key!r}, {aggregate!r})"
-
-    def observe_health(self, registry, **labels: object) -> None:
-        """Publish occupancy and hit/update/insert/eviction totals as gauges."""
-        registry.gauge(
-            "keyed_aggregate_occupancy", "Cached keys across all rows.", **labels
-        ).set(self.occupancy())
-        registry.gauge(
-            "keyed_aggregate_fill_ratio", "Occupied fraction of the d*w cells.", **labels
-        ).set(self.occupancy() / (self.rows * self.cols))
-        registry.gauge(
-            "keyed_aggregate_hits", "Observations dominated by the cache.", **labels
-        ).set(self.hits)
-        registry.gauge(
-            "keyed_aggregate_updates", "Observations improving a cached key.", **labels
-        ).set(self.updates)
-        registry.gauge(
-            "keyed_aggregate_inserts", "Observations installing a new key.", **labels
-        ).set(self.inserts)
-        registry.gauge(
-            "keyed_aggregate_evictions", "Keys evicted by rolling replacement.", **labels
-        ).set(self.evictions)
-
-    def sram_bits(self, value_bits: int = 64) -> int:
-        """SRAM per Table 2 (key and aggregate words per cell)."""
-        return self.rows * self.cols * value_bits * 2
 
 
 def expected_distinct_pruning(distinct: int, rows: int, cols: int) -> float:

@@ -17,11 +17,20 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import ConfigurationError
-from .hashing import Hashable, canonical_batch, hash_family, hash_range_batch
+from .hashing import (
+    Hashable,
+    canonical_batch,
+    hash_family,
+    hash_range_batch,
+    stable_order,
+)
 
 
-def _grouped_running_sum(indexes: np.ndarray, amounts: np.ndarray) -> np.ndarray:
-    """Inclusive running sum of ``amounts`` within equal-index groups.
+def _grouped_running_sum(
+    indexes: np.ndarray, amounts: np.ndarray, bound: int
+) -> np.ndarray:
+    """Inclusive running sum of ``amounts`` within equal-index groups
+    (``indexes`` below ``bound``, the sketch width: a narrow sort key).
 
     ``result[k]`` is the sum of ``amounts[j]`` over ``j <= k`` with
     ``indexes[j] == indexes[k]`` — i.e. what a sequential counter at
@@ -29,7 +38,7 @@ def _grouped_running_sum(indexes: np.ndarray, amounts: np.ndarray) -> np.ndarray
     ``amounts >= 0`` (the cumulative sum is non-decreasing, so a
     ``maximum.accumulate`` carries each group's starting offset forward).
     """
-    order = np.argsort(indexes, kind="stable")
+    order = stable_order(indexes, bound)
     sorted_idx = indexes[order]
     sorted_amounts = amounts[order]
     csum = np.cumsum(sorted_amounts)
@@ -153,7 +162,9 @@ class CountMinSketch:
         for r, seed in enumerate(self._seeds):
             idx = hash_range_batch(None, self.width, seed, canonical=canon)
             idx = idx.astype(np.int64)
-            running = self._rows[r][idx] + _grouped_running_sum(idx, amounts_arr)
+            running = self._rows[r][idx] + _grouped_running_sum(
+                idx, amounts_arr, self.width
+            )
             np.add.at(self._rows[r], idx, amounts_arr)
             estimates = running if estimates is None else np.minimum(estimates, running)
         self._total += int(amounts_arr.sum())

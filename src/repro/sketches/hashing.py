@@ -242,6 +242,15 @@ def hash_range_batch(
     return _mulhi64(hash64_batch(values, seed, canonical=canonical), n)
 
 
+def stable_order(ids: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of ``ids`` the caller knows to lie in ``[0, bound)``
+    (matrix rows, Count-Min counters).  Ids that fit 16 bits are narrowed
+    first: numpy radix-sorts those, several times faster than ``int64``."""
+    if bound <= 1 << 16:
+        ids = ids.astype(np.uint16)
+    return np.argsort(ids, kind="stable")
+
+
 BatchHashFn = Callable[[Sequence], np.ndarray]
 
 

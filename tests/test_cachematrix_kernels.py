@@ -1,0 +1,366 @@
+"""The cache-matrix batch kernels against the per-entry oracle.
+
+``lookup_insert_batch`` / ``offer_batch`` / ``observe_batch`` run numeric
+batches as sort-partitioned, conflict-free rounds over typed arrays and
+replay everything else per entry; ``lookup_insert`` / ``offer`` /
+``observe`` are the oracle.  Generated streams are cut into batches of
+1 / 7 / ``rows`` / 4096 entries and must leave the same decisions, the
+same cells and the same counters as one call per entry — whatever the
+key dtype, however the batches interleave with per-entry calls, reboots
+and injected phantom cells.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+import random
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.distinct import DistinctPruner, FingerprintDistinctPruner
+from repro.core.groupby import GroupByPruner
+from repro.core.having import HavingPruner
+from repro.core.topn import TopNRandomizedPruner, draw_rows
+from repro.sketches import cachematrix
+from repro.sketches.cachematrix import (
+    CacheMatrix,
+    KeyedAggregateMatrix,
+    RollingMinMatrix,
+)
+
+_SETTINGS = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+#: Rounds narrower than ``_FEW_LANES`` hand their lanes to the per-entry
+#: tail; the matrices here are small, so most examples lower it to keep
+#: the vector rounds going to the last lane.
+few_lanes = st.sampled_from((1, 1, 4, cachematrix._FEW_LANES))
+
+ROW_PATTERNS = ("uniform", "hot", "single", "neighbours")
+KEY_PATTERNS = ("uniform", "duplicates", "alternating", "runs")
+VALUE_PATTERNS = ("uniform", "ascending", "descending", "constant", "ties", "nonfinite")
+#: Kinds one stream may mix: a numpy scalar cannot be compared with a tuple
+#: (``np.int64(0) == (2, "t")`` is an array), on either path.
+KEY_KINDS = (("int64", "uint64", "float", "str", "mixed"), ("str", "tuple", "mixed"))
+
+
+def _rows(rng, pattern: str, n: int, d: int) -> np.ndarray:
+    uniform = rng.integers(0, d, n)
+    hot = int(rng.integers(0, d))
+    if pattern == "hot":  # one row takes most of the stream
+        return np.where(rng.random(n) < 0.8, hot, uniform)
+    if pattern == "single":
+        return np.full(n, hot)
+    if pattern == "neighbours":  # the same keys on both sides of a row boundary
+        return (hot + np.arange(n) % 2) % d
+    return uniform
+
+
+def _key_ids(rng, pattern: str, n: int, w: int) -> np.ndarray:
+    pool = w + 3  # more keys than a row holds, so rows evict
+    if pattern == "duplicates":
+        return np.full(n, int(rng.integers(0, pool)))
+    if pattern == "alternating":  # A-B-A-B
+        return np.arange(n) % 2 + int(rng.integers(0, pool))
+    if pattern == "runs":
+        return np.repeat(rng.integers(0, pool, n), rng.integers(1, 6, n))[:n]
+    return rng.integers(0, pool, n)
+
+
+def _values(rng, pattern: str, n: int) -> np.ndarray:
+    if pattern == "ascending":
+        return np.arange(n, dtype=np.float64)
+    if pattern == "descending":
+        return -np.arange(n, dtype=np.float64)
+    if pattern == "constant":
+        return np.full(n, 2.5)
+    if pattern == "ties":  # few distinct values: ties at the row minimum
+        return rng.integers(0, 4, n).astype(np.float64)
+    values = rng.normal(0.0, 100.0, n)
+    if pattern == "nonfinite" and n:
+        values[rng.integers(0, n, 3)] = [math.nan, math.inf, -math.inf]
+    return values
+
+
+def _keys(ids: np.ndarray, kind: str):
+    """Key ids in one representation: typed array (vector path) or list."""
+    if kind == "int64":
+        return np.where(ids == 0, -(2**63), ids - 3).astype(np.int64)
+    if kind == "uint64":
+        return np.where(ids == 1, 2**64 - 1, ids.astype(np.uint64) + 2**63).astype(
+            np.uint64
+        )
+    if kind == "float":  # shares the values 0, 1, 2... with the int kind; NaN never hits
+        return np.where(ids == 0, math.nan, ids * 0.5 - 1.0)
+    if kind == "str":
+        return [f"k{i}" for i in ids.tolist()]
+    if kind == "tuple":
+        return [(i, "t") for i in ids.tolist()]
+    return [(i, f"k{i}")[i % 2] for i in ids.tolist()]
+
+
+@st.composite
+def streams(draw):
+    """Matrix shape, a stream, and how it is cut up and interrupted."""
+    d = draw(st.integers(1, 64))
+    w = draw(st.integers(1, 9))
+    n = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = _rows(rng, draw(st.sampled_from(ROW_PATTERNS)), n, d)
+    ids = _key_ids(rng, draw(st.sampled_from(KEY_PATTERNS)), n, w)
+    values = _values(rng, draw(st.sampled_from(VALUE_PATTERNS)), n)
+    kinds = draw(
+        st.lists(st.sampled_from(draw(st.sampled_from(KEY_KINDS))), min_size=1, max_size=3)
+    )
+    sizes = draw(st.lists(st.sampled_from((1, 7, d, 4096)), min_size=1, max_size=6))
+    steps = draw(
+        st.lists(
+            st.sampled_from(("batch", "batch", "batch", "each", "clear", "corrupt")),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    chunks, lo = [], 0
+    while lo < n:
+        i = len(chunks)
+        hi = n if i >= 40 else min(n, lo + sizes[i % len(sizes)])
+        cut = slice(lo, hi)
+        chunks.append(
+            (steps[i % len(steps)], _keys(ids[cut], kinds[i % len(kinds)]),
+             values[cut], rows[cut])
+        )
+        lo = hi
+    return d, w, chunks, draw(st.booleans()), draw(few_lanes)
+
+
+def _plain(cell):
+    """A cell as plain Python, NaN comparable, whichever form held it."""
+    if isinstance(cell, tuple):
+        return tuple(_plain(c) for c in cell)
+    if isinstance(cell, np.generic):
+        cell = cell.item()
+    return "nan" if isinstance(cell, float) and math.isnan(cell) else cell
+
+
+def _cells_of(matrix):
+    return [[_plain(c) for c in matrix.row_values(r)] for r in range(matrix.rows)]
+
+
+def _state(matrix, counters):
+    rows = _cells_of(matrix)
+    assert matrix.occupancy() == sum(len(row) for row in rows)
+    return rows, {name: getattr(matrix, name) for name in counters}
+
+
+def _drive(subject, oracle, chunks, few, one, many, corrupt):
+    """Batch calls on ``subject``, one call per entry on ``oracle``."""
+    with mock.patch.object(cachematrix, "_FEW_LANES", few):
+        for step, keys, values, rows in chunks:
+            if step == "clear":
+                subject.clear()
+                oracle.clear()
+            elif step == "corrupt":  # a chaos phantom cell, then the batch
+                cell = (int(rows[0]), len(rows) % subject.cols)
+                corrupt(subject, *cell)
+                corrupt(oracle, *cell)
+            span = range(len(rows))
+            expected = [one(oracle, keys[i], values[i], rows[i]) for i in span]
+            if step == "each":  # per-entry calls interleaved with the batches
+                got = [one(subject, keys[i], values[i], rows[i]) for i in span]
+            else:
+                got = many(subject, keys, values, rows).tolist()
+            assert got == expected
+
+
+class TestCacheMatrixKernel:
+    @_SETTINGS
+    @given(stream=streams(), policy=st.sampled_from(("lru", "fifo")))
+    def test_lookup_insert_batch_equals_the_per_entry_loop(self, stream, policy):
+        d, w, chunks, hashed, few = stream
+        subject = CacheMatrix(d, w, policy=policy, seed=3)
+        oracle = CacheMatrix(d, w, policy=policy, seed=3)
+        row = (lambda r: None) if hashed else int
+        _drive(
+            subject, oracle, chunks, few,
+            one=lambda m, key, _, r: m.lookup_insert(key, row(r)),
+            many=lambda m, keys, _, rows: m.lookup_insert_batch(
+                keys, rows=None if hashed else rows
+            ),
+            corrupt=lambda m, r, c: m.corrupt_cell(r, c, "corrupt-7"),
+        )
+        counters = ("hits", "misses", "evictions")
+        assert _state(subject, counters) == _state(oracle, counters)
+        for r in range(0, d, 5):
+            assert [_plain(v) for v in subject.row_values(r)] == [
+                _plain(v) for v in oracle.row_values(r)
+            ]
+            for value in oracle.row_values(r):
+                if value == value:  # NaN is only ever "contained" by identity
+                    assert subject.contains(value, r) and oracle.contains(value, r)
+
+
+class TestRollingMinMatrixKernel:
+    @_SETTINGS
+    @given(stream=streams(), integral=st.booleans())
+    def test_offer_batch_equals_the_per_entry_loop(self, stream, integral):
+        d, w, chunks, _, few = stream
+        if integral:  # an int value array is offered as float(value), like the replay
+            chunks = [
+                (step, keys, np.nan_to_num(values, posinf=9, neginf=-9).astype(np.int64), rows)
+                for step, keys, values, rows in chunks
+            ]
+        subject, oracle = RollingMinMatrix(d, w), RollingMinMatrix(d, w)
+        _drive(
+            subject, oracle, chunks, few,
+            one=lambda m, _, value, r: m.offer(float(value), int(r)),
+            many=lambda m, _, values, rows: m.offer_batch(values, rows),
+            corrupt=lambda m, r, c: m.corrupt_cell(r, c, float(1 << 60)),
+        )
+        counters = ("offers", "rejected")
+        assert _state(subject, counters) == _state(oracle, counters)
+        for r in range(d):
+            assert _plain(subject.minimum(r)) == _plain(oracle.minimum(r))
+            assert len(subject.row_values(r)) == len(oracle.row_values(r))
+
+
+class TestKeyedAggregateMatrixKernel:
+    @_SETTINGS
+    @given(
+        stream=streams(),
+        better=st.sampled_from((operator.gt, operator.lt, lambda new, old: new > old)),
+    )
+    def test_observe_batch_equals_the_per_entry_loop(self, stream, better):
+        d, w, chunks, hashed, few = stream
+        subject = KeyedAggregateMatrix(d, w, better=better, seed=5)
+        oracle = KeyedAggregateMatrix(d, w, better=better, seed=5)
+        row = (lambda r: None) if hashed else int
+        _drive(
+            subject, oracle, chunks, few,
+            one=lambda m, key, value, r: m.observe(key, float(value), row(r)),
+            many=lambda m, keys, values, rows: m.observe_batch(
+                keys, values, rows=None if hashed else rows
+            ),
+            corrupt=lambda m, r, c: m.corrupt_cell(r, c, "corrupt-7", float(1 << 48)),
+        )
+        counters = ("hits", "updates", "inserts", "evictions")
+        assert _state(subject, counters) == _state(oracle, counters)
+        for r in range(0, d, 5):
+            assert [_plain(k) for k in subject.cached_keys(r)] == [
+                _plain(k) for k in oracle.cached_keys(r)
+            ]
+
+
+def test_a_run_of_one_key_stops_at_the_row_boundary():
+    """Sorted by row, the last lane of row 1 and the first of row 2 hold the
+    same key; they are two lanes, not one run."""
+    keys = np.full(6, 5, dtype=np.int64)
+    rows = np.array([1, 2, 1, 2, 1, 2])
+    expected = [False, False, True, True, True, True]
+    cache = CacheMatrix(4, 2)
+    assert cache.lookup_insert_batch(keys, rows=rows).tolist() == expected
+    assert (cache.hits, cache.misses) == (4, 2)
+    keyed = KeyedAggregateMatrix(4, 2, better=operator.gt)
+    assert keyed.observe_batch(keys, np.ones(6), rows=rows).tolist() == expected
+    assert (keyed.hits, keyed.inserts) == (4, 2)
+    assert _cells_of(keyed) == [[], [(5, 1.0)], [(5, 1.0)], []]
+
+
+def _pruner_cases():
+    keyed = lambda ids, values: list(zip(ids.tolist(), values.tolist()))  # noqa: E731
+    return {
+        "distinct": (lambda: DistinctPruner(rows=16, cols=2), lambda ids, _: ids),
+        "distinct-fifo": (
+            lambda: DistinctPruner(rows=16, cols=3, policy="fifo"),
+            lambda ids, _: ids,
+        ),
+        "fingerprint": (
+            lambda: FingerprintDistinctPruner(rows=16, cols=2, fingerprint_bits=12),
+            lambda ids, _: ids,
+        ),
+        "groupby-max": (
+            lambda: GroupByPruner("max", rows=16, cols=3),
+            lambda ids, values: (ids, values),
+        ),
+        "groupby-min-pairs": (lambda: GroupByPruner("min", rows=16, cols=3), keyed),
+        "topn": (
+            lambda: TopNRandomizedPruner(n=5, rows=16, cols=3, seed=9),
+            lambda _, values: values,
+        ),
+        "having-max": (
+            lambda: HavingPruner(0.0, "max", dedupe_rows=16, dedupe_cols=2),
+            lambda ids, values: (ids, values),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", _pruner_cases())
+@_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    few=few_lanes,
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(("batch", "batch", "each", "reboot", "corrupt")),
+            st.sampled_from((1, 7, 16, 60, 4096)),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_pruner_batches_interleave_with_process_reboot_and_corruption(
+    case, seed, few, steps
+):
+    """``process_batch`` on one pruner, ``process`` on its twin: the same
+    masks, stats, cells and health gauges through any interleaving."""
+    with mock.patch.object(cachematrix, "_FEW_LANES", few):
+        _interleave(case, seed, steps)
+
+
+def _interleave(case, seed, steps):
+    make, entries_of = _pruner_cases()[case]
+    subject, oracle = make(), make()
+    rng = np.random.default_rng(seed)
+    for step, size in steps:
+        if step == "corrupt":  # parity-detected: the engine reboots at once
+            subject.corrupt_state(random.Random(seed))
+            oracle.corrupt_state(random.Random(seed))
+        if step in ("corrupt", "reboot"):
+            subject.reboot()
+            oracle.reboot()
+        size = min(size, 300)
+        ids = rng.integers(0, 12, size)
+        entries = entries_of(ids, rng.integers(0, 50, size).astype(np.float64))
+        pairs = list(zip(*entries)) if isinstance(entries, tuple) else entries
+        scalar = [e.item() if isinstance(e, np.generic) else e for e in pairs]
+        expected = [oracle.process(e).value == "forward" for e in scalar]
+        if step == "each":
+            got = [subject.process(e).value == "forward" for e in scalar]
+        else:
+            got = subject.process_batch(entries).tolist()
+        assert got == expected
+    assert (subject.stats.processed, subject.stats.pruned) == (
+        oracle.stats.processed, oracle.stats.pruned,
+    )
+    subject.observe_health()
+    oracle.observe_health()
+    assert subject.metrics.gauge_values() == oracle.metrics.gauge_values()
+    matrix = "_dedupe" if case == "having-max" else "_matrix"
+    assert _cells_of(getattr(subject, matrix)) == _cells_of(getattr(oracle, matrix))
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 40000])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 4096, 4097, 65536, 10**6, 2**32 + 1])
+def test_bulk_row_draws_equal_randrange_draws_and_state(n, count):
+    bulk, loop = random.Random(11), random.Random(11)
+    bulk.random()  # start mid-stream
+    loop.random()
+    drawn = draw_rows(bulk, n, count)
+    assert drawn.dtype == np.int64
+    assert drawn.tolist() == [loop.randrange(n) for _ in range(count)]
+    assert bulk.getstate() == loop.getstate()

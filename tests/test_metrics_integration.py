@@ -89,23 +89,37 @@ def _stream_for(pruner):
     return [i % 13 for i in range(50)]
 
 
+_FORMULA = ((col("x") > 10.0) & (col("y") <= 5)).to_formula(["x", "y"])
+
+#: One configuration of every core pruner, by class name.
+_PRUNER_FACTORIES = {
+    "PassthroughPruner": PassthroughPruner,
+    "DistinctPruner": lambda: DistinctPruner(rows=64, cols=2),
+    "FingerprintDistinctPruner": lambda: FingerprintDistinctPruner(
+        rows=64, cols=2, fingerprint_bits=16
+    ),
+    "TopNDeterministicPruner": lambda: TopNDeterministicPruner(n=10, thresholds=4),
+    "TopNRandomizedPruner": lambda: TopNRandomizedPruner(
+        n=10, rows=64, delta=1e-2, seed=1
+    ),
+    "GroupByPruner": lambda: GroupByPruner(rows=64, cols=4),
+    "FilterPruner": lambda: FilterPruner(_FORMULA),
+    "HavingPruner": lambda: HavingPruner(threshold=25.0, width=64, depth=2),
+    "SkylinePruner": lambda: SkylinePruner(dims=2, points=5, score="sum"),
+    "JoinPruner": lambda: JoinPruner("L", "R", memory_bits=1 << 16),
+}
+
+
+def _built(pruner):
+    """``pruner`` ready to stream: a JOIN needs its build pass first."""
+    if isinstance(pruner, JoinPruner):
+        pruner.build(list(range(10)), list(range(5, 15)))
+    return pruner
+
+
 def _all_pruners():
     """One configured instance of every core pruner."""
-    formula = ((col("x") > 10.0) & (col("y") <= 5)).to_formula(["x", "y"])
-    join = JoinPruner("L", "R", memory_bits=1 << 16)
-    join.build(list(range(10)), list(range(5, 15)))
-    return [
-        PassthroughPruner(),
-        DistinctPruner(rows=64, cols=2),
-        FingerprintDistinctPruner(rows=64, cols=2, fingerprint_bits=16),
-        TopNDeterministicPruner(n=10, thresholds=4),
-        TopNRandomizedPruner(n=10, rows=64, delta=1e-2, seed=1),
-        GroupByPruner(rows=64, cols=4),
-        FilterPruner(formula),
-        HavingPruner(threshold=25.0, width=64, depth=2),
-        SkylinePruner(dims=2, points=5, score="sum"),
-        join,
-    ]
+    return [_built(make()) for make in _PRUNER_FACTORIES.values()]
 
 
 @pytest.mark.parametrize(
@@ -123,6 +137,25 @@ def test_reset_zeroes_stats_and_registry(pruner):
     assert pruner.stats.forwarded == 0
     assert not any(pruner.metrics.counter_values().values())
     assert pruner.metrics.spans == []
+
+
+@pytest.mark.parametrize("name", _PRUNER_FACTORIES)
+def test_reset_then_replay_equals_a_fresh_instance(name):
+    """The contract resident worker templates lean on: decisions, stats and
+    health gauges after ``reset()`` are those of a newly built pruner —
+    including the rows a seeded pruner draws."""
+
+    def replay(pruner):
+        stream = _stream_for(_built(pruner)) * 20
+        mask = [pruner.process(entry) for entry in stream]
+        pruner.observe_health()
+        stats = (pruner.stats.processed, pruner.stats.pruned)
+        return mask, stats, pruner.metrics.gauge_values()
+
+    pruner = _PRUNER_FACTORIES[name]()
+    first = replay(pruner)
+    pruner.reset()
+    assert replay(pruner) == first == replay(_PRUNER_FACTORIES[name]())
 
 
 def test_reset_restores_initial_decisions():

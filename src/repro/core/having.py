@@ -28,7 +28,7 @@ import numpy as np
 from ..errors import ConfigurationError, UnsupportedOperationError
 from ..sketches.cachematrix import CacheMatrix
 from ..sketches.countmin import CountMinSketch
-from ..sketches.hashing import Hashable
+from ..sketches.hashing import Hashable, key_codes
 from ..switch.compiler import footprint_having
 from ..switch.resources import ResourceFootprint
 from .base import Guarantee, PruneDecision, Pruner, as_keyed_batch
@@ -228,19 +228,30 @@ def master_having(
     pair = isinstance(full_data, tuple) and len(full_data) == 2
     if pair and isinstance(full_data[0], np.ndarray):
         keys, values = full_data
+        unique, group = key_codes(keys)
         if candidate_keys is not None:
-            second = np.isin(keys, np.asarray(list(candidate_keys)))
-            keys, values = keys[second], values[second]
-        unique, group = np.unique(keys, return_inverse=True)
+            # The second pass keeps the columns whole: each distinct key
+            # finds its candidate in the small sorted candidate set, and the
+            # rows of other keys land in a spare group past the candidates.
+            distinct = unique
+            unique = np.unique(np.asarray(list(candidate_keys)))
+            if not len(unique):
+                return []
+            slot = np.searchsorted(unique, distinct)
+            np.minimum(slot, len(unique) - 1, out=slot)
+            slot[unique[slot] != distinct] = len(unique)
+            group = slot[group]
+        groups = len(unique) + 1
         if aggregate in _SKETCH_AGGREGATES:
             # bincount adds in stream order from 0.0, like the loop below.
             weights = values if aggregate == "sum" else None
-            totals = np.bincount(group, weights=weights, minlength=len(unique))
+            totals = np.bincount(group, weights=weights, minlength=groups)
         else:
             # fmax/fmin skip NaN values, like max()/min() against a total.
             best = np.fmax if aggregate == "max" else np.fmin
-            totals = np.full(len(unique), -np.inf if aggregate == "max" else np.inf)
+            totals = np.full(groups, -np.inf if aggregate == "max" else np.inf)
             best.at(totals, group, values)
+        totals = totals[:-1]
         keep = totals < threshold if aggregate == "min" else totals > threshold
         return unique[keep].tolist()
     candidates = None if candidate_keys is None else set(candidate_keys)

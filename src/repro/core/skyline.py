@@ -27,6 +27,7 @@ the master computes the exact skyline over forwarded + drained points.
 from __future__ import annotations
 
 import math
+from operator import ge
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +48,7 @@ def dominates(a: Point, b: Point) -> bool:
 
 def weakly_dominates(a: Point, b: Point) -> bool:
     """True when ``a`` is at least ``b`` in every dimension (paper's test)."""
-    return all(x >= y for x, y in zip(a, b))
+    return all(map(ge, a, b))
 
 
 def score_sum(point: Point) -> float:
@@ -215,11 +216,14 @@ class SkylinePruner(Pruner[Point]):
         With every slot full, a point scoring no higher than any stored
         point replaces nothing: the state stays, the packet carries the
         point itself, and it is pruned iff a stored point weakly dominates
-        it.  Only the other points (about ``w ln(n/w)`` of a shuffled
-        stream, all of an ascending one) replay :meth:`_decide`; each run
-        between two of them is one ``(m, w, D)`` comparison.
-        :attr:`last_batch_carried` is the ``(n, D)`` array of the points
-        the packets carried out, meaningful where the mask forwards.
+        it.  Only the other points — the movers: those filling a free
+        slot, then about ``w ln(n/w)`` of a shuffled stream, all of an
+        ascending one — replay :meth:`_decide`, in order.  Every other
+        point is judged against the slots as they stood in its gap between
+        two movers (one snapshot per gap): all gaps at once, one stored
+        slot at a time.  :attr:`last_batch_carried` is the
+        ``(n, D)`` array of the points the packets carried out,
+        meaningful where the mask forwards.
         """
         count = len(entries)
         points = np.asarray(entries, dtype=np.float64)
@@ -232,37 +236,61 @@ class SkylinePruner(Pruner[Point]):
             )
         self._check_dims(points[0])
         scores = self._score_batch(points)
-        score_of = scores.tolist()
         forward = np.zeros(count, dtype=bool)
         self.last_batch_carried = carried = points.copy()
 
-        def decide_run(lo: int, hi: int) -> None:
-            if lo == hi:
-                return
-            stored = np.array([point for _, point in self._slots])
-            kept = ~(stored >= points[lo:hi, None, :]).all(axis=2).any(axis=1)
-            forward[lo:hi] = kept
-            self.stats.record_batch(hi - lo, hi - lo - int(kept.sum()))
-            self._last_carried = tuple(points[hi - 1].tolist())
-
-        floor = self._floor()
-        # The floor only rises, so the first cut is a superset of the movers.
-        movers = (
-            range(count) if floor is None
-            else np.flatnonzero(scores > floor).tolist()
-        )
-        done = 0
-        for k in movers:
-            if floor is not None and not score_of[k] > floor:
-                continue
-            decide_run(done, k)
+        def walk(k: int, score: float) -> None:
             point = tuple(points[k].tolist())
-            if self._decide(point, score_of[k]) is PruneDecision.FORWARD:
+            if self._decide(point, score) is PruneDecision.FORWARD:
                 forward[k] = True
                 carried[k] = self._last_carried
-            floor = self._floor()
-            done = k + 1
-        decide_run(done, count)
+
+        # While a slot is free every arrival fills one.
+        start = 0
+        while start < count and None in self._slots:
+            walk(start, float(scores[start]))
+            start += 1
+        if start == count:
+            return forward
+        still = np.ones(count, dtype=bool)
+        still[:start] = False
+        # Per gap between movers: its first position and the slots' points
+        # while it streams.
+        gaps: List[int] = []
+        snapshots: List[Point] = []
+
+        def snapshot(first: int) -> None:
+            gaps.append(first)
+            snapshots.extend(point for _, point in self._slots)
+
+        floor = self._floor()
+        # The floor only rises, so this cut is a superset of the movers.
+        rising = np.flatnonzero(scores[start:] > floor) + start
+        for k, score in zip(rising.tolist(), scores[rising].tolist()):
+            if score > floor:
+                if k > start:
+                    snapshot(start)
+                walk(k, score)
+                still[k] = False
+                start = k + 1
+                floor = self._floor()
+        if start < count:
+            snapshot(start)
+            self._last_carried = tuple(points[-1].tolist())
+        rest = np.flatnonzero(still)
+        if not len(rest):
+            return forward
+        at = points[rest].T
+        gap = np.searchsorted(gaps, rest, side="right") - 1
+        stored = np.array(snapshots).reshape(len(gaps), self.num_points, self.dims)
+        dominated = np.zeros(len(rest), dtype=bool)
+        for slot in stored.transpose(1, 2, 0):
+            covers = slot[0][gap] >= at[0]
+            for d in range(1, self.dims):
+                covers &= slot[d][gap] >= at[d]
+            dominated |= covers
+        forward[rest] = ~dominated
+        self.stats.record_batch(len(rest), int(dominated.sum()))
         return forward
 
     @property
@@ -324,27 +352,73 @@ class SkylinePruner(Pruner[Point]):
         ).set(occupied / self.num_points)
 
 
-def master_skyline(points: Sequence[Point]) -> List[Point]:
+#: A block of the master's sort-filter pass takes at least this many points.
+_SFS_BLOCK = 256
+#: Point pairs one dominance comparison holds at most (bounds its memory).
+_PAIRS = 1 << 18
+
+
+def _dominated(points: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Which rows of ``points`` a *different* row of ``others`` weakly
+    dominates; the rows are distinct, so a row equal everywhere is the
+    point itself."""
+    out = np.zeros(len(points), dtype=bool)
+    step = max(1, _PAIRS // max(1, len(others)))
+    for lo in range(0, len(points), step):
+        chunk = points[lo : lo + step, :, None]
+        covers = np.ones((len(chunk), len(others)), dtype=bool)
+        same = covers.copy()
+        for d, column in enumerate(others.T):
+            covers &= column >= chunk[:, d]
+            same &= column == chunk[:, d]
+        out[lo : lo + step] = (covers & ~same).any(axis=1)
+    return out
+
+
+def master_skyline(points) -> List[Point]:
     """The master's completion: exact skyline (maximization, all dims).
 
-    Sort-filter-skyline: order candidates by a monotone score descending,
-    so a point can only be dominated by points *before* it — and any
-    dominator before it is itself in the skyline.  Each candidate then
-    compares against the skyline found so far (small), giving O(n * s)
-    instead of the naive O(n^2).  Output is identical to block-nested
-    loops; still the computationally expensive software step the paper
-    says makes high pruning rates matter for SKYLINE.
+    ``points`` is a sequence of tuples or an ``(n, D)`` array; tuples are
+    built only for the output.  Block sort-filter-skyline over the
+    distinct points (tuple equality: ``-0.0 == 0.0``, and a point with a
+    NaN equals nothing, dominates nothing and is dominated by nothing):
+    ordered by a monotone score descending, a point's dominators score at
+    least as high, so with blocks cut only where the score drops they all
+    sit in its own block or an earlier one.  A block's skyline is what no
+    other point of the block dominates; it then drops every later point
+    it dominates in one vector pass.  Output is identical to
+    block-nested loops; still the computationally expensive software step
+    the paper says makes high pruning rates matter for SKYLINE.
     """
-    unique = list(dict.fromkeys(tuple(p) for p in points))
-    unique.sort(key=score_sum, reverse=True)
-    result: List[Point] = []
-    for candidate in unique:
-        if not any(
-            other != candidate and weakly_dominates(other, candidate)
-            for other in result
-        ):
-            result.append(candidate)
-    return result
+    array = np.asarray(points)
+    if not array.size:
+        return []
+    order = np.lexsort(array.T[::-1])  # stable: first occurrences lead
+    ranked = array[order]
+    first = np.ones(len(array), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    distinct = array[np.sort(order[first])]
+    nan = (distinct != distinct).any(axis=1)
+    rest = distinct[~nan]
+    # A clipped sum: monotone, and never inf - inf.
+    limit = np.finfo(np.float64).max
+    scores = np.zeros(len(rest))
+    for column in np.clip(rest.astype(np.float64), -limit, limit).T:
+        scores += column
+    rank = np.argsort(-scores, kind="stable")
+    rest, negated = rest[rank], -scores[rank]
+    blocks = []
+    while len(rest):
+        cut = np.searchsorted(
+            negated, negated[min(_SFS_BLOCK, len(rest)) - 1], side="right"
+        )
+        block = rest[:cut]
+        blocks.append(block[~_dominated(block, block)])
+        rest, negated = rest[cut:], negated[cut:]
+        keep = ~_dominated(rest, blocks[-1])
+        rest, negated = rest[keep], negated[keep]
+    blocks.append(distinct[nan])
+    return list(map(tuple, np.concatenate(blocks).tolist()))
 
 
 def reflect_point(

@@ -326,6 +326,22 @@ def master_topn(survivors: Sequence[float], n: int) -> List[float]:
 
     This is the software algorithm the paper notes "processes millions of
     entries per second" — cheap, which is why TOP N tolerates lower
-    pruning rates than SKYLINE.
+    pruning rates than SKYLINE.  A float array is selected without boxing
+    a value: ``np.partition`` finds the N-th largest, the values above it
+    and the first of its ties in stream order are kept, and a stable sort
+    orders them — the heap's values, order and tie-breaks (``-0.0`` and
+    ``0.0`` are ties).  A NaN, which a heap orders by position, takes the
+    heap.
     """
-    return heapq.nlargest(n, survivors)
+    if not isinstance(survivors, np.ndarray):
+        return heapq.nlargest(n, survivors)
+    values = survivors
+    if n <= 0 or np.isnan(values).any():
+        return heapq.nlargest(n, values.tolist())
+    if n < len(values):
+        nth = np.partition(values, len(values) - n)[len(values) - n]
+        keep = values > nth
+        ties = np.flatnonzero(values == nth)[: n - np.count_nonzero(keep)]
+        keep[ties] = True
+        values = values[keep]
+    return values[np.argsort(-values, kind="stable")].tolist()

@@ -10,7 +10,8 @@ The steps are the operators' kernels: the fused program when it compiles
 WHERE stage otherwise (:func:`pruner_step`), the JOIN probe and the
 HAVING sketch (:func:`join_probe`, :func:`having_sketch`).  SKYLINE is
 the one operator whose switch forwards something other than the arriving
-entry — the *carried* point — so :func:`skyline_stream` returns points.
+entry — the *carried* point — so :func:`skyline_stream` returns a point
+array.
 
 Completion is likewise one function per direction:
 :func:`single_pass_partial` gathers only the streamed columns for a set
@@ -195,15 +196,15 @@ def having_sketch(pruner, keys: np.ndarray, values: np.ndarray, row_ids: RowIds,
 
 def skyline_stream(pruner, matrix: np.ndarray, batch_size: int):
     """SKYLINE's stream over a point matrix: ``(streamed, forwarded,
-    received)`` where ``received`` are the *carried* points the switch
-    forwarded.  The caller drains the pruner at FIN."""
-    received: List[Tuple[float, ...]] = []
-    forwarded = 0
+    received)`` where ``received`` is the ``(m, D)`` array of the
+    *carried* points the switch forwarded.  The caller drains the pruner
+    at FIN."""
+    chunks = [matrix[:0]]
     for lo in range(0, len(matrix), batch_size):
         forward = pruner.process_batch(matrix[lo : lo + batch_size])
-        forwarded += int(np.count_nonzero(forward))
-        received.extend(map(tuple, pruner.last_batch_carried[forward].tolist()))
-    return len(matrix), forwarded, received
+        chunks.append(pruner.last_batch_carried[forward])
+    received = np.concatenate(chunks)
+    return len(matrix), len(received), received
 
 
 def point_matrix(table: Table, columns: Sequence[str]) -> np.ndarray:
@@ -246,7 +247,7 @@ def single_pass_partial(
         return set(parts[0]) if len(parts) == 1 else set(zip(*parts))
     if isinstance(op, TopNOp):
         values = sub.column(op.order_by).astype(np.float64)
-        return (values if op.descending else -values).tolist()
+        return values if op.descending else -values
     if isinstance(op, GroupByOp):
         keys = sub.column(op.key).tolist()
         values = sub.column(op.value).astype(np.float64).tolist()
@@ -263,12 +264,13 @@ def merge_single_pass(query: Query, partials: Sequence) -> object:
         return set(concat_ids(list(partials)).tolist())
     if isinstance(op, DistinctOp):
         return set().union(*partials)
-    merged = [entry for part in partials for entry in part]
     if isinstance(op, TopNOp):
-        top = master_topn(merged, op.n)
+        top = master_topn(np.concatenate(partials), op.n)
         return top if op.descending else [-v for v in top]
     if isinstance(op, GroupByOp):
-        return master_groupby(merged, op.aggregate)
+        return master_groupby(
+            [entry for part in partials for entry in part], op.aggregate
+        )
     raise PlanError(f"no completion for {type(op).__name__}")
 
 

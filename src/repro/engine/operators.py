@@ -773,23 +773,23 @@ class _Having(OperatorPlan):
     def complete(self, shard, sides, partials, index):
         op = shard.queries[0].operator
         keys, values = sides[0].arrays()
-        extra = []
-        if not shard.pruners:
-            # A baseline has no second pass: everything streamed already.
-            second = slice(None)
-        else:
+        candidates, extra = None, []
+        # A baseline has no second pass: everything streamed already.
+        if shard.pruners:
             # Partial second pass: only entries of candidate keys re-stream
             # (every entry once a recovery made every key a candidate).
             with shard.registry.trace("having-refetch"):
                 if any(p.get("refetch_all") for p in partials):
-                    second = np.ones(len(keys), dtype=bool)
+                    refetch = len(keys)
                 else:
-                    ids = concat_ids([p["out"] for p in partials])
-                    second = np.isin(keys, keys[ids])
-                refetch = int(np.count_nonzero(second))
+                    candidates = np.unique(
+                        keys[concat_ids([p["out"] for p in partials])]
+                    )
+                    member = np.isin(keys, candidates, kind="sort")
+                    refetch = int(np.count_nonzero(member))
             extra.append(("having-refetch", refetch, refetch))
         output = master_having(
-            None, (keys[second], values[second]), op.threshold, op.aggregate
+            candidates, (keys, values), op.threshold, op.aggregate
         )
         return set(output), extra
 
@@ -828,12 +828,13 @@ class _Skyline(OperatorPlan):
         return [Side(op.table, table, list(op.columns), matrix=True)]
 
     def bypass(self, arrays, ids):
-        return list(map(tuple, arrays[0][ids].tolist()))
+        return arrays[0][ids]
 
     def stream(self, shard, arrays, row_ids, batch_size, chaos=None):
         (pruner,), (matrix,) = shard.pruners, arrays
         if chaos is None:
             streamed, forwarded, received = skyline_stream(pruner, matrix, batch_size)
+            outs = [received]
         else:
             #: Segments streamed through the cache since its last wipe.
             replay: List[np.ndarray] = []
@@ -862,13 +863,15 @@ class _Skyline(OperatorPlan):
                 range(len(matrix)), 0, "skyline-stream", kernel, recover,
                 bypass=partial(self.bypass, arrays),
             )
-            received = [point for out in outs for point in out]
         drained = pruner.drain()
-        received.extend(drained)
-        return {"volumes": [(streamed, forwarded + len(drained))], "out": received}
+        outs.append(np.array(drained, dtype=np.float64).reshape(-1, matrix.shape[1]))
+        return {
+            "volumes": [(streamed, forwarded + len(drained))],
+            "out": np.concatenate(outs),
+        }
 
     def complete(self, shard, sides, partials, index):
-        received = [point for p in partials for point in p["out"]]
+        received = np.concatenate([p["out"] for p in partials])
         return set(master_skyline(received)), []
 
 

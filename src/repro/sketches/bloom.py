@@ -31,13 +31,15 @@ from .hashing import (
     hash_family,
     hash_range,
     hash_range_batch,
+    key_codes,
 )
 
 _WORD_BITS = 64
 
-#: ``add_batch`` hashes this many values at a time: a whole build column at
-#: once makes its canonical/index/limb temporaries a query's memory peak.
-_INSERT_SLICE = 1 << 15
+#: ``add_batch`` and ``contains_batch`` hash this many values at a time: a
+#: whole column at once makes its canonical/index temporaries a query's
+#: memory peak.
+_SLICE = 1 << 15
 
 
 class BloomFilter:
@@ -64,7 +66,8 @@ class BloomFilter:
         self._hash_fns = hash_family(hashes, size_bits, base_seed=seed)
         # The same per-unit seeds hash_family derives, for the batch path.
         self._seeds = [seed * 0x1000 + i + 1 for i in range(hashes)]
-        self._words = bytearray((size_bits + 7) // 8)
+        # Whole 64-bit words, so the popcount runs a word at a time.
+        self._words = bytearray(-(-size_bits // 64) * 8)
         self._inserted = 0
 
     def add(self, value: Hashable) -> None:
@@ -87,31 +90,35 @@ class BloomFilter:
         irrelevant to the final filter state).
         """
         count = len(values)
+        if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+            values = key_codes(values)[0]  # a repeated key sets the same bits
         words = np.frombuffer(self._words, dtype=np.uint8)
-        for lo in range(0, count, _INSERT_SLICE):
-            canon = canonical_batch(values[lo : lo + _INSERT_SLICE])
+        for lo in range(0, len(values), _SLICE):
+            canon = canonical_batch(values[lo : lo + _SLICE])
             for seed in self._seeds:
                 index = hash_range_batch(None, self.size_bits, seed, canonical=canon)
-                np.bitwise_or.at(
-                    words,
-                    (index >> np.uint64(3)).astype(np.int64),
-                    np.left_shift(np.uint8(1), (index & np.uint64(7)).astype(np.uint8)),
-                )
+                at = (index >> np.uint64(3)).astype(np.intp)
+                bits = np.left_shift(np.uint8(1), (index & np.uint64(7)).astype(np.uint8))
+                # A scatter keeps one write per byte; the bits it lost go again.
+                while len(at):
+                    words[at] |= bits
+                    lost = (words[at] & bits) != bits
+                    at, bits = at[lost], bits[lost]
         self._inserted += count
 
     def contains_batch(self, values: Sequence[Hashable]) -> np.ndarray:
         """Vectorized membership probe: ``result[i] == (values[i] in self)``."""
         count = len(values)
         result = np.ones(count, dtype=bool)
-        if count == 0:
-            return result
         words = np.frombuffer(self._words, dtype=np.uint8)
-        canon = canonical_batch(values)
-        for seed in self._seeds:
-            index = hash_range_batch(None, self.size_bits, seed, canonical=canon)
-            byte = words[(index >> np.uint64(3)).astype(np.int64)]
-            bit = (byte >> (index & np.uint64(7)).astype(np.uint8)) & np.uint8(1)
-            result &= bit.astype(bool)
+        for lo in range(0, count, _SLICE):
+            canon = canonical_batch(values[lo : lo + _SLICE])
+            hit = result[lo : lo + _SLICE]
+            for seed in self._seeds:
+                index = hash_range_batch(None, self.size_bits, seed, canonical=canon)
+                byte = words[(index >> np.uint64(3)).astype(np.int64)]
+                bit = (byte >> (index & np.uint64(7)).astype(np.uint8)) & np.uint8(1)
+                hit &= bit.astype(bool)
         return result
 
     def update(self, values: Iterable[Hashable]) -> None:
@@ -121,8 +128,7 @@ class BloomFilter:
 
     def clear(self) -> None:
         """Reset the filter to empty (switch reboot / new query)."""
-        for i in range(len(self._words)):
-            self._words[i] = 0
+        np.frombuffer(self._words, dtype=np.uint8).fill(0)
         self._inserted = 0
 
     def flip_bit(self, index: int) -> bool:
@@ -147,7 +153,7 @@ class BloomFilter:
     def fill_ratio(self) -> float:
         """Fraction of set bits, an observable FP-rate proxy."""
         set_bits = int(
-            np.bitwise_count(np.frombuffer(self._words, dtype=np.uint8)).sum()
+            np.bitwise_count(np.frombuffer(self._words, dtype=np.uint64)).sum()
         )
         return set_bits / self.size_bits
 
@@ -242,8 +248,8 @@ class RegisterBloomFilter:
     def add_batch(self, values: Sequence[Hashable]) -> None:
         """Vectorized :meth:`add`: OR all masks into their registers."""
         count = len(values)
-        for lo in range(0, count, _INSERT_SLICE):
-            canon = canonical_batch(values[lo : lo + _INSERT_SLICE])
+        for lo in range(0, count, _SLICE):
+            canon = canonical_batch(values[lo : lo + _SLICE])
             index = hash_range_batch(
                 None, self._num_words, self._seed ^ 0x5E6, canonical=canon
             )
@@ -270,7 +276,7 @@ class RegisterBloomFilter:
 
     def clear(self) -> None:
         """Reset all registers to zero."""
-        self._registers = np.zeros(self._num_words, dtype=np.uint64)
+        self._registers.fill(0)
         self._inserted = 0
 
     def flip_bit(self, index: int) -> bool:

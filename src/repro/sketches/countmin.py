@@ -22,6 +22,7 @@ from .hashing import (
     canonical_batch,
     hash_family,
     hash_range_batch,
+    key_codes,
     stable_order,
 )
 
@@ -137,10 +138,15 @@ class CountMinSketch:
 
         The returned estimates are exactly what the scalar ``add`` loop
         would have returned entry by entry — including the interaction of
-        duplicate keys *inside* the batch, which is reconstructed with a
-        grouped running sum.  Conservative update is inherently sequential
-        (each update depends on the estimate after the previous one), so
-        that variant falls back to the scalar loop.
+        duplicate keys *inside* the batch.  The work is per key, not per
+        entry: equal canonical values hit the same counter in every row,
+        so only the batch's distinct keys are hashed, one stable sort by
+        key gives each entry its key's running sum, and counters grow by
+        per-key totals.  In a row where two batch keys share a counter,
+        just those keys' entries re-sum by counter.  Conservative update
+        is inherently sequential (each update depends on the estimate
+        after the previous one), so that variant falls back to the scalar
+        loop.
         """
         count = len(keys)
         amounts_arr = np.broadcast_to(
@@ -157,18 +163,42 @@ class CountMinSketch:
                 dtype=np.int64,
                 count=count,
             )
-        canon = canonical_batch(keys)
-        estimates = None
+        # Integer keys are their own canonical values, so they group as is.
+        ints = isinstance(keys, np.ndarray) and keys.dtype.kind in "iu"
+        distinct, key_of = key_codes(keys if ints else canonical_batch(keys))
+        distinct = canonical_batch(distinct)
+        # Each entry's running sum within its key, from one stable sort.
+        per_key = np.bincount(key_of, minlength=len(distinct))
+        order = stable_order(key_of, len(distinct))
+        by_key = np.cumsum(amounts_arr[order])
+        ends = by_key[np.cumsum(per_key) - 1]
+        totals = np.diff(ends, prepend=0)
+        by_key -= np.repeat(ends - totals, per_key)
+        running = np.empty_like(by_key)
+        running[order] = by_key
+        # An entry's estimate is its running sum over the lowest counter its
+        # key owns alone; where keys share a counter, over that counter's
+        # own running sum.
+        lowest = np.full(len(distinct), np.iinfo(np.int64).max)
+        shared_rows = []
         for r, seed in enumerate(self._seeds):
-            idx = hash_range_batch(None, self.width, seed, canonical=canon)
-            idx = idx.astype(np.int64)
-            running = self._rows[r][idx] + _grouped_running_sum(
-                idx, amounts_arr, self.width
-            )
-            np.add.at(self._rows[r], idx, amounts_arr)
-            estimates = running if estimates is None else np.minimum(estimates, running)
+            row = self._rows[r]
+            cells = hash_range_batch(None, self.width, seed, canonical=distinct)
+            cells = cells.astype(np.int64)
+            _, slot, sharing = np.unique(cells, return_inverse=True, return_counts=True)
+            alone = sharing[slot] == 1
+            np.minimum(lowest, row[cells], out=lowest, where=alone)
+            if not alone.all():
+                shared = np.flatnonzero(~alone[key_of])
+                at = cells[key_of[shared]]
+                sums = _grouped_running_sum(at, amounts_arr[shared], self.width)
+                shared_rows.append((shared, row[at] + sums - running[shared]))
+            np.add.at(row, cells, totals)
+        base = lowest[key_of]
+        for shared, floor in shared_rows:
+            base[shared] = np.minimum(base[shared], floor)
         self._total += int(amounts_arr.sum())
-        return estimates
+        return base + running
 
     def update(self, pairs: Iterable[Tuple[Hashable, int]]) -> None:
         """Add a stream of ``(key, amount)`` pairs."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -235,11 +235,40 @@ def hash_range_batch(
     """Vectorized :func:`hash_range`: indexes in ``{0, ..., n-1}``.
 
     Same Lemire high-multiply reduction as the scalar function, computed
-    with 32-bit limb arithmetic (numpy has no 128-bit integers).
+    with 32-bit limb arithmetic (numpy has no 128-bit integers).  For
+    ``n == 2**k`` the product's high word is the hash's top ``k`` bits —
+    a bit slice, as the switch's hash unit takes it — so one shift does.
     """
     if n <= 0:
         raise ValueError(f"range size must be positive, got {n}")
-    return _mulhi64(hash64_batch(values, seed, canonical=canonical), n)
+    hashed = hash64_batch(values, seed, canonical=canonical)
+    if n & (n - 1) == 0:
+        shift = 65 - n.bit_length()
+        if shift == 64:  # n == 1
+            return np.zeros_like(hashed)
+        hashed >>= _U64(shift)
+        return hashed
+    return _mulhi64(hashed, n)
+
+
+def key_codes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` of a 1-D array.
+
+    An integer array spanning at most as many values as it holds (codes,
+    ids) is ranked through one count table instead of a sort.  Offsets
+    are taken in ``intp`` arithmetic, which wraps, so they are exact for
+    every integer width.
+    """
+    if values.dtype.kind in "iu" and len(values):
+        lo = values.min()
+        if int(values.max()) - int(lo) <= len(values):
+            offset = np.subtract(values, lo, dtype=np.intp, casting="unsafe")
+            seen = np.bincount(offset) > 0
+            rank = np.cumsum(seen) - 1
+            distinct = lo + np.flatnonzero(seen).astype(values.dtype)
+            # In place: each code overwrites its own offset.
+            return distinct, np.take(rank, offset, out=offset, mode="clip")
+    return np.unique(values, return_inverse=True)
 
 
 def stable_order(ids: np.ndarray, bound: int) -> np.ndarray:

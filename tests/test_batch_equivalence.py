@@ -207,6 +207,13 @@ class TestSketchBatch:
         batch.add_batch(str_inserts)
         assert bytes(batch._words) == bytes(scalar._words)
         assert batch.inserted == scalar.inserted
+        # An integer array is deduplicated before hashing; bits that share
+        # a byte are set over several scatter rounds.
+        arrayed = BloomFilter(size_bits=1 << 14, hashes=3, seed=4)
+        arrayed.add_batch(np.array(inserts))
+        arrayed.add_batch(str_inserts)
+        assert bytes(arrayed._words) == bytes(scalar._words)
+        assert arrayed.inserted == scalar.inserted
         got = batch.contains_batch(probes)
         assert [bool(x) for x in got] == [p in scalar for p in probes]
 

@@ -78,6 +78,21 @@ class TestBloomFilter:
         assert a._words != b._words  # different bit layout
 
 
+@pytest.mark.parametrize("cls", [BloomFilter, RegisterBloomFilter])
+def test_reset_state_equals_a_fresh_filter(cls):
+    """``clear()`` zeroes the bit buffer in place: bits, fill ratio and
+    insert count then read exactly as a freshly built filter's."""
+    fresh = cls(1 << 12, hashes=3, seed=4)
+    used = cls(1 << 12, hashes=3, seed=4)
+    used.add_batch(list(range(300)))
+    used.add("x")
+    used.clear()
+    bits = "_words" if cls is BloomFilter else "_registers"
+    assert bytes(getattr(used, bits)) == bytes(getattr(fresh, bits))
+    assert used.fill_ratio() == fresh.fill_ratio() == 0.0
+    assert used.inserted == fresh.inserted == 0
+
+
 class TestRegisterBloomFilter:
     def test_added_value_is_member(self):
         rbf = RegisterBloomFilter(1 << 12, hashes=3)

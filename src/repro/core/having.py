@@ -227,33 +227,7 @@ def master_having(
         raise ConfigurationError(f"unknown aggregate {aggregate!r}")
     pair = isinstance(full_data, tuple) and len(full_data) == 2
     if pair and isinstance(full_data[0], np.ndarray):
-        keys, values = full_data
-        unique, group = key_codes(keys)
-        if candidate_keys is not None:
-            # The second pass keeps the columns whole: each distinct key
-            # finds its candidate in the small sorted candidate set, and the
-            # rows of other keys land in a spare group past the candidates.
-            distinct = unique
-            unique = np.unique(np.asarray(list(candidate_keys)))
-            if not len(unique):
-                return []
-            slot = np.searchsorted(unique, distinct)
-            np.minimum(slot, len(unique) - 1, out=slot)
-            slot[unique[slot] != distinct] = len(unique)
-            group = slot[group]
-        groups = len(unique) + 1
-        if aggregate in _SKETCH_AGGREGATES:
-            # bincount adds in stream order from 0.0, like the loop below.
-            weights = values if aggregate == "sum" else None
-            totals = np.bincount(group, weights=weights, minlength=groups)
-        else:
-            # fmax/fmin skip NaN values, like max()/min() against a total.
-            best = np.fmax if aggregate == "max" else np.fmin
-            totals = np.full(groups, -np.inf if aggregate == "max" else np.inf)
-            best.at(totals, group, values)
-        totals = totals[:-1]
-        keep = totals < threshold if aggregate == "min" else totals > threshold
-        return unique[keep].tolist()
+        return second_pass(candidate_keys, *full_data, threshold, aggregate)[0]
     candidates = None if candidate_keys is None else set(candidate_keys)
     totals: Dict[Hashable, float] = {}
     for key, value in full_data:
@@ -270,6 +244,40 @@ def master_having(
     if aggregate == "min":
         return [key for key, total in totals.items() if total < threshold]
     return [key for key, total in totals.items() if total > threshold]
+
+
+def second_pass(
+    candidate_keys, keys: np.ndarray, values: np.ndarray, threshold: float, aggregate: str
+) -> Tuple[List[Hashable], int]:
+    """:func:`master_having` over aligned ``keys``/``values`` arrays, and
+    how many rows the partial second pass re-streams (the candidate keys'
+    rows), both from one grouping of the key column."""
+    unique, group = key_codes(keys)
+    if candidate_keys is not None:
+        # Each distinct key finds its slot in the small sorted candidate
+        # set; rows of other keys land in a spare group past the candidates.
+        distinct = unique
+        unique = np.unique(np.asarray(list(candidate_keys)))
+        if not len(unique):
+            return [], 0
+        slot = np.searchsorted(unique, distinct)
+        np.minimum(slot, len(unique) - 1, out=slot)
+        slot[unique[slot] != distinct] = len(unique)
+        group = slot[group]
+    groups = len(unique) + 1
+    if aggregate in _SKETCH_AGGREGATES:
+        # bincount adds in stream order from 0.0, like master_having's loop.
+        weights = values if aggregate == "sum" else None
+        totals = np.bincount(group, weights=weights, minlength=groups)
+    else:
+        # fmax/fmin skip NaN values, like max()/min() against a total.
+        best = np.fmax if aggregate == "max" else np.fmin
+        totals = np.full(groups, -np.inf if aggregate == "max" else np.inf)
+        best.at(totals, group, values)
+    totals = totals[:-1]
+    keep = totals < threshold if aggregate == "min" else totals > threshold
+    refetched = len(keys) - int(np.count_nonzero(group == len(unique)))
+    return unique[keep].tolist(), refetched
 
 
 def reference_having(

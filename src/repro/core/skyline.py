@@ -27,7 +27,6 @@ the master computes the exact skyline over forwarded + drained points.
 from __future__ import annotations
 
 import math
-from operator import ge
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,7 +47,7 @@ def dominates(a: Point, b: Point) -> bool:
 
 def weakly_dominates(a: Point, b: Point) -> bool:
     """True when ``a`` is at least ``b`` in every dimension (paper's test)."""
-    return all(map(ge, a, b))
+    return all(x >= y for x, y in zip(a, b))
 
 
 def score_sum(point: Point) -> float:
@@ -220,10 +219,9 @@ class SkylinePruner(Pruner[Point]):
         slot, then about ``w ln(n/w)`` of a shuffled stream, all of an
         ascending one — replay :meth:`_decide`, in order.  Every other
         point is judged against the slots as they stood in its gap between
-        two movers (one snapshot per gap): all gaps at once, one stored
-        slot at a time.  :attr:`last_batch_carried` is the
-        ``(n, D)`` array of the points the packets carried out,
-        meaningful where the mask forwards.
+        two movers: all gaps at once, one stored slot at a time.
+        :attr:`last_batch_carried` is the ``(n, D)`` array of the points
+        the packets carried out, meaningful where the mask forwards.
         """
         count = len(entries)
         points = np.asarray(entries, dtype=np.float64)
@@ -246,40 +244,31 @@ class SkylinePruner(Pruner[Point]):
                 carried[k] = self._last_carried
 
         # While a slot is free every arrival fills one.
-        start = 0
-        while start < count and None in self._slots:
-            walk(start, float(scores[start]))
-            start += 1
+        start = min(count, self._slots.count(None))
+        for k in range(start):
+            walk(k, float(scores[k]))
         if start == count:
             return forward
-        still = np.ones(count, dtype=bool)
-        still[:start] = False
-        # Per gap between movers: its first position and the slots' points
-        # while it streams.
-        gaps: List[int] = []
-        snapshots: List[Point] = []
-
-        def snapshot(first: int) -> None:
-            gaps.append(first)
-            snapshots.extend(point for _, point in self._slots)
-
+        still = np.arange(count) >= start
+        # Per gap before each mover and after the last: its first position
+        # and the slots' points while it streams.
+        gaps, snapshots = [], []
         floor = self._floor()
         # The floor only rises, so this cut is a superset of the movers.
         rising = np.flatnonzero(scores[start:] > floor) + start
         for k, score in zip(rising.tolist(), scores[rising].tolist()):
             if score > floor:
-                if k > start:
-                    snapshot(start)
+                gaps.append(start)
+                snapshots.extend(point for _, point in self._slots)
                 walk(k, score)
                 still[k] = False
                 start = k + 1
                 floor = self._floor()
+        gaps.append(start)
+        snapshots.extend(point for _, point in self._slots)
         if start < count:
-            snapshot(start)
             self._last_carried = tuple(points[-1].tolist())
         rest = np.flatnonzero(still)
-        if not len(rest):
-            return forward
         at = points[rest].T
         gap = np.searchsorted(gaps, rest, side="right") - 1
         stored = np.array(snapshots).reshape(len(gaps), self.num_points, self.dims)
@@ -360,8 +349,7 @@ _PAIRS = 1 << 18
 
 def _dominated(points: np.ndarray, others: np.ndarray) -> np.ndarray:
     """Which rows of ``points`` a *different* row of ``others`` weakly
-    dominates; the rows are distinct, so a row equal everywhere is the
-    point itself."""
+    dominates (rows are distinct: one equal everywhere is the point)."""
     out = np.zeros(len(points), dtype=bool)
     step = max(1, _PAIRS // max(1, len(others)))
     for lo in range(0, len(points), step):
@@ -378,17 +366,15 @@ def _dominated(points: np.ndarray, others: np.ndarray) -> np.ndarray:
 def master_skyline(points) -> List[Point]:
     """The master's completion: exact skyline (maximization, all dims).
 
-    ``points`` is a sequence of tuples or an ``(n, D)`` array; tuples are
-    built only for the output.  Block sort-filter-skyline over the
-    distinct points (tuple equality: ``-0.0 == 0.0``, and a point with a
-    NaN equals nothing, dominates nothing and is dominated by nothing):
-    ordered by a monotone score descending, a point's dominators score at
-    least as high, so with blocks cut only where the score drops they all
-    sit in its own block or an earlier one.  A block's skyline is what no
-    other point of the block dominates; it then drops every later point
-    it dominates in one vector pass.  Output is identical to
-    block-nested loops; still the computationally expensive software step
-    the paper says makes high pruning rates matter for SKYLINE.
+    ``points`` is tuples or an ``(n, D)`` array; tuples are built only for
+    the output.  Block sort-filter-skyline over the distinct points (tuple
+    equality: ``-0.0 == 0.0``; a NaN point equals, dominates and is
+    dominated by nothing): by a monotone score descending, with blocks cut
+    only where the score drops, a point's dominators sit in its own block
+    or an earlier one, and each block's skyline drops the later points it
+    dominates in one vector pass.  Output is identical to block-nested
+    loops; still the computationally expensive software step the paper
+    says makes high pruning rates matter for SKYLINE.
     """
     array = np.asarray(points)
     if not array.size:

@@ -326,22 +326,18 @@ def master_topn(survivors: Sequence[float], n: int) -> List[float]:
 
     This is the software algorithm the paper notes "processes millions of
     entries per second" — cheap, which is why TOP N tolerates lower
-    pruning rates than SKYLINE.  A float array is selected without boxing
-    a value: ``np.partition`` finds the N-th largest, the values above it
-    and the first of its ties in stream order are kept, and a stable sort
-    orders them — the heap's values, order and tie-breaks (``-0.0`` and
-    ``0.0`` are ties).  A NaN, which a heap orders by position, takes the
-    heap.
+    pruning rates than SKYLINE.  A float array is selected unboxed
+    (``np.partition``, then a stable sort: the heap's order and ties); one
+    holding a NaN, which the heap orders by position, takes the heap.
     """
     if not isinstance(survivors, np.ndarray):
         return heapq.nlargest(n, survivors)
-    values = survivors
-    if n <= 0 or np.isnan(values).any():
-        return heapq.nlargest(n, values.tolist())
-    if n < len(values):
-        nth = np.partition(values, len(values) - n)[len(values) - n]
-        keep = values > nth
-        ties = np.flatnonzero(values == nth)[: n - np.count_nonzero(keep)]
+    if n <= 0 or np.isnan(survivors).any():
+        return heapq.nlargest(n, survivors.tolist())
+    if n < len(survivors):
+        nth = np.partition(survivors, len(survivors) - n)[len(survivors) - n]
+        keep = survivors > nth
+        ties = np.flatnonzero(survivors == nth)[: n - np.count_nonzero(keep)]
         keep[ties] = True
-        values = values[keep]
-    return values[np.argsort(-values, kind="stable")].tolist()
+        survivors = survivors[keep]
+    return survivors[np.argsort(-survivors, kind="stable")].tolist()

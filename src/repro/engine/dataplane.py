@@ -196,9 +196,8 @@ def having_sketch(pruner, keys: np.ndarray, values: np.ndarray, row_ids: RowIds,
 
 def skyline_stream(pruner, matrix: np.ndarray, batch_size: int):
     """SKYLINE's stream over a point matrix: ``(streamed, forwarded,
-    received)`` where ``received`` is the ``(m, D)`` array of the
-    *carried* points the switch forwarded.  The caller drains the pruner
-    at FIN."""
+    received)`` where ``received`` is the ``(m, D)`` array of the *carried*
+    points the switch forwarded.  The caller drains the pruner at FIN."""
     chunks = [matrix[:0]]
     for lo in range(0, len(matrix), batch_size):
         forward = pruner.process_batch(matrix[lo : lo + batch_size])

@@ -39,7 +39,7 @@ from ..core.base import PruneDecision, Pruner
 from ..core.distinct import DistinctPruner, FingerprintDistinctPruner
 from ..core.filtering import FilterPruner
 from ..core.groupby import GroupByPruner
-from ..core.having import HavingPruner, master_having
+from ..core.having import HavingPruner, master_having, second_pass
 from ..core.join import JoinPruner
 from ..core.skyline import SkylinePruner, master_skyline
 from ..core.summary import is_reboot_safe
@@ -773,25 +773,20 @@ class _Having(OperatorPlan):
     def complete(self, shard, sides, partials, index):
         op = shard.queries[0].operator
         keys, values = sides[0].arrays()
-        candidates, extra = None, []
-        # A baseline has no second pass: everything streamed already.
-        if shard.pruners:
-            # Partial second pass: only entries of candidate keys re-stream
-            # (every entry once a recovery made every key a candidate).
-            with shard.registry.trace("having-refetch"):
-                if any(p.get("refetch_all") for p in partials):
-                    refetch = len(keys)
-                else:
-                    candidates = np.unique(
-                        keys[concat_ids([p["out"] for p in partials])]
-                    )
-                    member = np.isin(keys, candidates, kind="sort")
-                    refetch = int(np.count_nonzero(member))
-            extra.append(("having-refetch", refetch, refetch))
-        output = master_having(
-            candidates, (keys, values), op.threshold, op.aggregate
-        )
-        return set(output), extra
+        if not shard.pruners:
+            # A baseline has no second pass: everything streamed already.
+            output = master_having(None, (keys, values), op.threshold, op.aggregate)
+            return set(output), []
+        # Partial second pass: only entries of candidate keys re-stream
+        # (every entry once a recovery made every key a candidate).
+        candidates = None
+        if not any(p.get("refetch_all") for p in partials):
+            candidates = np.unique(keys[concat_ids([p["out"] for p in partials])])
+        with shard.registry.trace("having-refetch"):
+            output, refetch = second_pass(
+                candidates, keys, values, op.threshold, op.aggregate
+            )
+        return set(output), [("having-refetch", refetch, refetch)]
 
 
 class _Skyline(OperatorPlan):

@@ -31,14 +31,12 @@ from .hashing import (
     hash_family,
     hash_range,
     hash_range_batch,
-    key_codes,
 )
 
 _WORD_BITS = 64
 
-#: ``add_batch`` and ``contains_batch`` hash this many values at a time: a
-#: whole column at once makes its canonical/index temporaries a query's
-#: memory peak.
+#: ``add_batch``/``contains_batch`` hash this many values at a time: a whole
+#: column at once makes its canonical/index temporaries a query's memory peak.
 _SLICE = 1 << 15
 
 
@@ -66,8 +64,7 @@ class BloomFilter:
         self._hash_fns = hash_family(hashes, size_bits, base_seed=seed)
         # The same per-unit seeds hash_family derives, for the batch path.
         self._seeds = [seed * 0x1000 + i + 1 for i in range(hashes)]
-        # Whole 64-bit words, so the popcount runs a word at a time.
-        self._words = bytearray(-(-size_bits // 64) * 8)
+        self._words = bytearray((size_bits + 7) // 8)
         self._inserted = 0
 
     def add(self, value: Hashable) -> None:
@@ -90,20 +87,16 @@ class BloomFilter:
         irrelevant to the final filter state).
         """
         count = len(values)
-        if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-            values = key_codes(values)[0]  # a repeated key sets the same bits
         words = np.frombuffer(self._words, dtype=np.uint8)
-        for lo in range(0, len(values), _SLICE):
+        for lo in range(0, count, _SLICE):
             canon = canonical_batch(values[lo : lo + _SLICE])
             for seed in self._seeds:
                 index = hash_range_batch(None, self.size_bits, seed, canonical=canon)
-                at = (index >> np.uint64(3)).astype(np.intp)
-                bits = np.left_shift(np.uint8(1), (index & np.uint64(7)).astype(np.uint8))
-                # A scatter keeps one write per byte; the bits it lost go again.
-                while len(at):
-                    words[at] |= bits
-                    lost = (words[at] & bits) != bits
-                    at, bits = at[lost], bits[lost]
+                np.bitwise_or.at(
+                    words,
+                    (index >> np.uint64(3)).astype(np.int64),
+                    np.left_shift(np.uint8(1), (index & np.uint64(7)).astype(np.uint8)),
+                )
         self._inserted += count
 
     def contains_batch(self, values: Sequence[Hashable]) -> np.ndarray:
@@ -153,7 +146,7 @@ class BloomFilter:
     def fill_ratio(self) -> float:
         """Fraction of set bits, an observable FP-rate proxy."""
         set_bits = int(
-            np.bitwise_count(np.frombuffer(self._words, dtype=np.uint64)).sum()
+            np.bitwise_count(np.frombuffer(self._words, dtype=np.uint8)).sum()
         )
         return set_bits / self.size_bits
 

@@ -143,10 +143,10 @@ class CountMinSketch:
         so only the batch's distinct keys are hashed, one stable sort by
         key gives each entry its key's running sum, and counters grow by
         per-key totals.  In a row where two batch keys share a counter,
-        just those keys' entries re-sum by counter.  Conservative update
-        is inherently sequential (each update depends on the estimate
-        after the previous one), so that variant falls back to the scalar
-        loop.
+        just those keys' entries re-sum by counter (every entry, once keys
+        outnumber counters).  Conservative update is inherently sequential
+        (each update depends on the estimate after the previous one), so
+        that variant falls back to the scalar loop.
         """
         count = len(keys)
         amounts_arr = np.broadcast_to(
@@ -163,10 +163,18 @@ class CountMinSketch:
                 dtype=np.int64,
                 count=count,
             )
-        # Integer keys are their own canonical values, so they group as is.
-        ints = isinstance(keys, np.ndarray) and keys.dtype.kind in "iu"
-        distinct, key_of = key_codes(keys if ints else canonical_batch(keys))
-        distinct = canonical_batch(distinct)
+        distinct, key_of = key_codes(canonical_batch(keys))
+        self._total += int(amounts_arr.sum())
+        if len(distinct) > self.width:
+            estimates = None
+            for r, seed in enumerate(self._seeds):
+                cells = hash_range_batch(None, self.width, seed, canonical=distinct)
+                idx = cells.astype(np.int64)[key_of]
+                sums = _grouped_running_sum(idx, amounts_arr, self.width)
+                running = self._rows[r][idx] + sums
+                np.add.at(self._rows[r], idx, amounts_arr)
+                estimates = running if estimates is None else np.minimum(estimates, running)
+            return estimates
         # Each entry's running sum within its key, from one stable sort.
         per_key = np.bincount(key_of, minlength=len(distinct))
         order = stable_order(key_of, len(distinct))
@@ -197,7 +205,6 @@ class CountMinSketch:
         base = lowest[key_of]
         for shared, floor in shared_rows:
             base[shared] = np.minimum(base[shared], floor)
-        self._total += int(amounts_arr.sum())
         return base + running
 
     def update(self, pairs: Iterable[Tuple[Hashable, int]]) -> None:

@@ -235,20 +235,16 @@ def hash_range_batch(
     """Vectorized :func:`hash_range`: indexes in ``{0, ..., n-1}``.
 
     Same Lemire high-multiply reduction as the scalar function, computed
-    with 32-bit limb arithmetic (numpy has no 128-bit integers).  For
-    ``n == 2**k`` the product's high word is the hash's top ``k`` bits —
-    a bit slice, as the switch's hash unit takes it — so one shift does.
+    with 32-bit limb arithmetic (numpy has no 128-bit integers), or for
+    ``n == 2**k`` one shift: the high word is the hash's top ``k`` bits.
     """
     if n <= 0:
         raise ValueError(f"range size must be positive, got {n}")
     hashed = hash64_batch(values, seed, canonical=canonical)
-    if n & (n - 1) == 0:
-        shift = 65 - n.bit_length()
-        if shift == 64:  # n == 1
-            return np.zeros_like(hashed)
-        hashed >>= _U64(shift)
-        return hashed
-    return _mulhi64(hashed, n)
+    if n & (n - 1):
+        return _mulhi64(hashed, n)
+    hashed >>= _U64(65 - n.bit_length())  # n == 1 shifts every bit out
+    return hashed
 
 
 def key_codes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -257,16 +253,15 @@ def key_codes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     An integer array spanning at most as many values as it holds (codes,
     ids) is ranked through one count table instead of a sort.  Offsets
     are taken in ``intp`` arithmetic, which wraps, so they are exact for
-    every integer width.
+    every integer width; each code overwrites its own offset.
     """
     if values.dtype.kind in "iu" and len(values):
         lo = values.min()
         if int(values.max()) - int(lo) <= len(values):
             offset = np.subtract(values, lo, dtype=np.intp, casting="unsafe")
             seen = np.bincount(offset) > 0
-            rank = np.cumsum(seen) - 1
             distinct = lo + np.flatnonzero(seen).astype(values.dtype)
-            # In place: each code overwrites its own offset.
+            rank = np.cumsum(seen) - 1
             return distinct, np.take(rank, offset, out=offset, mode="clip")
     return np.unique(values, return_inverse=True)
 

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from repro.core.base import Guarantee, PruneDecision
-from repro.core.having import HavingPruner, master_having, reference_having
+from repro.core.having import (
+    HavingPruner,
+    master_having,
+    reference_having,
+    second_pass,
+)
 from repro.errors import ConfigurationError, UnsupportedOperationError
 from repro.workloads.synthetic import keyed_values
 
@@ -188,3 +193,20 @@ class TestMasterHaving:
                     assert (key in kept) is passes
         everything = master_having(None, (keys, values), 50.0, aggregate)
         assert set(everything) == set(reference_having(data, 50.0, aggregate))
+
+    @pytest.mark.parametrize("span", [12, 1 << 40])
+    def test_second_pass_counts_the_candidate_rows_it_groups(self, span):
+        """``second_pass`` returns master_having's keys and, from the same
+        grouping, the rows of candidate keys (all rows without candidates;
+        none for an empty candidate set), for count-table and sorted keys."""
+        rng = np.random.default_rng(4)
+        keys = rng.integers(0, 12, 3000) * (span // 12) - 5
+        values = rng.lognormal(2.0, 1.0, 3000)
+        for candidates in (keys[:1], keys[:30], np.unique(keys), keys[:0]):
+            chosen = np.unique(candidates)
+            output, refetched = second_pass(chosen, keys, values, 150.0, "sum")
+            assert output == master_having(chosen, (keys, values), 150.0, "sum")
+            assert refetched == int(np.isin(keys, chosen).sum())
+        output, refetched = second_pass(None, keys, values, 150.0, "sum")
+        assert sorted(output) == sorted(master_having(None, (keys, values), 150.0))
+        assert refetched == len(keys)

@@ -4,7 +4,7 @@
   two (a bit slice) and at other sizes (the high multiply);
 * Count-Min's key-grouped ``add_batch`` against one ``add`` per entry:
   estimates, cells and total, with narrow widths that force two keys of a
-  batch onto one counter;
+  batch onto one counter or hold fewer counters than the batch has keys;
 * the array ``master_skyline`` against the brute-force O(n^2) definition;
 * the array ``master_topn`` against the heap.
 

@@ -27,6 +27,7 @@ the master computes the exact skyline over forwarded + drained points.
 from __future__ import annotations
 
 import math
+from operator import ge
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +48,7 @@ def dominates(a: Point, b: Point) -> bool:
 
 def weakly_dominates(a: Point, b: Point) -> bool:
     """True when ``a`` is at least ``b`` in every dimension (paper's test)."""
-    return all(x >= y for x, y in zip(a, b))
+    return all(map(ge, a, b))
 
 
 def score_sum(point: Point) -> float:
@@ -259,13 +260,13 @@ class SkylinePruner(Pruner[Point]):
         for k, score in zip(rising.tolist(), scores[rising].tolist()):
             if score > floor:
                 gaps.append(start)
-                snapshots.extend(point for _, point in self._slots)
+                snapshots.extend(tuple(zip(*self._slots))[1])
                 walk(k, score)
                 still[k] = False
                 start = k + 1
                 floor = self._floor()
         gaps.append(start)
-        snapshots.extend(point for _, point in self._slots)
+        snapshots.extend(tuple(zip(*self._slots))[1])
         if start < count:
             self._last_carried = tuple(points[-1].tolist())
         rest = np.flatnonzero(still)

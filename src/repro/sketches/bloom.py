@@ -92,11 +92,13 @@ class BloomFilter:
             canon = canonical_batch(values[lo : lo + _SLICE])
             for seed in self._seeds:
                 index = hash_range_batch(None, self.size_bits, seed, canonical=canon)
-                np.bitwise_or.at(
-                    words,
-                    (index >> np.uint64(3)).astype(np.int64),
-                    np.left_shift(np.uint8(1), (index & np.uint64(7)).astype(np.uint8)),
-                )
+                byte = (index >> np.uint64(3)).astype(np.int64)
+                bit = np.uint8(1) << (index & np.uint64(7)).astype(np.uint8)
+                # A fancy-index OR keeps one write per byte: redo lost bits.
+                while len(byte):
+                    words[byte] |= bit
+                    lost = words[byte] & bit == 0
+                    byte, bit = byte[lost], bit[lost]
         self._inserted += count
 
     def contains_batch(self, values: Sequence[Hashable]) -> np.ndarray:
@@ -145,10 +147,10 @@ class BloomFilter:
 
     def fill_ratio(self) -> float:
         """Fraction of set bits, an observable FP-rate proxy."""
-        set_bits = int(
-            np.bitwise_count(np.frombuffer(self._words, dtype=np.uint8)).sum()
-        )
-        return set_bits / self.size_bits
+        words = np.frombuffer(self._words, dtype=np.uint8)
+        whole = len(words) // 8 * 8  # 64-bit words count 4x faster than bytes
+        set_bits = np.bitwise_count(words[:whole].view(np.uint64)).sum()
+        return int(set_bits + np.bitwise_count(words[whole:]).sum()) / self.size_bits
 
     def false_positive_rate(self) -> float:
         """Theoretical FP rate ``(1 - e^{-hn/m})^h`` for current load."""

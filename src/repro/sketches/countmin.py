@@ -138,12 +138,9 @@ class CountMinSketch:
 
         The returned estimates are exactly what the scalar ``add`` loop
         would have returned entry by entry — including the interaction of
-        duplicate keys *inside* the batch.  The work is per key, not per
-        entry: equal canonical values hit the same counter in every row,
-        so only the batch's distinct keys are hashed, one stable sort by
-        key gives each entry its key's running sum, and counters grow by
-        per-key totals.  In a row where two batch keys share a counter,
-        just those keys' entries re-sum by counter (every entry, once keys
+        duplicate keys *inside* the batch.  Only the batch's distinct keys
+        are hashed; one stable sort by key gives every running sum, and only
+        keys sharing a counter re-sum by counter (every entry, once keys
         outnumber counters).  Conservative update is inherently sequential
         (each update depends on the estimate after the previous one), so
         that variant falls back to the scalar loop.

@@ -207,8 +207,8 @@ class TestSketchBatch:
         batch.add_batch(str_inserts)
         assert bytes(batch._words) == bytes(scalar._words)
         assert batch.inserted == scalar.inserted
-        # An integer array is deduplicated before hashing; bits that share
-        # a byte are set over several scatter rounds.
+        # An integer array sets its bits in scatter rounds: bits of one
+        # slice that share a byte take more than one.
         arrayed = BloomFilter(size_bits=1 << 14, hashes=3, seed=4)
         arrayed.add_batch(np.array(inserts))
         arrayed.add_batch(str_inserts)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.sketches.bloom import BloomFilter, RegisterBloomFilter
@@ -91,6 +94,26 @@ def test_reset_state_equals_a_fresh_filter(cls):
     assert bytes(getattr(used, bits)) == bytes(getattr(fresh, bits))
     assert used.fill_ratio() == fresh.fill_ratio() == 0.0
     assert used.inserted == fresh.inserted == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    size_bits=st.integers(1, 300),
+    values=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=120),
+    hashes=st.integers(1, 4),
+)
+def test_bulk_build_and_fill_ratio_equal_the_per_bit_definition(size_bits, values, hashes):
+    """``add_batch`` sets the scalar loop's bits even when a small filter
+    puts many of a slice's bits in one byte (its scatter rounds), and
+    ``fill_ratio`` counts whole 64-bit words plus a tail of odd bytes."""
+    scalar = BloomFilter(size_bits, hashes=hashes, seed=9)
+    batch = BloomFilter(size_bits, hashes=hashes, seed=9)
+    for value in values:
+        scalar.add(value)
+    batch.add_batch(np.array(values, dtype=np.int64))
+    assert bytes(batch._words) == bytes(scalar._words)
+    set_bits = sum(bin(byte).count("1") for byte in scalar._words)
+    assert batch.fill_ratio() == set_bits / size_bits
 
 
 class TestRegisterBloomFilter:

@@ -256,8 +256,7 @@ def second_pass(
     if candidate_keys is not None:
         # Each distinct key finds its slot in the small sorted candidate
         # set; rows of other keys land in a spare group past the candidates.
-        distinct = unique
-        unique = np.unique(np.asarray(list(candidate_keys)))
+        distinct, unique = unique, np.unique(np.asarray(list(candidate_keys)))
         if not len(unique):
             return [], 0
         slot = np.searchsorted(unique, distinct)

@@ -27,6 +27,7 @@ the master computes the exact skyline over forwarded + drained points.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from operator import ge
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -151,15 +152,16 @@ class SkylinePruner(Pruner[Point]):
         carried: Optional[Point] = point
         carried_score = score
         marked = False
-        for i, slot in enumerate(self._slots):
+        slots, replaces = self._slots, self.score_name != "baseline"
+        for i, slot in enumerate(slots):
             if slot is None:
-                self._slots[i] = (carried_score, carried)
+                slots[i] = (carried_score, carried)
                 carried = None
                 break
             slot_score, slot_point = slot
-            if self.score_name != "baseline" and carried_score > slot_score:
+            if replaces and carried_score > slot_score:
                 # Replace: the higher-score point stays, evicted rides on.
-                self._slots[i] = (carried_score, carried)
+                slots[i] = (carried_score, carried)
                 carried, carried_score = slot_point, slot_score
                 marked = False  # the packet now carries a different point
             elif weakly_dominates(slot_point, carried):
@@ -208,7 +210,10 @@ class SkylinePruner(Pruner[Point]):
         if self.score_name == "baseline":
             return math.inf
         # A NaN score never loses a ``>`` comparison, so it sets no floor.
-        return min((s for s, _ in self._slots if s == s), default=math.inf)
+        low = min(self._slots)[0]  # min() passes over one unless it leads
+        if low != low:
+            low = min((s for s, _ in self._slots if s == s), default=math.inf)
+        return low
 
     def process_batch(self, entries) -> np.ndarray:
         """Batch skyline: the slot walk runs only where the state moves.
@@ -216,11 +221,9 @@ class SkylinePruner(Pruner[Point]):
         With every slot full, a point scoring no higher than any stored
         point replaces nothing: the state stays, the packet carries the
         point itself, and it is pruned iff a stored point weakly dominates
-        it.  Only the other points — the movers: those filling a free
-        slot, then about ``w ln(n/w)`` of a shuffled stream, all of an
-        ascending one — replay :meth:`_decide`, in order.  Every other
-        point is judged against the slots as they stood in its gap between
-        two movers: all gaps at once, one stored slot at a time.
+        it.  Only the other points, the movers (free-slot fills, then about
+        ``w ln(n/w)`` of a shuffled stream), replay :meth:`_decide` in order;
+        the rest are judged at once against the slots of their gap.
         :attr:`last_batch_carried` is the ``(n, D)`` array of the points
         the packets carried out, meaningful where the mask forwards.
         """
@@ -272,7 +275,8 @@ class SkylinePruner(Pruner[Point]):
         rest = np.flatnonzero(still)
         at = points[rest].T
         gap = np.searchsorted(gaps, rest, side="right") - 1
-        stored = np.array(snapshots).reshape(len(gaps), self.num_points, self.dims)
+        flat = np.fromiter(chain.from_iterable(snapshots), dtype=np.float64)
+        stored = flat.reshape(len(gaps), self.num_points, self.dims)
         dominated = np.zeros(len(rest), dtype=bool)
         for slot in stored.transpose(1, 2, 0):
             covers = slot[0][gap] >= at[0]
@@ -367,15 +371,13 @@ def _dominated(points: np.ndarray, others: np.ndarray) -> np.ndarray:
 def master_skyline(points) -> List[Point]:
     """The master's completion: exact skyline (maximization, all dims).
 
-    ``points`` is tuples or an ``(n, D)`` array; tuples are built only for
-    the output.  Block sort-filter-skyline over the distinct points (tuple
-    equality: ``-0.0 == 0.0``; a NaN point equals, dominates and is
-    dominated by nothing): by a monotone score descending, with blocks cut
-    only where the score drops, a point's dominators sit in its own block
-    or an earlier one, and each block's skyline drops the later points it
-    dominates in one vector pass.  Output is identical to block-nested
-    loops; still the computationally expensive software step the paper
-    says makes high pruning rates matter for SKYLINE.
+    ``points`` is tuples or an ``(n, D)`` array.  Block sort-filter-skyline
+    over the distinct points (``-0.0 == 0.0``; a NaN point equals,
+    dominates and is dominated by nothing), by a monotone score descending
+    with blocks cut only where it drops: each block's skyline drops the
+    later points it dominates in one vector pass.  Output is identical to
+    block-nested loops; still the computationally expensive software step
+    the paper says makes high pruning rates matter for SKYLINE.
     """
     array = np.asarray(points)
     if not array.size:

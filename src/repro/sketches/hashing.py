@@ -250,10 +250,9 @@ def hash_range_batch(
 def key_codes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``np.unique(values, return_inverse=True)`` of a 1-D array.
 
-    An integer array spanning at most as many values as it holds (codes,
-    ids) is ranked through one count table instead of a sort.  Offsets
-    are taken in ``intp`` arithmetic, which wraps, so they are exact for
-    every integer width; each code overwrites its own offset.
+    An integer array spanning at most as many values as it holds is ranked
+    through one count table, not a sort.  ``intp`` offsets wrap, so they
+    are exact for every integer width; codes overwrite their offsets.
     """
     if values.dtype.kind in "iu" and len(values):
         lo = values.min()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -325,6 +326,29 @@ class TestSegmentKernelMatchesPerPointOracle:
             assert pruner.stats.processed == oracle.stats.processed
             assert pruner.stats.pruned == oracle.stats.pruned
             assert pruner.last_carried == oracle.last_carried
+
+    @pytest.mark.parametrize("score", ["sum", "product", "baseline"])
+    @pytest.mark.parametrize("lead", [0, 1, 3])
+    def test_nan_scores_in_the_slots(self, score, lead):
+        """A NaN score in a slot sets no floor, wherever it sits: the batch
+        walk still replays every point that would replace a stored one."""
+        rng = random.Random(lead)
+        stream = [
+            (float(rng.randint(0, 50)), float(rng.randint(0, 50))) for _ in range(200)
+        ]
+        stream[lead] = (math.nan, 1.0)
+        stream[150] = (2.0, math.nan)
+        oracle = SkylinePruner(dims=2, points=4, score=score)
+        expected = [oracle.process(p) is PruneDecision.FORWARD for p in stream]
+        for batch_size in (1, 7, 4096):
+            pruner = SkylinePruner(dims=2, points=4, score=score)
+            mask = []
+            for start in range(0, len(stream), batch_size):
+                batch = stream[start : start + batch_size]
+                mask.extend(pruner.process_batch(batch).tolist())
+            assert mask == expected
+            assert str(pruner.drain()) == str(oracle.drain())
+            assert pruner.stats.pruned == oracle.stats.pruned
 
     def test_aph_batch_score_matches_scalar_beyond_float_precision(self):
         aph = AphScore()

@@ -411,7 +411,7 @@ def _one_traced_run(traced, query, tables, sample):
     """Wall time of one end-to-end Cluster.run, traced or not.
 
     The traced side activates a fresh root context (every engine phase
-    span gets stamped and re-parented) and samples fused kernel batches
+    span gets stamped and re-parented) and samples single-pass batches
     at rate ``sample``; the untraced side runs the identical cluster
     with tracing off — the difference is the full hierarchical-tracing
     tax on the hot path.
@@ -438,7 +438,7 @@ def _one_traced_run(traced, query, tables, sample):
 def test_tracing_overhead_report():
     """Measure the cost of hierarchical tracing on an end-to-end run.
 
-    Races a traced ``Cluster.run`` (active root context, fused batches
+    Races a traced ``Cluster.run`` (active root context, single-pass batches
     sampled every 64th) against the identical untraced run, interleaved
     best-of-5 after a warmup each.  The acceptance bar mirrors the
     metrics budget: < 10% overhead at benchmark scale.

@@ -5,12 +5,12 @@ Usage::
 
     python scripts/check_perf_regression.py \
         benchmarks/results/<bench>.metrics.json \
-        [benchmarks/references/<bench>.reference.json]
+        benchmarks/references/<bench>.reference.json
 
 Compares the *speedup ratios* of a fresh benchmark run (any envelope
-with per-workload ``speedup`` figures — ``bench_fused_pipelines``'s
-fused-vs-per-pruner ratio, ``bench_serving``'s resident-vs-per-run
-setup ratio) against the reference file.  Ratios, not wall times, are
+with per-workload ``speedup`` figures — ``bench_serving``'s
+resident-vs-per-run setup ratio, ``bench_fleet``'s locality and fairness
+ratios) against the reference file.  Ratios, not wall times, are
 the gated quantity: absolute throughput varies wildly across hosts and
 CI runners, but "the optimization makes the same pass N times faster on
 the same machine in the same process" is stable — so a collapse of the
@@ -28,13 +28,6 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-
-DEFAULT_REFERENCE = (
-    Path(__file__).resolve().parent.parent
-    / "benchmarks"
-    / "references"
-    / "fused_pipelines.reference.json"
-)
 
 
 def check(metrics_path: Path, reference_path: Path) -> int:
@@ -74,12 +67,10 @@ def check(metrics_path: Path, reference_path: Path) -> int:
 
 
 def main(argv: list) -> int:
-    if len(argv) < 1 or len(argv) > 2:
+    if len(argv) != 2:
         print(__doc__)
         return 2
-    metrics_path = Path(argv[0])
-    reference_path = Path(argv[1]) if len(argv) == 2 else DEFAULT_REFERENCE
-    return check(metrics_path, reference_path)
+    return check(Path(argv[0]), Path(argv[1]))
 
 
 if __name__ == "__main__":

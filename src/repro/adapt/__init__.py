@@ -3,10 +3,9 @@
 The closed feedback loop the roadmap's "measured-not-modeled adaptive
 runtime" item asks for: :class:`~repro.obs.health.HealthStore` detects a
 degraded query signature, :class:`RemediationEngine` plans and applies a
-guarded recovery action (sketch resize, pruner variant swap, fused
-hot-swap), and the :class:`AdaptiveConfigStore` promotes the new
-configuration at a batch boundary so exactness is never at risk
-mid-pass.  Canary windows measure every action against the pre-action
+guarded recovery action (sketch resize, pruner variant swap), and the
+:class:`AdaptiveConfigStore` promotes the new configuration at a batch
+boundary so exactness is never at risk mid-pass.  Canary windows measure every action against the pre-action
 rolling window; no improvement means automatic rollback, and flapping
 trips a per-signature circuit breaker.
 """

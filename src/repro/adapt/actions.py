@@ -15,10 +15,10 @@ action families exist:
   planned.
 * ``"variant-swap"`` — exchange the pruner variant: deterministic ↔
   randomized TOP N, LRU ↔ FIFO cache-matrix replacement.
-* ``"hot-swap"`` — not a separate knob: any applied action whose new
-  configuration changes the fused-plan classification (the
-  ``topn_randomized`` / ``distinct_fingerprint`` axes) also recompiles
-  the fused program, and is additionally counted under this label.
+* ``"hot-swap"`` — not a separate knob: an applied action whose new
+  configuration flips the ``topn_randomized`` / ``distinct_fingerprint``
+  axes swaps the pruner variant, and is additionally counted under this
+  label.
 
 Exactness never depends on these choices — a Cheetah pruner is free to
 forward more than necessary — so a *wrong* action costs performance,
@@ -68,8 +68,8 @@ class RemediationAction:
     #: True when larger metric values mean improvement (pruning ratio);
     #: False for error-like signals (bloom FPR, fill ratio).
     higher_is_better: bool = True
-    #: True when the new config changes the fused-plan classification —
-    #: applying it recompiles the fused program (a hot-swap).
+    #: True when applying the new config swaps the pruner variant (a
+    #: hot-swap).
     hot_swap: bool = False
 
 

@@ -54,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--batch-size", type=int, default=None,
                        help="vectorized batch size (default: per-entry "
                             "streaming for single-pass plans in-process; "
-                            "JOIN/HAVING/SKYLINE, pool shards, fused "
-                            "packed slots and fault plans use 65536)")
+                            "JOIN/HAVING/SKYLINE, pool shards, packed "
+                            "slots and fault plans use 65536)")
     query.add_argument("--resident", action="store_true",
                        help="keep table columns and shard plans resident in "
                             "shared memory across runs (repro.parallel.resident)")
@@ -142,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--events-out", metavar="PATH", default=None,
                            help="write the structured event log (JSONL) to PATH")
     serve_cmd.add_argument("--fused-trace-sample", type=int, default=0,
-                           help="sample every Nth fused kernel batch as a "
+                           help="sample every Nth single-pass batch as a "
                                 "trace span (default 0: disabled)")
     serve_cmd.add_argument("--adapt", action="store_true",
                            help="enable the self-healing adaptive runtime "

@@ -78,15 +78,14 @@ class DistinctPruner(Pruner[Hashable]):
         self.stats.record(decision)
         return decision
 
-    def process_batch(self, entries, rows: Optional[np.ndarray] = None) -> np.ndarray:
+    def process_batch(self, entries) -> np.ndarray:
         """Batch DISTINCT: vectorized row hashing, per-row sequential replay.
 
         Accepts any value sequence or 1-D array; decisions and cache state
         equal the scalar loop (the matrix driver replays each row group in
-        stream order).  ``rows`` short-circuits the row hash when the
-        fused dataplane already derived it from a shared digest.
+        stream order).
         """
-        hits = self._matrix.lookup_insert_batch(entries, rows=rows)
+        hits = self._matrix.lookup_insert_batch(entries)
         self.stats.record_batch(len(hits), int(hits.sum()))
         return ~hits
 

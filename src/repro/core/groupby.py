@@ -82,19 +82,18 @@ class GroupByPruner(Pruner[Tuple[Hashable, float]]):
         self.stats.record(decision)
         return decision
 
-    def process_batch(self, entries, rows: Optional[np.ndarray] = None) -> np.ndarray:
+    def process_batch(self, entries) -> np.ndarray:
         """Batch GROUP BY pruning via the keyed matrix's row-grouped driver.
 
         Accepts ``(key, value)`` pairs or the columnar ``(keys, values)``
         array pair; row hashing is vectorized and each row's entries
         replay sequentially, so decisions and cached aggregates match the
-        scalar loop.  ``rows`` short-circuits the row hash when the
-        fused dataplane already derived it from a shared digest.
+        scalar loop.
         """
         keys, values, count = as_keyed_batch(entries)
         if count == 0:
             return np.ones(0, dtype=bool)
-        prunable = self._matrix.observe_batch(keys, values, rows=rows)
+        prunable = self._matrix.observe_batch(keys, values)
         self.stats.record_batch(count, int(prunable.sum()))
         return ~prunable
 

@@ -25,7 +25,6 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..sketches.cachematrix import RollingMinMatrix, engages
 from ..switch.compiler import footprint_topn_det, footprint_topn_rand
-from ..switch.fuse import ladder_pass
 from ..switch.resources import ResourceFootprint
 from .base import Guarantee, PruneDecision, Pruner
 from .sizing import TopNConfig, topn_cols
@@ -115,8 +114,8 @@ class TopNDeterministicPruner(Pruner[float]):
         carried-in counter plus ``cumsum(values >= t_i)[k]`` — the value a
         sequential loop would see right after its own update.  Warmup
         entries (the first ``N`` of the query) replay through the scalar
-        path since they mutate ``t0``.  The ladder itself is
-        :func:`~repro.switch.fuse.ladder_pass`.
+        path since they mutate ``t0``.  An entry's cutoff is the largest
+        threshold whose counter has reached ``N`` (``-inf`` before any has).
         """
         values = np.asarray(entries, dtype=np.float64)
         count = len(values)
@@ -131,10 +130,11 @@ class TopNDeterministicPruner(Pruner[float]):
         rest = values[start:]
         if len(rest) == 0:
             return forward
-        thresholds = np.asarray(self._thresholds, dtype=np.float64)
-        counters = np.asarray(self._counters, dtype=np.int64)
-        cutoffs = ladder_pass(rest, thresholds, counters, self.n)
-        self._counters = [int(c) for c in counters]
+        cutoffs = np.full(len(rest), -np.inf)
+        for i, threshold in enumerate(self._thresholds):
+            counts = self._counters[i] + np.cumsum(rest >= threshold)
+            cutoffs = np.where(counts >= self.n, threshold, cutoffs)
+            self._counters[i] = int(counts[-1])
         forward[start:] = ~(rest < cutoffs)
         self.stats.record_batch(
             len(rest), int(np.count_nonzero(~forward[start:]))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import ctypes
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
-from dataclasses import replace as dataclass_replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -32,7 +31,7 @@ from ..faults.plan import FaultPlan
 from ..obs import MetricsRegistry, ratio
 from ..switch.resources import ResourceModel, TOFINO
 from .dataplane import DEFAULT_BATCH
-from .operators import SINGLE_PASS, Chaos, Shard, Side, fuse_config, plan_for
+from .operators import SINGLE_PASS, Chaos, Shard, Side, plan_for
 from .plan import Query
 from .reference import TableMap, run_reference
 from .table import split_bounds
@@ -202,19 +201,15 @@ class PackedRunResult:
 
 
 def _compile_cache_report() -> dict:
-    """Hit/miss totals of the switch compiler's memoization layers.
+    """Hit/miss totals of the switch compiler's memoization layer.
 
     Surfaced on every run report so callers see cache effectiveness
     without reaching for the module-level helpers: ``fit_pack`` is the
-    fit-check/pack memo (:func:`~repro.switch.compiler.compile_cache_stats`)
-    and ``fused_plans`` the fused-plan memo
-    (:func:`~repro.switch.fuse.fused_cache_stats`).
+    fit-check/pack memo (:func:`~repro.switch.compiler.compile_cache_stats`).
     """
     from ..switch.compiler import compile_cache_stats
 
-    from ..switch.fuse import fused_cache_stats
-
-    return {"fit_pack": compile_cache_stats(), "fused_plans": fused_cache_stats()}
+    return {"fit_pack": compile_cache_stats()}
 
 
 def _heap_trim() -> Callable[[], object]:
@@ -243,8 +238,9 @@ class ClusterConfig:
 
     ``batch_size`` is the row count of the column slices the batch kernels
     take; decisions, outputs and phase volumes do not depend on it.
-    ``None`` (the default) means one-entry packets for the single-pass
-    plan and ``dataplane.DEFAULT_BATCH`` for JOIN, HAVING and SKYLINE.
+    ``None`` (the default) means one-entry packets for a solo single-pass
+    run and ``dataplane.DEFAULT_BATCH`` for everything else (JOIN, HAVING,
+    SKYLINE, packed slots, pool shards, chaos runs).
 
     ``parallelism`` > 1 executes Cheetah runs across that many OS
     processes (:mod:`repro.parallel`), each owning one pruner shard laid
@@ -260,15 +256,6 @@ class ClusterConfig:
     #: runner retries it (once on the pool, then sequentially in the
     #: parent).  ``None`` (the default) disables shard timeouts.
     shard_timeout: Optional[float] = None
-    #: Execute via the fused single-pass dataplane
-    #: (:mod:`repro.switch.fuse`) where possible: the packed multi-query
-    #: path always (:data:`~repro.engine.dataplane.DEFAULT_BATCH` when
-    #: ``batch_size`` is None), and the batched single-pass path when
-    #: ``batch_size`` is set.  Programs the fusion layer cannot compile
-    #: (randomized TOP N, fingerprint/multi-column DISTINCT, a stateful
-    #: operator behind a WHERE stage) fall back to the per-pruner path
-    #: automatically, counted by ``fused_fallback_total{reason}``.
-    fused: bool = True
     parallelism: int = 1
     shard_policy: str = "auto"
     distinct_rows: int = 4096
@@ -303,7 +290,7 @@ class ClusterConfig:
     #: ``"auto"`` picks by the filters' fill ratio (a nearly-full filter
     #: barely prunes, so rebuilding it is wasted traffic).
     degrade_policy: str = "auto"
-    #: Sample every Nth fused kernel batch as a ``fused-batch`` trace
+    #: Sample every Nth single-pass batch as a ``fused-batch`` trace
     #: span (0, the default, disables per-batch spans entirely).  Only
     #: meaningful when a request :class:`~repro.obs.TraceContext` is
     #: active; keep the stride large — per-batch spans are the most
@@ -493,9 +480,7 @@ class Cluster:
 
         With an :attr:`adaptive` store attached, each member query's
         override is leased for the pass (its pruner is built from its
-        own effective config); the fused plan is compiled conservatively
-        so a variant override can only ever force the per-pruner path,
-        never a wrong fused kernel.
+        own effective config).
         """
         if not queries:
             raise PlanError("run_packed needs at least one query")
@@ -532,23 +517,7 @@ class Cluster:
             if overrides is not None
             else [self.config] * len(queries)
         )
-        # The fused plan depends only on the variant axes; with mixed
-        # per-query overrides, OR-ing them is conservative — a query
-        # whose override needs an unfusable variant forces the (exact)
-        # per-pruner fallback for the whole slot.
-        if all(cfg == effective[0] for cfg in effective):
-            plan_config = effective[0]
-        else:
-            plan_config = dataclass_replace(
-                self.config,
-                topn_randomized=any(cfg.topn_randomized for cfg in effective),
-                distinct_fingerprint=any(
-                    cfg.distinct_fingerprint for cfg in effective
-                ),
-            )
-        results, shared = self._execute(
-            queries, tables, configs=effective, plan_config=plan_config
-        )
+        results, shared = self._execute(queries, tables, configs=effective)
         phase = results[0].phases[0]
         return PackedRunResult(results=results, phase=phase, metrics=shared)
 
@@ -560,7 +529,6 @@ class Cluster:
         tables: TableMap,
         use_cheetah: bool = True,
         configs: Optional[Sequence[ClusterConfig]] = None,
-        plan_config: Optional[ClusterConfig] = None,
         transport: Optional[Callable] = None,
     ):
         """Run one operator plan; ``(results, registry)``.
@@ -618,9 +586,7 @@ class Cluster:
         else:
             pruners = [] if plan.baseline_phase else [PassthroughPruner()]
         shard = Shard(
-            queries, columns, pruners, config, registry, where,
-            fuse=fuse_config(config, packed, plan_config) if use_cheetah else None,
-            parts=self.workers,
+            queries, columns, pruners, config, registry, where, parts=self.workers
         )
         names = [plan.baseline_phase] if not pruners else [n for n, _ in plan.phases]
         if packed:
@@ -662,8 +628,8 @@ class Cluster:
                     chaos = None
                     if injector is not None:
                         chaos = Chaos(injector, kind, pruners[0])
-                    if chaos is not None or plan is not SINGLE_PASS:
-                        # Only the single-pass plan has a per-entry loop.
+                    if packed or chaos is not None or plan is not SINGLE_PASS:
+                        # Only a solo single-pass run has a per-entry loop.
                         batch_size = batch_size or DEFAULT_BATCH
                     span = None if plan.self_traced else names[0]
                     with registry.trace(span) if span else nullcontext():

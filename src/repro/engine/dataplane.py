@@ -5,10 +5,10 @@ loop to any completion.  One streaming loop, :func:`stream_batches`,
 hands a pruner *step* column slices and turns its keep-masks into row
 ids; the sequential cluster calls it once per worker partition, a shard
 process once per shard, and the chaos path once per fault-free segment.
-The steps are the operators' kernels: the fused program when it compiles
-(:func:`compile_program`), per-pruner ``process_batch`` behind the packed
-WHERE stage otherwise (:func:`pruner_step`), the JOIN probe and the
-HAVING sketch (:func:`join_probe`, :func:`having_sketch`).  SKYLINE is
+The steps are the operators' kernels: the single-pass step
+(:class:`~repro.switch.fuse.FusedProgram`: the packed WHERE stage, then
+each pruner's ``process_batch``), the JOIN probe and the HAVING sketch
+(:func:`join_probe`, :func:`having_sketch`).  SKYLINE is
 the one operator whose switch forwards something other than the arriving
 entry — the *carried* point — so :func:`skyline_stream` returns a point
 array.
@@ -16,34 +16,31 @@ array.
 Completion is likewise one function per direction:
 :func:`single_pass_partial` gathers only the streamed columns for a set
 of row ids and reduces them to a partial, :func:`merge_single_pass`
-merges partials.  A sequential, fused or packed run is the one-partial
+merges partials.  A sequential or packed run is the one-partial
 case of what the sharded runner does with one partial per shard.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.base import Pruner
-from ..core.filtering import FilterPruner
 from ..core.groupby import master_groupby
 from ..core.topn import master_topn
 from ..errors import PlanError
-from ..switch.fuse import FusedProgram, plan_fused, record_fallback
 from .plan import CountOp, DistinctOp, FilterOp, GroupByOp, Query, TopNOp
 from .table import Table
 
 #: The one implicit batch size: what a ``batch_size=None`` run streams in
 #: wherever it has no per-entry loop (JOIN, HAVING, SKYLINE, pool shards,
-#: fused packed slots, chaos segments).  Results are batch-invariant.
+#: packed slots, chaos segments).  Results are batch-invariant.
 DEFAULT_BATCH = 65536
 
 #: ``step(slices) -> (masks, any_forward)``: one keep-mask per query over
 #: the slice rows plus their union (the §6 forward bit) —
-#: :meth:`FusedProgram.run_batch`'s contract.
+#: :meth:`~repro.switch.fuse.FusedProgram.run_batch`'s contract.
 Step = Callable[[Tuple[np.ndarray, ...]], Tuple[Sequence[np.ndarray], np.ndarray]]
 
 #: Where a stream's rows sit in the table: a base offset for a contiguous
@@ -90,82 +87,6 @@ def stream_batches(
                     else local + row_ids
                 )
     return total, forwarded, [concat_ids(kept) for kept in chunks]
-
-
-def entries_batch(op, columns: Sequence[str], slices: Tuple):
-    """Map streamed column slices to the pruner's batch entry shape."""
-    if isinstance(op, (CountOp, FilterOp)):
-        return slices
-    if isinstance(op, DistinctOp):
-        if len(op.columns) == 1:
-            return slices[columns.index(op.columns[0])]
-        parts = [slices[columns.index(c)] for c in op.columns]
-        return list(zip(*parts))
-    if isinstance(op, TopNOp):
-        values = slices[columns.index(op.order_by)].astype(np.float64)
-        # Ascending order ("bottom N") negates into the max-domain the
-        # pruners are built for.
-        return values if op.descending else -values
-    if isinstance(op, GroupByOp):
-        return (
-            slices[columns.index(op.key)],
-            slices[columns.index(op.value)].astype(np.float64),
-        )
-    raise PlanError(f"no entry mapping for {type(op).__name__}")
-
-
-def pruner_step(
-    queries: Sequence[Query],
-    columns: Sequence[str],
-    pruners: Sequence[Pruner],
-    where_pruner: Optional[FilterPruner] = None,
-) -> Step:
-    """The per-pruner kernel: each pruner's ``process_batch`` per slice.
-
-    The packed WHERE stage (§6; single-query programs only) runs first,
-    so WHERE-violating rows never pollute a stateful operator's caches:
-    the primary pruner sees only the passing rows, and a slice with none
-    never reaches it.
-    """
-    ops = [query.operator for query in queries]
-
-    def step(slices):
-        passed = None
-        if where_pruner is not None:
-            passed = where_pruner.process_batch(slices)
-            if not passed.any():
-                return (passed,), passed
-            slices = tuple(column[passed] for column in slices)
-        masks = [
-            pruner.process_batch(entries_batch(op, columns, slices))
-            for op, pruner in zip(ops, pruners)
-        ]
-        if passed is not None:
-            forward = np.zeros(len(passed), dtype=bool)
-            forward[passed] = masks[0]
-            masks = [forward]
-        any_forward = masks[0] if len(masks) == 1 else np.logical_or.reduce(masks)
-        return masks, any_forward
-
-    return step
-
-
-def compile_program(
-    queries: Sequence[Query],
-    columns: Sequence[str],
-    config,
-    pruners: Sequence[Pruner],
-    registry,
-    plan_config=None,
-) -> Optional[FusedProgram]:
-    """Bind the fused plan to ``pruners``, or count why it did not compile."""
-    plan = plan_fused(queries, columns, plan_config or config)
-    if not plan.fused:
-        record_fallback(registry, plan.fallback_reason)
-        return None
-    return FusedProgram(
-        plan, pruners, registry=registry, trace_sample=config.fused_trace_sample
-    )
 
 
 def _one_mask(process: Callable[[Tuple], np.ndarray]) -> Step:

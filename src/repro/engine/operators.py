@@ -48,17 +48,15 @@ from ..errors import ConfigurationError, PlanError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultEvent
 from ..obs import MetricsRegistry
+from ..switch.fuse import FusedProgram, plan_fused
 from .dataplane import (
-    DEFAULT_BATCH,
     RowIds,
-    compile_program,
     concat_ids,
     having_sketch,
     join_output,
     join_probe,
     merge_single_pass,
     point_matrix,
-    pruner_step,
     single_pass_partial,
     skyline_stream,
     stream_batches,
@@ -103,12 +101,10 @@ class Side:
 
 @dataclass
 class Shard:
-    """What a shard kernel runs with.  ``registry`` takes its spans and
-    fused counters: the live run registry in-process, a per-task one in
-    a pool process.  ``fuse`` is the config a fused program may compile
-    under (:func:`fuse_config`); ``parts`` is how many worker partitions
-    a single-pass shard accounts separately (the cluster's workers
-    in-process, one on the pool)."""
+    """What a shard kernel runs with.  ``registry`` takes its spans: the
+    live run registry in-process, a per-task one in a pool process.
+    ``parts`` is how many worker partitions a single-pass shard accounts
+    separately (the cluster's workers in-process, one on the pool)."""
 
     queries: Sequence[Query]
     columns: List[str]
@@ -116,21 +112,7 @@ class Shard:
     config: object
     registry: MetricsRegistry
     where: Optional[FilterPruner] = None
-    fuse: Optional[object] = None
     parts: int = 1
-
-
-def fuse_config(config, packed: bool = False, plan_config=None):
-    """The config the fused plan compiles under, or ``None``.
-
-    The fused program engages on packed slots always and on single
-    queries only with an explicit ``batch_size`` (a ``batch_size=None``
-    run keeps its exact counter schema); programs it cannot compile are
-    counted and take the per-pruner kernel.
-    """
-    if config.fused and (packed or config.batch_size is not None):
-        return plan_config or config
-    return None
 
 
 #: Why a stage exhaustion may fail open, per operator.  HAVING is absent
@@ -455,16 +437,11 @@ class _SinglePass(OperatorPlan):
     def stream(self, shard, arrays, row_ids, batch_size, chaos=None):
         (row_ids,) = row_ids
         queries, columns, pruners = shard.queries, shard.columns, shard.pruners
-        step = None
-        if shard.fuse is not None and chaos is None:
-            program = compile_program(
-                queries, columns, shard.config, pruners, shard.registry, shard.fuse
-            )
-            if program is not None:
-                step = program.run_batch
-                batch_size = batch_size or DEFAULT_BATCH
-        if step is None and batch_size is not None:
-            step = pruner_step(queries, columns, pruners, shard.where)
+        if batch_size is not None:
+            step = FusedProgram(
+                plan_fused(queries, columns), pruners, shard.where,
+                shard.registry, shard.config.fused_trace_sample,
+            ).run_batch
         # One stream per worker partition (Table.partition's split), so
         # link faults and per-worker volumes land on the right worker.
         bounds = split_bounds(len(arrays[0]), shard.parts)

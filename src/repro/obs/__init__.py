@@ -7,7 +7,7 @@ The subsystem the rest of the reproduction reports into:
   text (:meth:`MetricsRegistry.to_prometheus`) exporters;
 * :class:`Span` / :func:`trace` — monotonic per-phase timings;
 * :class:`TraceContext` / :func:`trace_context` — hierarchical request
-  tracing across threads, processes, and sampled fused kernel batches,
+  tracing across threads, processes, and sampled single-pass batches,
   with JSONL export and a tree renderer (``repro trace``);
 * :class:`HealthStore` — per-query-signature rolling windows of pruning
   ratio, bloom fill/FPR, cache hit rates and latency, with EWMA drift

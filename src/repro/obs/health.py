@@ -2,8 +2,8 @@
 
 The adaptive runtime the roadmap points at needs *runtime* signals —
 pruning ratio, bloom fill and false-positive rate, cache-matrix hit
-rate, fused-fallback frequency, latency quantiles — observed live, per
-query signature (:meth:`~repro.lang.query.Query.cache_key`), because the
+rate, latency quantiles — observed live, per query signature
+(:meth:`~repro.lang.query.Query.cache_key`), because the
 value of switch pruning is a property of the data and workload, not of
 the plan alone.  :class:`HealthStore` keeps bounded rolling windows of
 those signals per signature and runs cheap drift detectors over them:
@@ -78,7 +78,6 @@ class SignatureHealth:
             name: deque(maxlen=window)
             for name in list(_GAUGE_SIGNALS) + ["cache_hit_rate"]
         }
-        self.fused_fallbacks = 0
         # EWMA pair for drift detection: the fast average tracks the
         # recent workload, the slow one the historical baseline.
         self.fast_pruning: Optional[float] = None
@@ -98,7 +97,6 @@ class SignatureHealth:
             "op_kind": self.op_kind,
             "window": len(self.pruning_ratio),
             "latency_samples": len(self.latency_s),
-            "fused_fallbacks": self.fused_fallbacks,
             "latency_p50_ms": _quantile(latencies, 0.50) * 1000.0,
             "latency_p99_ms": _quantile(latencies, 0.99) * 1000.0,
             "degraded": sorted(k for k, v in self.active.items() if v),
@@ -182,8 +180,8 @@ class HealthStore:
 
         ``result`` is a :class:`~repro.engine.cluster.RunResult` (or
         packed equivalent exposing ``pruning_rate`` and ``metrics``);
-        pruning ratio, bloom/cache gauges, and fused-fallback counts are
-        sampled from it, then the drift detectors run.
+        pruning ratio and bloom/cache gauges are sampled from it, then the
+        drift detectors run.
         """
         with self._lock:
             entry = self._touch_locked(signature)
@@ -199,7 +197,6 @@ class HealthStore:
                 entry.fast_pruning += self.fast_alpha * (pruning - entry.fast_pruning)
                 entry.slow_pruning += self.slow_alpha * (pruning - entry.slow_pruning)
             metrics = getattr(result, "metrics", None)
-            fallbacks = 0
             if metrics is not None:
                 gauges = metrics.gauge_values()
                 for signal, family in _GAUGE_SIGNALS.items():
@@ -219,12 +216,6 @@ class HealthStore:
                 misses = _max_gauge(gauges, "cache_matrix_misses")
                 if hits is not None and misses is not None and hits + misses > 0:
                     entry.signals["cache_hit_rate"].append(hits / (hits + misses))
-                fallbacks = sum(
-                    value
-                    for key, value in metrics.counter_values().items()
-                    if key.startswith("fused_fallback_total{")
-                )
-            entry.fused_fallbacks += fallbacks
             self._detect_locked(entry)
 
     def observe_latency(self, signature: str, latency_s: float) -> None:

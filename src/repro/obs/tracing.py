@@ -16,8 +16,8 @@ On top of the flat span records sits **hierarchical tracing**: a
 span with the active trace's ids and installs itself as the parent for
 nested blocks — so the serving layer activates one root context per
 request and the engine phases, parallel shard tasks (the context rides
-the picklable task spec across the process boundary), and sampled fused
-kernel batches all thread into one per-request tree.  With no active
+the picklable task spec across the process boundary), and sampled
+single-pass batches all thread into one per-request tree.  With no active
 context, spans carry no ids and behave exactly as before.
 
 Finished traces export as JSONL (:func:`export_trace_jsonl`, one span

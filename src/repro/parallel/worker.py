@@ -28,7 +28,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from ..engine.cluster import _absorb_pruner
-from ..engine.operators import Shard, fuse_config, plan_for
+from ..engine.operators import Shard, plan_for
 from ..obs import MetricsRegistry
 from ..obs.tracing import TraceContext, clear_trace_context, trace_context
 from .shm import attach_columns, open_segment
@@ -39,7 +39,7 @@ def _shard_trace(spec: dict, registry=None, span: str = ""):
 
     The runner stamps the active :class:`TraceContext` into the task
     spec (``spec["trace"]``); restoring it here makes every span the
-    shard records — and the sampled fused-batch spans beneath — children
+    shard records — and the sampled ``fused-batch`` spans beneath — children
     of the parent's stream phase once ``absorb_sharded`` folds the
     snapshot back.  When ``registry`` and ``span`` are given, a span of
     that name additionally wraps the block, but *only* while tracing is
@@ -223,10 +223,7 @@ def run_shard(spec: dict) -> dict:
         registry = MetricsRegistry()
         pruner = _pruner(spec, registry)
         where = _pruner(spec, registry, role="where")
-        shard = Shard(
-            [query], spec["columns"], [pruner], cfg, registry, where,
-            fuse=fuse_config(cfg),
-        )
+        shard = Shard([query], spec["columns"], [pruner], cfg, registry, where)
         span = "" if plan.self_traced else "shard-stream"
         with _shard_trace(spec, registry, span):
             partial = plan.stream(shard, arrays, row_ids, spec["batch"])

@@ -42,7 +42,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from types import MappingProxyType
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..errors import ConfigurationError
 
@@ -183,49 +183,13 @@ class ProgramCache:
         self._lru.put(key, footprint)
         return footprint
 
-    def fused_plan(self, queries: Sequence, columns: Sequence[str], config):
-        """The fused plan for a packed slot's queries, built on miss.
-
-        Delegates to :func:`~repro.switch.fuse.plan_fused` (itself
-        memoized module-wide); going through this cache lets the
-        scheduler warm the plan at slot-formation time and surfaces the
-        reuse in the service's ``program_cache`` stats.
-        """
-        key = (
-            "fused",
-            tuple(query.cache_key() for query in queries),
-            tuple(columns),
-        )
-        hit, plan = self._lru.get(key)
-        if hit:
-            return plan
-        from ..switch.fuse import plan_fused
-
-        plan = plan_fused(queries, columns, config)
-        self._lru.put(key, plan)
-        return plan
-
     def invalidate_signature(self, cache_key: str) -> int:
-        """Drop the footprint and every fused plan touching ``cache_key``.
+        """Drop the footprint cached for ``cache_key``.
 
         The remediation engine's version fence: after a configuration
-        hot-swap the old footprint and any fused plan compiled over the
-        old variant must never be served again.  Plain entries are keyed
-        by the signature itself; fused entries by the tuple of member
-        signatures — both shapes are matched in one atomic sweep.
+        hot-swap the old footprint must never be served again.
         """
-
-        def doomed(key: object) -> bool:
-            if key == cache_key:
-                return True
-            return (
-                isinstance(key, tuple)
-                and len(key) == 3
-                and key[0] == "fused"
-                and cache_key in key[1]
-            )
-
-        return self._lru.remove_where(doomed)
+        return self._lru.remove_where(lambda key: key == cache_key)
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss/occupancy accounting for reports."""

@@ -134,24 +134,7 @@ class PackingScheduler:
                 continue
             footprints.append(footprint)
             extras.append(candidate)
-        if extras:
-            self._warm_fused([head.query] + [r.query for r in extras])
         return extras
-
-    def _warm_fused(self, queries: List[Query]) -> None:
-        """Pre-compile the packed slot's fused plan at formation time.
-
-        Uses the same shared column layout ``Cluster.run_packed`` will
-        derive, so by the time the executor streams the slot the fused
-        plan is a pure cache hit — slot formation pays the (tiny)
-        classification cost once, the hot path never does.
-        """
-        columns: List[str] = []
-        for query in queries:
-            for column in query.stream_columns():
-                if column not in columns:
-                    columns.append(column)
-        self.programs.fused_plan(queries, columns, self.cluster.config)
 
     def _footprint(self, query: Query, tables):
         """The query's compiled footprint, via the program cache.

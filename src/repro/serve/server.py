@@ -48,7 +48,6 @@ from ..obs import (
     trace_context,
 )
 from ..switch.compiler import compile_cache_stats
-from ..switch.fuse import fused_cache_stats
 from .admission import AdmissionController, Request
 from .cache import ProgramCache, ResultCache
 from .scheduler import PackingScheduler, Slot
@@ -397,9 +396,9 @@ class QueryService:
         """The remediation engine's version fence into the serving caches.
 
         Both caches drop every entry for the swapped signature (each
-        sweep atomic under its cache's lock), so no footprint, fused
-        plan, or cached answer compiled or computed under the old
-        configuration outlives the hot-swap.
+        sweep atomic under its cache's lock), so no footprint or cached
+        answer compiled or computed under the old configuration outlives
+        the hot-swap.
         """
         programs = self.programs.invalidate_signature(signature)
         results = self.results.invalidate_signature(signature)
@@ -751,10 +750,7 @@ class QueryService:
         summary["tables_version"] = self._tables_version
         summary["program_cache"] = self.programs.stats()
         summary["result_cache"] = self.results.stats()
-        summary["compile_cache"] = {
-            "fit_pack": compile_cache_stats(),
-            "fused_plans": fused_cache_stats(),
-        }
+        summary["compile_cache"] = {"fit_pack": compile_cache_stats()}
         from ..parallel.shard import shard_plan_cache_stats
 
         summary["shard_plan_cache"] = shard_plan_cache_stats()

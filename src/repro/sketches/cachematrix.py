@@ -336,18 +336,9 @@ class CacheMatrix(_RowMatrix):
             self.evictions += 1
         return False
 
-    def row_of_batch(
-        self, values: Sequence[Hashable], canonical: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Vectorized :meth:`row_of` over a value array.
-
-        ``canonical`` lets the fused dataplane reuse one
-        :func:`~repro.sketches.hashing.canonical_batch` pass across
-        every hash that touches the same column.
-        """
-        return hash_range_batch(
-            values, self.rows, self._seed ^ 0xD15C, canonical=canonical
-        ).astype(np.int64)
+    def row_of_batch(self, values: Sequence[Hashable]) -> np.ndarray:
+        """Vectorized :meth:`row_of` over a value array."""
+        return hash_range_batch(values, self.rows, self._seed ^ 0xD15C).astype(np.int64)
 
     def lookup_insert_batch(
         self, values: Sequence[Hashable], rows: Optional[np.ndarray] = None
@@ -601,17 +592,9 @@ class KeyedAggregateMatrix(_RowMatrix):
         """Deterministic row assignment for ``key``."""
         return hash_range(key, self.rows, self._seed ^ 0x6B)
 
-    def row_of_batch(
-        self, keys: Sequence[Hashable], canonical: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Vectorized :meth:`row_of` over a key array.
-
-        ``canonical`` reuses a shared ``canonical_batch`` pass, exactly
-        as in :meth:`CacheMatrix.row_of_batch`.
-        """
-        return hash_range_batch(
-            keys, self.rows, self._seed ^ 0x6B, canonical=canonical
-        ).astype(np.int64)
+    def row_of_batch(self, keys: Sequence[Hashable]) -> np.ndarray:
+        """Vectorized :meth:`row_of` over a key array."""
+        return hash_range_batch(keys, self.rows, self._seed ^ 0x6B).astype(np.int64)
 
     def observe(
         self, key: Hashable, value: float, row: Optional[int] = None
@@ -654,7 +637,7 @@ class KeyedAggregateMatrix(_RowMatrix):
         conflict-free rounds (:meth:`_observe_rounds`); anything else
         replays each row's entries in stream order, as a key's decision
         depends on the aggregate its earlier occurrences left.  ``rows``
-        short-circuits the row hash when the fused dataplane has it.
+        short-circuits the row hash when the caller already has it.
         """
         count = len(keys)
         pruned = np.zeros(count, dtype=bool)

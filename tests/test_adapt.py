@@ -133,7 +133,7 @@ def test_plan_topn_deterministic_swaps_to_randomized_hot_swap():
     action = plan_action("pruning_collapse", "topn", config)
     assert action.action == "variant-swap"
     assert action.config.topn_randomized
-    assert action.hot_swap, "changes the fused-plan classification"
+    assert action.hot_swap, "swaps the pruner variant"
 
 
 def test_plan_topn_randomized_resizes_rows():
@@ -486,17 +486,13 @@ class _Plan:
         return self._key
 
 
-def test_program_cache_invalidate_drops_solo_and_fused_entries():
+def test_program_cache_invalidate_drops_solo_entries():
     cache = ProgramCache()
     cache.footprint(_Plan("sig-a"), lambda: "fp-a")
     cache.footprint(_Plan("sig-b"), lambda: "fp-b")
-    # A fused plan over both signatures, keyed by the member tuple.
-    cache._lru.put(("fused", ("sig-a", "sig-b"), ("col",)), "plan")
-    cache._lru.put(("fused", ("sig-b",), ("col",)), "plan-b")
-    assert cache.invalidate_signature("sig-a") == 2
+    assert cache.invalidate_signature("sig-a") == 1
+    assert cache.footprint(_Plan("sig-a"), lambda: "rebuilt") == "rebuilt"
     assert cache.footprint(_Plan("sig-b"), lambda: "rebuilt") == "fp-b"
-    hit, _ = cache._lru.get(("fused", ("sig-b",), ("col",)))
-    assert hit, "fused plans not touching the signature survive"
 
 
 def test_result_cache_invalidate_drops_every_version():

@@ -1,14 +1,13 @@
-"""Tests for the fused compiled pipeline (:mod:`repro.switch.fuse`).
+"""Tests for the single-pass step (:mod:`repro.switch.fuse`).
 
-The contract under test: a packed program that compiles to a
-:class:`~repro.switch.fuse.FusedProgram` produces *byte-identical
-outputs and pruner counters* to the per-pruner batched path at every
-batch size; unfusable programs fall back with a labelled
-``fused_fallback_total`` counter and still produce correct results;
-shared digests are computed once per batch; the fused kernels read
-shared-memory columns as views end to end (zero copies before the
-survivor row-id gather); and cached serving results are frozen
-read-only views.
+Every batched single-pass run — solo, packed, pool shard, chaos segment,
+baseline — streams its column slices through one
+:class:`~repro.switch.fuse.FusedProgram`.  The contract under test: solo
+and packed runs equal ``run_reference`` for every single-pass kind (and
+every pair of kinds) at every batch size; a packed query's pruner
+counters are its solo run's; a ``batch_size=None`` packed slot streams
+batches, not entries; and the step reads shared-memory columns as views
+end to end (zero copies before the survivor row-id gather).
 """
 
 from __future__ import annotations
@@ -18,41 +17,51 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.topn import TopNRandomizedPruner
 from repro.engine.cluster import Cluster, ClusterConfig
-from repro.engine.expressions import col
-from repro.engine.plan import (
-    CountOp,
-    DistinctOp,
-    FilterOp,
-    GroupByOp,
-    HavingOp,
-    Query,
-    TopNOp,
-)
 from repro.engine.dataplane import DEFAULT_BATCH
+from repro.engine.expressions import col
+from repro.engine.plan import CountOp, DistinctOp, FilterOp, GroupByOp, Query, TopNOp
 from repro.engine.reference import run_reference
 from repro.engine.table import Table
-from repro.switch.fuse import (
-    FusedProgram,
-    clear_fused_cache,
-    fused_cache_stats,
-    plan_fused,
-)
+from repro.switch.fuse import FusedProgram, plan_fused
 
 N_ROWS = 600
 
-#: Every operator kind with a fused single-pass kernel.
-FUSED_KINDS = ("filter", "topn", "distinct", "groupby")
+#: Every packable single-pass kind: its query and the config knobs it
+#: needs.  The last three cover the entry shapes the first four do not:
+#: a negated, randomly placed TOP N, fingerprints and tuple keys.
+KINDS = {
+    "filter": (Query(CountOp("T", (col("price") > 150.0) & (col("qty") <= 30))), {}),
+    "topn": (Query(TopNOp("T", "price", 25)), {"topn_randomized": False}),
+    "distinct": (Query(DistinctOp("T", ("url",))), {"distinct_fingerprint": False}),
+    "groupby": (Query(GroupByOp("T", "agent", "price", "max")), {}),
+    "rtopn": (
+        Query(TopNOp("T", "qty", 10, descending=False)), {"topn_randomized": True}
+    ),
+    "fpdistinct": (Query(DistinctOp("T", ("agent",))), {"distinct_fingerprint": True}),
+    "mdistinct": (Query(DistinctOp("T", ("url", "agent"))), {}),
+}
+
+#: Solo-only kinds: a projection, and a stateful operator behind a WHERE
+#: stage (packed queries must fold WHERE into the operator).
+SOLO_KINDS = {
+    "select": (Query(FilterOp("T", col("price") > 400.0)), {}),
+    "where": (Query(DistinctOp("T", ("url",)), where=col("price") > 100.0), {}),
+}
 
 
-def _make_query(kind: str) -> Query:
-    return {
-        "filter": Query(CountOp("T", (col("price") > 150.0) & (col("qty") <= 30))),
-        "select": Query(FilterOp("T", col("price") > 400.0)),
-        "topn": Query(TopNOp("T", "price", 25)),
-        "distinct": Query(DistinctOp("T", ("url",))),
-        "groupby": Query(GroupByOp("T", "agent", "price", "max")),
-    }[kind]
+def _knobs(kinds):
+    """The kinds' merged config knobs, or None when two disagree."""
+    merged = {}
+    for kind in kinds:
+        for knob, value in KINDS[kind][1].items():
+            if merged.setdefault(knob, value) != value:
+                return None
+    return merged
+
+
+PAIRS = [pair for pair in itertools.combinations(KINDS, 2) if _knobs(pair) is not None]
 
 
 @pytest.fixture(scope="module")
@@ -71,223 +80,123 @@ def tables():
     }
 
 
-def _config(fused: bool, batch_size, **overrides) -> ClusterConfig:
-    return ClusterConfig(
-        batch_size=batch_size, fused=fused, topn_randomized=False, **overrides
-    )
-
-
-def _counters(registry, prefix: str = "") -> dict:
-    """Counter samples, optionally restricted to a name prefix, with the
-    fused-only telemetry dropped (fused runs add it by design)."""
+def _pruner_counters(registry) -> dict:
     return {
         key: value
         for key, value in registry.counter_values().items()
-        if key.startswith(prefix) and not key.startswith("fused_")
+        if key.startswith("pruner")
     }
 
 
+def _count_calls(monkeypatch, cls, name: str) -> list:
+    """Wrap ``cls.name`` so each call appends to the returned list."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
-# Equivalence: fused vs per-pruner, every kernel pair, every batch size
+# Equivalence: every kind and pair of kinds, every batch size
 # ---------------------------------------------------------------------------
 
 
 class TestFusedEquivalence:
     @pytest.mark.parametrize("batch_size", [1, 7, 4096])
-    @pytest.mark.parametrize(
-        "kinds", list(itertools.combinations(FUSED_KINDS, 2)), ids="+".join
-    )
+    @pytest.mark.parametrize("kinds", PAIRS, ids="+".join)
     def test_packed_pairs_match_per_pruner(self, tables, kinds, batch_size):
-        queries = [_make_query(kind) for kind in kinds]
-        expected = [run_reference(query, tables) for query in queries]
-        fused = Cluster(workers=3, config=_config(True, batch_size)).run_packed(
-            queries, tables
-        )
-        plain = Cluster(workers=3, config=_config(False, batch_size)).run_packed(
-            queries, tables
-        )
-        assert [r.output for r in fused.results] == expected
-        assert [r.output for r in plain.results] == expected
-        assert fused.total_streamed == plain.total_streamed == N_ROWS
-        assert fused.total_forwarded == plain.total_forwarded
-        # The fused kernels funnel through each pruner's own
-        # process_batch, so per-query pruner counters are identical.
-        for fused_result, plain_result in zip(fused.results, plain.results):
-            assert _counters(fused_result.metrics) == _counters(plain_result.metrics)
-        assert _counters(fused.metrics) == _counters(plain.metrics)
+        queries = [KINDS[kind][0] for kind in kinds]
+        config = ClusterConfig(batch_size=batch_size, **_knobs(kinds))
+        packed = Cluster(workers=3, config=config).run_packed(queries, tables)
+        solo = [Cluster(workers=3, config=config).run(q, tables) for q in queries]
+        assert [r.output for r in packed.results] == [
+            run_reference(query, tables) for query in queries
+        ]
+        assert packed.total_streamed == N_ROWS
+        forwarded = [result.total_forwarded for result in solo]
+        assert max(forwarded) <= packed.total_forwarded <= sum(forwarded)
+        # One pass, one prune bit per query: each packed pruner decides
+        # exactly as it does alone.
+        for packed_result, solo_result in zip(packed.results, solo):
+            assert _pruner_counters(packed_result.metrics) == _pruner_counters(
+                solo_result.metrics
+            )
 
     @pytest.mark.parametrize("batch_size", [1, 7, 4096])
     def test_all_four_kernels_packed(self, tables, batch_size):
-        queries = [_make_query(kind) for kind in FUSED_KINDS]
-        expected = [run_reference(query, tables) for query in queries]
-        fused = Cluster(workers=3, config=_config(True, batch_size)).run_packed(
-            queries, tables
-        )
-        assert [r.output for r in fused.results] == expected
-        assert "fused_batches_total{}" in fused.metrics.counter_values()
-
-    def test_packed_fuses_by_default_without_batch_size(self, tables):
-        # batch_size=None: the packed path still fuses, using
-        # DEFAULT_BATCH internally.
-        queries = [_make_query("filter"), _make_query("topn")]
-        result = Cluster(workers=3, config=_config(True, None)).run_packed(
-            queries, tables
-        )
-        assert [r.output for r in result.results] == [
-            run_reference(query, tables) for query in queries
-        ]
-        counters = result.metrics.counter_values()
-        expected_batches = -(-N_ROWS // 3 // DEFAULT_BATCH) * 3
-        assert counters["fused_batches_total{}"] == expected_batches
-
-    @pytest.mark.parametrize("kind", FUSED_KINDS + ("select",))
-    def test_single_pass_run_matches(self, tables, kind):
-        query = _make_query(kind)
-        expected = run_reference(query, tables)
-        fused = Cluster(workers=3, config=_config(True, 64)).run(query, tables)
-        plain = Cluster(workers=3, config=_config(False, 64)).run(query, tables)
-        assert fused.output == expected
-        assert plain.output == expected
-        assert _counters(fused.metrics, "pruner") == _counters(plain.metrics, "pruner")
-        assert "fused_batches_total{}" in fused.metrics.counter_values()
-        assert "fused_batches_total{}" not in plain.metrics.counter_values()
-
-
-# ---------------------------------------------------------------------------
-# Fallbacks: unfusable programs take the per-pruner path, counted by reason
-# ---------------------------------------------------------------------------
-
-
-def _fallbacks(registry) -> dict:
-    return {
-        key: value
-        for key, value in registry.counter_values().items()
-        if key.startswith("fused_fallback_total")
-    }
-
-
-class TestFallbacks:
-    def test_randomized_topn_falls_back(self, tables):
-        # topn_randomized is the config default: per-entry RNG draws are
-        # sequentially coupled, so the program must not fuse.
-        queries = [Query(TopNOp("T", "price", 25)), _make_query("filter")]
-        config = ClusterConfig(batch_size=64, fused=True, topn_randomized=True)
+        kinds = ("filter", "topn", "distinct", "groupby")
+        queries = [KINDS[kind][0] for kind in kinds]
+        config = ClusterConfig(batch_size=batch_size, **_knobs(kinds))
         result = Cluster(workers=3, config=config).run_packed(queries, tables)
-        assert result.results[1].output == run_reference(queries[1], tables)
-        counters = result.metrics.counter_values()
-        assert counters['fused_fallback_total{reason=randomized-topn}'] == 1
-        assert "fused_batches_total{}" not in counters
-
-    def test_multi_column_distinct_falls_back(self, tables):
-        query = Query(DistinctOp("T", ("url", "agent")))
-        result = Cluster(workers=3, config=_config(True, 64)).run_packed(
-            [query], tables
-        )
-        assert result.results[0].output == run_reference(query, tables)
-        counters = result.metrics.counter_values()
-        assert counters['fused_fallback_total{reason=multi-column-key}'] == 1
-
-    def test_fingerprint_distinct_falls_back(self, tables):
-        config = _config(True, 64, distinct_fingerprint=True)
-        result = Cluster(workers=3, config=config).run_packed(
-            [Query(DistinctOp("T", ("url",)))], tables
-        )
-        counters = result.metrics.counter_values()
-        assert counters['fused_fallback_total{reason=fingerprint-distinct}'] == 1
-
-    def test_where_stage_falls_back(self, tables):
-        # A stateful operator behind a WHERE stage needs the two-stage
-        # per-pruner path (only WHERE-passing rows may reach the pruner).
-        query = Query(DistinctOp("T", ("url",)), where=col("price") > 100.0)
-        result = Cluster(workers=3, config=_config(True, 64)).run(query, tables)
-        assert result.output == run_reference(query, tables)
-        counters = result.metrics.counter_values()
-        assert counters['fused_fallback_total{reason=where-stage}'] == 1
-        assert "fused_batches_total{}" not in counters
-
-    def test_unsupported_operator_plan(self):
-        query = Query(HavingOp("T", "url", "price", 10.0))
-        plan = plan_fused([query], ("url", "price"), _config(True, 64))
-        assert not plan.fused
-        assert plan.fallback_reason == "unsupported-operator"
-
-    def test_fallback_plan_cannot_bind(self):
-        plan = plan_fused(
-            [Query(TopNOp("T", "price", 5))],
-            ("price",),
-            ClusterConfig(topn_randomized=True),
-        )
-        assert plan.fallback_reason == "randomized-topn"
-        with pytest.raises(ValueError, match="fallback"):
-            FusedProgram(plan, [object()])
-
-    def test_fused_disabled_by_config(self, tables):
-        query = _make_query("filter")
-        result = Cluster(workers=3, config=_config(False, 64)).run(query, tables)
-        assert result.output == run_reference(query, tables)
-        counters = result.metrics.counter_values()
-        assert "fused_batches_total{}" not in counters
-        assert not _fallbacks(result.metrics)
-
-
-# ---------------------------------------------------------------------------
-# Plan memoization and digest sharing
-# ---------------------------------------------------------------------------
-
-
-class TestPlanCacheAndSharing:
-    def test_plans_are_memoized(self):
-        clear_fused_cache()
-        queries = [_make_query("filter"), _make_query("topn")]
-        config = _config(True, 64)
-        first = plan_fused(queries, ("price", "qty"), config)
-        second = plan_fused(queries, ("price", "qty"), config)
-        assert second is first
-        assert fused_cache_stats() == {"hits": 1, "misses": 1}
-
-    def test_plan_key_covers_config_knobs(self):
-        clear_fused_cache()
-        queries = [_make_query("topn")]
-        deterministic = plan_fused(queries, ("price",), _config(True, 64))
-        randomized = plan_fused(
-            queries, ("price",), ClusterConfig(batch_size=64, topn_randomized=True)
-        )
-        assert deterministic.fused
-        assert randomized.fallback_reason == "randomized-topn"
-        assert fused_cache_stats() == {"hits": 0, "misses": 2}
-
-    def test_digest_shared_across_kernels(self, tables):
-        # DISTINCT(url) and GROUP BY url share the canonical uint64 pass
-        # of the url column; the share is surfaced as a counter.
-        queries = [
-            Query(DistinctOp("T", ("url",))),
-            Query(GroupByOp("T", "url", "price", "max")),
-        ]
-        result = Cluster(workers=3, config=_config(True, 64)).run_packed(
-            queries, tables
-        )
         assert [r.output for r in result.results] == [
             run_reference(query, tables) for query in queries
         ]
-        counters = result.metrics.counter_values()
-        assert counters["fused_digest_shared_total{}"] > 0
+        assert result.total_streamed == N_ROWS
 
-    def test_report_exposes_compile_caches(self, tables):
-        result = Cluster(workers=3, config=_config(True, 64)).run(
-            _make_query("filter"), tables
-        )
-        report = result.report()
-        assert set(report["compile_cache"]) == {"fit_pack", "fused_plans"}
-        assert set(report["compile_cache"]["fused_plans"]) == {"hits", "misses"}
-        packed = Cluster(workers=3, config=_config(True, 64)).run_packed(
-            [_make_query("filter"), _make_query("topn")], tables
-        )
-        assert "compile_cache" in packed.report()
+    def test_packed_fuses_by_default_without_batch_size(self, tables, monkeypatch):
+        # batch_size=None: a packed slot streams DEFAULT_BATCH slices.
+        batches = _count_calls(monkeypatch, FusedProgram, "run_batch")
+        queries = [KINDS["filter"][0], KINDS["topn"][0]]
+        config = ClusterConfig(topn_randomized=False)
+        result = Cluster(workers=3, config=config).run_packed(queries, tables)
+        assert [r.output for r in result.results] == [
+            run_reference(query, tables) for query in queries
+        ]
+        assert len(batches) == -(-N_ROWS // 3 // DEFAULT_BATCH) * 3
+
+    def test_default_randomized_topn_packed_slot_streams_batches(
+        self, tables, monkeypatch
+    ):
+        # The out-of-box config (batch_size=None, randomized TOP N): the
+        # packed slot takes the batch kernel, never the per-entry loop.
+        entries = _count_calls(monkeypatch, TopNRandomizedPruner, "process")
+        batches = _count_calls(monkeypatch, TopNRandomizedPruner, "process_batch")
+        queries = [Query(TopNOp("T", "price", 25)), KINDS["filter"][0]]
+        result = Cluster(workers=3).run_packed(queries, tables)
+        assert [r.output for r in result.results] == [
+            run_reference(query, tables) for query in queries
+        ]
+        assert batches and not entries
+
+    @pytest.mark.parametrize("kind", list(KINDS) + list(SOLO_KINDS))
+    def test_single_pass_run_matches(self, tables, kind):
+        query, knobs = {**KINDS, **SOLO_KINDS}[kind]
+        expected = run_reference(query, tables)
+        per_entry = Cluster(workers=3, config=ClusterConfig(**knobs)).run(query, tables)
+        assert per_entry.output == expected
+        for batch_size in (1, 7, 4096):
+            config = ClusterConfig(batch_size=batch_size, **knobs)
+            result = Cluster(workers=3, config=config).run(query, tables)
+            assert result.output == expected, batch_size
+            assert _pruner_counters(result.metrics) == _pruner_counters(
+                per_entry.metrics
+            ), batch_size
 
 
 # ---------------------------------------------------------------------------
-# Zero-copy: shared-memory columns flow to kernels as views
+# Zero-copy: shared-memory columns flow to the pruners as views
 # ---------------------------------------------------------------------------
+
+
+class _SpyPruner:
+    """Records every entry batch it is handed and keeps every row."""
+
+    def __init__(self) -> None:
+        self.seen = []
+
+    def process_batch(self, entries):
+        self.seen.append(entries)
+        first = entries[0] if isinstance(entries, tuple) else entries
+        return np.ones(len(first), dtype=bool)
+
+
+def _arrays(entries):
+    return list(entries) if isinstance(entries, tuple) else [entries]
 
 
 class TestZeroCopy:
@@ -295,45 +204,47 @@ class TestZeroCopy:
         from repro.parallel.shm import SharedColumnStore, attach_columns
 
         table = tables["T"]
-        columns = ("price", "qty")
+        columns = ("price", "qty", "agent")
         source = {name: np.ascontiguousarray(table.column(name)) for name in columns}
         store = SharedColumnStore(source)
         try:
             attached, close = attach_columns(store.handle())
             try:
-                query = _make_query("filter")
-                config = _config(True, 128)
-                cluster = Cluster(workers=1, config=config)
-                plan = plan_fused([query], columns, config)
-                assert plan.fused
-                program = FusedProgram(plan, [cluster._build_pruner(query, tables)])
-                program.trace = []
+                queries = [KINDS[kind][0] for kind in ("filter", "topn", "groupby")]
+                cluster = Cluster(workers=1, config=ClusterConfig(batch_size=128))
+                spies = [_SpyPruner(), _SpyPruner()]
+                program = FusedProgram(
+                    plan_fused(queries, columns),
+                    [cluster._build_pruner(queries[0], tables, columns=columns)] + spies,
+                )
                 survivors = []
                 arrays = [attached[name] for name in columns]
                 for start in range(0, N_ROWS, 128):
                     slices = tuple(a[start : start + 128] for a in arrays)
                     masks, _ = program.run_batch(slices)
                     survivors.append(np.flatnonzero(masks[0]) + start)
-                # Every slice the kernels saw is a view over the shared
+                # Every array the pruners saw (the TOP N value column, the
+                # GROUP BY key and float64 value) is a view over the shared
                 # segment — zero column copies before the row-id gather.
-                for slices in program.trace:
-                    for sliced, base in zip(slices, arrays):
-                        assert np.shares_memory(sliced, base)
-                ids = np.concatenate(survivors)
-                predicate = query.operator.predicate
+                for spy in spies:
+                    assert len(spy.seen) == -(-N_ROWS // 128)
+                    for entries in spy.seen:
+                        for array in _arrays(entries):
+                            assert any(np.shares_memory(array, base) for base in arrays)
                 expected = np.flatnonzero(
                     (source["price"] > 150.0) & (source["qty"] <= 30)
                 )
-                assert np.array_equal(ids, expected), predicate
+                assert np.array_equal(np.concatenate(survivors), expected)
             finally:
                 close()
         finally:
             store.close()
 
-    def test_worker_shard_uses_fused_kernel(self, tables):
-        from repro.parallel.shm import SharedColumnStore, attach_columns
+    def test_worker_shard_uses_fused_kernel(self, tables, monkeypatch):
+        from repro.parallel.shm import SharedColumnStore
         from repro.parallel.worker import run_shard
 
+        batches = _count_calls(monkeypatch, FusedProgram, "run_batch")
         table = tables["T"]
         columns = ["price", "qty"]
         source = {name: np.ascontiguousarray(table.column(name)) for name in columns}
@@ -341,10 +252,10 @@ class TestZeroCopy:
         try:
             spec = {
                 "handle": store.handle(),
-                "query": _make_query("filter"),
+                "query": KINDS["filter"][0],
                 "columns": columns,
                 "sides": [(columns, ("bounds", 0, N_ROWS))],
-                "config": _config(True, 128),
+                "config": ClusterConfig(batch_size=128),
                 "batch": 128,
                 "shard": 0,
             }
@@ -354,89 +265,18 @@ class TestZeroCopy:
             )
             assert np.array_equal(result["out"][0], expected)
             assert result["volumes"] == [(N_ROWS, len(expected))]
-            counter_names = {c["name"] for c in result["metrics"]["counters"]}
-            assert "fused_batches_total" in counter_names
+            assert len(batches) == -(-N_ROWS // 128)
         finally:
             store.close()
 
     def test_parallel_run_matches_sequential(self, tables):
-        # End to end: the process-parallel path (fused worker kernels
-        # over shared memory) agrees with the sequential fused path.
-        for kind in FUSED_KINDS:
-            query = _make_query(kind)
-            sequential = Cluster(workers=3, config=_config(True, 128)).run(
-                query, tables
-            )
+        # End to end: pool shards (the step over shared memory) agree
+        # with the in-process step.
+        for query, knobs in KINDS.values():
+            sequential = Cluster(
+                workers=3, config=ClusterConfig(batch_size=128, **knobs)
+            ).run(query, tables)
             parallel = Cluster(
-                workers=3, config=_config(True, 128, parallelism=2)
+                workers=3, config=ClusterConfig(batch_size=128, parallelism=2, **knobs)
             ).run(query, tables)
             assert parallel.output == sequential.output == run_reference(query, tables)
-
-
-# ---------------------------------------------------------------------------
-# Frozen result-cache views
-# ---------------------------------------------------------------------------
-
-
-class TestFrozenResults:
-    def test_freeze_preserves_equality(self):
-        from repro.serve.cache import FrozenList, freeze_result
-
-        assert freeze_result({1, 2}) == {1, 2}
-        assert freeze_result({"a": 1}) == {"a": 1}
-        assert freeze_result([3, 1, 2]) == [3, 1, 2]
-        assert freeze_result(42) == 42
-        frozen = freeze_result([1])
-        assert isinstance(frozen, FrozenList)
-        assert freeze_result(frozen) is frozen
-
-    def test_frozen_list_rejects_mutation(self):
-        from repro.serve.cache import freeze_result
-
-        frozen = freeze_result([1, 2, 3])
-        for mutate in (
-            lambda: frozen.append(4),
-            lambda: frozen.extend([4]),
-            lambda: frozen.pop(),
-            lambda: frozen.sort(),
-            lambda: frozen.__setitem__(0, 9),
-            lambda: frozen.__delitem__(0),
-        ):
-            with pytest.raises(TypeError, match="read-only"):
-                mutate()
-
-    def test_frozen_set_and_dict_reject_mutation(self):
-        from repro.serve.cache import freeze_result
-
-        frozen_set = freeze_result({1, 2})
-        assert not hasattr(frozen_set, "add")
-        frozen_map = freeze_result({"a": 1})
-        with pytest.raises(TypeError):
-            frozen_map["b"] = 2
-
-    def test_result_cache_hits_share_one_frozen_view(self):
-        from repro.serve.cache import ResultCache
-
-        cache = ResultCache(max_entries=4)
-        original = {10, 20}
-        cache.put("plan", 1, original)
-        hit, first = cache.get("plan", 1)
-        assert hit and first == original
-        _, second = cache.get("plan", 1)
-        assert second is first  # shared view, no per-hit copy
-        # Mutating the caller's original after put never leaks in.
-        original.add(30)
-        _, third = cache.get("plan", 1)
-        assert third == {10, 20}
-
-    def test_program_cache_fused_plan_warm_path(self):
-        from repro.serve.cache import ProgramCache
-
-        clear_fused_cache()
-        cache = ProgramCache(max_entries=8)
-        queries = [_make_query("filter"), _make_query("topn")]
-        config = _config(True, 64)
-        first = cache.fused_plan(queries, ("price", "qty"), config)
-        second = cache.fused_plan(queries, ("price", "qty"), config)
-        assert second is first
-        assert cache.stats()["hits"] == 1

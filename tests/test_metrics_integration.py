@@ -197,16 +197,6 @@ QUERIES = {
 }
 
 
-def _without_fused(counters):
-    """Drop the fused dataplane's own telemetry (``fused_*``).
-
-    Batched runs execute through the fused kernel by default, which adds
-    batch/digest-share counters the scalar path has no analog for; every
-    counter both paths share must still match exactly.
-    """
-    return {k: v for k, v in counters.items() if not k.startswith("fused_")}
-
-
 @pytest.mark.parametrize("name", sorted(QUERIES))
 @pytest.mark.parametrize("batch_size", [1, 7, 64])
 def test_batch_run_counters_equal_scalar(tables, name, batch_size):
@@ -216,7 +206,7 @@ def test_batch_run_counters_equal_scalar(tables, name, batch_size):
         query, tables
     )
     assert batch.output == scalar.output
-    assert _without_fused(_counters(batch)) == _counters(scalar)
+    assert _counters(batch) == _counters(scalar)
 
 
 def test_multi_phase_counters_equal_scalar(tables):
@@ -270,6 +260,7 @@ def test_run_result_report_structure(tables):
     assert "worker_entries_streamed_total" in counters
     assert metrics["gauges"], "expected at least one health gauge"
     assert {span["name"] for span in metrics["spans"]} >= {"stream"}
+    assert set(report["compile_cache"]["fit_pack"]) == {"hits", "misses"}
     json.dumps(report)  # must be JSON-serializable as-is
 
 

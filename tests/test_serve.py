@@ -409,3 +409,60 @@ class TestObservability:
         problems = []
         check_metrics_schema._check_bench_envelope(report, "report", problems)
         assert problems == []
+
+
+# ---------------------------------------------------------------------------
+# Frozen result-cache views
+# ---------------------------------------------------------------------------
+
+
+class TestFrozenResults:
+    def test_freeze_preserves_equality(self):
+        from repro.serve.cache import FrozenList, freeze_result
+
+        assert freeze_result({1, 2}) == {1, 2}
+        assert freeze_result({"a": 1}) == {"a": 1}
+        assert freeze_result([3, 1, 2]) == [3, 1, 2]
+        assert freeze_result(42) == 42
+        frozen = freeze_result([1])
+        assert isinstance(frozen, FrozenList)
+        assert freeze_result(frozen) is frozen
+
+    def test_frozen_list_rejects_mutation(self):
+        from repro.serve.cache import freeze_result
+
+        frozen = freeze_result([1, 2, 3])
+        for mutate in (
+            lambda: frozen.append(4),
+            lambda: frozen.extend([4]),
+            lambda: frozen.pop(),
+            lambda: frozen.sort(),
+            lambda: frozen.__setitem__(0, 9),
+            lambda: frozen.__delitem__(0),
+        ):
+            with pytest.raises(TypeError, match="read-only"):
+                mutate()
+
+    def test_frozen_set_and_dict_reject_mutation(self):
+        from repro.serve.cache import freeze_result
+
+        frozen_set = freeze_result({1, 2})
+        assert not hasattr(frozen_set, "add")
+        frozen_map = freeze_result({"a": 1})
+        with pytest.raises(TypeError):
+            frozen_map["b"] = 2
+
+    def test_result_cache_hits_share_one_frozen_view(self):
+        from repro.serve.cache import ResultCache
+
+        cache = ResultCache(max_entries=4)
+        original = {10, 20}
+        cache.put("plan", 1, original)
+        hit, first = cache.get("plan", 1)
+        assert hit and first == original
+        _, second = cache.get("plan", 1)
+        assert second is first  # shared view, no per-hit copy
+        # Mutating the caller's original after put never leaks in.
+        original.add(30)
+        _, third = cache.get("plan", 1)
+        assert third == {10, 20}

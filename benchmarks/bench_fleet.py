@@ -6,10 +6,10 @@ output before any number is recorded):
 
 * **locality** — a mixed-tenant workload over a two-ToR/one-spine
   fabric with two replicas.  The router places each request by table
-  homing (tables hash onto ToRs; the replica on the home ToR holds the
-  table shared-memory resident), so the gated figure is the locality
-  hit fraction against the 1/replicas baseline random placement would
-  achieve.  Per-tenant p50/p99 latency (merged across replicas
+  homing (tables hash onto ToRs; the replica on the home ToR takes the
+  table's requests while it is below saturation), so the gated figure
+  is the locality hit fraction against the 1/replicas baseline random
+  placement would achieve.  Per-tenant p50/p99 latency (merged across replicas
   bucket-by-bucket) rides along, and zero cross-tenant starvation is
   asserted.
 * **fairness** — an A/B on one replica: a flooding tenant enqueues a
@@ -106,7 +106,7 @@ def _fairness_position(tables, fair: bool) -> int:
     service = QueryService(
         tables,
         workers=3,
-        config=ClusterConfig(seed=0, resident=False),
+        config=ClusterConfig(seed=0),
         max_queue=FLOOD + 8,
         worker_threads=1,
         enable_packing=False,

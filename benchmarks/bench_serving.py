@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 
-from repro.engine.cluster import Cluster, ClusterConfig, PhaseVolume, RunResult
+from repro.engine.cluster import PhaseVolume, RunResult
 from repro.engine.cost import CostModel
 from repro.engine.expressions import col
 from repro.engine.plan import CountOp, DistinctOp, GroupByOp, Query, TopNOp
@@ -48,14 +48,6 @@ BENCH_N = int(os.environ.get("CHEETAH_BENCH_N", "40000"))
 REQUESTS = int(os.environ.get("CHEETAH_BENCH_REQUESTS", "32"))
 WORKERS = 5
 MAX_PACK = 4
-
-#: The small-query section: tables small enough that per-request setup
-#: (shared-memory export, shard planning, pruner construction) is a
-#: visible slice of latency rather than noise under streaming compute.
-SMALL_N = int(os.environ.get("CHEETAH_BENCH_SMALL_N", "4000"))
-SMALL_REQUESTS = int(os.environ.get("CHEETAH_BENCH_SMALL_REQUESTS", "24"))
-SMALL_BATCH = 4096
-SMALL_PARALLELISM = 2
 
 
 def _tables(rows: int = BENCH_N) -> dict:
@@ -249,196 +241,5 @@ def test_serving_report():
     )
 
 
-def _percentile(values, q: float) -> float:
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q))
-
-
-def _small_config(resident: bool) -> ClusterConfig:
-    return ClusterConfig(
-        batch_size=SMALL_BATCH,
-        parallelism=SMALL_PARALLELISM,
-        resident=resident,
-    )
-
-
-def _dataplane_arm(resident: bool, tables, queries, expected) -> dict:
-    """Per-request setup vs execute split on the parallel dataplane.
-
-    The ``partition`` span is the per-request setup charge: with
-    residency off it covers the shared-memory export and shard-plan
-    computation every request repeats; with residency on it is a table
-    lookup against segments exported once per table version.  Execute is
-    the remainder of the request (stream + gather + completion), which
-    residency leaves untouched — same pruners, same answers.
-    """
-    cluster = Cluster(workers=WORKERS, config=_small_config(resident))
-    try:
-        cluster.run(queries[0], tables)  # warm the pool (and the exports)
-        setup_ms, execute_ms, wall_ms = [], [], []
-        start = time.perf_counter()
-        for query in queries:
-            begin = time.perf_counter()
-            result = cluster.run(query, tables)
-            wall = (time.perf_counter() - begin) * 1e3
-            tag = "resident" if resident else "per-run"
-            assert result.output == expected[query.cache_key()], (
-                f"{tag}: wrong answer for {query.describe()}"
-            )
-            setup = 1e3 * sum(
-                span.seconds
-                for span in result.metrics.spans
-                if span.name == "partition"
-            )
-            setup_ms.append(setup)
-            execute_ms.append(wall - setup)
-            wall_ms.append(wall)
-        total = time.perf_counter() - start
-    finally:
-        cluster.release_resident()
-    return {
-        "requests": len(queries),
-        "qps": len(queries) / total,
-        "setup_p50_ms": _percentile(setup_ms, 50),
-        "setup_p99_ms": _percentile(setup_ms, 99),
-        "execute_p50_ms": _percentile(execute_ms, 50),
-        "p50_ms": _percentile(wall_ms, 50),
-        "p99_ms": _percentile(wall_ms, 99),
-    }
-
-
-def _small_serve_arm(tag: str, resident: bool, tables, queries, expected) -> dict:
-    """End-to-end request latency through :class:`QueryService`.
-
-    Packing is disabled so every request is one solo slot — the
-    comparison isolates per-request setup amortization, not the §6
-    scheduler.  Requests run sequentially (steady-state latency, no
-    queueing delay in the histograms).
-    """
-    service = QueryService(
-        tables,
-        workers=WORKERS,
-        max_queue=len(queries) + 8,
-        worker_threads=2,
-        enable_packing=False,
-        config=_small_config(resident),
-    )
-    client = ServeClient(service, tenant=tag)
-    try:
-        client.query(queries[0])  # warm the pool (and the exports)
-        start = time.perf_counter()
-        for query in queries[1:]:
-            output = client.query(query)
-            assert output == expected[query.cache_key()], (
-                f"{tag}: wrong answer for {query.describe()}"
-            )
-        wall = time.perf_counter() - start
-        report = service.report()
-    finally:
-        service.shutdown()
-    summary = report["summary"]
-    if resident:
-        assert summary.get("resident"), "resident arm never installed a store"
-        assert summary["resident"]["reuses"] > 0, (
-            "resident arm never reused an exported segment"
-        )
-    latency = report["latency_ms"][tag]
-    return {
-        "requests": len(queries) - 1,
-        "qps": (len(queries) - 1) / wall,
-        "p50_ms": latency["p50"],
-        "p99_ms": latency["p99"],
-        "resident": summary.get("resident"),
-    }
-
-
-def test_resident_serving_report():
-    """Small-query latency: resident vs per-run-export dataplane.
-
-    Every answer in all four arms is asserted equal to the reference
-    executor before any number is recorded.  The gated figure is the
-    p50 per-request *setup* speedup (span-measured, host-stable); wall
-    qps rides along as the honesty check — the Python dataplane spends
-    its time in task dispatch and pruner compute, which residency does
-    not touch.
-    """
-    tables = _tables(SMALL_N)
-    queries = _workload(SMALL_REQUESTS)
-    expected = {q.cache_key(): run_reference(q, tables) for q in queries}
-    dp_resident = _dataplane_arm(True, tables, queries, expected)
-    dp_per_run = _dataplane_arm(False, tables, queries, expected)
-    sv_resident = _small_serve_arm("resident", True, tables, queries, expected)
-    sv_per_run = _small_serve_arm("per-run", False, tables, queries, expected)
-    setup_speedup = dp_per_run["setup_p50_ms"] / max(
-        dp_resident["setup_p50_ms"], 1e-9
-    )
-    qps_speedup = dp_resident["qps"] / dp_per_run["qps"]
-    # The residency claim: amortizing per-request setup buys at least 2x
-    # on the setup slice (or on qps outright, on dataplanes where setup
-    # dominates end to end).
-    assert setup_speedup >= 2.0 or qps_speedup >= 2.0, (
-        f"residency stopped paying: setup speedup {setup_speedup:.2f}x, "
-        f"qps speedup {qps_speedup:.2f}x"
-    )
-    rows = []
-    for tag, figures in (
-        ("dataplane resident", dp_resident),
-        ("dataplane per-run", dp_per_run),
-        ("serve resident", sv_resident),
-        ("serve per-run", sv_per_run),
-    ):
-        rows.append(
-            [
-                tag,
-                figures["requests"],
-                f"{figures['qps']:.1f}",
-                f"{figures['setup_p50_ms']:.3f}" if "setup_p50_ms" in figures else "-",
-                f"{figures['setup_p99_ms']:.3f}" if "setup_p99_ms" in figures else "-",
-                f"{figures['p50_ms']:.2f}",
-                f"{figures['p99_ms']:.2f}",
-            ]
-        )
-    lines = table(
-        ["arm", "requests", "wall qps", "setup p50 ms", "setup p99 ms",
-         "p50 ms", "p99 ms"],
-        rows,
-    )
-    lines.append("")
-    lines.append(
-        f"rows={SMALL_N:,}  parallelism={SMALL_PARALLELISM}  "
-        f"batch={SMALL_BATCH}; p50 per-request setup speedup "
-        f"{setup_speedup:.1f}x resident vs per-run export; all answers "
-        f"asserted equal to the reference executor in every arm"
-    )
-    lines.append(
-        "setup = the 'partition' span (shared-memory export + shard "
-        "planning per request vs one resident lookup); execute (stream/"
-        "gather/complete) is identical by construction and the answers "
-        "prove it"
-    )
-    emit(
-        "resident_serving",
-        lines,
-        {
-            "rows": SMALL_N,
-            "requests": SMALL_REQUESTS,
-            "parallelism": SMALL_PARALLELISM,
-            "batch_size": SMALL_BATCH,
-            "workloads": {
-                "small-query": {
-                    "speedup": setup_speedup,
-                    "qps_speedup": qps_speedup,
-                }
-            },
-            "arms": {
-                "dataplane_resident": dp_resident,
-                "dataplane_per_run": dp_per_run,
-                "serve_resident": sv_resident,
-                "serve_per_run": sv_per_run,
-            },
-        },
-    )
-
-
 if __name__ == "__main__":
     test_serving_report()
-    test_resident_serving_report()

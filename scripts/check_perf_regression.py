@@ -8,9 +8,8 @@ Usage::
         benchmarks/references/<bench>.reference.json
 
 Compares the *speedup ratios* of a fresh benchmark run (any envelope
-with per-workload ``speedup`` figures — ``bench_serving``'s
-resident-vs-per-run setup ratio, ``bench_fleet``'s locality and fairness
-ratios) against the reference file.  Ratios, not wall times, are
+with per-workload ``speedup`` figures; its one caller is ``bench_fleet``,
+with its locality and fairness ratios) against the reference file.  Ratios, not wall times, are
 the gated quantity: absolute throughput varies wildly across hosts and
 CI runners, but "the optimization makes the same pass N times faster on
 the same machine in the same process" is stable — so a collapse of the

@@ -56,9 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "streaming for single-pass plans in-process; "
                             "JOIN/HAVING/SKYLINE, pool shards, packed "
                             "slots and fault plans use 65536)")
-    query.add_argument("--resident", action="store_true",
-                       help="keep table columns and shard plans resident in "
-                            "shared memory across runs (repro.parallel.resident)")
     query.add_argument("--seed", type=int, default=0, help="workload seed")
     query.add_argument("--network-gbps", type=float, default=10.0,
                        help="NIC limit for the cost model (default 10)")
@@ -126,10 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="per-request deadline budget in seconds")
     serve_cmd.add_argument("--parallelism", type=int, default=1,
                            help="shard processes per engine run (default 1)")
-    serve_cmd.add_argument("--resident", action="store_true",
-                           help="export the served tables to shared memory "
-                                "once per table version; every slot reads "
-                                "through the resident views")
     serve_cmd.add_argument("--seed", type=int, default=0, help="workload seed")
     serve_cmd.add_argument("--verify", action="store_true",
                            help="re-check every answer against the reference "
@@ -262,17 +255,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
         config=ClusterConfig(
             batch_size=args.batch_size,
             parallelism=args.parallelism,
-            resident=args.resident,
             seed=args.seed,
         ),
     )
-    try:
-        if args.no_verify:
-            result = cluster.run(query, tables)
-        else:
-            result = cluster.run_verified(query, tables)
-    finally:
-        cluster.release_resident()
+    if args.no_verify:
+        result = cluster.run(query, tables)
+    else:
+        result = cluster.run_verified(query, tables)
     model = CostModel(network_gbps=args.network_gbps)
     cheetah = model.cheetah_breakdown(result)
     spark = model.spark_breakdown(result, first_run=False)
@@ -454,7 +443,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     expected = {sql: run_reference(parse(sql), tables) for sql in _SERVE_WORKLOAD}
     config = ClusterConfig(
         parallelism=args.parallelism,
-        resident=args.resident,
         seed=args.seed,
         fused_trace_sample=args.fused_trace_sample,
     )
@@ -511,12 +499,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"{summary['slots_solo']} solo")
     print(f"caches   : {summary['cache_hits']} result hits, "
           f"{summary['program_cache']['hits']} program hits")
-    resident = summary.get("resident")
-    if resident is not None:
-        print(f"resident : v{resident['version']} "
-              f"{resident['segments']} segments "
-              f"({resident['resident_bytes']} bytes), "
-              f"{resident['exports']} exports / {resident['reuses']} reuses")
     print(f"traffic  : {summary['streamed']} streamed, "
           f"{summary['forwarded']} forwarded "
           f"({summary['pruning_rate']:.2%} pruned)")
@@ -633,8 +615,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
               f"p50={figures['p50']:.2f}ms p99={figures['p99']:.2f}ms")
     for entry in report["replicas"]:
         print(f"replica  : {entry['name']} on {entry['tor']} "
-              f"[{entry['state']}] v{entry['tables_version']} "
-              f"token={entry['resident_token']}")
+              f"[{entry['state']}] v{entry['tables_version']}")
     print(f"fairness : {summary['starvation_events']} starvation events")
     if args.rolling_update:
         kept = summary.get("last_update_kept_capacity")

@@ -31,7 +31,7 @@ from ..faults.plan import FaultPlan
 from ..obs import MetricsRegistry, ratio
 from ..switch.resources import ResourceModel, TOFINO
 from .dataplane import DEFAULT_BATCH
-from .operators import SINGLE_PASS, Chaos, Shard, Side, plan_for
+from .operators import SINGLE_PASS, Chaos, Shard, plan_for
 from .plan import Query
 from .reference import TableMap, run_reference
 from .table import split_bounds
@@ -296,14 +296,6 @@ class ClusterConfig:
     #: active; keep the stride large — per-batch spans are the most
     #: voluminous signal the tracer can produce.
     fused_trace_sample: int = 0
-    #: Keep this cluster's tables resident in shared memory across runs
-    #: (:mod:`repro.parallel.resident`): columns and hash-shard plans
-    #: are exported once per table version and reused by parallel shard
-    #: processes, the sequential path, and packed slots alike.  The
-    #: serving layer versions residency explicitly (``ensure_resident``
-    #: on every ``update_tables``); standalone clusters build a store
-    #: lazily on the first Cheetah run.
-    resident: bool = False
 
     def __post_init__(self) -> None:
         if self.batch_size is not None and self.batch_size <= 0:
@@ -353,10 +345,6 @@ class Cluster:
         #: structured events (shard timeouts, pool respawns); the serving
         #: layer points this at its own log.
         self.events = None
-        #: Optional :class:`~repro.parallel.resident.ResidentTableStore`
-        #: installed by :meth:`ensure_resident` when
-        #: :attr:`ClusterConfig.resident` is on.
-        self.resident = None
 
     # -- public API ----------------------------------------------------------
 
@@ -393,56 +381,7 @@ class Cluster:
         """A lightweight clone running one pass under an override config."""
         clone = Cluster(self.workers, config)
         clone.events = self.events
-        clone.resident = self.resident
         return clone
-
-    # -- table residency -----------------------------------------------------
-
-    def ensure_resident(self, tables: TableMap, version: Optional[int] = None):
-        """Install (or reuse) a resident store covering ``tables``.
-
-        A no-op (returns ``None``) unless :attr:`ClusterConfig.resident`
-        is set.  The current store is reused when it is live, covers
-        every table by identity, and — when ``version`` is given (the
-        serving layer's ``tables_version``) — carries that version;
-        otherwise it is retired (segments unlinked once in-flight runs
-        drain) and a fresh store is built for the new epoch.  A host
-        without shared memory returns ``None``: every path already
-        treats "no resident store" as the per-run export mode.
-        """
-        if not self.config.resident:
-            return None
-        from ..parallel.resident import ResidentTableStore
-
-        store = self.resident
-        if (
-            store is not None
-            and not store.retired
-            and store.matches(tables)
-            and (version is None or store.version == version)
-        ):
-            return store
-        next_version = (
-            version
-            if version is not None
-            else (store.version + 1 if store is not None else 0)
-        )
-        self.resident = None
-        if store is not None:
-            store.retire()
-        try:
-            self.resident = ResidentTableStore(tables, version=next_version)
-        except SharedMemoryUnavailable:
-            self.resident = None
-        return self.resident
-
-    def release_resident(self):
-        """Retire the resident store (if any); segments unlink when the
-        last leased run drains.  Returns the retired store."""
-        store, self.resident = self.resident, None
-        if store is not None:
-            store.retire()
-        return store
 
     def _run_resolved(
         self, query: Query, tables: TableMap, use_cheetah: bool = True
@@ -534,13 +473,13 @@ class Cluster:
         """Run one operator plan; ``(results, registry)``.
 
         Everything that is the same for every operator happens here,
-        once: build and validate the pruners, lease the resident store,
-        execute the shards — in this process (one shard, the cluster's
-        config and seed, the live registry handed over directly), or
-        through ``transport`` (the shard pool of
-        :func:`repro.parallel.runner.run_parallel`) — then sum the
-        phases, attribute workers, absorb metrics, trace the master's
-        completion and assemble one :class:`RunResult` per query.
+        once: build and validate the pruners, execute the shards — in
+        this process (one shard, the cluster's config and seed, the live
+        registry handed over directly), or through ``transport`` (the
+        shard pool of :func:`repro.parallel.runner.run_parallel`) — then
+        sum the phases, attribute workers, absorb metrics, trace the
+        master's completion and assemble one :class:`RunResult` per
+        query.
         ``configs`` marks a packed slot (one effective config per
         query): per-query registries, and the shared ``packed-stream``
         phase.  A fan-out that cannot run (no shared memory, pool died
@@ -554,14 +493,6 @@ class Cluster:
         injector: Optional[FaultInjector] = None
         if use_cheetah and not packed and config.fault_plan is not None:
             injector = FaultInjector(config.fault_plan)
-        fault_free = use_cheetah and injector is None
-        if fault_free and config.resident and self.resident is None:
-            # Lazy standalone residency — built only when no store exists
-            # at all.  A store that doesn't cover this run's tables is
-            # left alone (a request holding a stale snapshot must not
-            # retire the current epoch); the run just takes the per-run
-            # export path, which is always exact.
-            self.ensure_resident(tables)
         sides = plan.sides(queries, tables)
         columns = sides[0].columns
         registry = MetricsRegistry()
@@ -591,71 +522,66 @@ class Cluster:
         names = [plan.baseline_phase] if not pruners else [n for n, _ in plan.phases]
         if packed:
             names[0] = "packed-stream"
-        store = _lease(self.resident, sides) if fault_free else None
-        try:
-            partials = None
-            if transport is not None and injector is None:
-                try:
-                    partials = transport(self, plan, shard, sides, store)
-                except SharedMemoryUnavailable as exc:
-                    registry.counter(
-                        "parallel_fallback_total",
-                        "Parallel runs that fell back to the in-process executor.",
-                        reason=exc.reason,
-                    ).inc()
-                    if self.events is not None:
-                        self.events.emit(
-                            "parallel-fallback",
-                            f"shard fan-out unavailable ({exc}); running in-process",
-                            source="engine", severity="warning", reason=exc.reason,
-                        )
-            pooled = partials is not None
-            if not pooled:
-                with registry.trace("partition"):
-                    arrays: List[np.ndarray] = []
-                    row_ids: List[int] = []
-                    rows = 0
-                    for side in sides:
-                        arrays.extend(_stream_arrays(side, store))
-                        row_ids.append(rows)
-                        rows += side.table.num_rows
-                if not pruners:
-                    everything = np.arange(rows, dtype=np.int64)
-                    out = plan.bypass(arrays, everything)
-                    partials = [{"volumes": [(rows, rows)], "out": out}]
-                else:
-                    batch_size = config.batch_size
-                    chaos = None
-                    if injector is not None:
-                        chaos = Chaos(injector, kind, pruners[0])
-                    if packed or chaos is not None or plan is not SINGLE_PASS:
-                        # Only a solo single-pass run has a per-entry loop.
-                        batch_size = batch_size or DEFAULT_BATCH
-                    span = None if plan.self_traced else names[0]
-                    with registry.trace(span) if span else nullcontext():
-                        partials = [
-                            plan.stream(shard, arrays, row_ids, batch_size, chaos)
-                        ]
-                    for own, pruner, tag in zip(registries, pruners, kinds):
-                        _absorb_pruner(own, pruner, query=tag, role="primary")
-                    if where is not None:
-                        _absorb_pruner(registry, where, query=kind, role="where")
-            volumes = [partial["volumes"] for partial in partials]
-            phases = [
-                PhaseVolume(
-                    name, sum(v[i][0] for v in volumes), sum(v[i][1] for v in volumes)
-                )
-                for i, name in enumerate(names[: len(volumes[0])])
-            ]
-            outputs = []
-            for index, own in enumerate(registries):
-                with own.trace("master-complete"):
-                    output, extra = plan.complete(shard, sides, partials, index)
-                outputs.append(output)
-                phases.extend(PhaseVolume(*volume) for volume in extra)
-        finally:
-            if store is not None:
-                store.release()
+        partials = None
+        if transport is not None and injector is None:
+            try:
+                partials = transport(self, plan, shard, sides)
+            except SharedMemoryUnavailable as exc:
+                registry.counter(
+                    "parallel_fallback_total",
+                    "Parallel runs that fell back to the in-process executor.",
+                    reason=exc.reason,
+                ).inc()
+                if self.events is not None:
+                    self.events.emit(
+                        "parallel-fallback",
+                        f"shard fan-out unavailable ({exc}); running in-process",
+                        source="engine", severity="warning", reason=exc.reason,
+                    )
+        pooled = partials is not None
+        if not pooled:
+            with registry.trace("partition"):
+                arrays: List[np.ndarray] = []
+                row_ids: List[int] = []
+                rows = 0
+                for side in sides:
+                    arrays.extend(side.arrays())
+                    row_ids.append(rows)
+                    rows += side.table.num_rows
+            if not pruners:
+                everything = np.arange(rows, dtype=np.int64)
+                out = plan.bypass(arrays, everything)
+                partials = [{"volumes": [(rows, rows)], "out": out}]
+            else:
+                batch_size = config.batch_size
+                chaos = None
+                if injector is not None:
+                    chaos = Chaos(injector, kind, pruners[0])
+                if packed or chaos is not None or plan is not SINGLE_PASS:
+                    # Only a solo single-pass run has a per-entry loop.
+                    batch_size = batch_size or DEFAULT_BATCH
+                span = None if plan.self_traced else names[0]
+                with registry.trace(span) if span else nullcontext():
+                    partials = [
+                        plan.stream(shard, arrays, row_ids, batch_size, chaos)
+                    ]
+                for own, pruner, tag in zip(registries, pruners, kinds):
+                    _absorb_pruner(own, pruner, query=tag, role="primary")
+                if where is not None:
+                    _absorb_pruner(registry, where, query=kind, role="where")
+        volumes = [partial["volumes"] for partial in partials]
+        phases = [
+            PhaseVolume(
+                name, sum(v[i][0] for v in volumes), sum(v[i][1] for v in volumes)
+            )
+            for i, name in enumerate(names[: len(volumes[0])])
+        ]
+        outputs = []
+        for index, own in enumerate(registries):
+            with own.trace("master-complete"):
+                output, extra = plan.complete(shard, sides, partials, index)
+            outputs.append(output)
+            phases.extend(PhaseVolume(*volume) for volume in extra)
         # Worker labels always range over the cluster's workers.  A
         # single-pass kernel reports per-partition volumes: exact when
         # the partitions were this cluster's workers (in-process), the
@@ -715,31 +641,6 @@ class Cluster:
         return plan_for(query.operator)[1].pruner(
             query, config if config is not None else self.config, columns
         )
-
-
-def _lease(store, sides: Sequence[Side]):
-    """Lease the resident store when it covers this run, else ``None``.
-
-    Object identity is the fence: a swapped or WHERE-masked table (a
-    fresh object) or a retired store means the per-run path, never a
-    mixed-version read.  The caller must ``release()`` the lease.
-    """
-    if store is None or not all(store.owns(s.name, s.table) for s in sides):
-        return None
-    return store if store.acquire() else None
-
-
-def _stream_arrays(side: Side, store):
-    """The side's arrays for in-process streaming: zero-copy resident
-    views (the same physical pages the shard processes map) under a
-    lease, the table's own columns otherwise — which is always exact.
-    Completion gathers from the original table either way."""
-    if store is not None and not side.matrix:
-        try:
-            return tuple(store.view(side.name, name) for name in side.columns)
-        except SharedMemoryUnavailable:
-            pass
-    return side.arrays()
 
 
 def _record_worker_volumes(

@@ -82,9 +82,9 @@ HASHED = "hash"
 class Side:
     """One streamed input of a plan: a table's columns, or (SKYLINE)
     their float point matrix.  ``table`` is the object actually streamed
-    — a fresh one after a WHERE mask, so it never matches a resident
-    store.  ``key`` is the signature hash sharding partitions the rows
-    on; ``None`` for keyless inputs, which only shard contiguously."""
+    — a fresh one after a WHERE mask.  ``key`` is the signature hash
+    sharding partitions the rows on; ``None`` for keyless inputs, which
+    only shard contiguously."""
 
     name: str
     table: Table

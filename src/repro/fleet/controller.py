@@ -5,8 +5,7 @@ the whole stack from a :class:`~repro.fleet.topology.FabricTopology`:
 
 * N :class:`~repro.fleet.replica.Replica` serving stacks, bound
   round-robin onto the fabric's ToR switches (each replica compiles
-  against its ToR's resource budget and keeps the served tables
-  shared-memory resident);
+  against its ToR's resource budget);
 * one fleet-shared :class:`~repro.serve.cache.ResultCache` — version
   keying plus the floor-sweep eviction semantics make one cache safe
   under concurrent readers from every replica (see
@@ -26,8 +25,8 @@ the whole stack from a :class:`~repro.fleet.topology.FabricTopology`:
 as a layer: tables are swapped replica-by-replica (stop routing → drain
 → version-fence swap → readmit) so the fleet as a whole keeps serving
 through the entire update — the single-service ``update_tables`` fences
-correctly but a lone service still has to absorb the residency
-re-export in its serving path; a fleet hides it behind its siblings.
+correctly on its own; the fleet adds drain-before-swap, so no replica
+serves while its tables change and requests go to its siblings instead.
 """
 
 from __future__ import annotations
@@ -77,7 +76,6 @@ class FleetController:
         max_queue: int = 64,
         max_pack: int = 4,
         parallelism: int = 1,
-        resident: bool = True,
         verify: bool = False,
         seed: int = 0,
         default_timeout: Optional[float] = None,
@@ -119,7 +117,6 @@ class FleetController:
                     max_queue=max_queue,
                     max_pack=max_pack,
                     parallelism=parallelism,
-                    resident=resident,
                     verify=verify,
                     seed=seed,
                     default_timeout=default_timeout,
@@ -382,7 +379,6 @@ class FleetController:
             service_summary = replica.service.report()["summary"]
             entry = replica.summary()
             entry["service"] = {key: service_summary[key] for key in totals}
-            entry["resident"] = service_summary.get("resident")
             replica_summaries.append(entry)
             for key in totals:
                 totals[key] += service_summary[key]

@@ -2,18 +2,15 @@
 
 A replica is the unit of replication, placement, and rolling update.
 It owns a full serving stack — admission queue, packing scheduler,
-executor pool, resident table store — configured from the ToR switch it
-is bound to (the ToR's :class:`~repro.switch.resources.ResourceModel`
-becomes the replica's compile budget, so a program that doesn't fit the
-rack's switch never runs there), and shares the fleet-wide
+executor pool — configured from the ToR switch it is bound to (the
+ToR's :class:`~repro.switch.resources.ResourceModel` becomes the
+replica's compile budget, so a program that doesn't fit the rack's
+switch never runs there), and shares the fleet-wide
 :class:`~repro.serve.cache.ResultCache` with its siblings.
 
-The router reads three things off a replica: its lifecycle
-:attr:`Replica.state` (only ``ACTIVE`` replicas receive new requests),
-its :meth:`occupancy` (queued + executing — the load signal), and its
-residency (:meth:`resident_token` / :meth:`holds_resident`, the PR 9
-:class:`~repro.parallel.resident.ResidentTableStore` identity the
-locality-routing decision keys on).
+The router reads two things off a replica: its lifecycle
+:attr:`Replica.state` (only ``ACTIVE`` replicas receive new requests)
+and its :meth:`occupancy` (queued + executing — the load signal).
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ class Replica:
         max_queue: int = 64,
         max_pack: int = 4,
         parallelism: int = 1,
-        resident: bool = True,
         verify: bool = False,
         seed: int = 0,
         default_timeout: Optional[float] = None,
@@ -69,12 +65,7 @@ class Replica:
         self.name = name
         self.tor = tor
         self.state = ACTIVE
-        config = ClusterConfig(
-            model=tor.model,
-            resident=resident,
-            parallelism=parallelism,
-            seed=seed,
-        )
+        config = ClusterConfig(model=tor.model, parallelism=parallelism, seed=seed)
         self.service = QueryService(
             tables,
             workers=workers,
@@ -107,29 +98,6 @@ class Replica:
         """The replica's current table version (result-cache epoch)."""
         return self.service.tables_version
 
-    def resident_token(self) -> Optional[str]:
-        """The replica's resident-store token (None without residency).
-
-        The token names the shared-memory epoch this replica's tables
-        are exported under — the identity locality routing advertises.
-        """
-        store = self.service.cluster.resident
-        return store.token if store is not None else None
-
-    def holds_resident(self, table_name: str) -> bool:
-        """Does this replica hold ``table_name`` resident right now?
-
-        True when the replica's resident store registers that table
-        under its current epoch (``owns`` compares table *objects*, the
-        PR 9 version fence) — the condition under which routing here
-        skips per-request export setup entirely.
-        """
-        store = self.service.cluster.resident
-        if store is None or store.retired:
-            return False
-        table = self.service.tables.get(table_name)
-        return table is not None and store.owns(table_name, table)
-
     # -- rolling-update steps ------------------------------------------------
 
     def drain(self, timeout: float = 30.0, poll: float = 0.002) -> bool:
@@ -148,7 +116,7 @@ class Replica:
         return True
 
     def update_tables(self, tables=None) -> int:
-        """Swap this replica's tables (version fence + residency swap)."""
+        """Swap this replica's tables (version fence)."""
         return self.service.update_tables(tables)
 
     def shutdown(self, drain: bool = True) -> None:
@@ -163,7 +131,6 @@ class Replica:
             "state": self.state,
             "tables_version": self.tables_version,
             "occupancy": self.occupancy,
-            "resident_token": self.resident_token(),
         }
         if self.fairness is not None:
             report_summary["fairness"] = self.fairness.snapshot()

@@ -7,19 +7,16 @@ counter), so routing behaviour is measurable, not folkloric:
 
 1. **locality** — the query's table has a home replica (its table name
    hashes onto one ToR, :meth:`~repro.fleet.topology.FabricTopology.
-   home_tor`), the replica bound to that ToR is active, actually holds
-   the table resident (verified against the PR 9
-   :class:`~repro.parallel.resident.ResidentTableStore`, not assumed
-   from the placement map), and is below the saturation threshold:
-   route there and ride the warm shared-memory segments.
-2. **spillover** — the home replica exists but is draining, saturated,
-   or lost residency: route to the least-occupied other active replica.
-   Typed and evented (``fleet-spillover``), because spillover trades
-   the residency win for queueing headroom and operators need to see
-   how often that trade happens.
+   home_tor`), and the replica bound to that ToR is active and below
+   the saturation threshold: route there.
+2. **spillover** — the home replica is active but saturated: route to
+   the least-occupied active replica.  Typed and evented
+   (``fleet-spillover``), because spillover trades placement for
+   queueing headroom and operators need to see how often that trade
+   happens.
 3. **least-loaded** — the table has no active home at all (its ToR has
-   no replica, or placement is disabled): plain least-occupancy
-   placement.
+   no replica, or the home is draining or mid-update): plain
+   least-occupancy placement.
 
 With no active replica at all the router raises the serving layer's
 typed :class:`~repro.errors.Overloaded` with reason
@@ -31,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..errors import ConfigurationError, Overloaded
 from .replica import Replica
@@ -43,17 +40,11 @@ REASONS = ("locality", "spillover", "least-loaded")
 
 @dataclass(frozen=True)
 class RouteDecision:
-    """Why a request landed on the replica it landed on.
-
-    ``token`` is the chosen replica's resident-store epoch when the
-    decision was locality-based (None otherwise): the receipt that the
-    route really did land on warm segments.
-    """
+    """Why a request landed on the replica it landed on."""
 
     replica: str
     reason: str
     table: str
-    token: Optional[str] = None
 
 
 class QueryRouter:
@@ -129,21 +120,15 @@ class QueryRouter:
             if replica.active
         ]
         for replica in home:
-            if (
-                replica.occupancy < self.saturation
-                and replica.holds_resident(table)
-            ):
+            if replica.occupancy < self.saturation:
                 decision = RouteDecision(
-                    replica=replica.name,
-                    reason="locality",
-                    table=table,
-                    token=replica.resident_token(),
+                    replica=replica.name, reason="locality", table=table
                 )
                 self._count("locality")
                 return replica, decision
         fallback = min(candidates, key=lambda replica: replica.occupancy)
         if home:
-            # A home existed but was saturated/cold: typed spillover.
+            # A home existed but was saturated: typed spillover.
             decision = RouteDecision(
                 replica=fallback.name, reason="spillover", table=table
             )

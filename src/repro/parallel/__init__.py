@@ -5,13 +5,12 @@ through the switch at once.  The run driver
 (:meth:`repro.engine.cluster.Cluster._execute`) cuts every run into
 shards and the operator table (:mod:`repro.engine.operators`) says what
 a shard does; this package is what crossing a process boundary needs:
-zero-copy shared-memory column blocks (:mod:`repro.parallel.shm`,
-:mod:`repro.parallel.resident`), hash-shard planning with the
-multiswitch partitioning semantics (:mod:`repro.parallel.shard`), the
-process pool with its crash and timeout guardrails
-(:mod:`repro.parallel.runner`) and the shard task with its warm-worker
-caches (:mod:`repro.parallel.worker`), which returns survivor row-id
-arrays plus a metrics snapshot the parent merges
+zero-copy shared-memory column blocks exported per run
+(:mod:`repro.parallel.shm`), hash-shard planning with the multiswitch
+partitioning semantics (:mod:`repro.parallel.shard`), the process pool
+with its crash and timeout guardrails (:mod:`repro.parallel.runner`) and
+the shard task (:mod:`repro.parallel.worker`), which returns survivor
+row-id arrays plus a metrics snapshot the parent merges
 (:meth:`repro.obs.MetricsRegistry.absorb_sharded`).
 
 The entry point is :func:`repro.parallel.runner.run_parallel`;

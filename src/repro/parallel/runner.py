@@ -6,11 +6,11 @@ a parallel run reports through the same phases, spans and counter
 families as an in-process one.  What lives here is what crossing the
 process boundary needs (:func:`_pool_shards`):
 
-1. **partition** — reference the leased resident store's segments, or
-   export the plan's stream inputs to shared memory once
-   (:class:`~repro.parallel.shm.SharedColumnStore`), and cut shards
-   (:mod:`repro.parallel.shard`): contiguous worker-partition bounds or
-   multiswitch hash-partition index arrays, one cut per input side.
+1. **partition** — export the plan's stream inputs to shared memory
+   once per run (:class:`~repro.parallel.shm.SharedColumnStore`), and
+   cut shards (:mod:`repro.parallel.shard`): contiguous worker-partition
+   bounds or multiswitch hash-partition index arrays, one cut per input
+   side.
 2. **stream** — one :func:`~repro.parallel.worker.run_shard` task per
    shard through :func:`_gather` (crash and timeout guardrails); each
    runs the operator plan's shard kernel and returns its partial plus a
@@ -253,55 +253,34 @@ def run_parallel(cluster, query: Query, tables) -> "RunResult":
     return cluster._execute([query], tables, transport=_pool_shards)[0][0]
 
 
-def _pool_shards(cluster, plan, shard, sides, resident) -> List[dict]:
+def _pool_shards(cluster, plan, shard, sides) -> List[dict]:
     """The pool executor: the plan's per-shard partials, in shard order.
 
-    ``resident`` is the driver's lease on the cluster's resident store
-    (``None``: export an ephemeral store for this run, closed in
-    ``finally``).  Shard metrics are folded into ``shard.registry`` only
-    once every shard has answered.
+    The run's stream inputs are exported to a :class:`SharedColumnStore`
+    closed in ``finally``.  Shard metrics are folded into
+    ``shard.registry`` only once every shard has answered.
     """
     config, registry, query = cluster.config, shard.registry, shard.queries[0]
     shards = config.parallelism
     hashed = shard_mod.HASHED == shard_mod.resolve_policy(
         query.operator, config.shard_policy, config.topn_randomized
     )
-    ephemeral: Optional[SharedColumnStore] = None
+    store: Optional[SharedColumnStore] = None
     try:
         with registry.trace("partition"):
-            #: Handle entries (resident) or arrays to export, by name.
+            #: Arrays to export, by name.
             columns: Dict[str, object] = {}
             #: Per shard, one ``(array names, cut)`` per side.
             cuts: List[list] = [[] for _ in range(shards)]
             for s, side in enumerate(sides):
-                if resident is None:
-                    exported = side.arrays()
-                elif side.matrix:
-                    # The derived float matrix is itself resident: built
-                    # and exported once per (table, dimension columns).
-                    exported = [
-                        resident.matrix_entry(
-                            side.name, side.columns, lambda: side.arrays()[0]
-                        )
-                    ]
-                else:
-                    entries = resident.column_entries(side.name, side.columns)
-                    exported = [entries[name] for name in side.columns]
+                exported = side.arrays()
                 names = [f"{s}.{i}" for i in range(len(exported))]
                 columns.update(zip(names, exported))
                 if hashed:
                     # A key's rows meet on one shard — and JOIN's sides
                     # shard by the SAME hash, so a key's build and probe
                     # entries share one Bloom filter.
-                    def index_plan():
-                        return shard_mod.cached_hash_plan(side.key, side.table, shards)
-
-                    index = (
-                        index_plan() if resident is None
-                        else resident.plan_entries(
-                            side.name, side.key, shards, index_plan
-                        )
-                    )
+                    index = shard_mod.cached_hash_plan(side.key, side.table, shards)
                     cut = [("index", f"{s}.idx{k}") for k in range(shards)]
                     columns.update((name, index[k]) for k, (_, name) in enumerate(cut))
                 else:
@@ -312,14 +291,11 @@ def _pool_shards(cluster, plan, shard, sides, resident) -> List[dict]:
                     ]
                 for k in range(shards):
                     cuts[k].append((names, cut[k]))
-            if resident is None:
-                ephemeral = SharedColumnStore(columns)
-                columns = ephemeral.handle()
+            store = SharedColumnStore(columns)
         specs = [
             {
                 "shard": k,
-                "handle": columns,
-                "resident": resident.token if resident is not None else None,
+                "handle": store.handle(),
                 "query": query,
                 "config": _child_config(cluster, k),
                 "columns": shard.columns,
@@ -340,8 +316,8 @@ def _pool_shards(cluster, plan, shard, sides, resident) -> List[dict]:
             f"shard pool died: {exc}", reason="pool-died"
         ) from exc
     finally:
-        if ephemeral is not None:
-            ephemeral.close()
+        if store is not None:
+            store.close()
     partials = [results[k] for k in range(shards)]
     for k, partial in enumerate(partials):
         registry.absorb_sharded(MetricsRegistry.from_dict(partial.pop("metrics")), k)

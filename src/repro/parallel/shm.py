@@ -110,25 +110,6 @@ class SharedColumnStore:
         self.close()
 
 
-def open_segment(name: str):
-    """Attach one existing segment by name.
-
-    The resident worker cache (:mod:`repro.parallel.worker`) maps each
-    segment of a :class:`~repro.parallel.resident.ResidentTableStore`
-    once per store token and keeps it attached across tasks; a missing
-    segment (the store was retired under us) surfaces as
-    :class:`SharedMemoryUnavailable`, the caller's sequential fallback.
-    """
-    if _shared_memory is None:  # pragma: no cover
-        raise SharedMemoryUnavailable("multiprocessing.shared_memory missing")
-    try:
-        return _shared_memory.SharedMemory(name=name)
-    except Exception as exc:
-        raise SharedMemoryUnavailable(
-            f"could not attach shared-memory segment {name!r}: {exc}"
-        ) from exc
-
-
 def attach_columns(
     handle: Dict[str, tuple],
 ) -> Tuple[Dict[str, np.ndarray], Callable[[], None]]:

@@ -20,18 +20,13 @@ sequential counter families exactly.
 
 from __future__ import annotations
 
-import dataclasses
-from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable, Dict, Tuple
-
-import numpy as np
 
 from ..engine.cluster import _absorb_pruner
 from ..engine.operators import Shard, plan_for
 from ..obs import MetricsRegistry
 from ..obs.tracing import TraceContext, clear_trace_context, trace_context
-from .shm import attach_columns, open_segment
+from .shm import attach_columns
 
 
 def _shard_trace(spec: dict, registry=None, span: str = ""):
@@ -65,133 +60,6 @@ def _shard_trace(spec: dict, registry=None, span: str = ""):
     return _activate_and_time()
 
 
-# -- resident warm-worker caches ----------------------------------------------
-#
-# Pool processes persist across runs, so a task spec carrying a resident
-# store token (``spec["resident"]``) opts into two per-process caches:
-#
-# * **segment attachments** — each resident segment is mapped once per
-#   token and stays mapped across tasks; per-task specs (no token) keep
-#   the attach-and-close-per-task discipline.  Only one token's segments
-#   stay attached at a time: a task carrying a *different* token evicts
-#   the old epoch's mappings, so a retired store's pages are released as
-#   soon as the new epoch's first task lands (and at the latest when the
-#   pool dies).
-# * **pruner templates** — pruners keyed by (token, kind, plan signature,
-#   config signature); a hit calls :meth:`~repro.core.base.Pruner.reset`
-#   (zeroed metrics + stats + dataplane state, identical hash seeds)
-#   instead of rebuilding.  ``resident_pruner_{builds,reuses}_total``
-#   counters ride back in each task's metrics snapshot.
-
-_RESIDENT_SEGMENTS: Dict[str, Dict[str, object]] = {}
-_PRUNER_TEMPLATES: "OrderedDict[tuple, object]" = OrderedDict()
-_PRUNER_TEMPLATES_MAX = 64
-
-
-def _noop_close() -> None:
-    return None
-
-
-def _attach(spec: dict) -> Tuple[Dict[str, np.ndarray], Callable[[], None]]:
-    """``(columns, close)`` for a task spec, resident-aware.
-
-    Resident handles resolve against the persistent per-token segment
-    cache (``close`` is a no-op — the mappings outlive the task); plain
-    handles fall through to :func:`attach_columns`.
-    """
-    token = spec.get("resident")
-    if token is None:
-        return attach_columns(spec["handle"])
-    for stale in [t for t in _RESIDENT_SEGMENTS if t != token]:
-        for segment in _RESIDENT_SEGMENTS.pop(stale).values():
-            try:
-                segment.close()
-            except Exception:  # pragma: no cover
-                pass
-        _evict_templates(stale)
-    cache = _RESIDENT_SEGMENTS.setdefault(token, {})
-    columns: Dict[str, np.ndarray] = {}
-    for name, entry in spec["handle"].items():
-        if entry[0] == "inline":
-            columns[name] = entry[1]
-            continue
-        _, segment_name, shape, dtype = entry
-        segment = cache.get(segment_name)
-        if segment is None:
-            segment = open_segment(segment_name)
-            cache[segment_name] = segment
-        columns[name] = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
-    return columns, _noop_close
-
-
-def _evict_templates(token: str) -> None:
-    for key in [k for k in _PRUNER_TEMPLATES if k[0] == token]:
-        del _PRUNER_TEMPLATES[key]
-
-
-def _config_signature(cfg) -> tuple:
-    """A hashable digest of every pruner-relevant config field."""
-    return tuple(
-        (field.name, repr(getattr(cfg, field.name)))
-        for field in dataclasses.fields(cfg)
-        if field.name != "fault_plan"
-    )
-
-
-def _template(
-    spec: dict,
-    kind: str,
-    plan_key: object,
-    registry: MetricsRegistry,
-    build: Callable[[], object],
-):
-    """A pruner for this task: reset-and-reuse under a resident token.
-
-    Non-resident tasks build fresh (the prior behavior).  The reuse
-    leans on the final :meth:`Pruner.reset` contract — a reset pruner is
-    indistinguishable from a freshly built one with the same seed.
-    """
-    token = spec.get("resident")
-    if token is None:
-        return build()
-    key = (token, kind, plan_key, _config_signature(spec["config"]))
-    pruner = _PRUNER_TEMPLATES.get(key)
-    if pruner is None:
-        pruner = build()
-        if pruner is None:  # nothing to cache (e.g. no WHERE stage)
-            return None
-        _PRUNER_TEMPLATES[key] = pruner
-        registry.counter(
-            "resident_pruner_builds_total",
-            "Pruner templates built into the resident worker cache.",
-        ).inc()
-    else:
-        pruner.reset()
-        registry.counter(
-            "resident_pruner_reuses_total",
-            "Pruner templates reused (reset) from the resident worker cache.",
-        ).inc()
-    _PRUNER_TEMPLATES.move_to_end(key)
-    while len(_PRUNER_TEMPLATES) > _PRUNER_TEMPLATES_MAX:
-        _PRUNER_TEMPLATES.popitem(last=False)
-    return pruner
-
-
-def _pruner(spec: dict, registry: MetricsRegistry, role: str = "primary"):
-    """This task's pruner — or, for ``role="where"``, its packed WHERE
-    stage — rebuilt locally from the picklable query and the shard's
-    config (resident tasks reset-and-reuse a cached template)."""
-    query, cfg = spec["query"], spec["config"]
-    _, plan = plan_for(query.operator)
-
-    def build():
-        if role == "where":
-            return plan.where_stage(query, spec["columns"], cfg)
-        return plan.pruner(query, cfg)
-
-    return _template(spec, role, query.cache_key(), registry, build)
-
-
 def run_shard(spec: dict) -> dict:
     """One shard of any operator plan: attach the columns, cut this
     shard's rows from every input side, and run the plan's shard kernel
@@ -206,7 +74,7 @@ def run_shard(spec: dict) -> dict:
     views end to end: the kernel turns them straight into global row
     ids with no intermediate column copies.
     """
-    columns_map, close = _attach(spec)
+    columns_map, close = attach_columns(spec["handle"])
     try:
         query, cfg = spec["query"], spec["config"]
         kind, plan = plan_for(query.operator)
@@ -221,8 +89,8 @@ def run_shard(spec: dict) -> dict:
                 row_ids.append(cut[1] + base)
             base += len(columns_map[names[0]])
         registry = MetricsRegistry()
-        pruner = _pruner(spec, registry)
-        where = _pruner(spec, registry, role="where")
+        pruner = plan.pruner(query, cfg)
+        where = plan.where_stage(query, spec["columns"], cfg)
         shard = Shard([query], spec["columns"], [pruner], cfg, registry, where)
         span = "" if plan.self_traced else "shard-stream"
         with _shard_trace(spec, registry, span):

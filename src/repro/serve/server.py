@@ -137,9 +137,6 @@ class QueryService:
         )
         self._tables: Dict[str, object] = dict(tables)
         self._tables_version = 0
-        #: Final resident-store stats, stashed at shutdown so reports
-        #: emitted after the drain still carry the lifetime tallies.
-        self._resident_stats: Optional[dict] = None
         #: Guards the tallies, tenant-labeled sample creation, and spans.
         self._metrics_lock = threading.Lock()
         #: Guards inflight accounting and table swaps; notified on drain.
@@ -195,11 +192,6 @@ class QueryService:
         # Engine-level structured events (shard timeouts, pool respawns)
         # land in the same log as the serving layer's own.
         self.cluster.events = self.events
-        # Table residency: with ``ClusterConfig.resident`` on, the served
-        # tables are exported to shared memory once per table version —
-        # every slot (parallel, sequential, packed) reads through the
-        # resident views instead of paying per-request export setup.
-        self.cluster.ensure_resident(self._tables, self._tables_version)
         #: The adaptive runtime (None unless ``adapt=True``): a per-
         #: signature config-override store leased by every engine pass,
         #: and the remediation engine ticking over health detections.
@@ -328,12 +320,6 @@ class QueryService:
                 self._tables = dict(tables)
             self._tables_version += 1
             version = self._tables_version
-            tables_snapshot = self._tables
-        # Residency is invalidated exactly like the result cache: the old
-        # epoch's store is retired (its segments unlink once in-flight
-        # slots drain — slots holding the old snapshot keep their leases)
-        # and a fresh store is installed for the new version.  Memoized
-        # shard plans for the old table objects are swept eagerly too.
         from ..parallel.shard import invalidate_shard_plans
 
         # A privately-owned cache is swept eagerly; a fleet-shared one is
@@ -343,7 +329,6 @@ class QueryService:
             self.results.evict_stale(version) if self._owns_results else 0
         )
         dropped_plans = invalidate_shard_plans()
-        self.cluster.ensure_resident(tables_snapshot, version)
         self.events.emit(
             "cache-invalidation",
             f"tables updated to version {version}; result cache invalidated",
@@ -484,16 +469,9 @@ class QueryService:
                     break
                 self._state.wait(remaining if remaining is not None else 0.1)
         self._pool.shutdown(wait=True)
-        # Every slot has drained: retire residency (segments unlink now —
-        # no leases remain) and drop the memoized shard plans.  The final
-        # stats are stashed so a post-shutdown report() still carries the
-        # lifetime export/reuse tallies.
+        # Every slot has drained: drop the memoized shard plans.
         from ..parallel.shard import invalidate_shard_plans
 
-        store = self.cluster.resident
-        if store is not None:
-            self._resident_stats = store.stats()
-        self.cluster.release_resident()
         invalidate_shard_plans()
         self.events.emit(
             "lifecycle",
@@ -754,11 +732,6 @@ class QueryService:
         from ..parallel.shard import shard_plan_cache_stats
 
         summary["shard_plan_cache"] = shard_plan_cache_stats()
-        resident_store = self.cluster.resident
-        if resident_store is not None:
-            summary["resident"] = resident_store.stats()
-        elif self._resident_stats is not None:
-            summary["resident"] = self._resident_stats
         summary["degraded_signatures"] = self.health.degraded_signatures()
         if self.remediation is not None:
             summary["remediation"] = self.remediation.stats()

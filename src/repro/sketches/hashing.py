@@ -191,7 +191,18 @@ def canonical_batch(values) -> np.ndarray:
             arr = np.asarray(seq)
         except (OverflowError, ValueError):
             arr = None
-        if arr is not None and arr.ndim == 1 and arr.dtype.kind in "buif":
+        # np.asarray merges Python ints with floats (and ints past int64
+        # with each other) into float64; only an all-float sequence may
+        # take the float kernel, anything merged loops per element.
+        if (
+            arr is not None
+            and arr.ndim == 1
+            and arr.dtype.kind in "buif"
+            and (
+                arr.dtype.kind != "f"
+                or all(isinstance(v, (float, np.floating)) for v in seq)
+            )
+        ):
             return canonical_batch(arr)
     return np.fromiter(
         (canonical_int(v) for v in seq), dtype=np.uint64, count=len(seq)

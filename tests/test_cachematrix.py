@@ -40,6 +40,19 @@ class TestCacheMatrix:
         m = CacheMatrix(rows=16, cols=2)
         assert m.row_of("v") == m.row_of("v")
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            CacheMatrix(rows=64, cols=2),
+            KeyedAggregateMatrix(rows=64, cols=2, better=lambda a, b: a > b),
+        ],
+        ids=["cache", "keyed"],
+    )
+    def test_row_of_batch_on_mixed_int_float_sequence(self, matrix):
+        values = [2.0, 3, 4.5, 7]
+        m = matrix
+        assert m.row_of_batch(values).tolist() == [m.row_of(v) for v in values]
+
     def test_eviction_after_w_new_values_in_row(self):
         m = CacheMatrix(rows=1, cols=2)  # single row: everything collides
         m.lookup_insert("a")

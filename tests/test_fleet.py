@@ -4,8 +4,8 @@ The contracts under test are the ones ``repro.fleet`` exists to keep:
 
 * a declared fabric is structurally valid or refuses to construct;
 * tables home deterministically onto ToRs, and the router prefers the
-  replica that actually holds the table resident, spilling (typed,
-  evented) when the home is saturated or draining;
+  home replica, spilling (typed, evented) when the home is saturated
+  and placing least-loaded when it is draining;
 * one tenant cannot monopolize a replica — quota sheds are typed
   ``tenant-quota``, weighted-fair slot formation serves a quiet tenant
   within a bounded number of rounds no matter the flood depth, and the
@@ -20,7 +20,7 @@ The contracts under test are the ones ``repro.fleet`` exists to keep:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -276,7 +276,7 @@ class TestFairnessRegression:
         policy = WeightedFairPolicy() if fair else None
         service = QueryService(
             tables, workers=3,
-            config=ClusterConfig(seed=0, resident=False),
+            config=ClusterConfig(seed=0),
             max_queue=flood + 4, worker_threads=1,
             enable_packing=False, fairness=policy,
         )
@@ -324,28 +324,17 @@ class FakeReplica:
     tor: SwitchSpec
     state: str = ACTIVE
     occupancy: int = 0
-    resident: set = field(default_factory=set)
 
     @property
     def active(self):
         return self.state == ACTIVE
 
-    def holds_resident(self, table_name):
-        return table_name in self.resident
-
-    def resident_token(self):
-        return f"tok-{self.name}"
-
 
 class TestRouter:
-    def make(self, occupancies=(0, 0), resident=("Products", "Ratings"),
-             saturation=4, registry=None, events=None):
+    def make(self, occupancies=(0, 0), saturation=4, registry=None, events=None):
         topo = FabricTopology.two_tier(tors=2, spines=1)
         replicas = [
-            FakeReplica(
-                f"replica-{i}", topo.tors[i],
-                occupancy=occupancies[i], resident=set(resident),
-            )
+            FakeReplica(f"replica-{i}", topo.tors[i], occupancy=occupancies[i])
             for i in range(2)
         ]
         router = QueryRouter(
@@ -354,14 +343,13 @@ class TestRouter:
         )
         return topo, replicas, router
 
-    def test_locality_routes_to_resident_home(self):
+    def test_locality_routes_to_home(self):
         topo, replicas, router = self.make()
         plan = parse(FLEET_SQL[0])
         home = topo.home_tor("Products").name
         replica, decision = router.route(plan)
         assert replica.tor.name == home
         assert decision.reason == "locality"
-        assert decision.token == f"tok-{replica.name}"
 
     def test_spillover_when_home_saturated(self):
         registry = MetricsRegistry()
@@ -382,13 +370,15 @@ class TestRouter:
         assert spilled[0]["labels"]["table"] == "Products"
         assert spilled[0]["labels"]["target"] == replica.name
 
-    def test_least_loaded_when_home_cold(self):
-        topo, replicas, router = self.make(
-            occupancies=(3, 1), resident=()
-        )
+    def test_least_loaded_when_home_draining(self):
+        topo, replicas, router = self.make(occupancies=(1, 1))
+        home_name = topo.home_tor("Products").name
+        for replica in replicas:
+            if replica.tor.name == home_name:
+                replica.state = DRAINING
         replica, decision = router.route(parse(FLEET_SQL[0]))
-        assert decision.reason in ("spillover", "least-loaded")
-        assert replica.occupancy == 1
+        assert replica.tor.name != home_name
+        assert decision.reason == "least-loaded"
 
     def test_no_active_replica_is_typed_overload(self):
         topo, replicas, router = self.make()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.sketches.hashing import (
+    canonical_batch,
     canonical_int,
     combine,
     fingerprint,
@@ -55,6 +56,28 @@ class TestCanonicalInt:
     def test_unsupported_type_raises(self):
         with pytest.raises(TypeError):
             canonical_int([1, 2, 3])
+
+
+class TestCanonicalBatch:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [2.0, 3],
+            [3, 2.5],
+            [True, 2.0],
+            [np.int64(3), 2.5],
+            [2**63, 1],
+            [2**64 - 1, -1],
+            [1.5, 2.5],
+            [1, 2, 3],
+        ],
+    )
+    def test_sequence_matches_scalar_canon(self, values):
+        """A Python sequence numpy would merge into one float64 array
+        still canonicalizes each element by its own type."""
+        assert canonical_batch(values).tolist() == [
+            canonical_int(v) for v in values
+        ]
 
 
 class TestHash64:

@@ -141,7 +141,7 @@ def test_reset_zeroes_stats_and_registry(pruner):
 
 @pytest.mark.parametrize("name", _PRUNER_FACTORIES)
 def test_reset_then_replay_equals_a_fresh_instance(name):
-    """The contract resident worker templates lean on: decisions, stats and
+    """The contract ``Pruner.reset()`` promises: decisions, stats and
     health gauges after ``reset()`` are those of a newly built pruner —
     including the rows a seeded pruner draws."""
 

@@ -1,23 +1,22 @@
-"""The table-resident shared-memory dataplane.
+"""Run-path invariants that outlived table residency.
 
-Load-bearing contracts:
+Every run, in-process or pool, reads its columns from the ``Table``; a
+pool run exports them per run through ``SharedColumnStore``.  The
+contracts a resident column store once had to keep still hold on that
+path, and are checked here:
 
-* **Exactness** — every operator at every parallelism produces the same
-  output with residency on as the per-run export path (both verified
-  against the reference executor), including reset-and-reuse of warm
-  pruner templates across repeated runs.
-* **Version fencing** — ``update_tables`` fences out stale resident
-  views by object identity: no run can mix columns from two table
-  versions, even with concurrent swaps hammering a verifying service.
-* **No leaks** — retiring a store (service drain, cluster release)
-  unlinks every ``/dev/shm`` segment, even while in-flight runs still
-  hold leases or views.
+* **Exactness** — every operator at every parallelism matches the
+  reference executor, including repeated runs, packed slots, WHERE
+  masks, a missing ``multiprocessing.shared_memory`` and a pool respawn.
+* **Version swaps** — a service answers from the swapped tables, even
+  after its pool processes are replaced.
+* **No leaks** — a drained pool-backed service leaves no ``/dev/shm``
+  segment behind.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -36,7 +35,6 @@ from repro.engine.plan import (
 )
 from repro.engine.reference import run_reference
 from repro.engine.table import Table
-from repro.parallel.resident import ResidentTableStore
 from repro.serve import QueryService
 
 PARALLELISMS = (1, 2, 4)
@@ -72,124 +70,19 @@ def make_query(op_name: str) -> Query:
     }[op_name]
 
 
-def resident_cluster(parallelism: int, **overrides) -> Cluster:
+def make_cluster(parallelism: int) -> Cluster:
     return Cluster(
         workers=5,
-        config=ClusterConfig(
-            batch_size=BATCH,
-            parallelism=parallelism,
-            resident=True,
-            **overrides,
-        ),
+        config=ClusterConfig(batch_size=BATCH, parallelism=parallelism),
     )
 
 
-def segments_exist(names) -> list:
-    return [name for name in names if os.path.exists(f"/dev/shm/{name}")]
-
-
-class TestStoreLifecycle:
-    def test_owns_is_object_identity(self):
-        tables = make_tables(1)
-        store = ResidentTableStore(tables)
-        try:
-            assert store.owns("products", tables["products"])
-            clone = make_tables(1)["products"]  # equal values, new object
-            assert not store.owns("products", clone)
-            assert not store.owns("missing", tables["products"])
-        finally:
-            store.retire()
-
-    def test_exports_once_and_counts_reuses(self):
-        tables = make_tables(2)
-        store = ResidentTableStore(tables)
-        try:
-            first = store.column_entries("products", ["price", "qty"])
-            second = store.column_entries("products", ["price", "qty"])
-            assert first == second
-            stats = store.stats()
-            assert stats["exports"] == 2
-            assert stats["reuses"] == 2
-            assert stats["segments"] == 2
-            assert stats["resident_bytes"] > 0
-        finally:
-            store.retire()
-
-    def test_retire_defers_close_until_leases_drain(self):
-        tables = make_tables(3)
-        store = ResidentTableStore(tables)
-        store.column_entries("products", ["price"])
-        names = store.segment_names()
-        assert store.acquire()
-        store.retire()
-        assert store.retired
-        assert not store.acquire()  # fenced out for new runs
-        assert segments_exist(names)  # lease still held: pages stay named
-        store.release()
-        assert not segments_exist(names)
-
-    def test_close_unlinks_everything_and_is_idempotent(self):
-        tables = make_tables(4)
-        store = ResidentTableStore(tables)
-        store.column_entries("products", ["price", "qty"])
-        names = store.segment_names()
-        assert names
-        store.close()
-        assert not segments_exist(names)
-        assert store.retired
-        store.close()  # idempotent: a double-close must not raise
-        assert not store.acquire()
-
-    def test_lease_held_view_survives_a_concurrent_retire(self):
-        """The race the lease protocol exists for: a run projects a view,
-        a table swap retires the store mid-read.  The close is deferred
-        until the lease drains, so the view stays readable throughout."""
-        tables = make_tables(4)
-        store = ResidentTableStore(tables)
-        assert store.acquire()
-        view = store.view("products", "price")
-        expected = view.sum()
-        names = store.segment_names()
-        store.retire()  # concurrent swap lands mid-run
-        assert view.sum() == expected  # lease defers unmap: still readable
-        assert segments_exist(names)
-        store.release()  # run drains -> close fires
-        assert not segments_exist(names)
-
-    def test_project_is_zero_copy_and_equal(self):
-        tables = make_tables(5)
-        store = ResidentTableStore(tables)
-        try:
-            projection = store.project("products", ["price", "cat"])
-            for name in ("price", "cat"):
-                assert np.array_equal(
-                    projection.column(name), tables["products"].column(name)
-                )
-                assert projection.column(name) is store.view("products", name)
-        finally:
-            store.retire()
-
-    def test_plan_entries_shared_between_signatures(self):
-        tables = make_tables(6)
-        store = ResidentTableStore(tables)
-        try:
-            build_calls = [0]
-
-            def build():
-                build_calls[0] += 1
-                return [np.arange(3, dtype=np.int64), np.arange(2, dtype=np.int64)]
-
-            sig = ("column", "cat")
-            first = store.plan_entries("products", sig, 2, build)
-            second = store.plan_entries("products", sig, 2, build)
-            assert build_calls[0] == 1
-            assert first == second
-        finally:
-            store.retire()
+def shm_entries() -> set:
+    return set(os.listdir("/dev/shm"))
 
 
 class TestEquivalence:
-    """Residency changes performance, never answers."""
+    """Where the columns come from changes performance, never answers."""
 
     @pytest.mark.parametrize(
         "op_name",
@@ -200,67 +93,22 @@ class TestEquivalence:
         query = make_query(op_name)
         expected = run_reference(query, tables)
         for parallelism in PARALLELISMS:
-            c = resident_cluster(parallelism)
-            try:
-                for _ in range(2):  # second run exercises reuse paths
-                    assert c.run_verified(query, tables).output == expected
-                store = c.resident
-                assert store is not None and store.stats()["leases"] == 0
-            finally:
-                c.release_resident()
-
-    def test_repeated_parallel_runs_reuse_pruner_templates(self):
-        """Each pool process builds each shard's template at most once;
-        with 2 processes and 2 shard configs that bounds builds at 4
-        across any number of runs — everything past that is a reset-and-
-        reuse, regardless of how the pool schedules tasks onto processes.
-        """
-        tables = make_tables(8)
-        query = make_query("distinct")
-        c = resident_cluster(2)
-        runs = 4
-        builds = reuses = 0
-        try:
-            for _ in range(runs):
-                counters = c.run_verified(query, tables).metrics.counter_values()
-                builds += counters.get("resident_pruner_builds_total{}", 0)
-                reuses += counters.get("resident_pruner_reuses_total{}", 0)
-            assert builds + reuses == 2 * runs  # every shard went resident
-            assert builds <= 4  # processes (2) x shard template keys (2)
-            assert reuses >= 2 * runs - 4
-        finally:
-            c.release_resident()
-
-    def test_sequential_run_streams_resident_views(self):
-        tables = make_tables(9)
-        query = make_query("distinct")
-        c = resident_cluster(1)
-        try:
-            expected = run_reference(query, tables)
-            assert c.run_verified(query, tables).output == expected
-            store = c.resident
-            assert store is not None
-            # The streamed columns were exported by the sequential pass.
-            assert store.stats()["exports"] >= 1
-        finally:
-            c.release_resident()
+            c = make_cluster(parallelism)
+            for _ in range(2):  # a second run reuses the shard-plan memo
+                assert c.run_verified(query, tables).output == expected
 
     def test_packed_slot_streams_resident_views(self):
+        """A packed slot streams the table's own columns in one pass."""
         tables = make_tables(10)
         queries = [
             Query(FilterOp("products", col("price") > 250)),
             Query(DistinctOp("products", ["cat"])),
             Query(TopNOp("products", "price", 12)),
         ]
-        c = resident_cluster(1)
-        try:
-            packed = c.run_packed(queries, tables)
-            for query, result in zip(queries, packed.results):
-                assert result.output == run_reference(query, tables)
-            assert c.resident is not None
-            assert c.resident.stats()["exports"] >= 1
-        finally:
-            c.release_resident()
+        packed = make_cluster(1).run_packed(queries, tables)
+        assert len(packed.results) == len(queries)
+        for query, result in zip(queries, packed.results):
+            assert result.output == run_reference(query, tables)
 
     def test_where_masked_table_falls_back_exactly(self):
         tables = make_tables(11)
@@ -268,48 +116,38 @@ class TestEquivalence:
             GroupByOp("products", "cat", "price", "max"), where=col("qty") <= 25
         )
         for parallelism in (1, 2):
-            c = resident_cluster(parallelism)
-            try:
-                assert c.run_verified(query, tables).output == run_reference(
-                    query, tables
-                )
-            finally:
-                c.release_resident()
+            assert make_cluster(parallelism).run_verified(
+                query, tables
+            ).output == run_reference(query, tables)
 
     def test_no_shared_memory_degrades_to_per_run_path(self, monkeypatch):
-        import repro.parallel.resident as resident_mod
+        """Without ``multiprocessing.shared_memory`` a pool run cannot
+        export its columns, so it runs in-process and stays exact."""
+        import repro.parallel.shm as shm_mod
 
-        monkeypatch.setattr(resident_mod, "_shared_memory", None)
+        monkeypatch.setattr(shm_mod, "_shared_memory", None)
         tables = make_tables(12)
         query = make_query("filter")
-        c = resident_cluster(2)
-        try:
-            assert c.run_verified(query, tables).output == run_reference(
-                query, tables
-            )
-            assert c.resident is None
-        finally:
-            c.release_resident()
+        result = make_cluster(2).run_verified(query, tables)
+        assert result.output == run_reference(query, tables)
+        counters = result.metrics.counter_values()
+        assert counters["parallel_fallback_total{reason=no-shared-memory}"] == 1
 
     def test_pool_respawn_reattaches_resident_segments(self):
+        """Fresh pool processes attach the next run's exports and answer
+        exactly."""
         import repro.parallel.runner as runner
 
         tables = make_tables(13)
         query = make_query("distinct")
         expected = run_reference(query, tables)
-        c = resident_cluster(2)
-        try:
-            assert c.run_verified(query, tables).output == expected
-            runner._shutdown_pools()  # fresh processes, cold worker caches
-            assert c.run_verified(query, tables).output == expected
-        finally:
-            c.release_resident()
+        c = make_cluster(2)
+        assert c.run_verified(query, tables).output == expected
+        runner._shutdown_pools()
+        assert c.run_verified(query, tables).output == expected
 
 
-def make_service_tables(seed: int) -> dict:
-    return make_tables(seed)
-
-
+#: The four single-pass kinds: filter, DISTINCT, TOP N, GROUP BY.
 SERVICE_QUERIES = [
     Query(FilterOp("products", col("price") > 250)),
     Query(DistinctOp("products", ["cat"])),
@@ -319,97 +157,65 @@ SERVICE_QUERIES = [
 
 
 class TestServiceResidency:
+    """A service holds its tables; swaps and drains keep it exact and
+    leak-free."""
+
     def service(self, tables, parallelism: int = 2, **kwargs) -> QueryService:
         return QueryService(
             tables,
             workers=5,
-            config=ClusterConfig(
-                batch_size=BATCH, parallelism=parallelism, resident=True
-            ),
+            config=ClusterConfig(batch_size=BATCH, parallelism=parallelism),
             **kwargs,
         )
 
     def test_service_installs_versioned_store_and_answers_exactly(self):
-        tables = make_service_tables(20)
+        tables = make_tables(20)
         with self.service(tables) as service:
-            store = service.cluster.resident
-            assert store is not None and store.version == 0
+            # The service holds the caller's Table objects, not copies.
+            for name, table in tables.items():
+                assert service.tables[name] is table
+            assert service.tables_version == 0
             for query in SERVICE_QUERIES:
                 assert service.query(query) == run_reference(query, tables)
-            report = service.report()
-            assert report["summary"]["resident"]["version"] == 0
-            assert "shard_plan_cache" in report["summary"]
-
-    def test_update_tables_fences_out_stale_residency(self):
-        tables = make_service_tables(21)
-        with self.service(tables) as service:
-            query = SERVICE_QUERIES[1]
-            assert service.query(query) == run_reference(query, tables)
-            old_store = service.cluster.resident
-            old_names = old_store.segment_names()
-            swapped = make_service_tables(99)  # different data entirely
-            version = service.update_tables(swapped)
-            new_store = service.cluster.resident
-            assert new_store is not old_store
-            assert new_store.version == version
-            assert old_store.retired
-            assert not segments_exist(old_names)  # no leases were held
-            for q in SERVICE_QUERIES:
-                assert service.query(q) == run_reference(q, swapped)
-
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_concurrent_swaps_never_mix_versions(self, parallelism):
-        """Hammer update_tables while a verifying service executes: the
-        service re-checks every answer against the reference executor
-        over the slot's own table snapshot, so any mixed-version read
-        would fail the request."""
-        tables = make_service_tables(22)
-        with self.service(tables, parallelism=parallelism, verify=True) as service:
-            stop = threading.Event()
-
-            def swapper():
-                seed = 50
-                while not stop.is_set():
-                    service.update_tables(make_service_tables(seed))
-                    seed += 1
-
-            thread = threading.Thread(target=swapper, daemon=True)
-            thread.start()
-            try:
-                for round_ in range(6):
-                    for query in SERVICE_QUERIES:
-                        # verify=True raises inside the slot on any
-                        # parity violation; reaching result() proves the
-                        # answer matched the snapshot's reference.
-                        service.query(query)
-            finally:
-                stop.set()
-                thread.join()
+            summary = service.report()["summary"]
+            assert summary["tables_version"] == 0
+            assert "shard_plan_cache" in summary
+            assert "resident" not in summary
 
     def test_swap_then_pool_respawn_stays_exact(self):
         import repro.parallel.runner as runner
 
-        tables = make_service_tables(23)
+        tables = make_tables(23)
         with self.service(tables) as service:
             query = SERVICE_QUERIES[0]
             assert service.query(query) == run_reference(query, tables)
-            swapped = make_service_tables(77)
-            service.update_tables(swapped)
-            runner._shutdown_pools()  # respawn: cold worker caches
+            swapped = make_tables(77)
+            assert service.update_tables(swapped) == 1
+            runner._shutdown_pools()  # fresh pool processes
             for q in SERVICE_QUERIES:
                 assert service.query(q) == run_reference(q, swapped)
 
-    def test_drain_leaves_no_segments(self):
-        tables = make_service_tables(24)
+    def test_drain_leaves_no_segments(self, monkeypatch):
+        """A pool-backed service exports each run's columns to shared
+        memory; after a drained shutdown none of those segments — and no
+        other new ``/dev/shm`` entry — is left behind."""
+        import repro.parallel.runner as runner
+        from repro.parallel.shm import SharedColumnStore
+
+        created: list = []
+
+        class RecordingStore(SharedColumnStore):
+            def __init__(self, columns):
+                super().__init__(columns)
+                created.extend(self.segment_names())
+
+        monkeypatch.setattr(runner, "SharedColumnStore", RecordingStore)
+        before = shm_entries()
+        tables = make_tables(24)
         service = self.service(tables)
         for query in SERVICE_QUERIES:
-            service.query(query)
-        store = service.cluster.resident
-        names = store.segment_names()
-        assert names, "residency never exported anything — test is vacuous"
+            assert service.query(query) == run_reference(query, tables)
         service.shutdown(drain=True)
-        assert store.retired
-        assert not segments_exist(names)
-        assert service.cluster.resident is None
-        report = service.report()
-        assert report["summary"]["resident"]["exports"] >= len(names)
+        assert created, "no run exported a segment — test is vacuous"
+        assert not shm_entries() & set(created)
+        assert shm_entries() <= before

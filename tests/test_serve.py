@@ -4,18 +4,21 @@ The contract under test is the one ``repro.serve`` exists to keep:
 every answer a client receives equals ``Cluster.run_verified``'s output
 for the same query — under concurrent load, under §6 packed scheduling,
 under induced overload (shed requests fail with a typed
-:class:`~repro.errors.Overloaded`, never a wrong answer), and during a
-graceful drain.
+:class:`~repro.errors.Overloaded`, never a wrong answer), during a
+graceful drain, and while another thread swaps the served tables.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
 import pytest
 
 from repro.engine.cluster import Cluster, ClusterConfig
+from repro.engine.expressions import col
+from repro.engine.plan import DistinctOp, FilterOp, GroupByOp, Query, TopNOp
 from repro.engine.reference import run_reference
 from repro.engine.sql import parse
 from repro.engine.table import Table
@@ -315,6 +318,71 @@ class TestGracefulDrain:
         service = QueryService(serve_tables, workers=3)
         service.shutdown()
         service.shutdown()
+
+
+def swap_tables(seed: int) -> dict:
+    """A seeded table map for the swap tests (equal shapes, new data)."""
+    rng = np.random.default_rng(seed)
+    n = 900
+    products = Table(
+        "products",
+        {
+            "price": rng.integers(0, 400, n),
+            "qty": rng.integers(0, 50, n),
+            "cat": rng.integers(0, 30, n),
+        },
+    )
+    return {"products": products}
+
+
+#: The four single-pass kinds: filter, DISTINCT, TOP N, GROUP BY.
+SERVICE_QUERIES = [
+    Query(FilterOp("products", col("price") > 250)),
+    Query(DistinctOp("products", ["cat"])),
+    Query(TopNOp("products", "price", 12)),
+    Query(GroupByOp("products", "cat", "price", "max")),
+]
+
+
+class TestTableSwaps:
+    def service(self, tables, parallelism: int = 2, **kwargs) -> QueryService:
+        return QueryService(
+            tables,
+            workers=5,
+            config=ClusterConfig(batch_size=128, parallelism=parallelism),
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_concurrent_swaps_never_mix_versions(self, parallelism):
+        """Hammer update_tables while a verifying service executes: the
+        service re-checks every answer against the reference executor
+        over the slot's own table snapshot, so any mixed-version read
+        would fail the request."""
+        with self.service(
+            swap_tables(22), parallelism=parallelism, verify=True
+        ) as service:
+            stop = threading.Event()
+
+            def swapper():
+                seed = 50
+                while not stop.is_set():
+                    service.update_tables(swap_tables(seed))
+                    seed += 1
+
+            thread = threading.Thread(target=swapper, daemon=True)
+            thread.start()
+            try:
+                for _ in range(6):
+                    for query in SERVICE_QUERIES:
+                        # verify=True raises inside the slot on any
+                        # parity violation; reaching result() proves the
+                        # answer matched the snapshot's reference.
+                        service.query(query)
+            finally:
+                stop.set()
+                thread.join(timeout=30)
+            assert not thread.is_alive()
 
 
 class TestResultCache:

@@ -109,7 +109,7 @@ def _fairness_position(tables, fair: bool) -> int:
         config=ClusterConfig(seed=0),
         max_queue=FLOOD + 8,
         worker_threads=1,
-        enable_packing=False,
+        max_pack=1,
         fairness=policy,
     )
     try:

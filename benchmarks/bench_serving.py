@@ -110,15 +110,14 @@ def _workload(requests: int = REQUESTS) -> list:
     return queries
 
 
-def _serve_mode(tag: str, enable_packing: bool, tables, queries, expected):
+def _serve_mode(tag: str, max_pack: int, tables, queries, expected):
     """Run the workload through one service; return (summary, figures)."""
     service = QueryService(
         tables,
         workers=WORKERS,
         max_queue=len(queries) + 8,
         worker_threads=2,
-        max_pack=MAX_PACK,
-        enable_packing=enable_packing,
+        max_pack=max_pack,
     )
     client = ServeClient(service, tenant=tag)
     try:
@@ -189,8 +188,8 @@ def test_serving_report():
     tables = _tables()
     queries = _workload()
     expected = {q.cache_key(): run_reference(q, tables) for q in queries}
-    packed = _serve_mode("packed", True, tables, queries, expected)
-    solo = _serve_mode("solo", False, tables, queries, expected)
+    packed = _serve_mode("packed", MAX_PACK, tables, queries, expected)
+    solo = _serve_mode("solo", 1, tables, queries, expected)
     # The §6 claim, in serving terms: same exact answers, strictly less
     # streamed traffic, higher modeled sustained throughput.
     assert packed["packed_queries"] > 0

@@ -124,9 +124,7 @@ def _plan_topn(config) -> Optional[RemediationAction]:
             hot_swap=True,
         )
     rows = config.topn_rows * RESIZE_FACTOR
-    if not _fits(
-        footprint_topn_rand(cols=config.topn_cols or 4, rows=rows), config.model
-    ):
+    if not _fits(footprint_topn_rand(rows=rows), config.model):
         return None
     return RemediationAction(
         action="sketch-resize",
@@ -138,9 +136,7 @@ def _plan_topn(config) -> Optional[RemediationAction]:
 
 def _resize_groupby(config) -> Optional[RemediationAction]:
     rows = config.groupby_rows * RESIZE_FACTOR
-    if not _fits(
-        footprint_groupby(cols=config.groupby_cols, rows=rows), config.model
-    ):
+    if not _fits(footprint_groupby(rows=rows), config.model):
         return None
     return RemediationAction(
         action="sketch-resize",
@@ -153,11 +149,7 @@ def _resize_groupby(config) -> Optional[RemediationAction]:
 def _resize_join(config, detector: str) -> Optional[RemediationAction]:
     bits = config.join_memory_bits * RESIZE_FACTOR
     if not _fits(
-        footprint_join(
-            memory_bits=bits,
-            hashes=config.join_hashes,
-            variant=config.join_variant,
-        ),
+        footprint_join(memory_bits=bits, variant=config.join_variant),
         config.model,
     ):
         return None
@@ -174,10 +166,7 @@ def _resize_join(config, detector: str) -> Optional[RemediationAction]:
 def _resize_having(config) -> Optional[RemediationAction]:
     width = config.having_width * RESIZE_FACTOR
     if not _fits(
-        footprint_having(
-            width=width, depth=config.having_depth, model=config.model
-        ),
-        config.model,
+        footprint_having(width=width, model=config.model), config.model
     ):
         return None
     return RemediationAction(

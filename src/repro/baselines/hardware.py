@@ -22,16 +22,6 @@ class HardwareProfile:
     latency_us_low: float
     latency_us_high: float
 
-    @property
-    def throughput_mid_gbps(self) -> float:
-        """Geometric midpoint of the throughput range."""
-        return (self.throughput_gbps_low * self.throughput_gbps_high) ** 0.5
-
-    @property
-    def latency_mid_us(self) -> float:
-        """Geometric midpoint of the latency range."""
-        return (self.latency_us_low * self.latency_us_high) ** 0.5
-
 
 #: The rows of Table 3 as the paper reports them.
 TABLE3: List[HardwareProfile] = [

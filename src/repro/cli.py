@@ -116,9 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--max-queue", type=int, default=128,
                            help="admission queue depth (default 128)")
     serve_cmd.add_argument("--max-pack", type=int, default=4,
-                           help="max queries per packed slot (default 4)")
-    serve_cmd.add_argument("--no-packing", action="store_true",
-                           help="disable §6 packed slots (solo slots only)")
+                           help="max queries per packed slot (default 4; "
+                           "1 runs every slot solo)")
     serve_cmd.add_argument("--timeout", type=float, default=None,
                            help="per-request deadline budget in seconds")
     serve_cmd.add_argument("--parallelism", type=int, default=1,
@@ -453,7 +452,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         worker_threads=args.threads,
         max_pack=args.max_pack,
-        enable_packing=not args.no_packing,
         default_timeout=args.timeout,
         verify=args.verify,
         adapt=args.adapt,

@@ -282,14 +282,7 @@ class TruthTable:
                 "match-action table; decompose the query"
             )
         accepting = set()
-
-        class _Probe:
-            """Entry stub that answers atoms from a fixed bit assignment."""
-
-            def __init__(self, bits: int) -> None:
-                self.bits = bits
-
-        # Rebind each atom's truth to the probe's bits by index.
+        # Each atom's truth is bit i of the assignment.
         for bits in range(1 << len(atoms)):
             env = {atom.name: bool(bits >> i & 1) for i, atom in enumerate(atoms)}
             if _evaluate_with_env(formula, env):

@@ -154,7 +154,7 @@ class PackedRunResult:
         """Structured, JSON-ready packed-run report.
 
         Same top-level shape as :meth:`RunResult.report` (so the CLI's
-        ``metrics`` subcommand and ``scripts/check_metrics_schema.py``
+        ``metrics`` subcommand and ``scripts/check_schema.py``
         accept it unchanged), with ``op_kind="packed"`` and one extra
         ``queries`` list holding each packed query's own full report —
         the per-query isolation :meth:`Cluster.run_packed` maintains.
@@ -244,11 +244,15 @@ class ClusterConfig:
 
     ``parallelism`` > 1 executes Cheetah runs across that many OS
     processes (:mod:`repro.parallel`), each owning one pruner shard laid
-    out by ``shard_policy`` (``"auto"``: multiswitch hash partitioning
-    for keyed stateful operators, contiguous replicas otherwise).  A run
+    out by the operator (multiswitch hash partitioning for keyed stateful
+    operators, contiguous replicas otherwise).  A run
     is one in-process shard instead when a fault plan is active, the run
     is a baseline (``use_cheetah=False``), or the fan-out cannot run
     (no shared memory, pool died twice: ``parallel_fallback_total``).
+
+    Only the sizes adaptive remediation and the benches change are
+    fields; every other Table 2 size is the pruner constructor's
+    default.  Every pruner is validated against ``model`` before it runs.
     """
 
     batch_size: Optional[int] = None
@@ -257,25 +261,16 @@ class ClusterConfig:
     #: parent).  ``None`` (the default) disables shard timeouts.
     shard_timeout: Optional[float] = None
     parallelism: int = 1
-    shard_policy: str = "auto"
     distinct_rows: int = 4096
     distinct_cols: int = 2
     distinct_policy: str = "lru"
     distinct_fingerprint: bool = False
-    distinct_delta: float = 1e-4
     topn_randomized: bool = True
     topn_rows: int = 4096
-    topn_cols: Optional[int] = None
-    topn_thresholds: int = 4
-    topn_delta: float = 1e-4
     groupby_rows: int = 4096
-    groupby_cols: int = 8
     join_memory_bits: int = 4 * 1024 * 1024 * 8
-    join_hashes: int = 3
     join_variant: str = "bf"
     having_width: int = 1024
-    having_depth: int = 3
-    skyline_points: int = 10
     skyline_score: str = "aph"
     worker_assist_filters: bool = False
     seed: int = 0
@@ -296,6 +291,7 @@ class ClusterConfig:
     #: active; keep the stride large — per-batch spans are the most
     #: voluminous signal the tracer can produce.
     fused_trace_sample: int = 0
+    model: ResourceModel = TOFINO
 
     def __post_init__(self) -> None:
         if self.batch_size is not None and self.batch_size <= 0:
@@ -319,13 +315,6 @@ class ClusterConfig:
             raise ConfigurationError(
                 f"shard_timeout must be positive or None, got {self.shard_timeout}"
             )
-        if self.shard_policy not in ("auto", "contiguous", "hash"):
-            raise ConfigurationError(
-                f"shard_policy must be 'auto', 'contiguous' or 'hash', "
-                f"got {self.shard_policy!r}"
-            )
-    model: ResourceModel = TOFINO
-    validate_resources: bool = True
 
 
 class Cluster:
@@ -505,14 +494,12 @@ class Cluster:
                 self._build_pruner(query, tables, columns=columns, config=cfg)
                 for query, cfg in zip(queries, configs)
             ]
-            if config.validate_resources:
-                from ..switch.compiler import pack
+            from ..switch.compiler import pack
 
-                pack([pruner.footprint() for pruner in pruners], config.model)
+            pack([pruner.footprint() for pruner in pruners], config.model)
         elif use_cheetah:
             pruners = [self._build_pruner(queries[0], tables)]
-            if config.validate_resources:
-                pruners[0].validate(config.model)
+            pruners[0].validate(config.model)
             where = plan.where_stage(queries[0], columns, config)
         else:
             pruners = [] if plan.baseline_phase else [PassthroughPruner()]

@@ -44,7 +44,7 @@ from ..core.join import JoinPruner
 from ..core.skyline import SkylinePruner, master_skyline
 from ..core.summary import is_reboot_safe
 from ..core.topn import TopNDeterministicPruner, TopNRandomizedPruner
-from ..errors import ConfigurationError, PlanError
+from ..errors import PlanError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultEvent
 from ..obs import MetricsRegistry
@@ -377,7 +377,6 @@ class _SinglePass(OperatorPlan):
                 return FingerprintDistinctPruner(
                     rows=cfg.distinct_rows,
                     cols=cfg.distinct_cols,
-                    delta=cfg.distinct_delta,
                     policy=cfg.distinct_policy,
                     seed=cfg.seed,
                     model=cfg.model,
@@ -392,18 +391,11 @@ class _SinglePass(OperatorPlan):
         if isinstance(op, TopNOp):
             if cfg.topn_randomized:
                 return TopNRandomizedPruner(
-                    n=op.n,
-                    rows=cfg.topn_rows,
-                    cols=cfg.topn_cols,
-                    delta=cfg.topn_delta,
-                    seed=cfg.seed,
+                    n=op.n, rows=cfg.topn_rows, seed=cfg.seed
                 )
-            return TopNDeterministicPruner(n=op.n, thresholds=cfg.topn_thresholds)
+            return TopNDeterministicPruner(n=op.n)
         return GroupByPruner(
-            aggregate=op.aggregate,
-            rows=cfg.groupby_rows,
-            cols=cfg.groupby_cols,
-            seed=cfg.seed,
+            aggregate=op.aggregate, rows=cfg.groupby_rows, seed=cfg.seed
         )
 
     def where_stage(self, query, columns, cfg):
@@ -549,7 +541,6 @@ class _Join(OperatorPlan):
             left=op.table,
             right=op.right_table,
             memory_bits=cfg.join_memory_bits,
-            hashes=cfg.join_hashes,
             variant=cfg.join_variant,
             seed=cfg.seed,
         )
@@ -696,7 +687,6 @@ class _Having(OperatorPlan):
             threshold=op.threshold,
             aggregate=op.aggregate,
             width=cfg.having_width,
-            depth=cfg.having_depth,
             seed=cfg.seed,
         )
 
@@ -786,9 +776,7 @@ class _Skyline(OperatorPlan):
 
     def pruner(self, query, cfg, columns=None):
         return SkylinePruner(
-            dims=len(query.operator.columns),
-            points=cfg.skyline_points,
-            score=cfg.skyline_score,
+            dims=len(query.operator.columns), score=cfg.skyline_score
         )
 
     def sides(self, queries, tables):
@@ -886,29 +874,17 @@ def plan_for(op) -> Tuple[str, OperatorPlan]:
         raise PlanError(f"no operator plan for {type(op).__name__}") from None
 
 
-def resolve_policy(op, requested: str, topn_randomized: bool) -> str:
-    """Map a ``ClusterConfig.shard_policy`` to the layout actually used.
+def resolve_policy(op, topn_randomized: bool) -> str:
+    """The shard layout an operator runs with.
 
-    ``auto`` chooses hash for keyed stateful operators and contiguous
-    replicas for the rest; keyless operators (filter/COUNT, deterministic
-    TOP N, SKYLINE) always shard contiguously — they have no key to hash
-    and any row layout is correct for their replicas.
+    Hash for keyed stateful operators (and always for JOIN and HAVING,
+    whose Bloom/Count-Min state is only correct when each key lives on
+    one shard); contiguous replicas for keyless operators (filter/COUNT,
+    deterministic TOP N, SKYLINE) — they have no key to hash and any row
+    layout is correct for their replicas.
     """
-    if requested not in ("auto", CONTIGUOUS, HASHED):
-        raise ConfigurationError(
-            f"shard_policy must be 'auto', '{CONTIGUOUS}' or '{HASHED}', "
-            f"got {requested!r}"
-        )
     _, plan = plan_for(op)
-    if requested == CONTIGUOUS and plan.hash_required:
-        raise ConfigurationError(
-            f"{type(op).__name__} cannot shard contiguously: splitting a "
-            "key's entries across shards loses outputs (Bloom/Count-Min "
-            "state is only correct when each key lives on one shard)"
-        )
-    if requested == CONTIGUOUS or not plan.keyed(op, topn_randomized):
-        return CONTIGUOUS
-    return HASHED
+    return HASHED if plan.keyed(op, topn_randomized) else CONTIGUOUS
 
 
 def render_plan_table() -> List[str]:

@@ -68,42 +68,25 @@ class FleetController:
         replicas: int = 2,
         *,
         quota: Optional[TenantQuota] = None,
-        weights: Optional[Dict[str, float]] = None,
-        starvation_rounds: int = 64,
         saturation: int = 16,
-        workers: int = 4,
-        worker_threads: int = 2,
         max_queue: int = 64,
-        max_pack: int = 4,
-        parallelism: int = 1,
         verify: bool = False,
         seed: int = 0,
         default_timeout: Optional[float] = None,
-        event_capacity: int = 1024,
     ) -> None:
         """Assemble replicas, router, tenancy, and shared caches."""
         if replicas < 1:
             raise ConfigurationError(f"need at least one replica, got {replicas}")
         self.topology = topology if topology is not None else FabricTopology.two_tier()
-        if replicas < 2 and len(self.topology.tors) > 1:
-            # Not an error — but rolling updates over one replica DO
-            # fully drain, so the fleet guarantees weaken.  Callers
-            # wanting the no-full-drain invariant pass replicas >= 2.
-            pass
         self.registry = MetricsRegistry()
-        self.events = EventLog(event_capacity, registry=self.registry)
+        self.events = EventLog(1024, registry=self.registry)
         self.results = ResultCache()
         self.quota = quota
         self._tables: Dict[str, object] = dict(tables)
         self.replicas: List[Replica] = []
         tors = self.topology.tors
         for index in range(replicas):
-            fairness = WeightedFairPolicy(
-                weights=weights,
-                starvation_rounds=starvation_rounds,
-                events=self.events,
-                registry=self.registry,
-            )
+            fairness = WeightedFairPolicy(events=self.events, registry=self.registry)
             self.replicas.append(
                 Replica(
                     f"replica-{index}",
@@ -112,11 +95,7 @@ class FleetController:
                     results=self.results,
                     quota=self.quota,
                     fairness=fairness,
-                    workers=workers,
-                    worker_threads=worker_threads,
                     max_queue=max_queue,
-                    max_pack=max_pack,
-                    parallelism=parallelism,
                     verify=verify,
                     seed=seed,
                     default_timeout=default_timeout,

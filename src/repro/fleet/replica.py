@@ -45,11 +45,7 @@ class Replica:
         results=None,
         quota=None,
         fairness=None,
-        workers: int = 4,
-        worker_threads: int = 2,
         max_queue: int = 64,
-        max_pack: int = 4,
-        parallelism: int = 1,
         verify: bool = False,
         seed: int = 0,
         default_timeout: Optional[float] = None,
@@ -65,14 +61,11 @@ class Replica:
         self.name = name
         self.tor = tor
         self.state = ACTIVE
-        config = ClusterConfig(model=tor.model, parallelism=parallelism, seed=seed)
         self.service = QueryService(
             tables,
-            workers=workers,
-            config=config,
+            workers=4,
+            config=ClusterConfig(model=tor.model, seed=seed),
             max_queue=max_queue,
-            worker_threads=worker_threads,
-            max_pack=max_pack,
             default_timeout=default_timeout,
             verify=verify,
             results=results,

@@ -326,11 +326,6 @@ class GilbertElliottLink(LossyLink):
             return False
         return True
 
-    @property
-    def in_bad_state(self) -> bool:
-        """Current channel state (for tests)."""
-        return self._bad_state
-
 
 class MultiFlowTransfer(TransferBase):
     """Several workers' flows interleaved through one switch (§3's rack).

@@ -82,7 +82,6 @@ def _child_config(cluster, shard: int):
         seed=shard_mod.derive_shard_seed(cluster.config.seed, shard),
         fault_plan=None,
         parallelism=1,
-        validate_resources=False,
     )
 
 
@@ -263,7 +262,7 @@ def _pool_shards(cluster, plan, shard, sides) -> List[dict]:
     config, registry, query = cluster.config, shard.registry, shard.queries[0]
     shards = config.parallelism
     hashed = shard_mod.HASHED == shard_mod.resolve_policy(
-        query.operator, config.shard_policy, config.topn_randomized
+        query.operator, config.topn_randomized
     )
     store: Optional[SharedColumnStore] = None
     try:

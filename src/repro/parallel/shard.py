@@ -18,9 +18,7 @@ Two layouts, with the multiswitch extension's semantics (§9):
   (DISTINCT / GROUP BY / randomized TOP N), where it keeps per-shard
   forwarding close to the sequential pruner's.
 
-``shard_policy="auto"`` picks per operator; an explicit ``contiguous``
-on HAVING/JOIN raises :class:`~repro.errors.ConfigurationError` instead
-of silently computing a wrong answer.
+:func:`resolve_policy` picks the layout from the operator alone.
 """
 
 from __future__ import annotations

@@ -63,7 +63,6 @@ class PackingScheduler:
         cluster,
         programs: ProgramCache,
         max_pack: int = 4,
-        enable_packing: bool = True,
         fairness=None,
     ) -> None:
         if max_pack < 1:
@@ -71,7 +70,6 @@ class PackingScheduler:
         self.cluster = cluster
         self.programs = programs
         self.max_pack = max_pack
-        self.enable_packing = enable_packing
         #: Optional weighted-fair head-selection policy: an object whose
         #: ``select(queued)`` returns the index of the request that
         #: should form the next slot (see
@@ -111,10 +109,10 @@ class PackingScheduler:
         Greedy in arrival order (no reordering starvation): each
         candidate must be packable, scan the head's table, still be
         within its deadline, and keep the cumulative footprint inside
-        the §6 packing budget.  Returns ``[]`` when packing is disabled
+        the §6 packing budget.  Returns ``[]`` when ``max_pack`` is 1
         or the head itself is unpackable — the slot runs solo.
         """
-        if not self.enable_packing or self.max_pack == 1:
+        if self.max_pack == 1:
             return []
         if not self.packable(head.query):
             return []
@@ -150,8 +148,6 @@ class PackingScheduler:
 
     def _fits(self, footprints: List) -> bool:
         """Whether the combined footprints pass the §6 packer."""
-        if not self.cluster.config.validate_resources:
-            return True
         try:
             pack(footprints, self.cluster.config.model)
         except ResourceError:

@@ -81,17 +81,12 @@ class QueryService:
         max_queue: int = 128,
         worker_threads: int = 2,
         max_pack: int = 4,
-        enable_packing: bool = True,
         default_timeout: Optional[float] = None,
         verify: bool = False,
         trace_requests: bool = True,
-        registry: Optional[MetricsRegistry] = None,
         max_spans: int = 4096,
-        health_window: int = 64,
-        event_capacity: int = 512,
         adapt: bool = False,
         adapt_interval: float = 0.25,
-        adapt_options: Optional[dict] = None,
         results: Optional[ResultCache] = None,
         quota=None,
         fairness=None,
@@ -101,14 +96,12 @@ class QueryService:
                 f"worker_threads must be positive, got {worker_threads}"
             )
         self.cluster = Cluster(workers=workers, config=config)
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         # Long-running services append spans per request: bound the span
         # store so memory stays flat (drops are counted, never silent).
         self.registry.cap_spans(max_spans)
-        self.events = EventLog(event_capacity, registry=self.registry)
-        self.health = HealthStore(
-            window=health_window, registry=self.registry, events=self.events
-        )
+        self.events = EventLog(registry=self.registry)
+        self.health = HealthStore(registry=self.registry, events=self.events)
         self.verify = verify
         self.trace_requests = trace_requests
         self.default_timeout = default_timeout
@@ -132,7 +125,6 @@ class QueryService:
             self.cluster,
             self.programs,
             max_pack=max_pack,
-            enable_packing=enable_packing,
             fairness=fairness,
         )
         self._tables: Dict[str, object] = dict(tables)
@@ -210,7 +202,6 @@ class QueryService:
                 events=self.events,
                 registry=self.registry,
                 invalidate=self._invalidate_signature,
-                **(adapt_options or {}),
             )
             if adapt_interval > 0:
                 self._adapt_thread = threading.Thread(
@@ -410,16 +401,6 @@ class QueryService:
                     severity="error",
                     error=type(error).__name__,
                 )
-
-    def remediate_now(self) -> int:
-        """Run one remediation tick synchronously (tests, CLI drains).
-
-        Returns the number of state changes (applies, commits,
-        rollbacks, freezes); 0 when no adaptive runtime is attached.
-        """
-        if self.remediation is None:
-            return 0
-        return self.remediation.tick()
 
     # -- test/operator hooks -------------------------------------------------
 
@@ -702,7 +683,7 @@ class QueryService:
         """The service's JSON-ready report (a bench-style envelope).
 
         Top-level keys follow the ``{"benchmark", "artifact", "metrics"}``
-        shape ``scripts/check_metrics_schema.py`` validates, with the
+        shape ``scripts/check_schema.py`` validates, with the
         human-facing roll-up under ``summary``, per-tenant p50/p99
         request latency (milliseconds) under ``latency_ms``, per-query-
         signature health windows under ``health``, and the retained

@@ -79,8 +79,7 @@ def base_config(parallelism: int) -> ClusterConfig:
         distinct_rows=64,
         distinct_cols=2,
         topn_rows=64,
-        groupby_rows=64,
-        groupby_cols=4,
+        groupby_rows=32,
         parallelism=parallelism,
     )
 

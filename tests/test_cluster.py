@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.sizing import topn_cols
 from repro.engine.cluster import Cluster, ClusterConfig
 from repro.engine.expressions import col
 from repro.engine.plan import (
@@ -21,6 +22,16 @@ from repro.engine.plan import (
 from repro.engine.reference import run_reference
 from repro.engine.table import Table
 from repro.errors import PlanError
+from repro.switch.compiler import (
+    footprint_distinct,
+    footprint_filtering,
+    footprint_groupby,
+    footprint_having,
+    footprint_join,
+    footprint_skyline,
+    footprint_topn_det,
+    footprint_topn_rand,
+)
 from repro.workloads import bigdata
 
 
@@ -215,7 +226,7 @@ class TestConfiguration:
 
     def test_deterministic_topn_config(self, small_tables):
         cluster = Cluster(
-            workers=2, config=ClusterConfig(topn_randomized=False, topn_thresholds=4)
+            workers=2, config=ClusterConfig(topn_randomized=False)
         )
         cluster.run_verified(bigdata.query4_topn(n=100), small_tables)
 
@@ -247,13 +258,82 @@ class TestConfiguration:
         with pytest.raises(ResourceError):
             cluster.run(bigdata.query6_join(), small_tables)
 
-    def test_resource_validation_can_be_disabled(self, small_tables):
-        from repro.switch.resources import MINI
 
-        config = ClusterConfig(model=MINI, validate_resources=False)
-        Cluster(workers=2, config=config).run(
-            bigdata.query2_distinct(), small_tables
-        )
+
+#: Table 2's JOIN filter memory: 4 MB of Bloom bits.
+_JOIN_BITS = 4 * 1024 * 1024 * 8
+
+
+class TestTable2Sizes:
+    """What the engine builds per operator, against Table 2 written out.
+
+    The sizes live in the pruner constructors; this pins that an
+    out-of-box :class:`Cluster` still compiles the paper's programs.
+    """
+
+    @pytest.mark.parametrize(
+        "config, query, expected",
+        [
+            pytest.param(
+                {}, bigdata.query1_filter_count(),
+                footprint_filtering(predicates=1), id="filter",
+            ),
+            pytest.param(
+                {}, bigdata.query2_distinct(),
+                footprint_distinct(cols=2, rows=4096, policy="lru"),
+                id="distinct",
+            ),
+            pytest.param(
+                # Theorem 4 at 10^6 distinct values, delta = 1e-4: 45 bits.
+                {"distinct_fingerprint": True}, bigdata.query2_distinct(),
+                footprint_distinct(cols=2, rows=4096, policy="lru", value_bits=45),
+                id="fingerprint-distinct",
+            ),
+            pytest.param(
+                {}, bigdata.query4_topn(n=250),
+                footprint_topn_rand(cols=topn_cols(4096, 250, 1e-4), rows=4096),
+                id="topn-randomized",
+            ),
+            pytest.param(
+                {"topn_randomized": False}, bigdata.query4_topn(n=250),
+                footprint_topn_det(thresholds=4), id="topn-deterministic",
+            ),
+            pytest.param(
+                {}, bigdata.query5_groupby(),
+                footprint_groupby(cols=8, rows=4096), id="groupby",
+            ),
+            pytest.param(
+                {}, bigdata.query6_join(),
+                footprint_join(memory_bits=_JOIN_BITS, hashes=3, variant="bf"),
+                id="join-bf",
+            ),
+            pytest.param(
+                {"join_variant": "rbf"}, bigdata.query6_join(),
+                footprint_join(memory_bits=_JOIN_BITS, hashes=3, variant="rbf"),
+                id="join-rbf",
+            ),
+            pytest.param(
+                {}, bigdata.query7_having(),
+                footprint_having(width=1024, depth=3).merged_serial(
+                    footprint_distinct(cols=2, rows=1024)
+                ),
+                id="having",
+            ),
+            pytest.param(
+                {}, bigdata.query3_skyline(),
+                footprint_skyline(dims=2, points=10, score="aph"),
+                id="skyline-aph",
+            ),
+            pytest.param(
+                {"skyline_score": "sum"}, bigdata.query3_skyline(),
+                footprint_skyline(dims=2, points=10, score="sum"),
+                id="skyline-sum",
+            ),
+        ],
+    )
+    def test_engine_builds_table2_sizes(self, small_tables, config, query, expected):
+        cluster = Cluster(config=ClusterConfig(**config))
+        assert cluster._build_pruner(query, small_tables).footprint() == expected
 
 
 def test_freed_heap_is_released_after_a_full_batch_run_only(monkeypatch, small_tables):

@@ -7,9 +7,11 @@ rather than review.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 
 import pytest
 
@@ -84,3 +86,31 @@ def test_architecture_prints_the_operator_plan_table():
     for kind, plan in OPERATORS.values():
         assert kind in plan.completion
         assert plan.recovery.startswith("reboot-safe") == is_reboot_safe(kind)
+
+
+HOST_KNOBS = {
+    "ClusterConfig": lambda: [f.name for f in dataclasses.fields(repro.ClusterConfig)],
+    "QueryService": lambda: list(
+        inspect.signature(repro.serve.QueryService).parameters
+    ),
+    "FleetController": lambda: list(
+        inspect.signature(repro.fleet.FleetController).parameters
+    ),
+}
+
+
+@pytest.mark.parametrize("owner", sorted(HOST_KNOBS))
+def test_api_lists_every_host_facing_knob(owner):
+    """docs/api.md names each host-facing knob, in order: a knob cannot
+    be added or removed without the doc changing with it."""
+    from pathlib import Path
+
+    api = Path(__file__).resolve().parents[1] / "docs" / "api.md"
+    pattern = re.compile(rf"^`{owner}` (?:fields|parameters), in order: (.*)$")
+    lines = [
+        match.group(1)
+        for match in map(pattern.match, api.read_text().splitlines())
+        if match
+    ]
+    assert len(lines) == 1, f"docs/api.md must list {owner}'s knobs once"
+    assert re.findall(r"`(\w+)`", lines[0]) == HOST_KNOBS[owner]()

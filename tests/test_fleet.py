@@ -278,7 +278,7 @@ class TestFairnessRegression:
             tables, workers=3,
             config=ClusterConfig(seed=0),
             max_queue=flood + 4, worker_threads=1,
-            enable_packing=False, fairness=policy,
+            max_pack=1, fairness=policy,
         )
         try:
             service.pause()

@@ -351,37 +351,24 @@ class TestFallbacks:
 
 
 class TestShardPolicy:
-    @pytest.mark.parametrize("op_name", ["having", "join"])
-    def test_contiguous_rejected_for_key_split_operators(self, op_name):
-        tables = make_tables(1)
-        with pytest.raises(ConfigurationError, match="cannot shard contiguously"):
-            cluster(2, shard_policy="contiguous").run(make_query(op_name), tables)
-
     def test_explicit_hash_for_keyless_op_is_contiguous(self):
         from repro.engine.plan import FilterOp as F
         from repro.parallel.shard import CONTIGUOUS, resolve_policy
 
         op = F("products", col("price") > 1)
-        assert resolve_policy(op, "hash", True) == CONTIGUOUS
+        assert resolve_policy(op, True) == CONTIGUOUS
 
     def test_auto_policy_per_operator(self):
         from repro.parallel.shard import CONTIGUOUS, HASHED, resolve_policy
 
-        assert resolve_policy(make_query("distinct").operator, "auto", True) == HASHED
-        assert resolve_policy(make_query("having").operator, "auto", True) == HASHED
-        assert resolve_policy(make_query("join").operator, "auto", True) == HASHED
-        assert (
-            resolve_policy(make_query("skyline").operator, "auto", True)
-            == CONTIGUOUS
-        )
-        assert resolve_policy(make_query("topn").operator, "auto", False) == (
-            CONTIGUOUS
-        )
-        assert resolve_policy(make_query("topn").operator, "auto", True) == HASHED
+        assert resolve_policy(make_query("distinct").operator, True) == HASHED
+        assert resolve_policy(make_query("having").operator, True) == HASHED
+        assert resolve_policy(make_query("join").operator, True) == HASHED
+        assert resolve_policy(make_query("skyline").operator, True) == CONTIGUOUS
+        assert resolve_policy(make_query("topn").operator, False) == CONTIGUOUS
+        assert resolve_policy(make_query("topn").operator, True) == HASHED
 
     def test_bad_policy_string_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ClusterConfig(shard_policy="diagonal")
         with pytest.raises(ConfigurationError):
             ClusterConfig(parallelism=0)
 

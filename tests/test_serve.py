@@ -170,7 +170,7 @@ class TestPackingScheduler:
         ) == []
 
     def test_disabled_packing_always_solo(self, serve_tables):
-        _, scheduler = self.make(serve_tables, enable_packing=False)
+        _, scheduler = self.make(serve_tables, max_pack=1)
         head = Request(parse(MIXED_SQL[0]))
         queued = [Request(parse(sql)) for sql in MIXED_SQL[1:4]]
         assert scheduler.plan_extras(head, queued, serve_tables) == []
@@ -199,7 +199,7 @@ class TestPackedServing:
     def test_packed_and_solo_results_identical(self, serve_tables):
         expected = expected_outputs(serve_tables)
         packed = QueryService(serve_tables, workers=4)
-        solo = QueryService(serve_tables, workers=4, enable_packing=False)
+        solo = QueryService(serve_tables, workers=4, max_pack=1)
         try:
             for svc in (packed, solo):
                 svc.pause()
@@ -467,7 +467,7 @@ class TestObservability:
         scripts = os.path.join(os.path.dirname(__file__), "..", "scripts")
         sys.path.insert(0, scripts)
         try:
-            import check_metrics_schema
+            import check_schema
         finally:
             sys.path.remove(scripts)
         with QueryService(serve_tables, workers=3) as service:
@@ -475,7 +475,9 @@ class TestObservability:
             report = service.report()
         json.dumps(report)  # must be JSON-serializable
         problems = []
-        check_metrics_schema._check_bench_envelope(report, "report", problems)
+        assert check_schema.check_document(report, "report", problems) == (
+            "serve report"
+        )
         assert problems == []
 
 

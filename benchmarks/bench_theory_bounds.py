@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.analysis.montecarlo import estimate_failure_rate
 from repro.core.distinct import DistinctPruner, FingerprintDistinctPruner
 from repro.core.sizing import (
     TopNConfig,
@@ -62,12 +63,12 @@ def test_theorem2_failure_rate(benchmark):
     stream_rng = random.Random(99)
     stream = [stream_rng.random() for _ in range(5000)]
     expected_top = sorted(master_topn(stream, n))
-    failures = 0
-    for seed in range(trials):
-        pruner = TopNRandomizedPruner(n=n, rows=rows, delta=delta, seed=seed)
-        survivors = pruner.survivors(stream)
-        if sorted(master_topn(survivors, n)) != expected_top:
-            failures += 1
+    failures = estimate_failure_rate(
+        lambda seed: TopNRandomizedPruner(n=n, rows=rows, delta=delta, seed=seed),
+        stream,
+        lambda survivors: sorted(master_topn(survivors, n)) == expected_top,
+        trials=trials,
+    ).failures
     emit(
         "theory_thm2_failures",
         table(

@@ -425,12 +425,53 @@ _SERVE_WORKLOAD = (
 )
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _drive_clients(make_client, clients: int, per_client: int, expected, during=None):
+    """Run ``clients`` threads, each sending ``per_client`` workload queries.
+
+    Client ``index`` is ``make_client(index)`` and cycles
+    ``_SERVE_WORKLOAD`` from offset ``index``.  ``during`` (if given)
+    runs after the threads start and before they are joined.  Returns
+    ``(shed, mismatches)``: the typed sheds the clients saw and the SQL
+    of every answer that differed from ``expected``.
+    """
     import threading
 
+    from .errors import Overloaded
+
+    mismatches: List[str] = []
+    shed = [0]
+    lock = threading.Lock()
+
+    def loop(index: int) -> None:
+        client = make_client(index)
+        for i in range(per_client):
+            sql = _SERVE_WORKLOAD[(index + i) % len(_SERVE_WORKLOAD)]
+            try:
+                output = client.query(sql)
+            except Overloaded:
+                with lock:
+                    shed[0] += 1
+                continue
+            if output != expected[sql]:
+                with lock:
+                    mismatches.append(sql)
+
+    threads = [
+        threading.Thread(target=loop, args=(i,), daemon=True)
+        for i in range(clients)
+    ]
+    for thread in threads:
+        thread.start()
+    if during is not None:
+        during()
+    for thread in threads:
+        thread.join()
+    return shed[0], mismatches
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
     from .engine.cluster import ClusterConfig
     from .engine.reference import run_reference
-    from .errors import Overloaded
     from .serve import QueryService, ServeClient
 
     scale = bigdata.BigDataScale(
@@ -457,33 +498,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         adapt=args.adapt,
         adapt_interval=args.adapt_interval,
     )
-    mismatches: List[str] = []
-    shed = [0]
-    lock = threading.Lock()
-
-    def client_loop(index: int, count: int) -> None:
-        client = ServeClient(service, tenant=f"client-{index}")
-        for i in range(count):
-            sql = _SERVE_WORKLOAD[(index + i) % len(_SERVE_WORKLOAD)]
-            try:
-                output = client.query(sql)
-            except Overloaded:
-                with lock:
-                    shed[0] += 1
-                continue
-            if output != expected[sql]:
-                with lock:
-                    mismatches.append(sql)
-
     per_client = max(1, args.requests // max(1, args.clients))
-    threads = [
-        threading.Thread(target=client_loop, args=(i, per_client), daemon=True)
-        for i in range(args.clients)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    shed, mismatches = _drive_clients(
+        lambda index: ServeClient(service, tenant=f"client-{index}"),
+        args.clients, per_client, expected,
+    )
     service.shutdown(drain=True)
     report = service.report()
     summary = report["summary"]
@@ -491,7 +510,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"({len(_SERVE_WORKLOAD)} distinct queries)")
     print(f"requests : {summary['requests']} submitted, "
           f"{summary['completed']} completed, {summary['failed']} failed, "
-          f"{shed[0]} shed")
+          f"{shed} shed")
     print(f"slots    : {summary['slots_packed']} packed "
           f"({summary['packed_queries']} queries), "
           f"{summary['slots_solo']} solo")
@@ -532,10 +551,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import threading
-
     from .engine.reference import run_reference
-    from .errors import Overloaded
     from .fleet import FabricTopology, FleetController, TenantQuota
     from .serve import ServeClient
 
@@ -557,38 +573,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         seed=args.seed,
         default_timeout=args.timeout,
     )
-    mismatches: List[str] = []
-    shed = [0]
-    lock = threading.Lock()
-
-    def tenant_loop(index: int, count: int) -> None:
-        client = ServeClient(
+    per_tenant = max(1, args.requests // max(1, args.tenants))
+    shed, mismatches = _drive_clients(
+        lambda index: ServeClient(
             fleet, tenant=f"tenant-{index}", retries=args.retries,
             seed=args.seed + index,
-        )
-        for i in range(count):
-            sql = _SERVE_WORKLOAD[(index + i) % len(_SERVE_WORKLOAD)]
-            try:
-                output = client.query(sql)
-            except Overloaded:
-                with lock:
-                    shed[0] += 1
-                continue
-            if output != expected[sql]:
-                with lock:
-                    mismatches.append(sql)
-
-    per_tenant = max(1, args.requests // max(1, args.tenants))
-    threads = [
-        threading.Thread(target=tenant_loop, args=(i, per_tenant), daemon=True)
-        for i in range(args.tenants)
-    ]
-    for thread in threads:
-        thread.start()
-    if args.rolling_update:
-        fleet.rolling_update()
-    for thread in threads:
-        thread.join()
+        ),
+        args.tenants, per_tenant, expected,
+        during=fleet.rolling_update if args.rolling_update else None,
+    )
     fleet.shutdown(drain=True)
     report = fleet.report()
     summary = report["summary"]
@@ -598,7 +591,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
           f"{per_tenant} requests")
     print(f"requests : {summary['requests']} submitted, "
           f"{summary['completed']} completed, {summary['failed']} failed, "
-          f"{shed[0]} shed at the client")
+          f"{shed} shed at the client")
     routes = summary["routes"]
     print(f"routing  : {routes['locality']} locality, "
           f"{routes['spillover']} spillover, "

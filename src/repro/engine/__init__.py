@@ -14,7 +14,6 @@ from .expressions import (
     col,
 )
 from .explain import explain
-from .materialization import FetchModel, fetch_plan_summary, materialize_rows
 from .plan import (
     CountOp,
     DistinctOp,
@@ -52,9 +51,6 @@ __all__ = [
     "OrExpr",
     "col",
     "explain",
-    "FetchModel",
-    "fetch_plan_summary",
-    "materialize_rows",
     "CountOp",
     "DistinctOp",
     "FilterOp",

@@ -2,12 +2,12 @@
 
 :class:`Cluster` executes a :class:`~repro.engine.plan.Query` the way the
 paper's testbed does: the table is partitioned across workers, each
-CWorker streams only the queried columns as one-entry packets, the switch
-pruner decides PRUNE/FORWARD per entry, and the CMaster completes the
-query on the survivors.  The runner returns both the output (asserted
-equal to :func:`~repro.engine.reference.run_reference`) and the traffic
-volumes each phase moved, which the cost model turns into completion
-times.
+worker streams only the queried columns (per entry or in column
+batches), the switch pruner decides PRUNE/FORWARD per entry, and the
+master completes the query on the survivors.  The runner returns both
+the output (asserted equal to
+:func:`~repro.engine.reference.run_reference`) and the traffic volumes
+each phase moved, which the cost model turns into completion times.
 
 One driver, :meth:`Cluster._execute`, runs every operator: what differs
 per operator — JOIN's build + probe, HAVING's partial refetch, SKYLINE's

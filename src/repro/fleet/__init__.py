@@ -4,10 +4,9 @@ Scales :mod:`repro.serve` from one :class:`~repro.serve.server.
 QueryService` fronting one logical switch to a replicated, multi-tenant
 fleet over a declared ToR→spine fabric:
 
-* :mod:`repro.fleet.topology` — the declarative fabric
-  (:class:`FabricTopology`, :class:`SwitchSpec`, :class:`Link`) with
-  structural validation, per-switch resource budgets, and deterministic
-  table→ToR homing;
+* :mod:`repro.fleet.topology` — the two-tier fabric
+  (:class:`FabricTopology`, :class:`SwitchSpec`) with per-switch
+  resource budgets and deterministic table→ToR homing;
 * :mod:`repro.fleet.tenancy` — per-tenant admission quotas
   (:class:`TenantQuota`) and weighted-fair slot formation
   (:class:`WeightedFairPolicy`) with a starvation watchdog;
@@ -30,21 +29,19 @@ from .controller import FleetController
 from .replica import ACTIVE, DRAINING, STATES, UPDATING, Replica
 from .router import REASONS, QueryRouter, RouteDecision
 from .tenancy import TenantQuota, WeightedFairPolicy
-from .topology import TIERS, FabricTopology, Link, SwitchSpec
+from .topology import FabricTopology, SwitchSpec
 
 __all__ = [
     "ACTIVE",
     "DRAINING",
     "FabricTopology",
     "FleetController",
-    "Link",
     "QueryRouter",
     "REASONS",
     "Replica",
     "RouteDecision",
     "STATES",
     "SwitchSpec",
-    "TIERS",
     "TenantQuota",
     "UPDATING",
     "WeightedFairPolicy",

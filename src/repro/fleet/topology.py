@@ -1,43 +1,29 @@
-"""Declarative ToR→spine fabric descriptions for fleet serving.
+"""The ToR→spine fabric the fleet serves from.
 
 The paper's deployment story (§2, §8) is not one switch: it is a rack-
 scale fabric where top-of-rack (ToR) switches sit on the data path of
 their servers and spine switches aggregate the racks.  A
-:class:`FabricTopology` is the fleet layer's declarative description of
-that fabric — which switches exist, what tier each sits in, what
-resource budget each pipeline carries (the compiler's
-:class:`~repro.switch.resources.ResourceModel`, checked against
-compiled :class:`~repro.switch.resources.ResourceFootprint` programs),
-and how the tiers are linked.
+:class:`FabricTopology` is the fleet layer's description of that fabric:
+a fully-connected two-tier fabric, every ToR uplinked into every spine,
+each switch carrying the per-pipeline
+:class:`~repro.switch.resources.ResourceModel` its replica compiles
+against.
 
-The topology is *validated at construction*: unknown link endpoints,
-tor-to-tor links, stranded switches, or duplicate names fail fast with
-a :class:`~repro.errors.ConfigurationError` instead of surfacing as a
-misrouted query at serving time.
-
-Two existing pieces of machinery are reused rather than re-invented:
-
-* placement hashes table names over the ToR tier with the multiswitch
-  partitioner (:func:`~repro.extensions.multiswitch.hash_partition`),
-  so fleet placement and §9 stream partitioning agree on their hash;
-* :meth:`FabricTopology.build_tree` assembles the §9
-  :class:`~repro.extensions.multiswitch.SwitchTree` over the fabric —
-  one leaf pruner per ToR under a spine root — for workloads that want
-  hierarchical pruning across the same switches the fleet serves from.
+Placement hashes table names over the ToR tier with the multiswitch
+partitioner (:func:`~repro.extensions.multiswitch.hash_partition`), so
+fleet placement and §9 stream partitioning agree on their hash.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List
 
-from ..errors import ConfigurationError, ResourceError
-from ..extensions.multiswitch import SwitchTree, hash_partition
-from ..switch.compiler import check_fits_cached
-from ..switch.resources import TOFINO, TOFINO2, ResourceFootprint, ResourceModel
+from ..errors import ConfigurationError
+from ..extensions.multiswitch import hash_partition
+from ..switch.resources import TOFINO, TOFINO2, ResourceModel
 
-#: The tiers a fabric switch may occupy.
-TIERS = ("tor", "spine")
+_TIERS = ("tor", "spine")
 
 
 @dataclass(frozen=True)
@@ -45,9 +31,8 @@ class SwitchSpec:
     """One switch in the fabric: a name, a tier, and a resource budget.
 
     ``model`` is the per-pipeline capacity every program placed on this
-    switch must fit (the same :class:`ResourceModel` the compiler's
-    fit/pack checks consume), so a replica bound to a small-budget ToR
-    really is constrained to small-budget programs.
+    switch must fit, so a replica bound to a small-budget ToR really is
+    constrained to small-budget programs.
     """
 
     name: str
@@ -58,90 +43,19 @@ class SwitchSpec:
         """Reject empty names and unknown tiers at construction."""
         if not self.name:
             raise ConfigurationError("switch name must be non-empty")
-        if self.tier not in TIERS:
+        if self.tier not in _TIERS:
             raise ConfigurationError(
-                f"switch {self.name!r} tier must be one of {TIERS}, "
+                f"switch {self.name!r} tier must be one of {_TIERS}, "
                 f"got {self.tier!r}"
             )
 
 
-@dataclass(frozen=True)
-class Link:
-    """One fabric link: a ToR's uplink into a spine."""
-
-    tor: str
-    spine: str
-
-
 class FabricTopology:
-    """A validated two-tier (ToR→spine) switch fabric.
+    """A fully-connected two-tier fabric; build one with :meth:`two_tier`."""
 
-    Parameters
-    ----------
-    switches:
-        The fabric's switches.  At least one ``"tor"`` and one
-        ``"spine"`` are required; names must be unique.
-    links:
-        ToR→spine links.  Every ToR needs at least one uplink and every
-        spine at least one downlink (a stranded switch is a description
-        bug, not a degraded mode).
-    """
-
-    def __init__(
-        self, switches: Sequence[SwitchSpec], links: Sequence[Link]
-    ) -> None:
-        self.switches: Dict[str, SwitchSpec] = {}
-        for spec in switches:
-            if spec.name in self.switches:
-                raise ConfigurationError(
-                    f"duplicate switch name {spec.name!r} in the fabric"
-                )
-            self.switches[spec.name] = spec
-        self.tors: List[SwitchSpec] = [
-            spec for spec in switches if spec.tier == "tor"
-        ]
-        self.spines: List[SwitchSpec] = [
-            spec for spec in switches if spec.tier == "spine"
-        ]
-        if not self.tors:
-            raise ConfigurationError("a fabric needs at least one ToR switch")
-        if not self.spines:
-            raise ConfigurationError("a fabric needs at least one spine switch")
-        self.links: List[Link] = []
-        seen = set()
-        for link in links:
-            for endpoint in (link.tor, link.spine):
-                if endpoint not in self.switches:
-                    raise ConfigurationError(
-                        f"link references unknown switch {endpoint!r}"
-                    )
-            if self.switches[link.tor].tier != "tor":
-                raise ConfigurationError(
-                    f"link endpoint {link.tor!r} is not a ToR switch"
-                )
-            if self.switches[link.spine].tier != "spine":
-                raise ConfigurationError(
-                    f"link endpoint {link.spine!r} is not a spine switch"
-                )
-            pair = (link.tor, link.spine)
-            if pair in seen:
-                raise ConfigurationError(
-                    f"duplicate link {link.tor!r} -> {link.spine!r}"
-                )
-            seen.add(pair)
-            self.links.append(link)
-        for tor in self.tors:
-            if not self.uplinks(tor.name):
-                raise ConfigurationError(
-                    f"ToR {tor.name!r} has no uplink into the spine tier"
-                )
-        for spine in self.spines:
-            if not self.downlinks(spine.name):
-                raise ConfigurationError(
-                    f"spine {spine.name!r} has no downlink to any ToR"
-                )
-
-    # -- construction helpers ------------------------------------------------
+    def __init__(self, tors: List[SwitchSpec], spines: List[SwitchSpec]) -> None:
+        self.tors = tors
+        self.spines = spines
 
     @classmethod
     def two_tier(
@@ -151,48 +65,23 @@ class FabricTopology:
         tor_model: ResourceModel = TOFINO,
         spine_model: ResourceModel = TOFINO2,
     ) -> "FabricTopology":
-        """A fully-connected two-tier fabric: ``tors`` ToRs × ``spines`` spines.
+        """``tors`` ToRs × ``spines`` spines, every ToR uplinked into every spine.
 
-        The workhorse constructor for benches and the CLI: every ToR
-        uplinks into every spine (names ``tor-0..``, ``spine-0..``).
+        Switches are named ``tor-0..`` and ``spine-0..``.
         """
         if tors < 1 or spines < 1:
             raise ConfigurationError(
                 f"two_tier needs tors >= 1 and spines >= 1, "
                 f"got {tors} and {spines}"
             )
-        switches = [
-            SwitchSpec(f"tor-{i}", "tor", tor_model) for i in range(tors)
-        ] + [
-            SwitchSpec(f"spine-{j}", "spine", spine_model)
-            for j in range(spines)
-        ]
-        links = [
-            Link(f"tor-{i}", f"spine-{j}")
-            for i in range(tors)
-            for j in range(spines)
-        ]
-        return cls(switches, links)
-
-    # -- lookups -------------------------------------------------------------
+        return cls(
+            [SwitchSpec(f"tor-{i}", "tor", tor_model) for i in range(tors)],
+            [SwitchSpec(f"spine-{j}", "spine", spine_model) for j in range(spines)],
+        )
 
     def __len__(self) -> int:
         """The number of switches in the fabric (both tiers)."""
-        return len(self.switches)
-
-    def switch(self, name: str) -> SwitchSpec:
-        """The spec registered under ``name`` (KeyError when unknown)."""
-        return self.switches[name]
-
-    def uplinks(self, tor: str) -> List[str]:
-        """The spine names this ToR uplinks into, in link order."""
-        return [link.spine for link in self.links if link.tor == tor]
-
-    def downlinks(self, spine: str) -> List[str]:
-        """The ToR names under this spine, in link order."""
-        return [link.tor for link in self.links if link.spine == spine]
-
-    # -- placement and budgets -----------------------------------------------
+        return len(self.tors) + len(self.spines)
 
     def home_tor(self, table_name: str) -> SwitchSpec:
         """The ToR a table is *placed* on — its residency home.
@@ -204,55 +93,21 @@ class FabricTopology:
         """
         return self.tors[hash_partition(table_name, len(self.tors))]
 
-    def fits(self, footprint: ResourceFootprint, switch: str) -> bool:
-        """Would this compiled program fit the named switch's budget?
-
-        Goes through the compiler's memoized fit check, so steady-state
-        routing pays a dictionary lookup per (program, model) pair.
-        """
-        try:
-            check_fits_cached(footprint, self.switches[switch].model)
-        except ResourceError:
-            return False
-        return True
-
-    # -- §9 assembly ---------------------------------------------------------
-
-    def build_tree(
-        self,
-        leaf_factory: Callable[[SwitchSpec], object],
-        root: object,
-        partition: Optional[Callable[[object], int]] = None,
-    ) -> SwitchTree:
-        """Assemble the §9 :class:`SwitchTree` over this fabric.
-
-        One leaf pruner per ToR (built by ``leaf_factory``, which may
-        size state per the ToR's budget) under the ``root`` pruner on
-        the spine tier.  The default partition is the same hash the
-        fleet router's placement uses, so an entry's leaf and its
-        table's home ToR are computed by one function family.
-        """
-        leaves = [leaf_factory(tor) for tor in self.tors]
-        return SwitchTree(leaves, root, partition=partition)
-
     def describe(self) -> List[str]:
         """Human-readable fabric lines (the CLI's topology block)."""
         lines = [
             f"fabric   : {len(self.tors)} ToR + {len(self.spines)} spine "
-            f"switches, {len(self.links)} links"
+            f"switches, {len(self.tors) * len(self.spines)} links"
         ]
-        for tor in self.tors:
-            ups = ", ".join(self.uplinks(tor.name))
-            lines.append(
-                f"  {tor.name:10s} stages={tor.model.stages:3d} "
-                f"sram={tor.model.total_sram_bits // (1024 * 1024 * 8):4d}MB "
-                f"-> {ups}"
-            )
-        for spine in self.spines:
-            downs = ", ".join(self.downlinks(spine.name))
-            lines.append(
-                f"  {spine.name:10s} stages={spine.model.stages:3d} "
-                f"sram={spine.model.total_sram_bits // (1024 * 1024 * 8):4d}MB "
-                f"<- {downs}"
-            )
+        for specs, arrow, peers in (
+            (self.tors, "->", self.spines),
+            (self.spines, "<-", self.tors),
+        ):
+            names = ", ".join(peer.name for peer in peers)
+            for spec in specs:
+                lines.append(
+                    f"  {spec.name:10s} stages={spec.model.stages:3d} "
+                    f"sram={spec.model.total_sram_bits // (1024 * 1024 * 8):4d}MB "
+                    f"{arrow} {names}"
+                )
         return lines

@@ -119,8 +119,40 @@ class TransferBase:
     Owns the four links (built by one ``link_factory`` sharing a single
     RNG, so loss patterns across hops stay reproducible), the switch
     protocol state, the window validation every variant must perform,
-    and the master-side receive bookkeeping (arrival order, per-``(fid,
-    seq)`` dedup, duplicate counting).
+    the master-side receive bookkeeping (arrival order, per-``(fid,
+    seq)`` dedup, duplicate counting), and the round loop the
+    round-based transfers share.
+
+    Parameters
+    ----------
+    pruner:
+        The dataplane pruning algorithm; entries are extracted from packet
+        values with ``decode_entry``.
+    decode_entry:
+        Maps a packet to the entry the pruner processes (default: the
+        values tuple, unwrapped when it has a single element).
+    loss:
+        Per-link drop probability applied independently to the uplink,
+        the downlink, and both ACK paths.
+    seed:
+        RNG seed for reproducible loss patterns.
+    max_rounds:
+        Safety bound on retransmission rounds; exceeding it raises
+        :class:`ProtocolError` (indicates a livelock, which the protocol
+        does not have for loss < 1).
+    window:
+        Send at most this many unacked packets per round (None = all).
+        The switch's in-order rule makes the protocol go-back-N, so an
+        unbounded window wastes transmissions after an early loss; a
+        modest window models the pacing a real CWorker does with its
+        per-packet timers.
+    link_factory:
+        Optional callable building each of the four links from the
+        transfer's shared RNG — inject a
+        :class:`GilbertElliottLink` or a
+        :class:`~repro.faults.links.ChaosLink` here instead of
+        assigning over the ``uplink``/... attributes.  When given,
+        ``loss`` is ignored.
     """
 
     def __init__(
@@ -167,40 +199,67 @@ class TransferBase:
         self.stats.master_received += 1
         self.master_entries.append(entry)
 
+    def _run_rounds(self, flows: Dict[int, List[CheetahPacket]]) -> None:
+        """§7.2's round loop: send every flow until all its packets are ACKed.
+
+        Each round takes each flow's next in-flight slice (the lowest
+        ``window`` unacked seqs) and interleaves the slices packet by
+        packet across flows; the master's and the switch's ACKs retire
+        packets.  A repeated seq within a flow raises
+        :class:`ProtocolError`: it could never be told apart on the wire.
+        """
+        unacked: Dict[int, Dict[int, CheetahPacket]] = {}
+        for fid, packets in flows.items():
+            unacked[fid] = {p.seq: p for p in packets}
+            if len(unacked[fid]) != len(packets):
+                raise ProtocolError("duplicate sequence numbers in input")
+        first_attempt = True
+        while any(unacked.values()):
+            self.stats.rounds += 1
+            if self.stats.rounds > self.max_rounds:
+                raise ProtocolError(
+                    f"transfer did not complete within {self.max_rounds} rounds"
+                )
+            slices = []
+            for fid in sorted(unacked):
+                pending = sorted(unacked[fid])
+                if self.window is not None:
+                    pending = pending[: self.window]
+                slices.append([(fid, seq) for seq in pending])
+            acked_now: List[Tuple[int, int]] = []
+            for fid, seq in _roundrobin(slices):
+                packet = unacked[fid][seq]
+                self.stats.transmissions += 1
+                if not first_attempt:
+                    self.stats.retransmissions += 1
+                    packet = packet.as_retransmit()
+                if not self.uplink.deliver():
+                    continue
+                entry = self._decode(packet) if packet.values else None
+                action, _ = self.switch.on_packet(packet, entry)
+                if action == "drop":
+                    continue
+                if action == "prune":
+                    self.stats.switch_acks += 1
+                    if self.ack_switch_link.deliver():
+                        acked_now.append((fid, seq))
+                    continue
+                # Forwarded toward the master.
+                if not self.downlink.deliver():
+                    continue
+                self._master_receive(packet)
+                self.stats.master_acks += 1
+                if self.ack_master_link.deliver():
+                    acked_now.append((fid, seq))
+            for fid, seq in acked_now:
+                unacked[fid].pop(seq, None)
+            first_attempt = False
+
 
 class ReliableTransfer(TransferBase):
     """Drive one worker's stream through the switch to the master.
 
-    Parameters
-    ----------
-    pruner:
-        The dataplane pruning algorithm; entries are extracted from packet
-        values with ``decode_entry``.
-    decode_entry:
-        Maps a packet to the entry the pruner processes (default: the
-        values tuple, unwrapped when it has a single element).
-    loss:
-        Per-link drop probability applied independently to the uplink,
-        the downlink, and both ACK paths.
-    seed:
-        RNG seed for reproducible loss patterns.
-    max_rounds:
-        Safety bound on retransmission rounds; exceeding it raises
-        :class:`ProtocolError` (indicates a livelock, which the protocol
-        does not have for loss < 1).
-    window:
-        Send at most this many unacked packets per round (None = all).
-        The switch's in-order rule makes the protocol go-back-N, so an
-        unbounded window wastes transmissions after an early loss; a
-        modest window models the pacing a real CWorker does with its
-        per-packet timers.
-    link_factory:
-        Optional callable building each of the four links from the
-        transfer's shared RNG — inject a
-        :class:`GilbertElliottLink` or a
-        :class:`~repro.faults.links.ChaosLink` here instead of
-        assigning over the ``uplink``/... attributes.  When given,
-        ``loss`` is ignored.
+    Takes :class:`TransferBase`'s constructor parameters.
     """
 
     def run(self, packets: List[CheetahPacket]) -> List[object]:
@@ -209,47 +268,7 @@ class ReliableTransfer(TransferBase):
         Returns the entries the master received, in arrival order
         (duplicates included, as on the wire).
         """
-        unacked: Dict[int, CheetahPacket] = {p.seq: p for p in packets}
-        if len(unacked) != len(packets):
-            raise ProtocolError("duplicate sequence numbers in input")
-        first_attempt = True
-        while unacked:
-            self.stats.rounds += 1
-            if self.stats.rounds > self.max_rounds:
-                raise ProtocolError(
-                    f"transfer did not complete within {self.max_rounds} rounds"
-                )
-            acked_now: List[int] = []
-            in_flight = sorted(unacked)
-            if self.window is not None:
-                in_flight = in_flight[: self.window]
-            for seq in in_flight:
-                packet = unacked[seq]
-                self.stats.transmissions += 1
-                if not first_attempt:
-                    self.stats.retransmissions += 1
-                    packet = packet.as_retransmit()
-                if not self.uplink.deliver():
-                    continue
-                entry = self._decode(packet) if packet.values else None
-                action, switch_ack = self.switch.on_packet(packet, entry)
-                if action == "drop":
-                    continue
-                if action == "prune":
-                    self.stats.switch_acks += 1
-                    if self.ack_switch_link.deliver():
-                        acked_now.append(seq)
-                    continue
-                # Forwarded toward the master.
-                if not self.downlink.deliver():
-                    continue
-                self._master_receive(packet)
-                self.stats.master_acks += 1
-                if self.ack_master_link.deliver():
-                    acked_now.append(seq)
-            for seq in acked_now:
-                unacked.pop(seq, None)
-            first_attempt = False
+        self._run_rounds({0: packets})
         return self.master_entries
 
 
@@ -337,10 +356,9 @@ class MultiFlowTransfer(TransferBase):
     not just within one.
 
     Transmission interleaves round-robin across flows, so pruner state
-    observes a realistic mix rather than one worker at a time.  Accepts
-    the same constructor parameters as :class:`ReliableTransfer`
-    (``window`` validation and ``link_factory`` injection included —
-    both live on the shared :class:`TransferBase`).
+    observes a realistic mix rather than one worker at a time.  Takes
+    :class:`TransferBase`'s constructor parameters; a one-flow run
+    transmits exactly what :class:`ReliableTransfer` does.
     """
 
     def run(self, flows: Dict[int, List[CheetahPacket]]) -> List[object]:
@@ -355,52 +373,7 @@ class MultiFlowTransfer(TransferBase):
                     raise ProtocolError(
                         f"packet fid {packet.fid} under flow {fid}"
                     )
-        unacked: Dict[int, Dict[int, CheetahPacket]] = {
-            fid: {p.seq: p for p in packets} for fid, packets in flows.items()
-        }
-        first_attempt = True
-        while any(unacked.values()):
-            self.stats.rounds += 1
-            if self.stats.rounds > self.max_rounds:
-                raise ProtocolError(
-                    f"transfer did not complete within {self.max_rounds} rounds"
-                )
-            # Round-robin: take each flow's next in-flight slice, then
-            # interleave packet-by-packet across flows.
-            slices = []
-            for fid in sorted(unacked):
-                pending = sorted(unacked[fid])
-                if self.window is not None:
-                    pending = pending[: self.window]
-                slices.append([(fid, seq) for seq in pending])
-            interleaved = _roundrobin(slices)
-            acked_now: List[Tuple[int, int]] = []
-            for fid, seq in interleaved:
-                packet = unacked[fid][seq]
-                self.stats.transmissions += 1
-                if not first_attempt:
-                    self.stats.retransmissions += 1
-                    packet = packet.as_retransmit()
-                if not self.uplink.deliver():
-                    continue
-                entry = self._decode(packet) if packet.values else None
-                action, _ = self.switch.on_packet(packet, entry)
-                if action == "drop":
-                    continue
-                if action == "prune":
-                    self.stats.switch_acks += 1
-                    if self.ack_switch_link.deliver():
-                        acked_now.append((fid, seq))
-                    continue
-                if not self.downlink.deliver():
-                    continue
-                self._master_receive(packet)
-                self.stats.master_acks += 1
-                if self.ack_master_link.deliver():
-                    acked_now.append((fid, seq))
-            for fid, seq in acked_now:
-                unacked[fid].pop(seq, None)
-            first_attempt = False
+        self._run_rounds(flows)
         return self.master_unique_entries
 
 

@@ -465,6 +465,13 @@ class MetricsRegistry:
                 out[f"{name}{{{rendered}}}"] = sample.value
         return out
 
+    def counter_total(self, name: str) -> int:
+        """The sum of counter ``name`` over all its label sets (0 if unseen)."""
+        family = self._families.get(name)
+        if family is None or family.kind != "counter":
+            return 0
+        return sum(sample.value for sample in family.samples.values())
+
     def gauge_values(self) -> Dict[str, float]:
         """Flat ``{"name{k=v,...}": value}`` map of every gauge sample."""
         out: Dict[str, float] = {}

@@ -129,7 +129,7 @@ class QueryService:
         )
         self._tables: Dict[str, object] = dict(tables)
         self._tables_version = 0
-        #: Guards the tallies, tenant-labeled sample creation, and spans.
+        #: Guards the counters, tenant-labeled sample creation, and spans.
         self._metrics_lock = threading.Lock()
         #: Guards inflight accounting and table swaps; notified on drain.
         self._state = threading.Condition()
@@ -137,18 +137,6 @@ class QueryService:
         self._paused = False
         self._stopping = False
         self._closed = False
-        self._tallies: Dict[str, int] = {
-            "requests": 0,
-            "completed": 0,
-            "failed": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "slots_packed": 0,
-            "slots_solo": 0,
-            "packed_queries": 0,
-            "streamed": 0,
-            "forwarded": 0,
-        }
         self._latency: Dict[str, object] = {}
         # Pre-create fixed-label samples on the constructing thread, so
         # executor threads only ever *increment* them (the registry's
@@ -261,7 +249,6 @@ class QueryService:
         if self.trace_requests:
             request.trace = TraceContext.root()
         with self._metrics_lock:
-            self._tallies["requests"] += 1
             self._tenant_counter("serve_requests_total", tenant).inc()
         # A closed service answers nothing, not even from cache: skip the
         # lookup and let admission raise the typed "shutting-down" shed.
@@ -276,7 +263,6 @@ class QueryService:
                 request.timeline[stamp] = now
             request.complete(output)
             with self._metrics_lock:
-                self._tallies["cache_hits"] += 1
                 self._cache_hits_counter.inc()
                 self._account_completion_locked(request, packed=False, cached=True)
             self.health.observe_latency(
@@ -285,7 +271,6 @@ class QueryService:
             )
             return request
         with self._metrics_lock:
-            self._tallies["cache_misses"] += 1
             self._cache_misses_counter.inc()
         self.admission.admit(request)
         return request
@@ -546,13 +531,9 @@ class QueryService:
                 self.results.put(request.query.cache_key(), version, output)
                 request.complete(output)
             with self._metrics_lock:
-                self._tallies["slots_packed" if kind == "packed" else "slots_solo"] += 1
                 self._slots_counters[kind].inc()
                 if kind == "packed":
-                    self._tallies["packed_queries"] += len(requests)
                     self._packed_queries_counter.inc(len(requests))
-                self._tallies["streamed"] += streamed
-                self._tallies["forwarded"] += forwarded
                 self._streamed_counter.inc(streamed)
                 self._forwarded_counter.inc(forwarded)
                 for request in requests:
@@ -574,7 +555,6 @@ class QueryService:
                     request.fail(error)
             with self._metrics_lock:
                 for request in requests:
-                    self._tallies["failed"] += 1
                     self._tenant_counter(
                         "serve_failed_total", request.tenant
                     ).inc()
@@ -620,7 +600,6 @@ class QueryService:
     ) -> None:
         timeline = request.timeline
         total = timeline["completed"] - timeline["submitted"]
-        self._tallies["completed"] += 1
         self._tenant_counter("serve_completed_total", request.tenant).inc()
         self._latency_histogram(request.tenant).observe(total)
         if not self.trace_requests:
@@ -689,8 +668,20 @@ class QueryService:
         signature health windows under ``health``, and the retained
         structured events under ``events``.
         """
+        registry = self.registry
         with self._metrics_lock:
-            tallies = dict(self._tallies)
+            summary = {
+                "requests": registry.counter_total("serve_requests_total"),
+                "completed": registry.counter_total("serve_completed_total"),
+                "failed": registry.counter_total("serve_failed_total"),
+                "cache_hits": self._cache_hits_counter.value,
+                "cache_misses": self._cache_misses_counter.value,
+                "slots_packed": self._slots_counters["packed"].value,
+                "slots_solo": self._slots_counters["solo"].value,
+                "packed_queries": self._packed_queries_counter.value,
+                "streamed": self._streamed_counter.value,
+                "forwarded": self._forwarded_counter.value,
+            }
             latency = {
                 tenant: {
                     "count": sample.count,
@@ -699,10 +690,9 @@ class QueryService:
                 }
                 for tenant, sample in sorted(self._latency.items())
             }
-            metrics = self.registry.to_dict()
-        streamed = tallies["streamed"]
-        pruned = streamed - tallies["forwarded"]
-        summary = dict(tallies)
+            metrics = registry.to_dict()
+        streamed = summary["streamed"]
+        pruned = streamed - summary["forwarded"]
         summary["pruning_rate"] = pruned / streamed if streamed else 0.0
         summary["queue_depth"] = self.admission.depth
         summary["inflight"] = self._inflight

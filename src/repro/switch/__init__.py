@@ -1,10 +1,11 @@
 """PISA programmable-switch simulator: stages, PHV, TCAM, resource model.
 
 This package is the hardware substrate the pruning algorithms compile to.
-It enforces the constraints of the paper's §2.2 — limited operations
-(:mod:`primitives`), limited stages/ALUs (:mod:`stage`,
-:mod:`pipeline`), limited memory and PHV bits (:mod:`resources`) — and
-reproduces Table 2's per-algorithm footprints (:mod:`compiler`).
+It enforces the constraints of the paper's §2.2 — limited stages/ALUs
+(:mod:`stage`, :mod:`pipeline`), limited memory and PHV bits
+(:mod:`resources`), no multiply or divide (:mod:`tcam`'s log table
+stands in for one) — and reproduces Table 2's per-algorithm footprints
+(:mod:`compiler`).
 """
 
 from .compiler import (
@@ -27,7 +28,6 @@ from .programs import (
     PipelineGroupBy,
     PipelineTopNDeterministic,
 )
-from .primitives import FORBIDDEN_OPS, AluOp, alu, is_power_of_two, msb_index
 from .resources import KB, MB, MINI, TOFINO, TOFINO2, ResourceFootprint, ResourceModel
 from .stage import MatchActionTable, RegisterArray, Stage
 from .tcam import LogApproxTable, TcamEntry, TcamTable, build_msb_table, msb_rule_count
@@ -52,11 +52,6 @@ __all__ = [
     "PipelineTopNDeterministic",
     "PipelineStats",
     "StageProgram",
-    "FORBIDDEN_OPS",
-    "AluOp",
-    "alu",
-    "is_power_of_two",
-    "msb_index",
     "KB",
     "MB",
     "MINI",

@@ -114,3 +114,34 @@ def test_api_lists_every_host_facing_knob(owner):
     ]
     assert len(lines) == 1, f"docs/api.md must list {owner}'s knobs once"
     assert re.findall(r"`(\w+)`", lines[0]) == HOST_KNOBS[owner]()
+
+
+DOCS_WITH_PATHS = (
+    "docs/paper_mapping.md",
+    "DESIGN.md",
+    "README.md",
+    "docs/architecture.md",
+    "docs/api.md",
+    "EXPERIMENTS.md",
+)
+
+
+@pytest.mark.parametrize("doc", DOCS_WITH_PATHS)
+def test_backticked_source_paths_exist(doc):
+    """Every backticked ``.../x.py`` path in the prose names a file that
+    exists (relative to the repo root, ``src/`` or ``src/repro/``; a
+    ``*`` must match at least one), so deleting a module forces its
+    doc rows to go with it."""
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    paths = set(re.findall(r"`([^`\s]*/[^`\s]*\.py)`", (root / doc).read_text()))
+    stale = sorted(
+        path
+        for path in paths
+        if not any(
+            any(base.glob(path))
+            for base in (root, root / "src", root / "src" / "repro")
+        )
+    )
+    assert not stale, f"{doc} names missing files: {stale}"

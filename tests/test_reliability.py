@@ -330,3 +330,41 @@ class TestMultiFlowTransfer:
         assert master.complete
         received = {row[0] for row in master.rows()}
         assert received == set(range(13))
+
+    def test_duplicate_seq_in_any_flow_rejected(self):
+        # A repeated seq used to collapse silently into one packet.
+        from repro.net.reliability import MultiFlowTransfer
+
+        flows = {
+            0: [CheetahPacket(fid=0, seq=0, values=(1,))],
+            1: [
+                CheetahPacket(fid=1, seq=0, values=(2,)),
+                CheetahPacket(fid=1, seq=0, values=(3,)),
+            ],
+        }
+        transfer = MultiFlowTransfer(PassthroughPruner())
+        with pytest.raises(ProtocolError):
+            transfer.run(flows)
+        assert transfer.stats.transmissions == 0
+
+    @pytest.mark.parametrize("window", [None, 4])
+    @pytest.mark.parametrize("loss", [0.0, 0.1, 0.3])
+    def test_one_flow_matches_reliable_transfer(self, loss, window):
+        from repro.net.reliability import MultiFlowTransfer
+
+        for seed in range(10):
+            rng = random.Random(seed)
+            packets = packets_for([rng.randrange(12) for _ in range(40)])
+            single = ReliableTransfer(
+                DistinctPruner(rows=8, cols=2), loss=loss, seed=seed,
+                window=window,
+            )
+            multi = MultiFlowTransfer(
+                DistinctPruner(rows=8, cols=2), loss=loss, seed=seed,
+                window=window,
+            )
+            assert single.run(packets) is single.master_entries
+            assert multi.run({0: packets}) is multi.master_unique_entries
+            assert multi.stats == single.stats
+            assert multi.master_entries == single.master_entries
+            assert multi.master_unique_entries == single.master_unique_entries

@@ -459,6 +459,45 @@ class TestObservability:
         finally:
             service.shutdown()
 
+    def test_summary_counts_every_outcome(self, serve_tables):
+        """report()["summary"] reads the registry's counters: a packed
+        slot, a solo slot, a failed slot, a cache hit and the misses
+        before it each land exactly once."""
+        packable, join = MIXED_SQL[1:4], MIXED_SQL[5]
+        broken = "SELECT COUNT(*) FROM Products WHERE nope > 1"
+        service = QueryService(serve_tables, workers=3, worker_threads=1)
+        try:
+            service.pause()
+            tickets = [service.submit(sql) for sql in packable]
+            service.resume()
+            for ticket in tickets:
+                ticket.result(10.0)
+            service.query(join, tenant="joiner")
+            with pytest.raises(PlanError):
+                service.query(broken, tenant="joiner")
+            service.query(packable[0])  # result-cache hit
+            summary = service.report()["summary"]
+        finally:
+            service.shutdown()
+        cluster = Cluster(workers=3)
+        packed = cluster.run_packed([parse(sql) for sql in packable], serve_tables)
+        solo = cluster.run(parse(join), serve_tables)
+        streamed = packed.total_streamed + solo.total_streamed
+        forwarded = packed.total_forwarded + solo.total_forwarded
+        assert {key: summary[key] for key in (
+            "requests", "completed", "failed", "cache_hits", "cache_misses",
+            "slots_packed", "slots_solo", "packed_queries", "streamed",
+            "forwarded",
+        )} == {
+            "requests": 6, "completed": 5, "failed": 1, "cache_hits": 1,
+            "cache_misses": 5, "slots_packed": 1, "slots_solo": 1,
+            "packed_queries": 3, "streamed": streamed, "forwarded": forwarded,
+        }
+        assert summary["pruning_rate"] == (streamed - forwarded) / streamed
+        counters = service.registry.counter_values()
+        assert counters["serve_failed_total{tenant=joiner}"] == 1
+        assert counters["serve_completed_total{tenant=default}"] == 4
+
     def test_report_is_schema_valid_envelope(self, serve_tables):
         import json
         import os

@@ -229,13 +229,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
+def _tables(args: argparse.Namespace) -> dict:
+    """The generated Big Data tables at ``--rows`` and ``--seed``."""
     scale = bigdata.BigDataScale(
         rankings_rows=max(1000, args.rows // 2),
         uservisits_rows=args.rows,
         distinct_urls=max(400, args.rows // 5),
     )
-    tables = bigdata.tables(scale, seed=args.seed)
+    return bigdata.tables(scale, seed=args.seed)
+
+
+def _cmd_query(args: argparse.Namespace) -> int:
+    tables = _tables(args)
     for spec in args.csv:
         name, _, csv_path = spec.partition("=")
         if not name or not csv_path:
@@ -347,12 +352,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print("error: --scenario NAME required (or --list)", file=sys.stderr)
         return 1
     spec = scenario(args.scenario)
-    scale = bigdata.BigDataScale(
-        rankings_rows=max(1000, args.rows // 2),
-        uservisits_rows=args.rows,
-        distinct_urls=max(400, args.rows // 5),
-    )
-    tables = bigdata.tables(scale, seed=args.seed)
+    tables = _tables(args)
     if spec.query == "Q3-skyline":
         tables["Rankings"] = bigdata.permuted(tables["Rankings"], seed=args.seed)
     query = bigdata.benchmark_queries()[spec.query]
@@ -425,6 +425,13 @@ _SERVE_WORKLOAD = (
 )
 
 
+def _reference_answers(tables) -> dict:
+    """Each ``_SERVE_WORKLOAD`` query's unpruned answer, the clients' check."""
+    from .engine.reference import run_reference
+
+    return {sql: run_reference(parse(sql), tables) for sql in _SERVE_WORKLOAD}
+
+
 def _drive_clients(make_client, clients: int, per_client: int, expected, during=None):
     """Run ``clients`` threads, each sending ``per_client`` workload queries.
 
@@ -471,16 +478,10 @@ def _drive_clients(make_client, clients: int, per_client: int, expected, during=
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .engine.cluster import ClusterConfig
-    from .engine.reference import run_reference
     from .serve import QueryService, ServeClient
 
-    scale = bigdata.BigDataScale(
-        rankings_rows=max(1000, args.rows // 2),
-        uservisits_rows=args.rows,
-        distinct_urls=max(400, args.rows // 5),
-    )
-    tables = bigdata.tables(scale, seed=args.seed)
-    expected = {sql: run_reference(parse(sql), tables) for sql in _SERVE_WORKLOAD}
+    tables = _tables(args)
+    expected = _reference_answers(tables)
     config = ClusterConfig(
         parallelism=args.parallelism,
         seed=args.seed,
@@ -551,17 +552,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from .engine.reference import run_reference
     from .fleet import FabricTopology, FleetController, TenantQuota
     from .serve import ServeClient
 
-    scale = bigdata.BigDataScale(
-        rankings_rows=max(1000, args.rows // 2),
-        uservisits_rows=args.rows,
-        distinct_urls=max(400, args.rows // 5),
-    )
-    tables = bigdata.tables(scale, seed=args.seed)
-    expected = {sql: run_reference(parse(sql), tables) for sql in _SERVE_WORKLOAD}
+    tables = _tables(args)
+    expected = _reference_answers(tables)
     topology = FabricTopology.two_tier(tors=args.tors, spines=args.spines)
     fleet = FleetController(
         tables,

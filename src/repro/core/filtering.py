@@ -271,7 +271,9 @@ class TruthTable:
     def __init__(self, atoms: Sequence[Atom], accepting: FrozenSet[int]) -> None:
         self.atom_order = list(atoms)
         self.accepting = accepting
-        self._accepting_array = np.array(sorted(accepting), dtype=np.int64)
+        # The exact-match table itself: entry v says whether vector v accepts.
+        self._table = np.zeros(1 << len(self.atom_order), dtype=bool)
+        self._table[list(accepting)] = True
 
     @classmethod
     def from_formula(cls, formula: Formula) -> "TruthTable":
@@ -325,10 +327,8 @@ class TruthTable:
         return bits
 
     def accepts_batch(self, columns: Tuple, count: int) -> np.ndarray:
-        """Vectorized :meth:`accepts`: table lookup via sorted-array ``isin``."""
-        if not self.atom_order:
-            return np.full(count, 0 in self.accepting, dtype=bool)
-        return np.isin(self.vectors_batch(columns, count), self._accepting_array)
+        """Vectorized :meth:`accepts`: one table lookup per bit vector."""
+        return self._table[self.vectors_batch(columns, count)]
 
     def rule_count(self) -> int:
         """Number of installed match rules (accepting vectors)."""

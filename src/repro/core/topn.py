@@ -195,24 +195,20 @@ def draw_rows(rng: random.Random, n: int, count: int, bulk: bool = True) -> np.n
     ``randrange`` keeps the top ``n.bit_length()`` bits of one 32-bit
     Mersenne word per attempt and rejects attempts ``>= n``.  One wide
     ``getrandbits`` yields the same words (little-endian), so with ``bulk``
-    the draws are made at once and the generator is then rewound and
-    advanced by exactly the words they used: values and final
-    ``getstate()`` both equal the per-entry loop's.
+    each pass draws one word per draw still missing: every missing draw
+    takes at least one more attempt, so no word is drawn that the
+    per-entry loop would not consume, and values and final ``getstate()``
+    both equal that loop's without rewinding the generator.
     """
     bits = n.bit_length()
     if not (bulk and count) or bits > 32:  # wider attempts take several words
         return np.fromiter((rng.randrange(n) for _ in range(count)), np.int64, count)
-    start, used, need, accepted = rng.getstate(), 0, count, []
+    need, accepted = count, []
     while need > 0:
-        words = need * (1 << bits) // n + 64
-        block = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        block = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
         draws = np.frombuffer(block, dtype="<u4") >> np.uint32(32 - bits)
-        hits = np.flatnonzero(draws < n)[:need]
-        accepted.append(draws[hits])
-        need -= len(hits)
-        used += words if need > 0 else int(hits[-1]) + 1
-    rng.setstate(start)
-    rng.getrandbits(32 * used)
+        accepted.append(draws[draws < n])
+        need -= len(accepted[-1])
     return np.concatenate(accepted).astype(np.int64)
 
 

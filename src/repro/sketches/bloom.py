@@ -40,6 +40,28 @@ _WORD_BITS = 64
 _SLICE = 1 << 15
 
 
+def _offsets(values: np.ndarray, lo) -> np.ndarray:
+    """``values - lo`` as ``intp``: wrapping makes it exact for every int width."""
+    return np.subtract(values, lo, dtype=np.intp, casting="unsafe")
+
+
+def _dense(values: Sequence[Hashable]):
+    """``(lo, seen)`` for an int array spanning at most as many values as
+    it holds — its minimum and which offsets from it occur — else None.
+    Such an array hashes each distinct value once (the 200k-row Big Data
+    join key column holds each ~9 times).  Unlike :func:`key_codes` it
+    keeps no full-length inverse: ``seen`` fills slice by slice."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu" and len(values)):
+        return None
+    lo, hi = values.min(), values.max()
+    if int(hi) - int(lo) > len(values):
+        return None
+    seen = np.zeros(int(hi) - int(lo) + 1, dtype=bool)
+    for start in range(0, len(values), _SLICE):
+        seen[_offsets(values[start : start + _SLICE], lo)] = True
+    return lo, seen
+
+
 class BloomFilter:
     """Standard Bloom filter over ``size_bits`` bits with ``hashes`` probes.
 
@@ -83,12 +105,16 @@ class BloomFilter:
         """Vectorized :meth:`add` for a whole value array.
 
         Sets exactly the bits the equivalent scalar loop would set (bit OR
-        is commutative, so insertion order inside the batch is
-        irrelevant to the final filter state).
+        is commutative and idempotent, so neither insertion order nor
+        repeats matter: a dense int array inserts each distinct value once).
         """
         count = len(values)
+        dense = _dense(values)
+        if dense is not None:
+            lo, seen = dense
+            values = lo + np.flatnonzero(seen).astype(values.dtype)
         words = np.frombuffer(self._words, dtype=np.uint8)
-        for lo in range(0, count, _SLICE):
+        for lo in range(0, len(values), _SLICE):
             canon = canonical_batch(values[lo : lo + _SLICE])
             for seed in self._seeds:
                 index = hash_range_batch(None, self.size_bits, seed, canonical=canon)
@@ -102,7 +128,23 @@ class BloomFilter:
         self._inserted += count
 
     def contains_batch(self, values: Sequence[Hashable]) -> np.ndarray:
-        """Vectorized membership probe: ``result[i] == (values[i] in self)``."""
+        """Vectorized membership probe: ``result[i] == (values[i] in self)``.
+
+        A dense int array probes each distinct value once and looks the
+        answers up by offset."""
+        dense = _dense(values)
+        if dense is None:
+            return self._probe(values)
+        lo, seen = dense
+        answer = np.zeros(len(seen), dtype=bool)
+        answer[seen] = self._probe(lo + np.flatnonzero(seen).astype(values.dtype))
+        result = np.empty(len(values), dtype=bool)
+        for start in range(0, len(values), _SLICE):
+            result[start : start + _SLICE] = answer[_offsets(values[start : start + _SLICE], lo)]
+        return result
+
+    def _probe(self, values: Sequence[Hashable]) -> np.ndarray:
+        """Membership of each of ``values``, hashing every one."""
         count = len(values)
         result = np.ones(count, dtype=bool)
         words = np.frombuffer(self._words, dtype=np.uint8)

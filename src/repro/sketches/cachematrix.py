@@ -18,9 +18,12 @@ Three row disciplines cover the paper's variants:
 
 The per-entry operations walk Python lists; the batch drivers run
 *sort-partitioned rounds* over typed arrays: the batch is stable-sorted by
-row and round ``k`` updates "the ``k``-th arrival of every row" in a few
-``(lanes, w)`` vector operations in which no two lanes touch one row.  A
-batch the arrays cannot hold exactly replays per entry instead.
+row and round ``k`` updates "the ``k``-th arrival of every row" with a few
+vector operations in which no two lanes touch one row — ``(lanes, w)``
+blocks for the caches, and for the rolling minimum ``w`` column planes
+whose busiest-first rows make each round a prefix slice.  The few busiest
+rows' last lanes run per lane instead, and a batch the arrays cannot hold
+exactly replays per entry.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ _WIDE = {"i": np.dtype(np.int64), "u": np.dtype(np.uint64), "f": np.dtype(np.flo
 #: A vector round costs a few dozen numpy calls whatever its width: with
 #: fewer lanes than this, replaying them per entry is cheaper.
 _FEW_LANES = 48
+
+#: A run of one key longer than this folds with one ``accumulate`` call;
+#: the shorter ones share a doubling scan of at most five passes.
+_LONG_RUN = 32
 
 
 def engages(count: int, rows: int) -> bool:
@@ -103,37 +110,53 @@ def _schedule(rows: np.ndarray):
     has one: no two lanes of a round share a row, and a row sees its lanes
     in order.  Rounds stop once fewer than ``_FEW_LANES`` rows have a lane
     left; the second result is what those busiest rows still hold, for
-    :meth:`_RowMatrix._each` to replay per entry.
+    :meth:`_RowMatrix._each` to run one lane at a time.
     """
     if not len(rows):
         return [], np.empty(0, dtype=np.int64)
     starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
     counts = np.diff(np.r_[starts, len(rows)])
-    busiest_first = np.argsort(-counts, kind="stable")
+    top = int(counts.max())
+    busiest_first = stable_order(top - counts, top + 1)
     starts, counts = starts[busiest_first], counts[busiest_first]
     # waiting[k]: how many rows have a k-th lane; it only falls as k grows.
-    waiting = np.searchsorted(-counts, -np.arange(counts[0] + 1))
+    waiting = np.searchsorted(-counts, -np.arange(top + 1))
     vector = int(np.count_nonzero(waiting >= _FEW_LANES))
     rounds = [starts[: waiting[k]] + k for k in range(vector)]
-    late = [
-        np.arange(start + vector, start + count)
-        for start, count in zip(starts[: waiting[vector]], counts[: waiting[vector]])
-    ]
-    return rounds, np.concatenate(late) if late else np.empty(0, dtype=np.int64)
+    # The busiest rows' lanes from the ``vector``-th on, row after row.
+    extra = counts[: waiting[vector]] - vector
+    skip = starts[: waiting[vector]] + vector - (np.cumsum(extra) - extra)
+    return rounds, np.repeat(skip, extra) + np.arange(int(extra.sum()))
 
 
-def _running_best(best: np.ufunc, values: np.ndarray, run: np.ndarray) -> np.ndarray:
+def _lanes(rows: np.ndarray, keys: np.ndarray):
+    """Where each run of one key inside one row begins, in a batch sorted
+    by row, with that run's row and key: the lanes of a keyed batch."""
+    start = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (keys[1:] != keys[:-1])])
+    return start, rows[start], keys[start]
+
+
+def _running_best(best: np.ufunc, values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Inclusive running ``best`` (``np.maximum``/``np.minimum``) of
-    ``values`` inside each run of equal, contiguous ``run`` ids: a doubling
-    scan, over once no two entries ``span`` apart share a run."""
-    out = values.copy()
+    ``values`` inside each of the contiguous runs ``lengths`` cut it into.
+    A run longer than ``_LONG_RUN`` folds in one ``accumulate``; the short
+    ones, gathered, take a doubling scan that is over once no two entries
+    ``span`` apart share a run."""
+    out = np.empty_like(values)
+    ends, long = np.cumsum(lengths), lengths > _LONG_RUN
+    for lo, hi in zip((ends - lengths)[long].tolist(), ends[long].tolist()):
+        best.accumulate(values[lo:hi], out=out[lo:hi])
+    short = np.repeat(~long, lengths)
+    folded = values[short]
+    run = np.repeat(np.flatnonzero(~long).astype(np.int32), lengths[~long])
     span = 1
-    while span < len(out):
+    while span < len(folded):
         same = run[span:] == run[:-span]
         if not same.any():
             break
-        out[span:] = np.where(same, best(out[span:], out[:-span]), out[span:])
+        folded[span:] = np.where(same, best(folded[span:], folded[:-span]), folded[span:])
         span *= 2
+    out[short] = folded
     return out
 
 
@@ -496,11 +519,16 @@ class RollingMinMatrix(_RowMatrix):
         return pruned
 
     def _offer_rounds(self, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Sort-partitioned rounds over the array form.
+        """Sort-partitioned rounds over column planes.
 
         A row's minimum only rises, so a value below the minimum its row
         has when the batch starts is pruned whatever arrives before it:
-        one compare settles those and only the rest enter rounds.
+        one compare settles those and only the rest enter rounds.  The
+        rounds hold column ``c`` of every active row as one plane, rows
+        busiest first and vacant cells ``-inf``, so round ``k`` is a prefix
+        of each plane and an offer is the paper's carry chain: column ``c``
+        keeps the larger of (stored, carried), the smaller moves on.  An
+        offer below the last column moves nothing and is pruned.
         """
         (kept,), fill, cols = self._planes, self._fill, self.cols
         floor = np.where(fill == cols, kept[:, -1], -np.inf)
@@ -511,23 +539,28 @@ class RollingMinMatrix(_RowMatrix):
         entry = np.flatnonzero(~pruned)
         entry = entry[stable_order(rows[entry], self.rows)]
         rows, values = rows[entry], values[entry]
-        columns = np.arange(cols)
         rounds, late = _schedule(rows)
-        for lanes in rounds:
-            at, value = rows[lanes], values[lanes]
-            block, full = kept[at], fill[at]
-            low = (full == cols) & (value < block[:, -1])
-            pruned[entry[lanes[low]]] = True
-            self.offers += len(lanes)
+        if rounds:
+            active = rows[rounds[0]]
+            block = kept[active]
+            block[np.arange(cols) >= fill[active][:, None]] = -np.inf
+            planes = block.T.copy()
+            low = np.zeros(len(rows), dtype=bool)
+            for lanes in rounds:
+                width = len(lanes)
+                carry = values[lanes]
+                low[lanes] = carry < planes[-1, :width]
+                # On a tie numpy returns the second operand: the stored
+                # value stays in place, as in :meth:`offer`.
+                for plane in planes[:, :width]:
+                    moved = np.minimum(plane, carry)
+                    np.maximum(carry, plane, out=plane)
+                    carry = moved
+            pruned[entry[low]] = True
+            self.offers += sum(map(len, rounds))
             self.rejected += int(np.count_nonzero(low))
-            stay = ~low
-            at, value, block, full = at[stay], value[stay], block[stay], full[stay]
-            # The value lands behind every stored value >= it; the cells
-            # from there on shift right and the last one falls off.
-            slot = ((block >= value[:, None]) & (columns < full[:, None])).sum(axis=1)
-            block = np.where(columns > slot[:, None], np.roll(block, 1, axis=1), block)
-            kept[at] = np.where(columns == slot[:, None], value[:, None], block)
-            fill[at] = np.minimum(full + 1, cols)
+            kept[active] = planes.T
+            fill[active] = np.count_nonzero(planes > -np.inf, axis=0)
         value = values[late].tolist()
         pruned[entry[late]] = self._each(
             rows[late], lambda i, row: self.offer(value[i], row)
@@ -666,8 +699,9 @@ class KeyedAggregateMatrix(_RowMatrix):
 
         A run of one key inside a row is one lane.  Only an entry beating
         every earlier one of its run can matter, so a running best picks
-        those out first; a round then finds the key's cached aggregate
-        (which they must beat too) and writes the run's final one, once.
+        those out first; a lane then finds the key's cached aggregate
+        (which they must beat too) and writes the run's final one, once —
+        in a round, or per lane (:meth:`_merge`) once too few rows are left.
         """
         (cached, aggregate), fill, cols = self._planes, self._fill, self.cols
         better, best, unset = (
@@ -676,17 +710,14 @@ class KeyedAggregateMatrix(_RowMatrix):
             else (np.less, np.minimum, np.inf)
         )
         order = stable_order(rows, self.rows)
-        rows, keys, values = rows[order], keys[order], values[order]
-        first = np.r_[True, (rows[1:] != rows[:-1]) | (keys[1:] != keys[:-1])]
-        run = np.cumsum(first) - 1
-        lane_entry = np.flatnonzero(first)
-        folded = _running_best(best, values, run)
-        forward = first.copy()
-        forward[1:] |= better(values[1:], folded[:-1])
-        final = folded[np.r_[lane_entry[1:], len(run)] - 1]
+        values = values[order]
+        # The sorted row and key copies live only inside ``_lanes``: held
+        # through the rest, they would be the batch's memory peak.
+        lane_entry, lane_rows, lane_keys = _lanes(rows[order], keys[order])
+        lengths = np.diff(np.r_[lane_entry, len(values)])
+        final = best.reduceat(values, lane_entry)
         cached_best = np.full(len(lane_entry), unset)
-        columns, inserted = np.arange(cols), 0
-        lane_rows, lane_keys = rows[lane_entry], keys[lane_entry]
+        columns = np.arange(cols)
         rounds, late = _schedule(lane_rows)
         for lanes in rounds:
             at, key, value = lane_rows[lanes], lane_keys[lanes], final[lanes]
@@ -701,26 +732,44 @@ class KeyedAggregateMatrix(_RowMatrix):
             cached[at] = np.column_stack((key[new], block[new, :-1]))
             aggregate[at] = np.column_stack((value[new], aggregate[at][:, :-1]))
             fill[at] = np.minimum(full + 1, cols)
-            inserted += len(at)
             self.evictions += int(np.count_nonzero(full == cols))
-        # Of a late run only the entries that beat their predecessors are
-        # replayed; the others are hits whatever the row holds.
-        is_late = np.zeros(len(lane_entry), dtype=bool)
-        is_late[late] = True
-        is_late = is_late[run]
-        replay = np.flatnonzero(forward & is_late)
-        forward &= ~is_late & better(values, cached_best[run])
-        forwarded = int(np.count_nonzero(forward))
+        key, value = lane_keys[late].tolist(), final[late].tolist()
+        cached_best[late] = self._each(
+            lane_rows[late], lambda i, row: self._merge(key[i], value[i], row)
+        )
+        # Forwarded: what beats both the aggregate cached before its run
+        # and every earlier entry of the run.  An entry not beating the
+        # cached one cannot raise the running best of those that do.
+        run = np.repeat(np.arange(len(lane_entry), dtype=np.int32), lengths)
+        rival = np.flatnonzero(better(values, cached_best[run]))
+        run, rivals = run[rival], values[rival]
+        folded = _running_best(best, rivals, np.bincount(run, minlength=len(lane_entry)))
+        lead = np.ones(len(rival), dtype=bool)
+        lead[1:] = (run[1:] != run[:-1]) | better(rivals[1:], folded[:-1])
+        forwarded = int(np.count_nonzero(lead))
+        inserted = int(np.count_nonzero(cached_best == unset))
         self.inserts += inserted
         self.updates += forwarded - inserted
-        self.hits += len(forward) - len(replay) - forwarded
-        key, value = keys[replay].tolist(), values[replay].tolist()
-        forward[replay] = np.logical_not(
-            self._each(rows[replay], lambda i, row: self.observe(key[i], value[i], row))
-        )
-        out = np.empty(len(forward), dtype=bool)
-        out[order] = ~forward
-        return out
+        self.hits += len(values) - forwarded
+        pruned = np.ones(len(values), dtype=bool)
+        pruned[order[rival[lead]]] = False
+        return pruned
+
+    def _merge(self, key: Hashable, aggregate: float, row: int) -> float:
+        """Fold a run's ``aggregate`` into ``key``'s cell of ``row`` (list
+        form) and return the aggregate it held: ``-inf`` under MAX, ``inf``
+        under MIN, when the run installs the key instead."""
+        cells = self._cells[row]
+        maximum = self._better is operator.gt
+        for col, cell in enumerate(cells):
+            if cell is not None and cell[0] == key:
+                held = cell[1]
+                cells[col] = (key, max(held, aggregate) if maximum else min(held, aggregate))
+                return held
+        cells.insert(0, (key, aggregate))
+        if cells.pop() is not None:
+            self.evictions += 1
+        return -math.inf if maximum else math.inf
 
     def cached_keys(self, row: int) -> List[Hashable]:
         """Keys currently cached in ``row``."""

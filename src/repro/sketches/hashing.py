@@ -278,11 +278,20 @@ def key_codes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def stable_order(ids: np.ndarray, bound: int) -> np.ndarray:
     """Stable argsort of ``ids`` the caller knows to lie in ``[0, bound)``
-    (matrix rows, Count-Min counters).  Ids that fit 16 bits are narrowed
-    first: numpy radix-sorts those, several times faster than ``int64``."""
-    if bound <= 1 << 16:
-        ids = ids.astype(np.uint16)
-    return np.argsort(ids, kind="stable")
+    (matrix rows, Count-Min counters).  Each id is packed above its
+    position into one unsigned word: the words are distinct, so numpy's
+    unstable (SIMD) sort orders them stably, several times faster than a
+    stable argsort, and the low bits are the order."""
+    count = len(ids)
+    shift = count.bit_length()
+    if bound << shift > 1 << 64:
+        return np.argsort(ids, kind="stable")
+    wide = np.uint32 if bound << shift <= 1 << 32 else np.uint64
+    key = ids.astype(wide) << wide(shift)
+    key |= np.arange(count, dtype=wide)
+    key.sort()
+    key &= wide((1 << shift) - 1)
+    return key.astype(np.intp)
 
 
 BatchHashFn = Callable[[Sequence], np.ndarray]

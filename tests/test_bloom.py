@@ -170,3 +170,42 @@ class TestRegisterBloomFilter:
         rbf = RegisterBloomFilter(1 << 14, hashes=3)
         rbf.update(range(500))
         assert 0.0 < rbf.fill_ratio() < 1.0
+
+
+_DISTINCT_FIRST = {
+    # A dense int column with repeats: each distinct value hashes once.
+    # Its build half spans two slices, the second bringing new values.
+    "dense-int64": lambda rng: np.concatenate([
+        rng.integers(-50, 500, 40_000),
+        rng.integers(500, 1_500, 10_000),
+        rng.integers(1_500, 3_000, 50_000),
+    ]),
+    "dense-uint64-top": lambda rng: np.uint64(2**64 - 1) - rng.integers(0, 3_000, 5_000).astype(
+        np.uint64
+    ),
+    "dense-int8": lambda rng: rng.integers(-128, 128, 9_000).astype(np.int8),
+    # Wider than it is long: every value hashes, as for any other dtype.
+    "sparse-int64": lambda rng: rng.integers(-(2**62), 2**62, 3_000),
+    "float": lambda rng: rng.integers(0, 900, 5_000) * 0.5,
+    "str": lambda rng: np.array([f"url{i}" for i in rng.integers(0, 900, 3_000)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DISTINCT_FIRST))
+def test_batch_build_and_probe_equal_the_per_value_loop(kind):
+    """Whatever the array, ``add_batch`` leaves the per-value loop's bytes
+    and ``inserted`` count (duplicates included), and ``contains_batch``
+    answers each value as ``in`` does — hits, and misses on values never
+    added."""
+    probe = _DISTINCT_FIRST[kind](np.random.default_rng(len(kind)))
+    build = probe[probe < np.sort(probe)[len(probe) // 2]]  # the upper half misses
+    batch, scalar = BloomFilter(1 << 15, hashes=3, seed=2), BloomFilter(1 << 15, hashes=3, seed=2)
+    batch.add_batch(build)
+    for value in build:
+        scalar.add(value)
+    assert bytes(batch._words) == bytes(scalar._words)
+    assert batch.inserted == scalar.inserted == len(build)
+    got = batch.contains_batch(probe)
+    assert got.dtype == bool
+    assert got.tolist() == [value in scalar for value in probe]
+    assert 0 < got.sum() < len(probe)

@@ -364,3 +364,67 @@ def test_bulk_row_draws_equal_randrange_draws_and_state(n, count):
     assert drawn.dtype == np.int64
     assert drawn.tolist() == [loop.randrange(n) for _ in range(count)]
     assert bulk.getstate() == loop.getstate()
+
+
+#: Production-size batches: a ledger worker slice is 40,000 entries over
+#: the 4,096-row matrices, with ``_FEW_LANES`` at its shipped value, so the
+#: vector rounds, the long-run folds and the late lanes all take their
+#: real share.  ``prefilled`` meets the batches with a matrix the
+#: per-entry calls filled first (list form, converted once).
+PRODUCTION = ("uniform", "hot", "prefilled", "ties")
+
+
+def _production_stream(pattern: str, seed: int):
+    rng = np.random.default_rng(seed)
+    n, d = 40_000, 4096
+    rows = rng.integers(0, d, n)
+    if pattern == "hot":  # 80% of the batch in one row
+        rows = np.where(rng.random(n) < 0.8, int(rng.integers(0, d)), rows)
+    keys = (rng.zipf(1.3, n) % 500).astype(np.int64)  # a few hot keys, long runs
+    if pattern == "ties":  # integral values: ties at every row minimum
+        return rows, keys, rng.integers(0, 8, n)
+    return rows, keys, rng.normal(0.0, 100.0, n)
+
+
+def _production_batches(make, one, many, pattern, counters):
+    subject, oracle = make(), make()
+    for seed in (1, 2):  # the second batch meets the first one's cells
+        rows, keys, values = _production_stream(pattern, seed)
+        if pattern == "prefilled" and seed == 1:
+            for i in range(5_000):
+                assert one(subject, keys[i], values[i], rows[i]) == one(
+                    oracle, keys[i], values[i], rows[i]
+                )
+            rows, keys, values = rows[5_000:], keys[5_000:], values[5_000:]
+        expected = [one(oracle, keys[i], values[i], rows[i]) for i in range(len(rows))]
+        assert many(subject, keys, values, rows).tolist() == expected
+    assert _state(subject, counters) == _state(oracle, counters)
+
+
+@pytest.mark.parametrize("pattern", PRODUCTION)
+def test_offer_batch_at_production_size(pattern):
+    _production_batches(
+        lambda: RollingMinMatrix(4096, 4),
+        one=lambda m, _, value, r: m.offer(float(value), int(r)),
+        many=lambda m, _, values, rows: m.offer_batch(values, rows),
+        pattern=pattern,
+        counters=("offers", "rejected"),
+    )
+
+
+@pytest.mark.parametrize("hashed", [True, False], ids=["hashed", "given-rows"])
+@pytest.mark.parametrize("pattern", PRODUCTION)
+def test_observe_batch_at_production_size(pattern, hashed):
+    """Hashed rows put each hot key's whole run in one lane; given rows
+    (uniform or 80% in one row) split the keys over many lanes per row."""
+    _production_batches(
+        lambda: KeyedAggregateMatrix(4096, 8, better=operator.gt, seed=5),
+        one=lambda m, key, value, r: m.observe(
+            int(key), float(value), None if hashed else int(r)
+        ),
+        many=lambda m, keys, values, rows: m.observe_batch(
+            keys, values, rows=None if hashed else rows
+        ),
+        pattern=pattern,
+        counters=("hits", "updates", "inserts", "evictions"),
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.base import PruneDecision
@@ -130,6 +131,37 @@ class TestTruthTable:
             for texture in (0, 9):
                 entry = {"taste": taste, "texture": texture}
                 assert table.accepts(entry) == formula.evaluate(entry)
+
+    @pytest.mark.parametrize("width", [0, 3, 16])
+    def test_accepts_batch_equals_accepts_on_every_vector(self, width):
+        """The batch lookup indexes the exact-match table; row ``v`` of the
+        batch sets atom ``i`` iff bit ``i`` of ``v`` is set, so all ``2^k``
+        vectors are looked up once.  Atom 1 has no batch evaluator and
+        takes the per-row fallback."""
+
+        def column_atom(i):
+            return Var(Atom(
+                name=f"c{i}>0",
+                evaluate=lambda e: e[i] > 0,
+                evaluate_batch=None if i == 1 else (lambda columns: columns[i] > 0),
+            ))
+
+        atoms = [column_atom(i) for i in range(width)]
+        if width == 0:
+            formula = TRUE
+        elif width == 3:
+            formula = Or(And(atoms[0], atoms[1]), Not(atoms[2]))
+        else:  # each pair accepts on exactly one of its four vectors
+            formula = Or(*(And(atoms[i], Not(atoms[i + 1])) for i in range(0, width, 2)))
+        table = TruthTable.from_formula(formula)
+        vectors = np.arange(1 << width)
+        columns = tuple((vectors >> i) & 1 for i in range(width)) or (vectors,)
+        got = table.accepts_batch(columns, len(vectors))
+        expected = [table.accepts(tuple(c[v] for c in columns)) for v in vectors.tolist()]
+        assert got.dtype == bool and got.tolist() == expected
+        assert int(got.sum()) == table.rule_count()
+        if width:
+            assert table.vectors_batch(columns, len(vectors)).tolist() == vectors.tolist()
 
 
 class TestFilterPruner:

@@ -13,6 +13,7 @@ from repro.sketches.hashing import (
     hash64,
     hash_family,
     hash_range,
+    stable_order,
 )
 
 
@@ -166,3 +167,19 @@ class TestCombine:
 
     def test_empty_is_seed_dependent(self):
         assert combine([], seed=1) != combine([], seed=2)
+
+
+@pytest.mark.parametrize(
+    "count, bound",
+    [(0, 5), (1, 1), (40_000, 4096), (65_535, 1 << 16), (65_536, 1 << 16), (300, 1 << 62)],
+    ids=["empty", "one", "rows", "uint32-limit", "uint64", "wider-than-a-word"],
+)
+def test_stable_order_is_the_stable_argsort(count, bound):
+    """Ids packed above their positions into uint32 or uint64 words, or a
+    stable argsort once they do not fit: the same permutation, ties kept
+    in stream order."""
+    ids = np.random.default_rng(count).integers(0, min(bound, 50), count) * (bound // 50 or 1)
+    ids = np.minimum(ids, bound - 1)
+    order = stable_order(ids, bound)
+    assert order.dtype == np.intp
+    assert order.tolist() == np.argsort(ids, kind="stable").tolist()

@@ -224,7 +224,7 @@ class Pruner(ABC, Generic[Entry]):
         """Hook: clear subclass-specific dataplane state (sketches, slots)."""
 
     def _reset_host_state(self) -> None:
-        """Hook: rewind state kept off the switch (a seeded draw stream).
+        """Hook: rewind state kept off the switch (a stream position).
         Not called by :meth:`reboot`: a switch reboot wipes the dataplane
         and the CWorker goes on where it was."""
 

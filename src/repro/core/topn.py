@@ -7,23 +7,25 @@ spaced thresholds ``t_i = 2^i * t0`` with one counter each.  A threshold
 entries below the largest active threshold are provably outside the top N
 and are pruned.  Powers of two keep the thresholds computable with shifts.
 
-Randomized (:class:`TopNRandomizedPruner`): entries are assigned a uniform
-random row of a ``d x w`` rolling-minimum matrix; an entry smaller than
-all ``w`` values stored in its row is pruned.  Theorem 2 sizes ``(d, w)``
-so that with probability ``1 - delta`` no true top-N entry lands in a row
-already holding ``w`` larger top-N entries — i.e. none is pruned.
+Randomized (:class:`TopNRandomizedPruner`): each entry goes to one row of
+a ``d x w`` rolling-minimum matrix, a hash of its position in the stream
+(uniform and independent of its value, all Theorems 2-3 ask of the row);
+an entry smaller than all ``w`` values stored in its row is pruned.
+Theorem 2 sizes ``(d, w)`` so that with probability ``1 - delta`` no true
+top-N entry lands in a row already holding ``w`` larger top-N entries —
+i.e. none is pruned.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..sketches.cachematrix import RollingMinMatrix, engages
+from ..sketches.cachematrix import RollingMinMatrix
+from ..sketches.hashing import hash_range_batch
 from ..switch.compiler import footprint_topn_det, footprint_topn_rand
 from ..switch.resources import ResourceFootprint
 from .base import Guarantee, PruneDecision, Pruner
@@ -189,27 +191,9 @@ class TopNDeterministicPruner(Pruner[float]):
         ).set(len(self._thresholds))
 
 
-def draw_rows(rng: random.Random, n: int, count: int, bulk: bool = True) -> np.ndarray:
-    """``count`` successive ``rng.randrange(n)`` draws as one ``int64`` array.
-
-    ``randrange`` keeps the top ``n.bit_length()`` bits of one 32-bit
-    Mersenne word per attempt and rejects attempts ``>= n``.  One wide
-    ``getrandbits`` yields the same words (little-endian), so with ``bulk``
-    each pass draws one word per draw still missing: every missing draw
-    takes at least one more attempt, so no word is drawn that the
-    per-entry loop would not consume, and values and final ``getstate()``
-    both equal that loop's without rewinding the generator.
-    """
-    bits = n.bit_length()
-    if not (bulk and count) or bits > 32:  # wider attempts take several words
-        return np.fromiter((rng.randrange(n) for _ in range(count)), np.int64, count)
-    need, accepted = count, []
-    while need > 0:
-        block = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        draws = np.frombuffer(block, dtype="<u4") >> np.uint32(32 - bits)
-        accepted.append(draws[draws < n])
-        need -= len(accepted[-1])
-    return np.concatenate(accepted).astype(np.int64)
+#: Stream positions whose rows :meth:`TopNRandomizedPruner.process` hashes
+#: at once: one scalar hash per entry costs four times a ``randrange``.
+_ROW_BLOCK = 4096
 
 
 class TopNRandomizedPruner(Pruner[float]):
@@ -228,7 +212,7 @@ class TopNRandomizedPruner(Pruner[float]):
     delta:
         Target failure probability (paper's evaluation uses 1e-4).
     seed:
-        Seed for the per-entry random row assignment.
+        Seed of the position hash that gives each entry its row.
     """
 
     guarantee = Guarantee.PROBABILISTIC
@@ -249,8 +233,9 @@ class TopNRandomizedPruner(Pruner[float]):
         if cols is None:
             cols = topn_cols(rows, n, delta)
         self._matrix = RollingMinMatrix(rows, cols)
-        self._seed = seed
-        self._rng = random.Random(seed)
+        self._seed = seed ^ 0x7099
+        self._position = 0
+        self._block_start, self._block = 0, []
 
     @classmethod
     def optimal(cls, n: int, delta: float = 1e-4, seed: int = 0) -> "TopNRandomizedPruner":
@@ -268,9 +253,24 @@ class TopNRandomizedPruner(Pruner[float]):
         """Matrix columns ``w``."""
         return self._matrix.cols
 
+    def _rows(self, start: int, count: int) -> np.ndarray:
+        """Rows of stream positions ``[start, start + count)``."""
+        positions = np.arange(start, start + count, dtype=np.uint64)
+        return hash_range_batch(positions, self._matrix.rows, self._seed).view(np.int64)
+
+    def _row(self) -> int:
+        """The next entry's row, read from an aligned block of
+        ``_ROW_BLOCK`` positions hashed in one vector call."""
+        offset = self._position - self._block_start
+        if not 0 <= offset < len(self._block):
+            offset = self._position % _ROW_BLOCK
+            self._block_start = self._position - offset
+            self._block = self._rows(self._block_start, _ROW_BLOCK).tolist()
+        return self._block[offset]
+
     def process(self, entry: float) -> PruneDecision:
-        row = self._rng.randrange(self._matrix.rows)
-        pruned = self._matrix.offer(entry, row)
+        pruned = self._matrix.offer(entry, self._row())
+        self._position += 1
         decision = PruneDecision.PRUNE if pruned else PruneDecision.FORWARD
         self.stats.record(decision)
         return decision
@@ -278,18 +278,16 @@ class TopNRandomizedPruner(Pruner[float]):
     def process_batch(self, entries) -> np.ndarray:
         """Batch drive of the rolling-minimum matrix.
 
-        Row draws come from the same sequential RNG stream as the scalar
-        path (one ``randrange`` per entry, in order; :func:`draw_rows`
-        makes them in bulk for a batch the matrix vectorises), so
-        decisions and matrix state match the scalar loop bit for bit; the
-        matrix's batch driver does the rest.
+        The batch's rows are those of its stream positions, the ones the
+        scalar path reads, so decisions and matrix state match the scalar
+        loop bit for bit; the matrix's batch driver does the rest.
         """
         values = np.asarray(entries, dtype=np.float64)
         count = len(values)
         if count == 0:
             return np.ones(0, dtype=bool)
-        d = self._matrix.rows
-        rows = draw_rows(self._rng, d, count, bulk=engages(count, d))
+        rows = self._rows(self._position, count)
+        self._position += count
         pruned = self._matrix.offer_batch(values, rows)
         self.stats.record_batch(count, int(pruned.sum()))
         return ~pruned
@@ -301,8 +299,8 @@ class TopNRandomizedPruner(Pruner[float]):
         self._matrix.clear()
 
     def _reset_host_state(self) -> None:
-        """Rewind the CWorker's row draws to the seed."""
-        self._rng.seed(self._seed)
+        """Restart the stream at position 0."""
+        self._position = 0
 
     def _corrupt_state(self, rng) -> Optional[str]:
         """Plant a huge phantom minimum in a random matrix cell."""

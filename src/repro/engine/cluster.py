@@ -16,7 +16,6 @@ FIN drain — is a row of :mod:`repro.engine.operators`.
 
 from __future__ import annotations
 
-import ctypes
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
@@ -210,26 +209,6 @@ def _compile_cache_report() -> dict:
     from ..switch.compiler import compile_cache_stats
 
     return {"fit_pack": compile_cache_stats()}
-
-
-def _heap_trim() -> Callable[[], object]:
-    """glibc's ``malloc_trim(0)``; a no-op under any other allocator."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, TypeError, AttributeError):
-        return lambda: None
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return lambda: trim(0)
-
-
-#: Called when a run that streamed a full batch or more ends.  Its
-#: temporaries (Bloom bit arrays, hash limbs, second-pass column copies)
-#: are megabytes, and glibc keeps freed blocks that size once one has been
-#: freed: the process stays as large as its largest query left it and all
-#: it later holds stacks on top (``scan_large``: 83 MiB without, 77-79
-#: with).  A small run skips it — it would fault the same pages back in
-#: on the next request (8,000-row serving queries: 5.9 -> 7.2 ms).
-_release_freed_heap = _heap_trim()
 
 
 @dataclass
@@ -605,8 +584,6 @@ class Cluster:
             )
             for query, output, tag, own in zip(queries, outputs, kinds, registries)
         ]
-        if phases[0].streamed >= DEFAULT_BATCH:
-            _release_freed_heap()
         return results, registry
 
     # -- shared plumbing -------------------------------------------------------

@@ -54,7 +54,7 @@ _LONG_RUN = 32
 
 def engages(count: int, rows: int) -> bool:
     """Whether a ``count``-entry batch takes the vector path of a
-    ``rows``-row matrix (TOP N's bulk row draw asks the same question).
+    ``rows``-row matrix.
 
     Temporary: see ROADMAP 1(a).  The ledger's ``peak_rss_mb`` counts the
     samples its harness retains, so faster short slices on ``serve_burst``

@@ -25,13 +25,14 @@ from hypothesis import strategies as st
 from repro.core.distinct import DistinctPruner, FingerprintDistinctPruner
 from repro.core.groupby import GroupByPruner
 from repro.core.having import HavingPruner
-from repro.core.topn import TopNRandomizedPruner, draw_rows
+from repro.core.topn import TopNRandomizedPruner
 from repro.sketches import cachematrix
 from repro.sketches.cachematrix import (
     CacheMatrix,
     KeyedAggregateMatrix,
     RollingMinMatrix,
 )
+from repro.sketches.hashing import hash_range
 
 _SETTINGS = settings(
     max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -356,14 +357,20 @@ def _interleave(case, seed, steps):
 
 @pytest.mark.parametrize("count", [0, 1, 5, 40000])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 4096, 4097, 65536, 10**6, 2**32 + 1])
-def test_bulk_row_draws_equal_randrange_draws_and_state(n, count):
-    bulk, loop = random.Random(11), random.Random(11)
-    bulk.random()  # start mid-stream
-    loop.random()
-    drawn = draw_rows(bulk, n, count)
-    assert drawn.dtype == np.int64
-    assert drawn.tolist() == [loop.randrange(n) for _ in range(count)]
-    assert bulk.getstate() == loop.getstate()
+def test_position_rows_equal_scalar_hashes(n, count):
+    """TOP N's batch rows (one vector hash over the positions), its
+    per-entry rows (read from aligned blocks) and one scalar hash per
+    position agree, starting mid-stream and one short of a block edge."""
+    pruner = TopNRandomizedPruner(n=1, rows=n, cols=1, seed=11)
+    start = 4095
+    batch = pruner._rows(start, count)
+    assert batch.dtype == np.int64
+    per_entry = []
+    for position in range(start, start + count):
+        pruner._position = position
+        per_entry.append(pruner._row())
+    scalar = [hash_range(i, n, pruner._seed) for i in range(start, start + count)]
+    assert batch.tolist() == per_entry == scalar
 
 
 #: Production-size batches: a ledger worker slice is 40,000 entries over

@@ -334,21 +334,3 @@ class TestTable2Sizes:
     def test_engine_builds_table2_sizes(self, small_tables, config, query, expected):
         cluster = Cluster(config=ClusterConfig(**config))
         assert cluster._build_pruner(query, small_tables).footprint() == expected
-
-
-def test_freed_heap_is_released_after_a_full_batch_run_only(monkeypatch, small_tables):
-    """A run that streamed ``DEFAULT_BATCH`` rows hands its freed heap
-    back; a smaller one keeps it for the next request."""
-    from repro.engine import cluster as module
-
-    calls = []
-    monkeypatch.setattr(module, "_release_freed_heap", lambda: calls.append(1))
-    Cluster(workers=2).run(bigdata.query2_distinct(), small_tables)
-    assert calls == []
-    big = bigdata.tables(
-        bigdata.BigDataScale(rankings_rows=200, uservisits_rows=module.DEFAULT_BATCH)
-    )
-    config = ClusterConfig(batch_size=module.DEFAULT_BATCH)
-    Cluster(workers=2, config=config).run(bigdata.query2_distinct(), big)
-    assert calls == [1]
-    module._heap_trim()()  # the real hook, whatever the allocator, never raises

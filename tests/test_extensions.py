@@ -85,7 +85,7 @@ class TestMultiEntryPruner:
         pruner = TopNRandomizedPruner(n=30, rows=64, cols=4, seed=3)
         adapter = MultiEntryPruner(
             pruner,
-            row_of=lambda entry: pruner._rng.randrange(pruner.rows),
+            row_of=lambda entry: pruner._row(),  # the row process() reads next
             entries_per_packet=4,
         )
         survivors = adapter.prune_stream(stream)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.base import Guarantee, PruneDecision
@@ -183,6 +184,60 @@ class TestRandomized:
     def test_invalid_n(self):
         with pytest.raises(ConfigurationError):
             TopNRandomizedPruner(n=0, rows=16)
+
+
+def _decisions_and_state(pruner, values, batch_size=None):
+    """Forward flags, matrix cells and counters after streaming ``values``."""
+    if batch_size is None:
+        forward = [pruner.process(v) is PruneDecision.FORWARD for v in values]
+    else:
+        forward = []
+        for start in range(0, len(values), batch_size):
+            forward += pruner.process_batch(values[start : start + batch_size]).tolist()
+    pruner.observe_health()
+    matrix = pruner._matrix
+    cells = [matrix.row_values(r) for r in range(matrix.rows)]
+    counters = (pruner.stats.processed, pruner.stats.pruned, pruner._position)
+    return forward, cells, counters, pruner.metrics.gauge_values()
+
+
+class TestPositionRows:
+    """An entry's row is a hash of its position in the pruner's stream."""
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        return np.random.default_rng(17).uniform(0, 1e6, 45_000)
+
+    @pytest.fixture(scope="class")
+    def per_entry(self, values):
+        pruner = TopNRandomizedPruner(n=250, rows=4096, delta=1e-4, seed=4)
+        return _decisions_and_state(pruner, values.tolist())
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 4096, 40_000])
+    def test_batches_equal_the_per_entry_loop(self, values, per_entry, batch_size):
+        pruner = TopNRandomizedPruner(n=250, rows=4096, delta=1e-4, seed=4)
+        assert _decisions_and_state(pruner, values, batch_size) == per_entry
+
+    def test_a_block_of_positions_hashes_alone_as_in_the_stream(self):
+        pruner = TopNRandomizedPruner(n=10, rows=600, cols=4, seed=2)
+        block = 1000
+        stream = pruner._rows(0, 5 * block)
+        for k in range(5):
+            alone = pruner._rows(k * block, block)
+            assert alone.tolist() == stream[k * block : (k + 1) * block].tolist()
+        assert 0 <= stream.min() and stream.max() < 600
+
+    def test_reset_restarts_at_position_zero_and_reboot_does_not(self):
+        pruner = TopNRandomizedPruner(n=10, rows=64, cols=4, seed=6)
+        first = pruner._rows(0, 40)
+        pruner.process_batch(np.arange(30.0))
+        pruner.reboot()
+        assert pruner._position == 30
+        assert pruner._row() == first[30]
+        pruner.process(1.0)
+        pruner.reset()
+        assert pruner._position == 0
+        assert pruner._row() == first[0]
 
 
 class TestMasterTopN:

@@ -120,12 +120,12 @@ class HavingPruner(Pruner[Tuple[Hashable, float]]):
     def process_batch(self, entries) -> np.ndarray:
         """Vectorized HAVING over a keyed batch.
 
-        SUM/COUNT run through the Count-Min batch add, whose returned
-        running estimates reproduce the scalar per-entry estimates exactly
-        (duplicate keys inside the batch included); MAX/MIN are one array
-        compare.  The dedupe stage then replays only the passing entries,
-        in stream order, matching the scalar control flow.  Negative SUM
-        values raise up front rather than mid-stream.
+        SUM/COUNT run through the Count-Min batch add, which answers the
+        threshold question per entry exactly as the scalar running
+        estimates would (duplicate keys inside the batch included);
+        MAX/MIN are one array compare.  The dedupe stage then replays only
+        the passing entries, in stream order, matching the scalar control
+        flow.  Negative SUM values raise up front rather than mid-stream.
         """
         keys, values, count = as_keyed_batch(entries)
         if count == 0:
@@ -140,8 +140,7 @@ class HavingPruner(Pruner[Tuple[Hashable, float]]):
                 amounts = np.ones(count, dtype=np.int64)
             else:
                 amounts = np.ceil(values).astype(np.int64)
-            estimates = self._sketch.add_batch(keys, amounts)
-            passes = estimates > self.threshold
+            passes = self._sketch.add_batch(keys, amounts, self.threshold)
         elif self.aggregate == "max":
             passes = values > self.threshold
         else:  # min

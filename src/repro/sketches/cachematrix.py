@@ -16,13 +16,19 @@ Three row disciplines cover the paper's variants:
 * :class:`RollingMinMatrix` — each row keeps the ``w`` largest values seen,
   maintained as the paper's rolling minimum (randomized TOP N, Fig. 2).
 
-The per-entry operations walk Python lists; the batch drivers run
-*sort-partitioned rounds* over typed arrays: the batch is stable-sorted by
-row and round ``k`` updates "the ``k``-th arrival of every row" with a few
-vector operations in which no two lanes touch one row — ``(lanes, w)``
-blocks for the caches, and for the rolling minimum ``w`` column planes
-whose busiest-first rows make each round a prefix slice.  The few busiest
-rows' last lanes run per lane instead, and a batch the arrays cannot hold
+The per-entry operations walk Python lists; the batch drivers work on
+typed arrays.  The keyed caches first *settle* what they can: one
+``key_codes`` pass groups the batch by distinct key, only those keys are
+hashed to rows, and a row whose cached keys plus the batch's new keys fit
+in its ``w`` cells cannot evict, so each of its decisions follows from
+the key's cache entry and earlier occurrences alone, and its final cells
+from first or last occurrences.  Every other row, and every TOP N row,
+runs *sort-partitioned rounds*: the entries are stable-sorted by row and
+round ``k`` updates "the ``k``-th arrival of every row" with a few vector
+operations in which no two lanes touch one row — ``(lanes, w)`` blocks
+for the caches, and for the rolling minimum ``w`` column planes whose
+busiest-first rows make each round a prefix slice.  The few busiest rows'
+last lanes run per lane instead, and a batch the arrays cannot hold
 exactly replays per entry.
 """
 
@@ -36,7 +42,7 @@ from typing import Callable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from .hashing import Hashable, hash_range, hash_range_batch, stable_order
+from .hashing import Hashable, hash_range, hash_range_batch, key_codes, stable_order
 
 _EMPTY = object()
 
@@ -160,6 +166,21 @@ def _running_best(best: np.ufunc, values: np.ndarray, lengths: np.ndarray) -> np
     return out
 
 
+def _records(better, best, values, lengths, held):
+    """The entries a MAX/MIN cache forwards, in ``values`` cut into runs of
+    one key (``lengths`` long, stream order inside each): those beating
+    their run's ``held`` aggregate and every earlier entry of the run.
+    Returns their indexes and runs.  An entry not beating ``held`` cannot
+    raise the running best of those that do, so only those are folded."""
+    run = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    rival = np.flatnonzero(better(values, held[run]))
+    run, rivals = run[rival], values[rival]
+    folded = _running_best(best, rivals, np.bincount(run, minlength=len(lengths)))
+    lead = np.ones(len(rival), dtype=bool)
+    lead[1:] = (run[1:] != run[:-1]) | better(rivals[1:], folded[:-1])
+    return rival[lead], run[lead]
+
+
 class _RowMatrix:
     """``d x w`` cells held in exactly one form at a time.
 
@@ -254,6 +275,51 @@ class _RowMatrix:
                 for plane, field in zip(planes, [kept] if len(planes) == 1 else zip(*kept)):
                     plane[row, : len(kept)] = field
             self._cells, self._planes, self._fill = None, planes, fill
+
+    def _keyed(self, keys: np.ndarray):
+        """A hashed batch's distinct keys — one ``key_codes`` pass — their
+        rows, hashed over the distinct keys only, and each entry's key.
+        None when a float batch holds a zero (``-0.0 == 0.0`` while their
+        rows differ)."""
+        if keys.dtype.kind == "f" and not keys.all():
+            return None
+        key, key_of = key_codes(keys)
+        return key, self.row_of_batch(key), key_of
+
+    def _fits(self, key: np.ndarray, row: np.ndarray):
+        """Where each distinct key is cached (its first matching column),
+        and whether its row can take every new key of the batch without an
+        eviction — a row that can settles in closed form."""
+        cells, fill = self._planes[0], self._fill
+        match = (cells[row] == key[:, None]) & (np.arange(self.cols) < fill[row][:, None])
+        cached = match.any(axis=1)
+        new = np.bincount(row[~cached], minlength=self.rows)
+        return cached, match.argmax(axis=1), (fill + new <= self.cols)[row]
+
+    def _rebuild(self, row, fields, when, vacated=()) -> None:
+        """Rows that settled, rewritten: the cells ``fields`` of ``row``
+        go in front, the latest ``when`` first, then the row's other
+        occupied cells in column order, bar those ``vacated`` (row and
+        column arrays).  No row may overflow."""
+        if not len(row):
+            return
+        fill, bound = self._fill, int(when.max()) + 1
+        mark = np.zeros(self.rows, dtype=bool)
+        mark[row] = True
+        touched = np.flatnonzero(mark)
+        kept = np.arange(self.cols) < fill[touched][:, None]
+        if len(vacated):
+            kept[np.searchsorted(touched, vacated[0]), vacated[1]] = False
+        cell_at, cell_col = np.nonzero(kept)
+        cell_row = touched[cell_at]
+        at = np.concatenate((row, cell_row))
+        rank = np.concatenate((bound - 1 - when, bound + cell_col))
+        ranked = np.argsort(at * (bound + self.cols) + rank)
+        at = at[ranked]
+        col = np.arange(len(at)) - np.searchsorted(at, at)
+        for plane, field in zip(self._planes, fields):
+            plane[at, col] = np.concatenate((field, plane[cell_row, cell_col]))[ranked]
+        fill[touched] = np.bincount(at, minlength=self.rows)[touched]
 
     def row_values(self, row: int) -> list:
         """``row``'s occupied cells in column order — most recent first in a
@@ -369,23 +435,64 @@ class CacheMatrix(_RowMatrix):
         """Batch driver for :meth:`lookup_insert`.
 
         Row assignment is vectorized.  An int, uint or finite-float array
-        runs as conflict-free rounds (:meth:`_lookup_insert_rounds`);
-        anything else replays each row's entries in stream order, as a
-        lookup depends on the row state the previous one left.  The hit
-        array, final cells and counters are exactly the scalar loop's.
+        runs as conflict-free rounds (:meth:`_lookup_insert_rounds`), bar
+        the rows of a hashed one that cannot evict, which settle in
+        closed form (:meth:`_lookup_insert_settled`); anything else
+        replays each row's entries in stream order, as a lookup
+        depends on the row state the previous one left.  The hit array,
+        final cells and counters are exactly the scalar loop's.
         """
         count = len(values)
         hits = np.zeros(count, dtype=bool)
         if count == 0:
             return hits
-        if rows is None:
-            rows = self.row_of_batch(values)
         typed = _numeric(values)
         if typed is not None and self._arrayed(count, typed.dtype):
+            keyed = None if rows is not None else self._keyed(typed)
+            if keyed is not None:
+                return self._lookup_insert_settled(typed, *keyed)
+            if rows is None:
+                rows = self.row_of_batch(typed)
             return self._lookup_insert_rounds(typed, np.asarray(rows))
+        if rows is None:
+            rows = self.row_of_batch(values)
         for row, positions in _iter_row_groups(rows):
             for pos in positions:
                 hits[pos] = self.lookup_insert(values[pos], row)
+        return hits
+
+    def _lookup_insert_settled(
+        self, values: np.ndarray, key: np.ndarray, row: np.ndarray, key_of: np.ndarray
+    ) -> np.ndarray:
+        """Closed form for the rows that cannot evict; rounds for the rest.
+
+        With no eviction a cached value stays cached, so an entry hits iff
+        its value was cached or already occurred in the batch.  An LRU row
+        ends with its batch values by last occurrence, latest first, then
+        its untouched cells; a FIFO row with its new values by first
+        occurrence, then all of its old cells.
+        """
+        count = len(values)
+        cached, col, settles = self._fits(key, row)
+        hits = np.ones(count, dtype=bool)
+        rest = np.flatnonzero(~settles[key_of])
+        if len(rest):
+            hits[rest] = self._lookup_insert_rounds(values[rest], row[key_of[rest]])
+        new = settles & ~cached
+        position = np.arange(count)
+        first = np.full(len(key), count)
+        np.minimum.at(first, key_of, position)
+        hits[first[new]] = False
+        misses = int(np.count_nonzero(new))
+        self.misses += misses
+        self.hits += count - len(rest) - misses
+        if self.policy == "fifo":
+            self._rebuild(row[new], [key[new]], first[new])
+        else:
+            last = np.full(len(key), -1)
+            np.maximum.at(last, key_of, position)
+            moved = settles & cached
+            self._rebuild(row[settles], [key[settles]], last[settles], (row[moved], col[moved]))
         return hits
 
     def _lookup_insert_rounds(self, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -667,17 +774,17 @@ class KeyedAggregateMatrix(_RowMatrix):
 
         Row assignment is vectorized.  Int, uint or finite-float key
         arrays with finite values under a MAX/MIN ``better`` run as
-        conflict-free rounds (:meth:`_observe_rounds`); anything else
-        replays each row's entries in stream order, as a key's decision
-        depends on the aggregate its earlier occurrences left.  ``rows``
-        short-circuits the row hash when the caller already has it.
+        conflict-free rounds (:meth:`_observe_rounds`), bar the rows of
+        hashed keys that cannot evict, which settle in closed form
+        (:meth:`_observe_settled`); anything else replays each row's entries in stream order, as a
+        key's decision depends on the aggregate its earlier occurrences
+        left.  ``rows`` short-circuits the row hash when the caller
+        already has it.
         """
         count = len(keys)
         pruned = np.zeros(count, dtype=bool)
         if count == 0:
             return pruned
-        if rows is None:
-            rows = self.row_of_batch(keys)
         typed_keys, typed = _numeric(keys), _numeric(values)
         if (
             typed_keys is not None
@@ -686,10 +793,71 @@ class KeyedAggregateMatrix(_RowMatrix):
             and self._arrayed(count, typed_keys.dtype, _WIDE["f"])
         ):
             typed = typed.astype(np.float64, copy=False)
+            keyed = None if rows is not None else self._keyed(typed_keys)
+            if keyed is not None:
+                return self._observe_settled(typed_keys, typed, *keyed)
+            if rows is None:
+                rows = self.row_of_batch(typed_keys)
             return self._observe_rounds(typed_keys, typed, np.asarray(rows))
+        if rows is None:
+            rows = self.row_of_batch(keys)
         for row, positions in _iter_row_groups(rows):
             for pos in positions:
                 pruned[pos] = self.observe(keys[pos], float(values[pos]), row)
+        return pruned
+
+    def _order(self):
+        """``better``, ``best`` and the aggregate of a key not yet seen,
+        as numpy operations: MAX's or MIN's."""
+        if self._better is operator.gt:
+            return np.greater, np.maximum, -np.inf
+        return np.less, np.minimum, np.inf
+
+    def _observe_settled(
+        self,
+        keys: np.ndarray,
+        values: np.ndarray,
+        key: np.ndarray,
+        row: np.ndarray,
+        key_of: np.ndarray,
+    ) -> np.ndarray:
+        """Closed form for the rows that cannot evict; rounds for the rest.
+
+        With no eviction a key's cell only ever improves, so an entry is
+        forwarded iff it beats its key's cached aggregate and every
+        earlier entry of its key.  The last of those is the key's new
+        aggregate, written in place; new keys go in at column 0 by first
+        occurrence.
+        """
+        count = len(values)
+        (_, aggregate), (better, best, unset) = self._planes, self._order()
+        cached, col, settles = self._fits(key, row)
+        pruned = np.ones(count, dtype=bool)
+        rest = np.flatnonzero(~settles[key_of])
+        settled = None
+        if len(rest):
+            pruned[rest] = self._observe_rounds(keys[rest], values[rest], row[key_of[rest]])
+            settled = np.flatnonzero(settles[key_of])
+            key_of, values = key_of[settled], values[settled]
+        order = stable_order(key_of, len(key))
+        lengths = np.bincount(key_of, minlength=len(key))
+        held = np.where(cached, aggregate[row, col], unset)
+        values = values[order]
+        leads, runs = _records(better, best, values, lengths, held)
+        position = order if settled is None else settled[order]
+        pruned[position[leads]] = False
+        new = settles & ~cached
+        inserts = int(np.count_nonzero(new))
+        self.inserts += inserts
+        self.updates += len(leads) - inserts
+        self.hits += len(values) - len(leads)
+        last = np.r_[runs[1:] != runs[:-1], True] if len(runs) else runs
+        final = held.copy()
+        final[runs[last]] = values[leads[last]]
+        update = settles & cached
+        aggregate[row[update], col[update]] = final[update]
+        first = position[(np.cumsum(lengths) - lengths)[new]]
+        self._rebuild(row[new], [key[new], final[new]], first)
         return pruned
 
     def _observe_rounds(
@@ -704,11 +872,7 @@ class KeyedAggregateMatrix(_RowMatrix):
         in a round, or per lane (:meth:`_merge`) once too few rows are left.
         """
         (cached, aggregate), fill, cols = self._planes, self._fill, self.cols
-        better, best, unset = (
-            (np.greater, np.maximum, -np.inf)
-            if self._better is operator.gt
-            else (np.less, np.minimum, np.inf)
-        )
+        better, best, unset = self._order()
         order = stable_order(rows, self.rows)
         values = values[order]
         # The sorted row and key copies live only inside ``_lanes``: held
@@ -737,22 +901,13 @@ class KeyedAggregateMatrix(_RowMatrix):
         cached_best[late] = self._each(
             lane_rows[late], lambda i, row: self._merge(key[i], value[i], row)
         )
-        # Forwarded: what beats both the aggregate cached before its run
-        # and every earlier entry of the run.  An entry not beating the
-        # cached one cannot raise the running best of those that do.
-        run = np.repeat(np.arange(len(lane_entry), dtype=np.int32), lengths)
-        rival = np.flatnonzero(better(values, cached_best[run]))
-        run, rivals = run[rival], values[rival]
-        folded = _running_best(best, rivals, np.bincount(run, minlength=len(lane_entry)))
-        lead = np.ones(len(rival), dtype=bool)
-        lead[1:] = (run[1:] != run[:-1]) | better(rivals[1:], folded[:-1])
-        forwarded = int(np.count_nonzero(lead))
+        leads, _ = _records(better, best, values, lengths, cached_best)
         inserted = int(np.count_nonzero(cached_best == unset))
         self.inserts += inserted
-        self.updates += forwarded - inserted
-        self.hits += len(values) - forwarded
+        self.updates += len(leads) - inserted
+        self.hits += len(values) - len(leads)
         pruned = np.ones(len(values), dtype=bool)
-        pruned[order[rival[lead]]] = False
+        pruned[order[leads]] = False
         return pruned
 
     def _merge(self, key: Hashable, aggregate: float, row: int) -> float:

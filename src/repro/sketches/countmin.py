@@ -8,6 +8,12 @@ That invariant (``estimate(k) >= true(k)``) is property-tested.
 A conservative-update variant is included as a documented extension; it
 keeps the one-sided guarantee while tightening estimates, and the ablation
 bench compares the two.
+
+The batch path answers HAVING's question itself: ``add_batch`` returns
+which entries' running estimate exceeds the threshold.  A key's estimate
+only rises inside a batch, so its estimates before and after the batch
+settle every key that is already above the threshold or never reaches
+it; only the entries of keys that cross it get running sums.
 """
 
 from __future__ import annotations
@@ -132,77 +138,87 @@ class CountMinSketch:
         return result
 
     def add_batch(
-        self, keys: Sequence[Hashable], amounts: Union[int, Sequence[int]] = 1
+        self,
+        keys: Sequence[Hashable],
+        amounts: Union[int, Sequence[int]],
+        threshold: float,
     ) -> np.ndarray:
-        """Vectorized :meth:`add`: returns the post-add estimate per entry.
+        """Vectorized :meth:`add` for HAVING: which entries' running
+        estimate — what the scalar ``add`` loop returns entry by entry,
+        duplicate keys inside the batch included — exceeds ``threshold``.
 
-        The returned estimates are exactly what the scalar ``add`` loop
-        would have returned entry by entry — including the interaction of
-        duplicate keys *inside* the batch.  Only the batch's distinct keys
-        are hashed; one stable sort by key gives every running sum, and only
-        keys sharing a counter re-sum by counter (every entry, once keys
-        outnumber counters).  Conservative update is inherently sequential
-        (each update depends on the estimate after the previous one), so
-        that variant falls back to the scalar loop.
+        Only the batch's distinct keys are hashed, and each counter grows
+        once per key.  A key's running estimate only rises, from at least
+        its estimate before the batch to its estimate after it, so a key
+        already above the threshold passes every entry and one that stays
+        at or below it passes none.  Only the entries of keys crossing it
+        inside the batch get running sums: per key where the key owns a
+        counter alone, per counter where keys share one.  Conservative
+        update is inherently sequential (each update depends on the
+        estimate after the previous one), so that variant runs the scalar
+        loop.
         """
         count = len(keys)
-        amounts_arr = np.broadcast_to(
-            np.asarray(amounts, dtype=np.int64), (count,)
-        ).copy()
+        amounts_arr = np.broadcast_to(np.asarray(amounts, dtype=np.int64), (count,))
         if np.any(amounts_arr < 0):
             bad = int(amounts_arr[amounts_arr < 0][0])
             raise ConfigurationError(f"negative updates unsupported, got {bad}")
         if count == 0:
-            return np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=bool)
         if self.conservative:
             return np.fromiter(
-                (self.add(key, int(amount)) for key, amount in zip(keys, amounts_arr)),
-                dtype=np.int64,
+                (self.add(key, int(a)) > threshold for key, a in zip(keys, amounts_arr)),
+                dtype=bool,
                 count=count,
             )
-        distinct, key_of = key_codes(canonical_batch(keys))
-        self._total += int(amounts_arr.sum())
-        if len(distinct) > self.width:
-            estimates = None
-            for r, seed in enumerate(self._seeds):
-                cells = hash_range_batch(None, self.width, seed, canonical=distinct)
-                idx = cells.astype(np.int64)[key_of]
-                sums = _grouped_running_sum(idx, amounts_arr, self.width)
-                running = self._rows[r][idx] + sums
-                np.add.at(self._rows[r], idx, amounts_arr)
-                estimates = running if estimates is None else np.minimum(estimates, running)
-            return estimates
-        # Each entry's running sum within its key, from one stable sort.
-        per_key = np.bincount(key_of, minlength=len(distinct))
-        order = stable_order(key_of, len(distinct))
-        by_key = np.cumsum(amounts_arr[order])
-        ends = by_key[np.cumsum(per_key) - 1]
-        totals = np.diff(ends, prepend=0)
-        by_key -= np.repeat(ends - totals, per_key)
-        running = np.empty_like(by_key)
-        running[order] = by_key
-        # An entry's estimate is its running sum over the lowest counter its
-        # key owns alone; where keys share a counter, over that counter's
-        # own running sum.
-        lowest = np.full(len(distinct), np.iinfo(np.int64).max)
-        shared_rows = []
-        for r, seed in enumerate(self._seeds):
-            row = self._rows[r]
-            cells = hash_range_batch(None, self.width, seed, canonical=distinct)
-            cells = cells.astype(np.int64)
-            _, slot, sharing = np.unique(cells, return_inverse=True, return_counts=True)
-            alone = sharing[slot] == 1
-            np.minimum(lowest, row[cells], out=lowest, where=alone)
-            if not alone.all():
-                shared = np.flatnonzero(~alone[key_of])
-                at = cells[key_of[shared]]
-                sums = _grouped_running_sum(at, amounts_arr[shared], self.width)
-                shared_rows.append((shared, row[at] + sums - running[shared]))
-            np.add.at(row, cells, totals)
-        base = lowest[key_of]
-        for shared, floor in shared_rows:
-            base[shared] = np.minimum(base[shared], floor)
-        return base + running
+        if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
+            # An integer's canon is its own bits: group first, fold the few.
+            distinct, key_of = key_codes(keys)
+            distinct = canonical_batch(distinct)
+        else:
+            distinct, key_of = key_codes(canonical_batch(keys))
+        totals = np.zeros(len(distinct), dtype=np.int64)
+        np.add.at(totals, key_of, amounts_arr)
+        self._total += int(totals.sum())
+        cells = np.array(
+            [hash_range_batch(None, self.width, seed, canonical=distinct) for seed in self._seeds],
+            dtype=np.int64,
+        )
+        depth = np.arange(self.depth)[:, None]
+        before = self._rows[depth, cells]
+        for row, at in zip(self._rows, cells):
+            np.add.at(row, at, totals)
+        above = before.min(axis=0) > threshold
+        crossing = ~above & (self._rows[depth, cells].min(axis=0) > threshold)
+        passes = above[key_of]
+        if crossing.any():
+            at, estimates = self._running(cells, before, key_of, amounts_arr, crossing)
+            passes[at] = estimates > threshold
+        return passes
+
+    def _running(self, cells, before, key_of, amounts, crossing):
+        """The entries of the ``crossing`` keys and their running estimates,
+        from the counters ``before`` the batch: the key's own running sum
+        over the lowest counter it owns alone, or a counter's running sum
+        where it shares one."""
+        at = np.flatnonzero(crossing[key_of])
+        mine = key_of[at]
+        own = _grouped_running_sum(mine, amounts[at], len(crossing))
+        shares = np.array([np.bincount(c, minlength=self.width)[c] > 1 for c in cells])
+        base = np.where(shares, np.iinfo(np.int64).max, before).min(axis=0)[mine]
+        for r in np.flatnonzero((shares & crossing).any(axis=1)):
+            # Every entry on a counter a crossing key shares, re-summed by counter.
+            needed = np.zeros(self.width, dtype=bool)
+            needed[cells[r][shares[r] & crossing]] = True
+            on = np.flatnonzero(needed[cells[r][key_of]])
+            sums = _grouped_running_sum(cells[r][key_of[on]], amounts[on], self.width)
+            ours = np.searchsorted(at, on)
+            ours[ours == len(at)] = 0
+            hit = at[ours] == on
+            ours = ours[hit]
+            floor = before[r][key_of[on[hit]]] + sums[hit] - own[ours]
+            base[ours] = np.minimum(base[ours], floor)
+        return at, base + own
 
     def update(self, pairs: Iterable[Tuple[Hashable, int]]) -> None:
         """Add a stream of ``(key, amount)`` pairs."""

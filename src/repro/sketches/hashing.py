@@ -167,10 +167,11 @@ def canonical_batch(values) -> np.ndarray:
     """Vectorized :func:`canonical_int`: a ``uint64`` array of canon values.
 
     Accepts a 1-D numpy array or any sequence.  Integer, boolean and float
-    dtypes are converted with vectorized kernels; strings, bytes, tuples
-    and mixed object sequences fall back to a per-element
-    :func:`canonical_int` loop (still bit-for-bit identical, just not
-    SIMD).  Output ``i`` always equals ``canonical_int(values[i])``.
+    dtypes are converted with vectorized kernels; a string or bytes array
+    folds each distinct value once; tuples, object arrays and mixed
+    sequences fall back to a per-element :func:`canonical_int` loop (still
+    bit-for-bit identical, just not SIMD).  Output ``i`` always equals
+    ``canonical_int(values[i])``.
     """
     if isinstance(values, np.ndarray) and values.ndim == 1:
         kind = values.dtype.kind
@@ -182,6 +183,11 @@ def canonical_batch(values) -> np.ndarray:
             return values.astype(np.int64).view(np.uint64)
         if kind == "f":
             return _fnv_double_batch(values)
+        if kind in "US":
+            # Equal strings fold equally: fold each distinct one once.  Not
+            # object arrays, where np.unique merges 1, 1.0 and True.
+            distinct, inverse = np.unique(values, return_inverse=True)
+            return canonical_batch(list(distinct))[inverse]
         return np.fromiter(
             (canonical_int(v) for v in values), dtype=np.uint64, count=len(values)
         )

@@ -10,6 +10,7 @@ an identical scalar tail through both.
 
 from __future__ import annotations
 
+import copy
 import random
 
 import numpy as np
@@ -239,8 +240,16 @@ class TestSketchBatch:
         scalar = CountMinSketch(width=256, depth=3, conservative=conservative, seed=2)
         batch = CountMinSketch(width=256, depth=3, conservative=conservative, seed=2)
         expected = [scalar.add(k, a) for k, a in zip(keys, amounts)]
-        got = batch.add_batch(keys, np.asarray(amounts, dtype=np.int64))
-        assert [int(x) for x in got] == expected
+        amounts = np.asarray(amounts, dtype=np.int64)
+        # An estimate x passes at threshold x - 1 and fails at x: the masks
+        # at every distinct running estimate and one below pin each entry's.
+        for threshold in sorted({e - below for e in expected for below in (0, 1)}):
+            probe = copy.deepcopy(batch)
+            got = probe.add_batch(keys, amounts, threshold)
+            assert got.tolist() == [e > threshold for e in expected]
+            assert np.array_equal(probe._rows, scalar._rows)
+            assert probe.total == scalar.total
+        batch.add_batch(keys, amounts, 0)
         assert np.array_equal(batch._rows, scalar._rows)
         assert batch.total == scalar.total
         probes = list(range(250))

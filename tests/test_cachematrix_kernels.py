@@ -32,7 +32,8 @@ from repro.sketches.cachematrix import (
     KeyedAggregateMatrix,
     RollingMinMatrix,
 )
-from repro.sketches.hashing import hash_range
+from repro.sketches.countmin import CountMinSketch
+from repro.sketches.hashing import hash_range, hash_range_batch
 
 _SETTINGS = settings(
     max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -435,3 +436,135 @@ def test_observe_batch_at_production_size(pattern, hashed):
         pattern=pattern,
         counters=("hits", "updates", "inserts", "evictions"),
     )
+
+
+# -- rows that cannot evict settle in closed form -----------------------------
+#
+# A hashed numeric batch settles every row whose cached keys plus the
+# batch's new keys fit in its ``w`` cells, and sends only the other rows
+# through the rounds.  These drive whole pruners at production size —
+# 5,000 per-entry calls, then two 40,000-entry batches — against a twin
+# that takes every entry through ``process()``: the same masks, cells in
+# column order and counters, in batches that really mix both kinds of row.
+
+
+def _zipf_stream(seed: int, n: int, pool: int):
+    rng = np.random.default_rng(seed)
+    keys = (rng.zipf(1.2, n) % pool).astype(np.int64)
+    return keys, rng.uniform(0.0, 1000.0, n)
+
+
+def _mix(matrix, keys) -> tuple:
+    """How many of the rows ``keys`` hash to hold more than ``w`` of them,
+    and how many hold at most ``w``."""
+    per_row = np.bincount(matrix.row_of_batch(np.unique(keys)))
+    return int(np.count_nonzero(per_row > matrix.cols)), int(
+        np.count_nonzero((per_row > 0) & (per_row <= matrix.cols))
+    )
+
+
+def _forwarded(pruner, entries) -> list:
+    return [pruner.process(e).value == "forward" for e in entries]
+
+
+def _against_process(make, entries_of, state, pool, sizes=(5_000, 40_000, 40_000)):
+    """Per-entry calls then batches on ``make()``, every entry through
+    ``process()`` on its twin; returns both ends' ``state``."""
+    subject, oracle = make(), make()
+    keys, values = _zipf_stream(17, sum(sizes), pool)
+    lo = 0
+    for step, size in enumerate(sizes):
+        batch = entries_of(keys[lo : lo + size], values[lo : lo + size])
+        pairs = list(zip(*batch)) if isinstance(batch, tuple) else batch
+        scalar = [tuple(map(_plain, e)) if isinstance(e, tuple) else _plain(e) for e in pairs]
+        expected = _forwarded(oracle, scalar)
+        if step == 0:
+            assert _forwarded(subject, scalar) == expected
+        else:
+            assert subject.process_batch(batch).tolist() == expected
+        lo += size
+    assert (subject.stats.processed, subject.stats.pruned) == (
+        oracle.stats.processed, oracle.stats.pruned,
+    )
+    return state(subject), state(oracle)
+
+
+@pytest.mark.parametrize("policy", ["lru", "fifo"])
+@pytest.mark.parametrize("fingerprinted", [False, True], ids=["exact", "fingerprint"])
+def test_distinct_settles_rows_at_production_size(policy, fingerprinted):
+    def make():
+        if fingerprinted:
+            return FingerprintDistinctPruner(4096, 2, fingerprint_bits=32, policy=policy)
+        return DistinctPruner(4096, 2, policy=policy)
+
+    matrix = make()._matrix
+    keys, _ = _zipf_stream(17, 45_000, 2_000)
+    if fingerprinted:
+        keys = make().scheme.of_batch(keys)
+    overflowing, settling = _mix(matrix, keys[5_000:])
+    assert overflowing >= 20 and settling >= 1_000
+    counters = ("hits", "misses", "evictions")
+    got, expected = _against_process(
+        make, lambda ids, _: ids, lambda p: _state(p._matrix, counters), 2_000
+    )
+    assert got == expected
+
+
+@pytest.mark.parametrize("aggregate", ["max", "min"])
+@pytest.mark.parametrize("cols", [2, 8], ids=["w2-mixed", "w8-all-settle"])
+def test_groupby_settles_rows_at_production_size(aggregate, cols):
+    """``w = 8`` (the default) settles every row of 2,000 Zipf keys;
+    ``w = 2`` leaves dozens of rows to the rounds."""
+    make = lambda: GroupByPruner(aggregate, rows=4096, cols=cols)  # noqa: E731
+    keys, _ = _zipf_stream(17, 45_000, 2_000)
+    overflowing, _ = _mix(make()._matrix, keys[5_000:])
+    assert (overflowing >= 20) if cols == 2 else (overflowing == 0)
+    counters = ("hits", "updates", "inserts", "evictions")
+    got, expected = _against_process(
+        make, lambda ids, v: (ids, v), lambda p: _state(p._matrix, counters), 2_000
+    )
+    assert got == expected
+
+
+def _sketch_estimates(width: int, seed: int, keys, amounts, upto: int) -> np.ndarray:
+    """Each distinct key's Count-Min estimate after the first ``upto``
+    entries, summed per counter with ``np.add.at``: the sketch a
+    ``HavingPruner`` of this width and seed holds by then."""
+    sketch = CountMinSketch(width, 3, seed=seed)
+    for row, hash_seed in zip(sketch._rows, sketch._seeds):
+        at = hash_range_batch(keys[:upto], width, hash_seed).astype(np.int64)
+        np.add.at(row, at, amounts[:upto].astype(np.int64))
+    return sketch.estimate_batch(np.unique(keys))
+
+
+@pytest.mark.parametrize("aggregate", ["sum", "count"])
+@pytest.mark.parametrize("width", [16, 1024])
+def test_having_settles_keys_at_production_size(aggregate, width):
+    """A 16-counter Count-Min makes every key share counters; at 1,024
+    some do.  The threshold is the median estimate after the first batch,
+    so estimates cross it inside both batches, after the per-entry calls
+    have filled the sketch; the dedupe stage, where some rows hold more
+    passing keys than fit, takes the passing entries."""
+    keys, values = _zipf_stream(17, 85_000, 2_000)
+    amounts = np.ceil(values) if aggregate == "sum" else np.ones(len(keys))
+    estimates = [_sketch_estimates(width, 3, keys, amounts, n) for n in (5_000, 45_000, 85_000)]
+    threshold = float(np.median(estimates[1]))
+    for before, after in zip(estimates, estimates[1:]):
+        assert np.count_nonzero((before <= threshold) & (after > threshold)) >= 5
+
+    def make():
+        return HavingPruner(threshold, aggregate, width=width, seed=3)
+
+    overflowing, settling = _mix(make()._dedupe, np.unique(keys)[estimates[2] > threshold])
+    assert overflowing >= 5 and settling >= 100
+
+    def state(pruner):
+        sketch = pruner._sketch
+        return (
+            sketch._rows.tolist(),
+            sketch.total,
+            _state(pruner._dedupe, ("hits", "misses", "evictions")),
+        )
+
+    got, expected = _against_process(make, lambda ids, v: (ids, v), state, 2_000)
+    assert got == expected

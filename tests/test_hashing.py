@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sketches.hashing import (
     canonical_batch,
@@ -79,6 +81,35 @@ class TestCanonicalBatch:
         assert canonical_batch(values).tolist() == [
             canonical_int(v) for v in values
         ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        strings=st.lists(
+            st.one_of(st.just(""), st.text(max_size=3), st.text(min_size=40, max_size=200)),
+            max_size=40,
+        ),
+        repeat=st.integers(1, 3),
+    )
+    def test_string_array_folds_each_value_like_scalar(self, strings, repeat):
+        """A ``U`` array hashes each distinct string once and still gives
+        element ``i`` the canon of ``values[i]``: empty, short and long
+        strings, any code point, repeated."""
+        values = np.array(strings * repeat, dtype=str)
+        assert canonical_batch(values).tolist() == [canonical_int(v) for v in values]
+
+    @settings(max_examples=150, deadline=None)
+    @given(blobs=st.lists(st.binary(max_size=60), max_size=40), repeat=st.integers(1, 3))
+    def test_bytes_array_folds_each_value_like_scalar(self, blobs, repeat):
+        """The same for ``S`` arrays, whose elements drop trailing NULs:
+        the canon is always that of the element the array gives back."""
+        values = np.array(blobs * repeat, dtype=bytes)
+        assert canonical_batch(values).tolist() == [canonical_int(v) for v in values]
+
+    def test_object_array_keeps_each_elements_type(self):
+        """``1``, ``1.0`` and ``True`` are equal, so ``np.unique`` would
+        merge them; an object array canonicalizes each by its own type."""
+        values = np.array([1, 1.0, True, "1", b"1"], dtype=object)
+        assert canonical_batch(values).tolist() == [canonical_int(v) for v in values]
 
 
 class TestHash64:

@@ -3,8 +3,10 @@
 * ``hash_range_batch`` against scalar ``hash_range``, at every power of
   two (a bit slice) and at other sizes (the high multiply);
 * Count-Min's key-grouped ``add_batch`` against one ``add`` per entry:
-  estimates, cells and total, with narrow widths that force two keys of a
-  batch onto one counter or hold fewer counters than the batch has keys;
+  the threshold mask at every running estimate and one below it (which
+  pins each estimate), cells and total, with narrow widths that force two
+  keys of a batch onto one counter or hold fewer counters than the batch
+  has keys;
 * the array ``master_skyline`` against the brute-force O(n^2) definition;
 * the array ``master_topn`` against the heap.
 
@@ -14,6 +16,7 @@ point by ``tests/test_skyline.py::TestSegmentKernelMatchesPerPointOracle``.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 
@@ -85,7 +88,15 @@ def test_countmin_add_batch_equals_per_entry_add(batches, width, depth, seed):
     batched = CountMinSketch(width, depth, seed=seed)
     for keys, amounts in batches:
         expected = [oracle.add(k, int(a)) for k, a in zip(keys.tolist(), amounts)]
-        assert batched.add_batch(keys, amounts).tolist() == expected
+        # An estimate x passes at threshold x - 1 and fails at x: the masks
+        # at every distinct running estimate and one below pin each entry's.
+        for threshold in sorted({e - below for e in expected for below in (0, 1)}):
+            probe = copy.deepcopy(batched)
+            got = probe.add_batch(keys, amounts, threshold).tolist()
+            assert got == [e > threshold for e in expected]
+            assert np.array_equal(probe._rows, oracle._rows)
+            assert probe.total == oracle.total
+        batched.add_batch(keys, amounts, 0)
         assert np.array_equal(batched._rows, oracle._rows)
         assert batched.total == oracle.total
         assert batched.estimate_batch(keys).tolist() == [

@@ -171,12 +171,7 @@ class CountMinSketch:
                 dtype=bool,
                 count=count,
             )
-        if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
-            # An integer's canon is its own bits: group first, fold the few.
-            distinct, key_of = key_codes(keys)
-            distinct = canonical_batch(distinct)
-        else:
-            distinct, key_of = key_codes(canonical_batch(keys))
+        distinct, key_of = key_codes(canonical_batch(keys))
         totals = np.zeros(len(distinct), dtype=np.int64)
         np.add.at(totals, key_of, amounts_arr)
         self._total += int(totals.sum())

@@ -184,10 +184,17 @@ def canonical_batch(values) -> np.ndarray:
         if kind == "f":
             return _fnv_double_batch(values)
         if kind in "US":
-            # Equal strings fold equally: fold each distinct one once.  Not
-            # object arrays, where np.unique merges 1, 1.0 and True.
-            distinct, inverse = np.unique(values, return_inverse=True)
-            return canonical_batch(list(distinct))[inverse]
+            # Equal strings fold equally: fold each distinct one once, found
+            # by a dict rather than np.unique, whose sort costs an array of
+            # mostly distinct strings more than it saves.  Not object
+            # arrays, where 1, 1.0 and True are one key with three canons.
+            items = values.tolist()
+            folded = dict.fromkeys(items)
+            for value in folded:
+                folded[value] = canonical_int(value)
+            return np.fromiter(
+                map(folded.__getitem__, items), dtype=np.uint64, count=len(items)
+            )
         return np.fromiter(
             (canonical_int(v) for v in values), dtype=np.uint64, count=len(values)
         )

@@ -106,7 +106,7 @@ class TestCanonicalBatch:
         assert canonical_batch(values).tolist() == [canonical_int(v) for v in values]
 
     def test_object_array_keeps_each_elements_type(self):
-        """``1``, ``1.0`` and ``True`` are equal, so ``np.unique`` would
+        """``1``, ``1.0`` and ``True`` are equal, so one dict key would
         merge them; an object array canonicalizes each by its own type."""
         values = np.array([1, 1.0, True, "1", b"1"], dtype=object)
         assert canonical_batch(values).tolist() == [canonical_int(v) for v in values]

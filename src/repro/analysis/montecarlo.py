@@ -3,14 +3,12 @@
 The randomized pruners promise ``Pr[Q(A_Q(D)) != Q(D)] <= delta``.  This
 module estimates that failure probability empirically: run the same
 stream through independently seeded pruner instances, check each output
-against the exact answer, and report the rate with a Wilson confidence
-interval so benches and tests can compare against ``delta`` honestly
-(a point estimate of 0/60 says little without the interval).
+against the exact answer, and report the failure rate to compare
+against ``delta``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,25 +27,6 @@ class FailureEstimate:
     def rate(self) -> float:
         """Point estimate of the failure probability."""
         return self.failures / self.trials
-
-    def wilson_interval(self, z: float = 1.96) -> tuple:
-        """Wilson score interval for the failure probability."""
-        n, p = self.trials, self.rate
-        denominator = 1 + z * z / n
-        center = (p + z * z / (2 * n)) / denominator
-        margin = (
-            z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denominator
-        )
-        return (max(0.0, center - margin), min(1.0, center + margin))
-
-    def consistent_with(self, delta: float, z: float = 1.96) -> bool:
-        """True when ``delta`` is not below the interval's lower bound.
-
-        I.e. the observations do not *refute* the claimed bound — the
-        right direction for validating an upper bound on failure.
-        """
-        lower, _ = self.wilson_interval(z)
-        return delta >= lower
 
 
 def estimate_failure_rate(

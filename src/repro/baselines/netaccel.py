@@ -76,15 +76,6 @@ class NetAccelModel:
             raise ConfigurationError(f"entry count cannot be negative: {entries}")
         return entries / self.server_entries_per_s
 
-    def netaccel_total(self, dataplane_entries: int, result_entries: int, overflow: int = 0) -> float:
-        """NetAccel's query tail: any CPU overflow plus the final drain.
-
-        Assumes (generously, as the paper does) that the dataplane handles
-        ``dataplane_entries`` at line rate, i.e. for free at this
-        granularity.
-        """
-        return self.switch_cpu_time(overflow) + self.drain_time(result_entries)
-
     def cheetah_total(self, result_entries: int, master_entry_us: float = 0.4) -> float:
         """Cheetah's equivalent tail: survivors stream straight to the master.
 

@@ -29,7 +29,6 @@ from .join import (
     OuterJoinPruner,
     SideKey,
     master_join,
-    master_outer_join,
 )
 from .sizing import (
     TopNConfig,
@@ -40,12 +39,11 @@ from .sizing import (
     topn_optimal_config,
     topn_optimal_rows,
 )
-from .summary import TABLE4, AlgorithmRow, reboot_safe_algorithms, render_table4
+from .summary import TABLE4, AlgorithmRow, render_table4
 from .skyline import (
     AphScore,
     DirectionalSkylinePruner,
     SkylinePruner,
-    dominates,
     master_directional_skyline,
     master_skyline,
     reflect_point,
@@ -85,7 +83,6 @@ __all__ = [
     "OuterJoinPruner",
     "SideKey",
     "master_join",
-    "master_outer_join",
     "TopNConfig",
     "distinct_expected_pruning",
     "topn_cols",
@@ -95,14 +92,12 @@ __all__ = [
     "topn_optimal_rows",
     "TABLE4",
     "AlgorithmRow",
-    "reboot_safe_algorithms",
     "render_table4",
     "AphScore",
     "DirectionalSkylinePruner",
     "SkylinePruner",
     "master_directional_skyline",
     "reflect_point",
-    "dominates",
     "master_skyline",
     "score_product",
     "score_sum",

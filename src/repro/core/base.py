@@ -341,27 +341,6 @@ class Pruner(ABC, Generic[Entry]):
         """Materialized :meth:`prune_stream`."""
         return list(self.prune_stream(entries, batch_size=batch_size))
 
-    def split_stream(
-        self, entries: Iterable[Entry], batch_size: Optional[int] = None
-    ) -> Tuple[List[Entry], List[Entry]]:
-        """Partition a stream into (forwarded, pruned) lists."""
-        forwarded: List[Entry] = []
-        pruned: List[Entry] = []
-        if batch_size is None:
-            for entry in entries:
-                if self.process(entry) is PruneDecision.FORWARD:
-                    forwarded.append(entry)
-                else:
-                    pruned.append(entry)
-            return forwarded, pruned
-        if not isinstance(entries, (list, tuple, np.ndarray)):
-            entries = list(entries)
-        for chunk in iter_batches(entries, batch_size):
-            forward = self.process_batch(chunk)
-            for index, keep in enumerate(forward):
-                (forwarded if keep else pruned).append(chunk[index])
-        return forwarded, pruned
-
 
 class PassthroughPruner(Pruner[Entry]):
     """A pruner that never prunes — the no-switch baseline.

@@ -423,10 +423,6 @@ class FilterPruner(Pruner[Entry]):
         self.stats.record_batch(count, count - int(forward.sum()))
         return forward
 
-    def residual_check(self, entry: Entry) -> bool:
-        """The master-side completion: full formula on a survivor."""
-        return self.formula.evaluate(entry)
-
     def footprint(self) -> ResourceFootprint:
         return footprint_filtering(predicates=self._num_predicates)
 

@@ -15,7 +15,7 @@ small-table optimization.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -415,32 +415,3 @@ class OuterJoinPruner(Pruner[SideKey]):
             bloom.observe_health(
                 self.metrics, pruner=type(self).__name__, side=side
             )
-
-
-def master_outer_join(
-    left_rows: Sequence[Tuple[Hashable, object]],
-    right_rows: Sequence[Tuple[Hashable, object]],
-    preserved: str = "left",
-) -> List[Tuple[Hashable, object, object]]:
-    """Exact LEFT/RIGHT OUTER join over survivors.
-
-    Unmatched preserved-side rows pair with ``None`` on the other side.
-    """
-    if preserved not in ("left", "right"):
-        raise ConfigurationError(
-            f"preserved side must be 'left' or 'right', got {preserved!r}"
-        )
-    if preserved == "right":
-        flipped = master_outer_join(right_rows, left_rows, preserved="left")
-        return [(key, l, r) for key, r, l in flipped]
-    index: Dict[Hashable, List[object]] = {}
-    for key, payload in right_rows:
-        index.setdefault(key, []).append(payload)
-    output: List[Tuple[Hashable, object, object]] = []
-    for key, payload in left_rows:
-        matches = index.get(key)
-        if matches:
-            output.extend((key, payload, right_payload) for right_payload in matches)
-        else:
-            output.append((key, payload, None))
-    return output

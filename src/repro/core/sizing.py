@@ -157,10 +157,6 @@ class TopNConfig:
         rows, cols = topn_optimal_config(n, delta)
         return cls(n=n, delta=delta, rows=rows, cols=cols)
 
-    def expected_pruning_rate(self, stream_length: int) -> float:
-        """Theorem 3 rate for a random-order stream of ``stream_length``."""
-        return topn_expected_pruning_rate(stream_length, self.rows, self.cols)
-
     @property
     def matrix_cells(self) -> int:
         """Total state cells ``d * w``."""

@@ -42,11 +42,6 @@ from .base import Guarantee, PruneDecision, Pruner
 Point = Tuple[float, ...]
 
 
-def dominates(a: Point, b: Point) -> bool:
-    """True when ``a`` dominates ``b``: >= everywhere and > somewhere."""
-    return all(x >= y for x, y in zip(a, b)) and any(x > y for x, y in zip(a, b))
-
-
 def weakly_dominates(a: Point, b: Point) -> bool:
     """True when ``a`` is at least ``b`` in every dimension (paper's test)."""
     return all(map(ge, a, b))
@@ -300,10 +295,6 @@ class SkylinePruner(Pruner[Point]):
     def drain(self) -> List[Point]:
         """End-of-stream: the stored points, which the master must receive."""
         return [slot[1] for slot in self._slots if slot is not None]
-
-    def stored_scores(self) -> List[float]:
-        """Scores of the stored points, for inspection/tests."""
-        return [slot[0] for slot in self._slots if slot is not None]
 
     def footprint(self) -> ResourceFootprint:
         score = "aph" if self.score_name == "aph" else "sum"

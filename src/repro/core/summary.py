@@ -134,11 +134,6 @@ def render_table4() -> List[str]:
     return lines
 
 
-def reboot_safe_algorithms() -> List[str]:
-    """Names of the algorithms that survive a mid-query switch reboot."""
-    return [row.name for row in TABLE4 if row.reboot_safe]
-
-
 #: Cluster operator-kind tag -> Table 4 row-name prefix.
 _OP_KIND_ROWS = {
     "filter": "FILTERING",

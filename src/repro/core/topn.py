@@ -143,13 +143,6 @@ class TopNDeterministicPruner(Pruner[float]):
         )
         return forward
 
-    @property
-    def current_cutoff(self) -> Optional[float]:
-        """The threshold currently used for pruning (None during warmup)."""
-        if not self._thresholds:
-            return None
-        return self._active_threshold()
-
     def footprint(self) -> ResourceFootprint:
         return footprint_topn_det(thresholds=self.num_thresholds)
 

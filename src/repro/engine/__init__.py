@@ -29,7 +29,7 @@ from .plan import (
 from .reference import run_reference
 from .sql import parse as parse_sql
 from .sql import parse_predicate
-from .table import Table, table_from_csv, table_to_csv
+from .table import Table, table_from_csv
 
 __all__ = [
     "Cluster",
@@ -66,5 +66,4 @@ __all__ = [
     "parse_predicate",
     "Table",
     "table_from_csv",
-    "table_to_csv",
 ]

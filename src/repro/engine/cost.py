@@ -20,7 +20,7 @@ compares *ratios and trends*, which the structure determines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import ConfigurationError
 from .cluster import RunResult
@@ -68,11 +68,6 @@ class Breakdown:
         fixed setup are serial.
         """
         return self.setup + self.worker + max(self.network, self.master)
-
-    @property
-    def serial_total(self) -> float:
-        """Non-overlapped sum, the pessimistic stacked-bar reading."""
-        return self.setup + self.worker + self.network + self.master
 
 
 @dataclass
@@ -178,20 +173,6 @@ class CostModel:
         master = forwarded * self._master_us(result.op_kind) * inflation * 1e-6
         return Breakdown(worker=worker, network=network, master=master, setup=self.setup_s)
 
-    def master_time(self, forwarded: int, streamed: int, per_entry_us: float) -> float:
-        """Master completion time with the Fig. 9 queueing penalty.
-
-        When nearly everything is pruned the master keeps up with arrivals
-        (linear cost); as the unpruned share grows, entries buffer up and
-        the effective per-entry cost inflates — super-linear in the
-        unpruned ratio, matching Fig. 9's curvature.
-        """
-        if streamed <= 0:
-            return 0.0
-        unpruned_ratio = forwarded / streamed
-        inflation = 1.0 + self.master_queue_factor * unpruned_ratio
-        return forwarded * per_entry_us * inflation * 1e-6
-
     # -- Spark -----------------------------------------------------------------
 
     def spark_breakdown(self, result: RunResult, first_run: bool = False) -> Breakdown:
@@ -221,9 +202,3 @@ class CostModel:
         spark = self.spark_breakdown(result, first_run=first_run).total
         cheetah = self.cheetah_breakdown(result).total
         return spark / cheetah
-
-    def with_network(self, gbps: float) -> "CostModel":
-        """A copy at a different NIC limit (the Fig. 8 sweep)."""
-        from dataclasses import replace
-
-        return replace(self, network_gbps=gbps)

@@ -273,22 +273,6 @@ class ColumnRef:
     def __le__(self, other: object) -> Compare:
         return Compare(self.name, "<=", other)
 
-    def eq(self, other: object) -> Compare:
-        """Equality predicate (named method: ``==`` is kept for identity)."""
-        return Compare(self.name, "==", other)
-
-    def ne(self, other: object) -> Compare:
-        """Inequality predicate."""
-        return Compare(self.name, "!=", other)
-
-    def like(self, pattern: str) -> Like:
-        """SQL LIKE predicate (switch-unsupported)."""
-        return Like(self.name, pattern)
-
-    def between(self, lo: object, hi: object) -> Between:
-        """Inclusive range predicate."""
-        return Between(self.name, lo, hi)
-
 
 def _index_of(columns: Sequence[str], name: str) -> int:
     try:

@@ -9,7 +9,7 @@ metadata pass of late materialization).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence
 
 from ..errors import PlanError
@@ -171,10 +171,6 @@ class JoinOp(Operator):
 
     def stream_columns(self) -> List[str]:
         return [self.left_on]
-
-    def right_stream_columns(self) -> List[str]:
-        """Columns streamed from the right table's workers."""
-        return [self.right_on]
 
     def describe(self) -> str:
         return (

@@ -23,7 +23,6 @@ from .plan import (
     GroupByOp,
     HavingOp,
     JoinOp,
-    Operator,
     Query,
     SkylineOp,
     TopNOp,

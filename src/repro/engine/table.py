@@ -76,10 +76,6 @@ class Table:
     def __contains__(self, name: str) -> bool:
         return name in self._columns
 
-    def project(self, names: Sequence[str]) -> "Table":
-        """Keep only ``names`` — the metadata stream of late materialization."""
-        return Table(self.name, {name: self.column(name) for name in names})
-
     def mask(self, keep: np.ndarray) -> "Table":
         """Row subset by boolean mask."""
         if len(keep) != self.num_rows:
@@ -114,15 +110,6 @@ class Table:
             raise PlanError(f"need at least one partition, got {parts}")
         return split_bounds(self.num_rows, parts)
 
-    def partition_shares(self, parts: int) -> List[int]:
-        """Row counts per partition; sums to ``num_rows`` exactly.
-
-        Remainder rows land in the *later* partitions (a property of the
-        ``linspace`` split): 10 rows over 3 workers gives ``[3, 3, 4]``.
-        """
-        bounds = self.partition_bounds(parts)
-        return list(np.diff(bounds).astype(int))
-
     def partition(self, parts: int) -> List["Table"]:
         """Split into ``parts`` contiguous partitions, one per worker.
 
@@ -154,37 +141,8 @@ class Table:
         """Materialized :meth:`iter_rows`."""
         return list(self.iter_rows(names))
 
-    def concat(self, other: "Table") -> "Table":
-        """Row-wise concatenation with matching schemas."""
-        if set(self.column_names) != set(other.column_names):
-            raise PlanError(
-                f"cannot concat {self.name!r} and {other.name!r}: schema mismatch"
-            )
-        return Table(
-            self.name,
-            {
-                k: np.concatenate([self._columns[k], other.column(k)])
-                for k in self.column_names
-            },
-        )
-
     def __repr__(self) -> str:
         return f"Table({self.name!r}, rows={self.num_rows}, cols={self.column_names})"
-
-
-def table_to_csv(table: "Table", path: str) -> None:
-    """Write a table to CSV (header row = column names).
-
-    Numeric columns render plainly; everything round-trips through
-    :func:`table_from_csv` with automatic type inference.
-    """
-    import csv
-
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(table.column_names)
-        for row in table.iter_rows(table.column_names):
-            writer.writerow(row)
 
 
 def table_from_csv(path: str, name: str = "table") -> "Table":

@@ -12,7 +12,7 @@ the levels, recording per-edge volumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from ..core.base import PruneDecision, Pruner

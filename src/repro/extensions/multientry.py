@@ -16,7 +16,7 @@ tolerates forwarding supersets.
 
 from __future__ import annotations
 
-from typing import Callable, Generic, List, Optional, Sequence
+from typing import Callable, Generic, List, Sequence
 
 from ..core.base import Entry, PruneDecision, Pruner, PruneStats
 from ..errors import ConfigurationError

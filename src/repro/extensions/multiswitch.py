@@ -116,10 +116,3 @@ class SwitchTree(Generic[Entry]):
         self.stats = PruneStats()
         self.leaf_pruned = 0
         self.root_pruned = 0
-
-    @property
-    def total_state_cells(self) -> int:
-        """Aggregate SRAM bits across the tree (the §9 resource argument)."""
-        return sum(leaf.footprint().sram_bits for leaf in self.leaves) + (
-            self.root.footprint().sram_bits
-        )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..obs import MetricsRegistry
 from .plan import FaultEvent, FaultPlan, LINK_FAULTS, SWITCH_FAULTS, WORKER_FAULTS

@@ -26,7 +26,7 @@ kind            effect
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
@@ -139,10 +139,6 @@ class FaultPlan:
     def single(cls, kind: str, at: int, target: Optional[str] = None, seed: int = 0) -> "FaultPlan":
         """A one-event plan (unit tests, targeted scenarios)."""
         return cls([FaultEvent(at=at, kind=kind, target=target)], seed=seed)
-
-    def events_of(self, *kinds: str) -> List[FaultEvent]:
-        """The subset of events whose kind is in ``kinds``, in order."""
-        return [event for event in self.events if event.kind in kinds]
 
     def to_dict(self) -> dict:
         """JSON-ready form (reports, CLI ``--json``)."""

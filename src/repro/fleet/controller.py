@@ -32,7 +32,6 @@ serves while its tables change and requests go to its siblings instead.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, List, Optional, Union
 
 from ..engine.plan import Query

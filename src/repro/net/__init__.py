@@ -20,7 +20,7 @@ from .reliability import (
     packets_for,
 )
 from .timed import TimedReliableTransfer
-from .services import CMaster, CWorker, FlowState, ValueCodec, stream_query_columns
+from .services import CMaster, CWorker, FlowState, ValueCodec
 
 __all__ = [
     "ACK_FROM_MASTER",
@@ -43,5 +43,4 @@ __all__ = [
     "CWorker",
     "FlowState",
     "ValueCodec",
-    "stream_query_columns",
 ]

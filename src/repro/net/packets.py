@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from ..errors import ChecksumError, ProtocolError
@@ -119,11 +119,6 @@ class CheetahPacket:
             fin=self.fin,
             retransmit=True,
         )
-
-    @property
-    def wire_bytes(self) -> int:
-        """On-wire size (minimum Ethernet frame padding not included)."""
-        return _HEADER.size + len(self.values) * _VALUE.size
 
 
 _ACK = struct.Struct("!HIB")

@@ -22,12 +22,12 @@ accounted for, and records what the master actually received.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.base import PruneDecision, Pruner
 from ..errors import ProtocolError
-from .packets import ACK_FROM_MASTER, ACK_FROM_SWITCH, CheetahAck, CheetahPacket
+from .packets import ACK_FROM_SWITCH, CheetahAck, CheetahPacket
 
 
 class LossyLink:
@@ -78,10 +78,6 @@ class SwitchReliabilityState:
             # Already processed: forward without reprocessing (§7.2).
             return "forward", None
         return "drop", None
-
-    def last_processed(self, fid: int) -> int:
-        """The X value for ``fid`` (-1 before any packet)."""
-        return self._last_seq.get(fid, -1)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..engine.table import Table
-from ..errors import ChecksumError, ProtocolError
+from ..errors import ProtocolError
 from ..sketches.hashing import hash64
 from .packets import CheetahPacket
 
@@ -78,10 +78,6 @@ class ValueCodec:
         """Encode a whole projected row."""
         return tuple(self.encode(value) for value in row)
 
-    def decode_float(self, word: int) -> float:
-        """Fixed-point word back to float (the master-side view)."""
-        return word / self.float_scale
-
 
 class CWorker:
     """One worker's Cheetah module: table partition -> packet stream.
@@ -126,10 +122,6 @@ class CWorker:
         self.packets_sent += 1
         yield CheetahPacket(fid=self.fid, seq=total, values=(), fin=True)
 
-    def materialize(self) -> List[CheetahPacket]:
-        """All packets as a list (convenient for the reliability layer)."""
-        return list(self.packets())
-
 
 @dataclass
 class FlowState:
@@ -147,23 +139,6 @@ class CMaster:
     def __init__(self, expected_fids: Iterable[int], codec: Optional[ValueCodec] = None) -> None:
         self.codec = codec or ValueCodec()
         self.flows: Dict[int, FlowState] = {fid: FlowState() for fid in expected_fids}
-        #: Frames rejected by :meth:`receive_frame` on a CRC mismatch.
-        self.checksum_drops = 0
-
-    def receive_frame(self, frame: bytes) -> bool:
-        """Ingest a checksummed wire frame; corrupted frames never decode.
-
-        The CRC check happens *before* :meth:`receive` touches the bytes,
-        so a corrupted frame is counted and discarded (returns False, the
-        transport's timer will retransmit) rather than decoded into a
-        wrong row.
-        """
-        try:
-            packet = CheetahPacket.decode_frame(frame)
-        except ChecksumError:
-            self.checksum_drops += 1
-            return False
-        return self.receive(packet)
 
     def receive(self, packet: CheetahPacket) -> bool:
         """Ingest one packet; returns True if it carried a new entry."""
@@ -195,23 +170,3 @@ class CMaster:
         for flow in self.flows.values():
             merged.extend(flow.rows)
         return merged
-
-    def column_as_float(self, index: int, fid: Optional[int] = None) -> List[float]:
-        """Decode column ``index`` of the received rows as fixed-point floats."""
-        return [self.codec.decode_float(row[index]) for row in self.rows(fid)]
-
-
-def stream_query_columns(
-    table: Table,
-    columns: Sequence[str],
-    workers: int,
-    codec: Optional[ValueCodec] = None,
-) -> Tuple[List[CWorker], CMaster]:
-    """Wire up one CWorker per partition plus the CMaster expecting them."""
-    partitions = table.partition(workers)
-    cworkers = [
-        CWorker(fid=i, partition=part, columns=columns, codec=codec)
-        for i, part in enumerate(partitions)
-    ]
-    master = CMaster(expected_fids=range(workers), codec=codec)
-    return cworkers, master

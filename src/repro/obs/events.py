@@ -156,12 +156,6 @@ class EventLog:
         with self._lock:
             return [event for event in self._events if event.seq > seq]
 
-    @property
-    def last_seq(self) -> int:
-        """The sequence number of the most recently emitted event."""
-        with self._lock:
-            return self._seq
-
     def to_jsonl(self, path: str) -> int:
         """Write the retained events to ``path`` as JSONL; return the count."""
         events = self.snapshot()

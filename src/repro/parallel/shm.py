@@ -80,10 +80,6 @@ class SharedColumnStore:
         """The picklable attachment descriptor for worker processes."""
         return self._handle
 
-    def segment_names(self) -> List[str]:
-        """The live segment names (leak assertions in tests)."""
-        return [segment.name for segment in self._segments]
-
     def close(self) -> None:
         """Unmap and unlink every segment (idempotent).
 

@@ -325,11 +325,6 @@ class AdmissionController:
                     + _EWMA_ALPHA * per_query
                 )
 
-    @property
-    def ewma_seconds(self) -> Optional[float]:
-        """The current service-time estimate (None before first completion)."""
-        return self._ewma_seconds
-
     def estimated_wait(self) -> float:
         """Estimated seconds the backlog needs before a new arrival runs.
 

@@ -14,11 +14,11 @@ exact output, and any shed surfaces as the same typed
 :class:`~repro.errors.Overloaded` error the service raised.
 
 ``retries`` adds bounded retry-with-backoff on *shed* responses
-(:class:`~repro.errors.Overloaded`) in :meth:`query_many` and
-:meth:`query`: a shed request is re-submitted up to ``retries`` times
-with jittered exponential backoff (the jitter comes from a seeded RNG,
-so benchmark runs are reproducible), and every re-submission is counted
-on the service registry as ``client_retries_total{tenant=...}``.
+(:class:`~repro.errors.Overloaded`) in :meth:`query`: a shed request
+is re-submitted up to ``retries`` times with jittered exponential
+backoff (the jitter comes from a seeded RNG, so benchmark runs are
+reproducible), and every re-submission is counted on the service
+registry as ``client_retries_total{tenant=...}``.
 Without retries, fleet benches would silently drop shed queries and
 overstate goodput; with them, every query either completes exactly or
 fails with the typed error after a known number of attempts.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Iterable, List, Optional, Union
+from typing import Optional, Union
 
 from ..engine.plan import Query
 from ..errors import Overloaded
@@ -128,30 +128,3 @@ class ServeClient:
                 raise
             ticket = None
         return self._collect(query, ticket, timeout)
-
-    def query_many(
-        self, queries: Iterable[Union[str, Query]], timeout: Optional[float] = None
-    ) -> List[object]:
-        """Submit every query first, then collect outputs in order.
-
-        Submitting the whole batch before the first ``result()`` wait is
-        what gives the scheduler a backlog to pack (§6) — the serving
-        benchmark drives its packed mode through exactly this path.
-        Queries shed at submission or while queued are re-submitted
-        (bounded by ``retries``, with jittered backoff) during the
-        collection phase, so the returned list is positionally complete
-        unless a query exhausts its retry budget.
-        """
-        materialized = list(queries)
-        tickets: List[Optional[Request]] = []
-        for query in materialized:
-            try:
-                tickets.append(self.submit(query, timeout=timeout))
-            except Overloaded:
-                if not self.retries:
-                    raise
-                tickets.append(None)
-        return [
-            self._collect(query, ticket, timeout)
-            for query, ticket in zip(materialized, tickets)
-        ]

@@ -22,7 +22,6 @@ from .fingerprint import (
 from .hashing import (
     Hashable,
     canonical_int,
-    combine,
     fingerprint,
     hash64,
     hash_family,
@@ -44,7 +43,6 @@ __all__ = [
     "scheme_for",
     "Hashable",
     "canonical_int",
-    "combine",
     "fingerprint",
     "hash64",
     "hash_family",

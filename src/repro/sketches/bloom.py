@@ -213,15 +213,6 @@ class BloomFilter:
             **labels,
         ).set(self.false_positive_rate())
 
-    @staticmethod
-    def bits_for(expected_items: int, target_fp: float) -> int:
-        """Bits needed for ``expected_items`` at ``target_fp`` (optimal h)."""
-        if expected_items <= 0:
-            raise ConfigurationError("expected_items must be positive")
-        if not 0.0 < target_fp < 1.0:
-            raise ConfigurationError("target_fp must be in (0, 1)")
-        return math.ceil(-expected_items * math.log(target_fp) / (math.log(2) ** 2))
-
 
 class RegisterBloomFilter:
     """Blocked ("register") Bloom filter: one word per element.

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import operator
 
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -396,12 +396,6 @@ class CacheMatrix(_RowMatrix):
     def row_of(self, value: Hashable) -> int:
         """Deterministic row assignment (same value -> same row)."""
         return hash_range(value, self.rows, self._seed ^ 0xD15C)
-
-    def contains(self, value: Hashable, row: Optional[int] = None) -> bool:
-        """Probe without mutating (not a dataplane op; used by tests)."""
-        if row is None:
-            row = self.row_of(value)
-        return value in self.row_values(row)
 
     def lookup_insert(self, value: Hashable, row: Optional[int] = None) -> bool:
         """Return True on a row hit; install the value on a miss.
@@ -925,10 +919,6 @@ class KeyedAggregateMatrix(_RowMatrix):
         if cells.pop() is not None:
             self.evictions += 1
         return -math.inf if maximum else math.inf
-
-    def cached_keys(self, row: int) -> List[Hashable]:
-        """Keys currently cached in ``row``."""
-        return [key for key, _ in self.row_values(row)]
 
     def corrupt_cell(self, row: int, col: int, key: object, aggregate: float) -> str:
         """Overwrite one cell with a phantom ``(key, aggregate)`` pair.

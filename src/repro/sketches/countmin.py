@@ -18,7 +18,7 @@ it; only the entries of keys that cross it get running sums.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -263,16 +263,3 @@ class CountMinSketch:
     def sram_bits(self, counter_bits: int = 64) -> int:
         """SRAM footprint, matching Table 2's ``(d*w) x 64b`` accounting."""
         return self.width * self.depth * counter_bits
-
-    def heavy_keys(self, keys: Iterable[Hashable], threshold: int) -> Dict[Hashable, int]:
-        """Return ``{key: estimate}`` for keys whose estimate exceeds ``threshold``.
-
-        This is the master-side helper for HAVING: the true heavy keys are
-        always a subset of the returned set (one-sided error).
-        """
-        result: Dict[Hashable, int] = {}
-        for key in keys:
-            est = self.estimate(key)
-            if est > threshold:
-                result[key] = est
-        return result

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -128,14 +128,6 @@ def fingerprint(value: Hashable, bits: int, seed: int = 0) -> int:
     if not 1 <= bits <= 64:
         raise ValueError(f"fingerprint width must be in [1, 64], got {bits}")
     return hash64(value, seed ^ 0x5FD1) >> (64 - bits)
-
-
-def combine(values: Iterable[Hashable], seed: int = 0) -> int:
-    """Order-sensitive 64-bit combination of several values."""
-    acc = _splitmix64(seed & _MASK64)
-    for value in values:
-        acc = _splitmix64(acc ^ canonical_int(value))
-    return acc
 
 
 # -- vectorized batch kernels --------------------------------------------------
@@ -308,21 +300,6 @@ def stable_order(ids: np.ndarray, bound: int) -> np.ndarray:
 
 
 BatchHashFn = Callable[[Sequence], np.ndarray]
-
-
-def hash_family_batch(count: int, n: int, base_seed: int = 0) -> List[BatchHashFn]:
-    """Vectorized :func:`hash_family`: ``count`` batch hash functions.
-
-    Function ``i`` maps a value array to the same indexes as scalar
-    ``hash_family(count, n, base_seed)[i]`` maps each element.
-    """
-    if count <= 0:
-        raise ValueError(f"need at least one hash function, got {count}")
-
-    def make(seed: int) -> BatchHashFn:
-        return lambda values: hash_range_batch(values, n, seed)
-
-    return [make(base_seed * 0x1000 + i + 1) for i in range(count)]
 
 
 def fingerprint_batch(

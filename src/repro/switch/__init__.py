@@ -14,7 +14,6 @@ from .compiler import (
     footprint_groupby,
     footprint_having,
     footprint_join,
-    footprint_reliability,
     footprint_skyline,
     footprint_topn_det,
     footprint_topn_rand,
@@ -29,7 +28,7 @@ from .programs import (
     PipelineTopNDeterministic,
 )
 from .resources import KB, MB, MINI, TOFINO, TOFINO2, ResourceFootprint, ResourceModel
-from .stage import MatchActionTable, RegisterArray, Stage
+from .stage import RegisterArray, Stage
 from .tcam import LogApproxTable, TcamEntry, TcamTable, build_msb_table, msb_rule_count
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "footprint_groupby",
     "footprint_having",
     "footprint_join",
-    "footprint_reliability",
     "footprint_skyline",
     "footprint_topn_det",
     "footprint_topn_rand",
@@ -59,7 +57,6 @@ __all__ = [
     "TOFINO2",
     "ResourceFootprint",
     "ResourceModel",
-    "MatchActionTable",
     "RegisterArray",
     "Stage",
     "LogApproxTable",

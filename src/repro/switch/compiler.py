@@ -11,7 +11,7 @@ paper's defaults.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError, ResourceError
 from .resources import ResourceFootprint, ResourceModel, TOFINO
@@ -28,14 +28,6 @@ _WORD = 64
 _FIT_CACHE: Dict[tuple, Optional[str]] = {}
 _PACK_CACHE: Dict[tuple, object] = {}
 _CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def clear_compile_cache() -> None:
-    """Drop all memoized fit checks and packs (tests, model sweeps)."""
-    _FIT_CACHE.clear()
-    _PACK_CACHE.clear()
-    _CACHE_STATS["hits"] = 0
-    _CACHE_STATS["misses"] = 0
 
 
 def compile_cache_stats() -> Dict[str, int]:
@@ -252,19 +244,6 @@ def footprint_having(
         stage_sram_bits=_spread(sram, stages),
         phv_bits=_WORD * 2 + 8,
         label="HAVING",
-    )
-
-
-def footprint_reliability() -> ResourceFootprint:
-    """The §7.2 reliability protocol: two pipeline stages on hardware."""
-    sram = 1024 * _WORD  # per-fid sequence registers
-    return ResourceFootprint(
-        stages=2,
-        alus=2,
-        sram_bits=sram,
-        stage_sram_bits=_spread(sram, 2),
-        phv_bits=64,
-        label="RELIABILITY",
     )
 
 

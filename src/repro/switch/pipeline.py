@@ -129,7 +129,6 @@ class Pipeline:
             for i in range(model.stages)
         ]
         self._programs: Dict[int, List[StageProgram]] = {}
-        self._exhausted: set = set()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = PipelineStats(self.metrics)
         self._stage_counters: Dict[int, Counter] = {}
@@ -160,53 +159,14 @@ class Pipeline:
         """A fresh PHV bound to this hardware's bit budget."""
         return Phv(self.model.phv_bits)
 
-    def exhaust_stage(self, index: int) -> None:
-        """Mark a stage failed (fault injection): its programs stop running.
-
-        Packets traverse an exhausted stage unmodified — the stage *fails
-        open*, so a program that would have marked a prune can no longer
-        do so.  Forwarding a superset is the safe direction for every
-        Cheetah algorithm; the cluster's degradation policy additionally
-        switches to passthrough so volumes stay honest.
-        """
-        self.stage(index)  # bounds check
-        if index not in self._exhausted:
-            self._exhausted.add(index)
-            self.metrics.counter(
-                "pipeline_stages_exhausted_total",
-                "Stages disabled by fault injection (fail-open).",
-            ).inc()
-
-    @property
-    def exhausted_stages(self) -> List[int]:
-        """Indices of stages currently failed open, in order."""
-        return sorted(self._exhausted)
-
-    def corrupt_register(self, rng) -> Optional[str]:
-        """Flip one random register bit in a random *programmed* stage.
-
-        Returns the flipped-bit description or ``None`` when no
-        programmed stage holds register state.
-        """
-        candidates = [
-            i for i in sorted(self._programs) if self.stages[i]._arrays
-        ]
-        if not candidates:
-            return None
-        return self.stages[rng.choice(candidates)].corrupt_register(rng)
-
     def process(self, phv: Phv) -> bool:
         """Run one packet through every stage; return True if forwarded.
 
         The prune mark only takes effect at the end of the pipeline, as on
-        real hardware where the drop is an egress decision.  Exhausted
-        stages (see :meth:`exhaust_stage`) are traversed without running
-        their programs.
+        real hardware where the drop is an egress decision.
         """
         for stage in self.stages:
             stage.begin_packet()
-            if stage.index in self._exhausted:
-                continue
             programs = self._programs.get(stage.index)
             if programs:
                 self._stage_counters[stage.index].inc()
@@ -216,8 +176,3 @@ class Pipeline:
             self._phv_bits.set(phv.used_bits)
         self.stats.record(phv.prune)
         return not phv.prune
-
-    def reset_stats(self) -> None:
-        """Zero the packet counters and per-stage/PHV samples in place
-        (state in registers is untouched)."""
-        self.metrics.reset()

@@ -19,7 +19,7 @@ state cannot alias a genuine value; callers pass non-negative ints.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ..errors import ConfigurationError
 from ..sketches.hashing import hash_range

@@ -57,11 +57,6 @@ class ResourceModel:
         """SRAM summed over all stages."""
         return self.stages * self.sram_bits_per_stage
 
-    @property
-    def total_alus(self) -> int:
-        """ALU slots summed over all stages."""
-        return self.stages * self.alus_per_stage
-
 
 #: Tofino-like default used throughout the evaluation.
 TOFINO = ResourceModel()

@@ -1,16 +1,16 @@
-"""Match-action stages: registers, ALU metering, exact-match tables.
+"""Match-action stages: registers and ALU metering.
 
 A :class:`Stage` owns disjoint register memory (the PISA property that
 stage memories are private) and a bounded number of stateful ALU slots.
-Packet-time register access goes through :meth:`Stage.reg_read` /
-:meth:`Stage.reg_write`, which meter ALU usage so a program that needs
-more same-stage operations than the hardware has simply cannot run.
+Packet-time register access goes through
+:meth:`Stage.reg_read_modify_write`, which meters ALU usage so a program
+that needs more same-stage operations than the hardware has simply
+cannot run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict
 
 from ..errors import ConfigurationError, ResourceError
 
@@ -43,54 +43,20 @@ class RegisterArray:
         """Zero the whole array."""
         self._cells = [0] * self.size
 
-    def flip_bit(self, index: int, bit: int) -> int:
-        """XOR one bit of one register (fault injection); returns the value."""
-        if not 0 <= index < self.size:
-            raise ConfigurationError(
-                f"register index {index} out of range [0, {self.size})"
-            )
-        if not 0 <= bit < self.width_bits:
-            raise ConfigurationError(
-                f"bit {bit} out of range [0, {self.width_bits})"
-            )
-        self._cells[index] ^= 1 << bit
-        return self._cells[index]
-
     @property
     def sram_bits(self) -> int:
         """SRAM consumed by this array."""
         return self.size * self.width_bits
 
 
-@dataclass
-class MatchActionTable:
-    """An exact-match table: key -> action id, with a default action."""
-
-    name: str
-    default_action: int = 0
-    entries: Dict[int, int] = field(default_factory=dict)
-
-    def install(self, key: int, action: int) -> None:
-        """Install one control-plane rule."""
-        self.entries[key] = action
-
-    def lookup(self, key: int) -> int:
-        """Match ``key``; fall back to the default action."""
-        return self.entries.get(key, self.default_action)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 class Stage:
-    """One pipeline stage: private SRAM, ALU slots, match-action tables."""
+    """One pipeline stage: private SRAM and ALU slots."""
 
     def __init__(self, index: int, alus: int, sram_bits: int) -> None:
         self.index = index
         self.alu_budget = alus
         self.sram_budget_bits = sram_bits
         self._arrays: Dict[str, RegisterArray] = {}
-        self._tables: Dict[str, MatchActionTable] = {}
         self._sram_used = 0
         self._alu_ops_this_packet = 0
 
@@ -110,34 +76,6 @@ class Stage:
         self._arrays[name] = array
         return array
 
-    def add_table(self, name: str, default_action: int = 0) -> MatchActionTable:
-        """Create an exact-match table in this stage."""
-        if name in self._tables:
-            raise ConfigurationError(f"table {name!r} already exists in stage {self.index}")
-        table = MatchActionTable(name, default_action)
-        self._tables[name] = table
-        return table
-
-    def table(self, name: str) -> MatchActionTable:
-        """Fetch a previously created table."""
-        return self._tables[name]
-
-    def corrupt_register(self, rng) -> Optional[str]:
-        """Flip one random bit across this stage's register arrays.
-
-        ``rng`` is a seeded ``random.Random``; returns a description of
-        the flipped bit, or ``None`` when the stage holds no registers
-        (the flip landed in unallocated SRAM).
-        """
-        if not self._arrays:
-            return None
-        name = rng.choice(sorted(self._arrays))
-        array = self._arrays[name]
-        index = rng.randrange(array.size)
-        bit = rng.randrange(array.width_bits)
-        value = array.flip_bit(index, bit)
-        return f"stage {self.index} reg {name}[{index}] bit {bit} -> {value:#x}"
-
     # -- packet-time operations -------------------------------------------
 
     def begin_packet(self) -> None:
@@ -152,16 +90,6 @@ class Stage:
                 f"budget is {self.alu_budget}"
             )
 
-    def reg_read(self, name: str, index: int) -> int:
-        """Metered register read."""
-        self._meter_alu()
-        return self._arrays[name].read(index)
-
-    def reg_write(self, name: str, index: int, value: int) -> None:
-        """Metered register write."""
-        self._meter_alu()
-        self._arrays[name].write(index, value)
-
     def reg_read_modify_write(
         self, name: str, index: int, update: Callable[[int], int]
     ) -> int:
@@ -175,13 +103,3 @@ class Stage:
         old = array.read(index)
         array.write(index, update(old))
         return old
-
-    @property
-    def sram_used_bits(self) -> int:
-        """SRAM currently allocated in this stage."""
-        return self._sram_used
-
-    @property
-    def alu_ops_this_packet(self) -> int:
-        """ALU operations metered for the in-flight packet."""
-        return self._alu_ops_this_packet

@@ -148,15 +148,6 @@ class LogApproxTable:
         shift = np.maximum(msb - (self.INPUT_BITS - 1), 0)
         return self.table[values >> shift] + self.beta * shift
 
-    def max_relative_error(self) -> float:
-        """Worst-case relative error of the windowed approximation.
-
-        Dominated by quantization: dropping ``shift`` low bits perturbs the
-        true value by at most a factor ``1 + 2^-15``, and rounding the
-        table output adds ``0.5 / beta`` absolute error on the log.
-        """
-        return 2.0 ** -(self.INPUT_BITS - 1) + 0.5 / self.beta
-
     def sram_bits(self, entry_bits: int = 32) -> int:
         """SRAM footprint of the exact-match table (Table 2: ``2^16 x 32b``)."""
         return self.ENTRY_COUNT * entry_bits

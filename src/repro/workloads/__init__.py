@@ -3,7 +3,6 @@
 from . import bigdata, synthetic, tpch
 from .bigdata import BigDataScale, benchmark_queries
 from .synthetic import (
-    correlated_points,
     keyed_values,
     overlapping_key_sets,
     prefixes,
@@ -20,7 +19,6 @@ __all__ = [
     "tpch",
     "BigDataScale",
     "benchmark_queries",
-    "correlated_points",
     "keyed_values",
     "overlapping_key_sets",
     "prefixes",

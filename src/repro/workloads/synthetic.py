@@ -61,22 +61,6 @@ def uniform_points(
     return [tuple(float(v) for v in row) for row in raw]
 
 
-def correlated_points(
-    length: int, dims: int = 2, high: int = 1 << 16, correlation: float = -0.6, seed: int = 0
-) -> List[Tuple[float, ...]]:
-    """Anti-correlated points: large skylines, the hard SKYLINE case."""
-    rng = np.random.default_rng(seed)
-    cov = np.full((dims, dims), correlation)
-    np.fill_diagonal(cov, 1.0)
-    # Nearest PSD fix for strongly negative off-diagonals in high dims.
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    cov = (eigvecs * np.clip(eigvals, 1e-6, None)) @ eigvecs.T
-    raw = rng.multivariate_normal(np.zeros(dims), cov, size=length)
-    scaled = (raw - raw.min(axis=0)) / (raw.max(axis=0) - raw.min(axis=0) + 1e-12)
-    points = np.floor(scaled * (high - 1)).astype(int)
-    return [tuple(float(v) for v in row) for row in points]
-
-
 def keyed_values(
     length: int,
     distinct_keys: int,

@@ -9,8 +9,8 @@ cardinality ratios (orders = 10 x customers, lineitem ~ 4 x orders) and
 expose the pieces Cheetah accelerates:
 
 * :func:`q3_join_query` — the ORDERS ⋈ LINEITEM key join;
-* :func:`q3_selectivity_sweep` — filter ranges that vary the join result
-  size, driving the Fig. 7 NetAccel drain comparison.
+* :func:`q3_filtered_tables` — the date filter whose cutoff varies the
+  join result size, driving the Fig. 7 NetAccel drain comparison.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..engine.expressions import col
 from ..engine.plan import JoinOp, Query
 from ..engine.table import Table
 
@@ -127,17 +126,6 @@ def q3_filtered_tables(
 def q3_join_query() -> Query:
     """The switch-offloaded piece: ORDERS ⋈ LINEITEM on the order key."""
     return Query(JoinOp("orders", "lineitem", "o_orderkey", "l_orderkey"))
-
-
-def q3_selectivity_sweep(
-    base: Dict[str, Table], date_cutoffs: List[int]
-) -> List[Tuple[int, Dict[str, Table]]]:
-    """Filtered instances of varying result size (Fig. 7's x-axis).
-
-    Earlier cutoffs keep fewer orders / more lineitems; each element pairs
-    the cutoff with its filtered tables.
-    """
-    return [(date, q3_filtered_tables(base, date=date)) for date in date_cutoffs]
 
 
 def q3_revenue_topn(

@@ -511,7 +511,7 @@ def test_event_log_since_and_last_seq():
     log = EventLog(capacity=4)
     for i in range(6):
         log.emit("k", f"m{i}")
-    assert log.last_seq == 6
+    assert log.since(0)[-1].seq == 6  # the last emitted seq
     fresh = log.since(4)
     assert [e.seq for e in fresh] == [5, 6]
     assert log.since(6) == []
@@ -530,7 +530,7 @@ class _Query:
 
 def test_cold_start_burst_with_deadlines_is_not_shed():
     admission = AdmissionController(max_depth=16, concurrency=1)
-    assert admission.ewma_seconds is None
+    assert admission._ewma_seconds is None
     assert admission.estimated_wait() == 0.0
     # A burst with tight deadlines arrives before ANY completion: no
     # measured history exists, so deadline shedding must not act.
@@ -542,9 +542,9 @@ def test_cold_start_burst_with_deadlines_is_not_shed():
 def test_first_completion_seeds_ewma_exactly():
     admission = AdmissionController(max_depth=16, concurrency=2)
     admission.note_service_seconds(2.0)
-    assert admission.ewma_seconds == 2.0, "seeded, not blended with a prior"
+    assert admission._ewma_seconds == 2.0, "seeded, not blended with a prior"
     admission.note_service_seconds(4.0)
-    assert admission.ewma_seconds == pytest.approx(2.0 * 0.8 + 4.0 * 0.2)
+    assert admission._ewma_seconds == pytest.approx(2.0 * 0.8 + 4.0 * 0.2)
 
 
 def test_deadline_shedding_acts_once_history_exists():
@@ -560,7 +560,7 @@ def test_deadline_shedding_acts_once_history_exists():
 def test_zero_measured_service_time_still_counts_as_seeded():
     admission = AdmissionController(max_depth=16, concurrency=1)
     admission.note_service_seconds(0.0)
-    assert admission.ewma_seconds == 0.0
+    assert admission._ewma_seconds == 0.0
     assert admission.estimated_wait() == 0.0
 
 

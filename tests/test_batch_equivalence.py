@@ -24,7 +24,7 @@ from repro.core.having import HavingPruner
 from repro.core.join import AsymmetricJoinPruner, JoinPruner, OuterJoinPruner
 from repro.core.skyline import DirectionalSkylinePruner, SkylinePruner
 from repro.core.topn import TopNDeterministicPruner, TopNRandomizedPruner
-from repro.engine.expressions import col
+from repro.engine.expressions import Like, col
 from repro.errors import ResourceError
 from repro.sketches.bloom import BloomFilter, RegisterBloomFilter
 from repro.sketches.cachematrix import (
@@ -40,8 +40,6 @@ from repro.sketches.hashing import (
     fingerprint_batch,
     hash64,
     hash64_batch,
-    hash_family,
-    hash_family_batch,
     hash_range,
     hash_range_batch,
 )
@@ -165,14 +163,6 @@ class TestHashingBatch:
             for i, value in enumerate(values):
                 assert int(got[i]) == fingerprint(value, bits, seed=5), (name, i)
 
-    def test_hash_family_batch_matches_scalar(self):
-        values = list(range(500)) + ["a", "bb", (1, 2.5)]
-        scalar_fns = hash_family(4, 1024, base_seed=9)
-        batch_fns = hash_family_batch(4, 1024, base_seed=9)
-        for scalar_fn, batch_fn in zip(scalar_fns, batch_fns):
-            got = batch_fn(values)
-            assert [int(x) for x in got] == [scalar_fn(v) for v in values]
-
     def test_batch_validation_errors(self):
         with pytest.raises(ValueError):
             hash_range_batch([1, 2], 0)
@@ -180,8 +170,6 @@ class TestHashingBatch:
             fingerprint_batch([1, 2], 0)
         with pytest.raises(ValueError):
             fingerprint_batch([1, 2], 65)
-        with pytest.raises(ValueError):
-            hash_family_batch(0, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +311,7 @@ class TestPrunerBatchEquivalence:
             (rng.uniform(0, 100), rng.choice(["en-US", "fr-FR", "en-GB"]))
             for _ in range(1500)
         ]
-        expr = (col("adRevenue") > 20.0) & col("language").like("en-%")
+        expr = (col("adRevenue") > 20.0) & Like("language", "en-%")
         formula = expr.to_formula(["adRevenue", "language"])
         _check_pruner(
             lambda: FilterPruner(formula, worker_assist=True), rows, rows[:100]
@@ -502,7 +490,7 @@ class TestPrunerBatchEquivalence:
             scalar.process(row)
         batch.process_batch(points)
         assert batch.drain() == scalar.drain()
-        assert batch.stored_scores() == scalar.stored_scores()
+        assert batch._slots == scalar._slots
 
     def test_directional_skyline(self):
         rng = random.Random(35)
@@ -542,16 +530,6 @@ class TestStreamHelpers:
             iter(stream), batch_size=97
         )
         assert got == expected
-
-    def test_split_stream_batch_matches_scalar(self):
-        rng = random.Random(42)
-        stream = [rng.uniform(0, 1e5) for _ in range(2000)]
-        fwd_a, pruned_a = TopNDeterministicPruner(n=100).split_stream(stream)
-        fwd_b, pruned_b = TopNDeterministicPruner(n=100).split_stream(
-            stream, batch_size=53
-        )
-        assert fwd_a == fwd_b
-        assert pruned_a == pruned_b
 
     def test_prune_stream_batch_pairs(self):
         rng = random.Random(43)

@@ -53,18 +53,6 @@ class TestBloomFilter:
         bf.add("x")
         assert bf.inserted == 2
 
-    def test_bits_for_sizing(self):
-        bits = BloomFilter.bits_for(10_000, 0.01)
-        bf = BloomFilter(bits, hashes=7, seed=3)
-        bf.update(range(10_000))
-        assert bf.false_positive_rate() < 0.02
-
-    def test_bits_for_rejects_bad_args(self):
-        with pytest.raises(ConfigurationError):
-            BloomFilter.bits_for(0, 0.01)
-        with pytest.raises(ConfigurationError):
-            BloomFilter.bits_for(100, 1.5)
-
     def test_invalid_size_raises(self):
         with pytest.raises(ConfigurationError):
             BloomFilter(0)

@@ -77,17 +77,11 @@ class TestCacheMatrix:
         m.lookup_insert("c")  # evicts "a" (oldest by insertion)
         assert m.lookup_insert("a") is False
 
-    def test_contains_is_non_mutating(self):
-        m = CacheMatrix(rows=2, cols=2)
-        m.lookup_insert("x")
-        assert m.contains("x")
-        assert m.contains("x")  # still there; probing did not evict
-
     def test_clear(self):
         m = CacheMatrix(rows=4, cols=2)
         m.lookup_insert("x")
         m.clear()
-        assert not m.contains("x")
+        assert "x" not in m.row_values(m.row_of("x"))
         assert m.occupancy() == 0
 
     def test_occupancy_counts(self):
@@ -219,17 +213,11 @@ class TestKeyedAggregateMatrix:
         m.observe("b", 1.0)  # evicts "a"
         assert m.observe("a", 2.0) is False  # re-cached, forwarded
 
-    def test_cached_keys(self):
-        m = KeyedAggregateMatrix(rows=1, cols=2, better=lambda a, b: a > b)
-        m.observe("a", 1.0)
-        m.observe("b", 2.0)
-        assert set(m.cached_keys(0)) == {"a", "b"}
-
     def test_clear(self):
         m = KeyedAggregateMatrix(rows=2, cols=2, better=lambda a, b: a > b)
         m.observe("a", 1.0)
         m.clear()
-        assert m.cached_keys(m.row_of("a")) == []
+        assert m.row_values(m.row_of("a")) == []
 
     def test_invalid_dimensions(self):
         with pytest.raises(ConfigurationError):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.sizing import topn_cols
 from repro.engine.cluster import Cluster, ClusterConfig
-from repro.engine.expressions import col
+from repro.engine.expressions import Like, col
 from repro.engine.plan import (
     CountOp,
     DistinctOp,
@@ -177,7 +177,7 @@ class TestWhereComposition:
                 "name": np.array(["xe", "ye", "ze"]),
             },
         )
-        query = Query(DistinctOp("T", ("key",)), where=col("name").like("x%"))
+        query = Query(DistinctOp("T", ("key",)), where=Like("name", "x%"))
         with pytest.raises(PlanError, match="worker_assist"):
             cluster.run(query, {"T": table})
 
@@ -190,7 +190,7 @@ class TestWhereComposition:
                 "name": np.array(["xe", "ye", "xf", "xg"]),
             },
         )
-        query = Query(DistinctOp("T", ("key",)), where=col("name").like("x%"))
+        query = Query(DistinctOp("T", ("key",)), where=Like("name", "x%"))
         result = cluster.run_verified(query, {"T": table})
         assert result.output == {"a", "c"}
 

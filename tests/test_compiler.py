@@ -7,16 +7,15 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError, ResourceError
+from repro.switch import compiler
 from repro.switch.compiler import (
     check_fits_cached,
-    clear_compile_cache,
     compile_cache_stats,
     footprint_distinct,
     footprint_filtering,
     footprint_groupby,
     footprint_having,
     footprint_join,
-    footprint_reliability,
     footprint_skyline,
     footprint_topn_det,
     footprint_topn_rand,
@@ -100,10 +99,6 @@ class TestTable2Formulas:
     def test_filtering_static_constant_needs_no_sram(self):
         assert footprint_filtering(reconfigurable=False).sram_bits == 0
 
-    def test_reliability_two_stages(self):
-        # §7.2: the protocol takes two pipeline stages on hardware.
-        assert footprint_reliability().stages == 2
-
     def test_all_table2_defaults_fit_tofino(self):
         for fp in table2():
             fp.check_fits(TOFINO)
@@ -177,7 +172,9 @@ class TestCompileMemo:
     """check_fits_cached / pack memoization (keyed on signature + model)."""
 
     def setup_method(self):
-        clear_compile_cache()
+        compiler._FIT_CACHE.clear()
+        compiler._PACK_CACHE.clear()
+        compiler._CACHE_STATS.update(hits=0, misses=0)
 
     def test_repeat_fit_checks_hit_the_cache(self):
         fp = footprint_groupby(cols=4, rows=512)

@@ -25,10 +25,6 @@ class TestBreakdown:
         b = Breakdown(worker=1.0, network=3.0, master=2.0, setup=0.5)
         assert b.total == 0.5 + 1.0 + 3.0
 
-    def test_serial_total_sums(self):
-        b = Breakdown(worker=1.0, network=3.0, master=2.0, setup=0.5)
-        assert b.serial_total == 6.5
-
 
 class TestCheetahModel:
     def test_network_scales_with_streamed(self):
@@ -46,8 +42,8 @@ class TestCheetahModel:
     def test_master_penalty_superlinear(self):
         # Fig. 9: doubling the unpruned share more than doubles master time.
         model = CostModel()
-        t1 = model.master_time(10_000, 100_000, 0.2)
-        t2 = model.master_time(20_000, 100_000, 0.2)
+        t1 = model.cheetah_breakdown(_result("distinct", 100_000, 10_000)).master
+        t2 = model.cheetah_breakdown(_result("distinct", 100_000, 20_000)).master
         assert t2 > 2 * t1
 
     def test_worker_time_divided_by_workers(self):
@@ -59,7 +55,7 @@ class TestCheetahModel:
     def test_faster_nic_halves_network_bound_time(self):
         # §8.2.3: at 10G Cheetah is network-bound; 20G gives ~2x.
         model10 = CostModel(network_gbps=10, setup_s=0.0)
-        model20 = model10.with_network(20)
+        model20 = CostModel(network_gbps=20, setup_s=0.0)
         result = _result("groupby", 2_000_000, 2_000)
         t10 = model10.cheetah_breakdown(result)
         t20 = model20.cheetah_breakdown(result)

@@ -91,24 +91,3 @@ class TestOneSidedError:
         exact = sum(1 for i in range(100) if cms.estimate(i) == i + 1)
         assert exact >= 98
 
-
-class TestHeavyKeys:
-    def test_heavy_keys_is_superset_of_truth(self):
-        rng = random.Random(3)
-        cms = CountMinSketch(width=256, depth=3)
-        truth = {}
-        for _ in range(4000):
-            key = rng.randrange(100)
-            cms.add(key, 1)
-            truth[key] = truth.get(key, 0) + 1
-        threshold = 50
-        reported = cms.heavy_keys(range(100), threshold)
-        true_heavy = {k for k, v in truth.items() if v > threshold}
-        assert true_heavy <= set(reported)
-
-    def test_heavy_keys_returns_estimates(self):
-        cms = CountMinSketch(width=256, depth=3)
-        cms.add("big", 100)
-        reported = cms.heavy_keys(["big", "small"], 10)
-        assert reported["big"] >= 100
-        assert "small" not in reported

@@ -126,22 +126,49 @@ DOCS_WITH_PATHS = (
 )
 
 
+def _defines(path, qualname: str) -> bool:
+    """True when ``qualname`` (``Name``, ``Class.method`` or pytest's
+    ``Class::test``) is a definition or assignment in the file."""
+    import ast
+
+    body = ast.parse(path.read_text()).body
+    for part in re.split(r"::|\.", qualname):
+        found = None
+        for node in body:
+            if getattr(node, "name", None) == part:
+                found = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Name) and t.id == part for t in targets):
+                    found = node
+        if found is None:
+            return False
+        body = getattr(found, "body", [])
+    return True
+
+
 @pytest.mark.parametrize("doc", DOCS_WITH_PATHS)
 def test_backticked_source_paths_exist(doc):
     """Every backticked ``.../x.py`` path in the prose names a file that
     exists (relative to the repo root, ``src/`` or ``src/repro/``; a
-    ``*`` must match at least one), so deleting a module forces its
-    doc rows to go with it."""
+    ``*`` must match at least one), and a ``.../x.py::Name`` also names a
+    definition in that file, so deleting a module or a definition forces
+    its doc rows to go with it."""
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
-    paths = set(re.findall(r"`([^`\s]*/[^`\s]*\.py)`", (root / doc).read_text()))
-    stale = sorted(
-        path
-        for path in paths
-        if not any(
-            any(base.glob(path))
-            for base in (root, root / "src", root / "src" / "repro")
-        )
+    refs = set(
+        re.findall(r"`([^`\s]*/[^`\s]*\.py)(?:::([^`\s]+))?`", (root / doc).read_text())
     )
-    assert not stale, f"{doc} names missing files: {stale}"
+    stale = []
+    for path, name in sorted(refs):
+        files = [
+            match
+            for base in (root, root / "src", root / "src" / "repro")
+            for match in base.glob(path)
+        ]
+        if not files:
+            stale.append(path)
+        elif name and not any(_defines(f, name) for f in files):
+            stale.append(f"{path}::{name}")
+    assert not stale, f"{doc} names missing files or definitions: {stale}"

@@ -142,13 +142,6 @@ class TestSwitchTree:
         assert tree.leaf_pruned > 0
         assert tree.root_pruned > 0
 
-    def test_total_state_cells_aggregates(self):
-        tree = SwitchTree(
-            leaves=[DistinctPruner(rows=64, cols=2) for _ in range(3)],
-            root=DistinctPruner(rows=64, cols=2),
-        )
-        assert tree.total_state_cells == 4 * 64 * 2 * 64
-
     def test_empty_leaves_rejected(self):
         with pytest.raises(ConfigurationError):
             SwitchTree(leaves=[], root=DistinctPruner())

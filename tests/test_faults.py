@@ -2,8 +2,8 @@
 
 Covers the schedule layer (FaultPlan / scenarios), the injector's stream
 and transport hooks, frame checksums (corrupted packets are detected and
-never decoded), the per-pruner reboot/corruption hooks, pipeline stage
-exhaustion (fail-open), and the timed timeout-based transport.
+never decoded), the per-pruner reboot/corruption hooks, and the timed
+timeout-based transport.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.faults import (
 )
 from repro.net.packets import CheetahPacket
 from repro.net.reliability import MultiFlowTransfer, ReliableTransfer
-from repro.net.services import CMaster
 from repro.net.timed import TimedReliableTransfer
 
 
@@ -78,8 +77,7 @@ class TestFaultPlan:
     def test_single_and_events_of(self):
         plan = FaultPlan.single("reboot", at=5)
         assert len(plan) == 1
-        assert plan.events_of("reboot")[0].at == 5
-        assert plan.events_of("drop") == []
+        assert [(e.kind, e.at) for e in plan] == [("reboot", 5)]
 
     def test_scenarios_all_build(self):
         for name, spec in SCENARIOS.items():
@@ -109,17 +107,6 @@ class TestFrameChecksum:
         frame = CheetahPacket(fid=1, seq=2, values=(5,)).encode_frame()
         with pytest.raises(ChecksumError):
             CheetahPacket.decode_frame(frame[:-1])
-
-    def test_cmaster_counts_and_discards_corrupt_frames(self):
-        master = CMaster(expected_fids=[0])
-        good = CheetahPacket(fid=0, seq=0, values=(9,)).encode_frame()
-        bad = bytearray(good)
-        bad[0] ^= 0x10
-        assert master.receive_frame(bytes(bad)) is False
-        assert master.checksum_drops == 1
-        assert master.rows(0) == []  # the corrupt frame never decoded
-        assert master.receive_frame(good) is True
-        assert len(master.rows(0)) == 1
 
 
 class TestInjectorStreamSide:
@@ -322,57 +309,6 @@ class TestPrunerFaultHooks:
         assert not is_reboot_safe("skyline")
         with pytest.raises(KeyError):
             is_reboot_safe("teleport")
-
-
-class TestPipelineExhaustion:
-    def _programmed_pipeline(self):
-        from repro.switch.pipeline import Pipeline
-
-        pipeline = Pipeline()
-        stage = pipeline.stage(0)
-        stage.alloc_register("seen", size=4)
-
-        def program(st, phv):
-            if st.reg_read_modify_write("seen", 0, lambda old: old + 1) > 0:
-                phv.prune = True
-
-        pipeline.install(0, program)
-        return pipeline
-
-    def test_exhausted_stage_fails_open(self):
-        pipeline = self._programmed_pipeline()
-        phv = pipeline.new_phv()
-        assert pipeline.process(phv) is True  # first packet forwards
-        assert pipeline.process(pipeline.new_phv()) is False  # now prunes
-        pipeline.exhaust_stage(0)
-        assert pipeline.exhausted_stages == [0]
-        # The stage's program no longer runs: everything forwards.
-        for _ in range(3):
-            assert pipeline.process(pipeline.new_phv()) is True
-
-    def test_exhaust_bounds_checked_and_counted(self):
-        from repro.errors import ResourceError
-
-        pipeline = self._programmed_pipeline()
-        with pytest.raises(ResourceError):
-            pipeline.exhaust_stage(99)
-        pipeline.exhaust_stage(0)
-        pipeline.exhaust_stage(0)  # idempotent
-        counter = pipeline.metrics.counter(
-            "pipeline_stages_exhausted_total",
-            "Stages disabled by fault injection (fail-open).",
-        )
-        assert counter.value == 1
-
-    def test_corrupt_register_flips_programmed_state(self):
-        pipeline = self._programmed_pipeline()
-        description = pipeline.corrupt_register(random.Random(0))
-        assert description is not None and "stage 0" in description
-
-    def test_corrupt_register_without_state_returns_none(self):
-        from repro.switch.pipeline import Pipeline
-
-        assert Pipeline().corrupt_register(random.Random(0)) is None
 
 
 class TestTransferWindowValidation:

@@ -176,7 +176,7 @@ class TestFilterPruner:
         pruner = FilterPruner(Or(TASTE5, And(TEXTURE4, NAME_LIKE)))
         entry = {"taste": 1, "texture": 9, "name": "ham"}
         assert pruner.process(entry) is PruneDecision.FORWARD
-        assert pruner.residual_check(entry) is False
+        assert pruner.formula.evaluate(entry) is False  # the master drops it
 
     def test_never_prunes_a_matching_entry(self):
         # The pruning contract for filters: full-formula-true is never pruned.
@@ -215,10 +215,3 @@ class TestFilterPruner:
         pruner = FilterPruner(TASTE5)
         entries = [{"taste": t} for t in (1, 6, 2, 9)]
         assert pruner.survivors(entries) == [{"taste": 6}, {"taste": 9}]
-
-    def test_split_stream_partition(self):
-        pruner = FilterPruner(TASTE5)
-        entries = [{"taste": t} for t in (1, 6)]
-        fwd, pruned = pruner.split_stream(entries)
-        assert fwd == [{"taste": 6}]
-        assert pruned == [{"taste": 1}]

@@ -447,15 +447,6 @@ class TestClientRetries:
         finally:
             service.shutdown()
 
-    def test_query_many_retries_positionally(self, fleet_tables):
-        expected = [run_reference(parse(sql), fleet_tables) for sql in FLEET_SQL]
-        with QueryService(fleet_tables, workers=3, max_queue=2) as service:
-            client = ServeClient(
-                service, tenant="batch", retries=40, backoff=0.01, seed=3
-            )
-            outputs = client.query_many(FLEET_SQL)
-            assert outputs == expected
-
 
 class TestFleetIntegration:
     def test_answers_exact_and_cache_shared_across_replicas(self, fleet_tables):

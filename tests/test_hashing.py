@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.sketches.hashing import (
     canonical_batch,
     canonical_int,
-    combine,
     fingerprint,
     hash64,
     hash_family,
@@ -187,17 +186,6 @@ class TestFingerprint:
         # 16-bit fingerprints over 500 values: expected ~1.9 colliding pairs.
         values = {fingerprint(i, 16) for i in range(500)}
         assert len(values) > 480
-
-
-class TestCombine:
-    def test_order_sensitive(self):
-        assert combine([1, 2, 3]) != combine([3, 2, 1])
-
-    def test_deterministic(self):
-        assert combine(["a", "b"], seed=4) == combine(["a", "b"], seed=4)
-
-    def test_empty_is_seed_dependent(self):
-        assert combine([], seed=1) != combine([], seed=2)
 
 
 @pytest.mark.parametrize(

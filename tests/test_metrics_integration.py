@@ -331,9 +331,6 @@ def test_pipeline_records_stage_and_phv_metrics():
     assert values["pipeline_packets_total{}"] == 1
     assert values["pipeline_stage_packets_total{stage=0}"] == 1
     assert pipeline.metrics.gauge_values()["phv_used_bits{}"] == 32.0
-    pipeline.reset_stats()
-    assert pipeline.stats.packets == 0
-    assert pipeline.metrics.counter_values()["pipeline_packets_total{}"] == 0
 
 
 # ---------------------------------------------------------------------------

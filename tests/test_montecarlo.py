@@ -15,28 +15,6 @@ class TestFailureEstimate:
     def test_rate(self):
         assert FailureEstimate(trials=50, failures=5).rate == 0.1
 
-    def test_wilson_interval_contains_rate(self):
-        estimate = FailureEstimate(trials=100, failures=10)
-        lower, upper = estimate.wilson_interval()
-        assert lower < 0.1 < upper
-
-    def test_zero_failures_interval_starts_at_zero(self):
-        lower, upper = FailureEstimate(trials=60, failures=0).wilson_interval()
-        assert lower == 0.0
-        assert upper > 0.0  # no free certainty from finite trials
-
-    def test_consistency_check_direction(self):
-        # 30 failures in 60 trials refute delta = 1e-4...
-        bad = FailureEstimate(trials=60, failures=30)
-        assert not bad.consistent_with(1e-4)
-        # ...but 0 failures are consistent with it.
-        good = FailureEstimate(trials=60, failures=0)
-        assert good.consistent_with(1e-4)
-
-    def test_interval_bounds_clamped(self):
-        lower, upper = FailureEstimate(trials=3, failures=3).wilson_interval()
-        assert 0.0 <= lower <= upper <= 1.0
-
 
 class TestEstimateFailureRate:
     def test_topn_guarantee_not_refuted(self):
@@ -54,7 +32,9 @@ class TestEstimateFailureRate:
             == expected,
             trials=30,
         )
-        assert estimate.consistent_with(delta)
+        # At most one failure in 30 trials: the 95% Wilson interval of 2/30
+        # already starts above delta = 0.01, so more would refute the bound.
+        assert estimate.failures <= 1
 
     def test_undersized_matrix_fails_often(self):
         # Sanity: a deliberately broken configuration (w forced to 1)
@@ -73,7 +53,6 @@ class TestEstimateFailureRate:
             trials=20,
         )
         assert estimate.failures > 10
-        assert not estimate.consistent_with(1e-4)
 
     def test_invalid_trials(self):
         with pytest.raises(ConfigurationError):

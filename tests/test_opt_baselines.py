@@ -129,15 +129,7 @@ class TestNetAccelModel:
         # Fig. 7: pipelined streaming beats drain for any result size.
         model = NetAccelModel()
         for result_size in (1000, 10_000, 100_000):
-            assert model.cheetah_total(result_size) < model.netaccel_total(
-                dataplane_entries=10**6, result_entries=result_size
-            )
-
-    def test_overflow_adds_time(self):
-        model = NetAccelModel()
-        without = model.netaccel_total(10**6, 1000, overflow=0)
-        with_overflow = model.netaccel_total(10**6, 1000, overflow=100_000)
-        assert with_overflow > without
+            assert model.cheetah_total(result_size) < model.drain_time(result_size)
 
     def test_negative_counts_rejected(self):
         model = NetAccelModel()

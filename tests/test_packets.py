@@ -56,10 +56,6 @@ class TestCheetahPacket:
         assert retx.retransmit
         assert retx.seq == packet.seq and retx.values == packet.values
 
-    def test_wire_bytes(self):
-        packet = CheetahPacket(fid=0, seq=0, values=(1, 2))
-        assert packet.wire_bytes == len(packet.encode())
-
 
 class TestCheetahAck:
     def test_roundtrip(self):

@@ -511,7 +511,7 @@ class TestSharedMemory:
         class RecordingStore(SharedColumnStore):
             def __init__(self, columns):
                 super().__init__(columns)
-                created.extend(self.segment_names())
+                created.extend(segment.name for segment in self._segments)
 
         def boom(*args, **kwargs):
             raise RuntimeError("injected failure before submission")
@@ -529,7 +529,7 @@ class TestSharedMemory:
         from repro.parallel.shm import SharedColumnStore, attach_columns
 
         store = SharedColumnStore({"a": np.arange(64, dtype=np.int64)})
-        names = store.segment_names()
+        names = [segment.name for segment in store._segments]
         attached, close = attach_columns(store.handle())
         view = attached["a"]
         store.close()  # unlink must succeed even with the view alive

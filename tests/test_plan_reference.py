@@ -51,11 +51,6 @@ class TestPlanValidation:
         query = Query(DistinctOp("t", ("c",)), where=col("d") > 1)
         assert query.stream_columns() == ["c", "d"]
 
-    def test_join_right_columns(self):
-        op = JoinOp("a", "b", "x", "y")
-        assert op.stream_columns() == ["x"]
-        assert op.right_stream_columns() == ["y"]
-
 
 class TestReferenceExecutor:
     def test_count(self, tables):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.base import PruneDecision
 from repro.core.distinct import DistinctPruner, master_distinct
-from repro.core.join import OuterJoinPruner, master_outer_join
+from repro.core.join import OuterJoinPruner
 from repro.core.topn import master_topn
 from repro.extensions.multientry import MultiEntryPruner
 from repro.extensions.multiswitch import SwitchTree
@@ -16,6 +16,8 @@ from repro.net.services import ValueCodec
 from repro.switch.pipeline import Pipeline
 from repro.switch.programs import PipelineDistinct, PipelineTopNDeterministic
 from repro.switch.resources import ResourceModel
+
+from tests.test_join import master_outer_join
 
 _SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -128,7 +130,7 @@ class TestCodecProperties:
     @given(value=st.floats(0.0, 1e12, allow_nan=False))
     def test_float_encoding_is_one_sided(self, value):
         codec = ValueCodec(float_scale=1000)
-        decoded = codec.decode_float(codec.encode(value))
+        decoded = codec.encode(value) / codec.float_scale
         assert decoded >= value
         # One quantum of quantization plus float-division rounding slack.
         assert decoded - value <= 0.001 + abs(value) * 1e-12

@@ -20,7 +20,7 @@ from repro.core.groupby import GroupByPruner, master_groupby
 from repro.core.having import HavingPruner, master_having, reference_having
 from repro.core.join import JoinPruner
 from repro.core.skyline import SkylinePruner, master_skyline
-from repro.core.summary import TABLE4, reboot_safe_algorithms, render_table4
+from repro.core.summary import TABLE4, render_table4
 from repro.core.topn import (
     TopNDeterministicPruner,
     TopNRandomizedPruner,
@@ -204,7 +204,7 @@ class TestSummaryTable:
                 "GROUP BY", "JOIN", "HAVING"} <= names
 
     def test_reboot_safe_set_matches_analysis(self):
-        safe = set(reboot_safe_algorithms())
+        safe = {row.name for row in TABLE4 if row.reboot_safe}
         assert "DISTINCT" in safe and "GROUP BY" in safe
         assert "JOIN" not in safe and "HAVING" not in safe and "SKYLINE" not in safe
 

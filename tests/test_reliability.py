@@ -59,15 +59,15 @@ class TestSwitchReliabilityState:
         state = SwitchReliabilityState(_PruneEven())
         action, _ = state.on_packet(CheetahPacket(fid=0, seq=5, values=(1,)), 1)
         assert action == "drop"
-        assert state.last_processed(0) == -1
+        assert state._last_seq.get(0, -1) == -1
 
     def test_per_fid_sequence_spaces(self):
         state = SwitchReliabilityState(PassthroughPruner())
         state.on_packet(CheetahPacket(fid=0, seq=0, values=(1,)), 1)
         action, _ = state.on_packet(CheetahPacket(fid=1, seq=0, values=(1,)), 1)
         assert action == "forward"
-        assert state.last_processed(0) == 0
-        assert state.last_processed(1) == 0
+        assert state._last_seq.get(0, -1) == 0
+        assert state._last_seq.get(1, -1) == 0
 
 
 class TestReliableTransferNoLoss:
@@ -282,8 +282,8 @@ class TestMultiFlowTransfer:
         flows, _ = self._flows(workers=2, per_worker=10, seed=4)
         transfer = MultiFlowTransfer(PassthroughPruner())
         transfer.run(flows)
-        assert transfer.switch.last_processed(0) == 9
-        assert transfer.switch.last_processed(1) == 9
+        assert transfer.switch._last_seq.get(0, -1) == 9
+        assert transfer.switch._last_seq.get(1, -1) == 9
 
     def test_mismatched_fid_rejected(self):
         from repro.net.reliability import MultiFlowTransfer
@@ -314,7 +314,7 @@ class TestMultiFlowTransfer:
         table = Table("T", {"v": np.arange(60) % 13})
         parts = table.partition(3)
         flows = {
-            fid: CWorker(fid=fid, partition=part, columns=["v"]).materialize()
+            fid: list(CWorker(fid=fid, partition=part, columns=["v"]).packets())
             for fid, part in enumerate(parts)
         }
         transfer = MultiFlowTransfer(

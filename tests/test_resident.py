@@ -207,7 +207,7 @@ class TestServiceResidency:
         class RecordingStore(SharedColumnStore):
             def __init__(self, columns):
                 super().__init__(columns)
-                created.extend(self.segment_names())
+                created.extend(segment.name for segment in self._segments)
 
         monkeypatch.setattr(runner, "SharedColumnStore", RecordingStore)
         before = shm_entries()

@@ -99,12 +99,6 @@ class TestConcurrentExactness:
                 thread.join()
         assert errors == []
 
-    def test_query_many_batch_is_exact(self, serve_tables):
-        expected = expected_outputs(serve_tables)
-        with QueryService(serve_tables, workers=3) as service:
-            outs = ServeClient(service).query_many(list(MIXED_SQL) * 2)
-        assert outs == [expected[sql] for sql in MIXED_SQL] * 2
-
     def test_verify_mode_checks_against_reference(self, serve_tables):
         with QueryService(serve_tables, workers=3, verify=True) as service:
             assert (

@@ -8,7 +8,16 @@ import pytest
 from repro.engine.table import Table
 from repro.errors import ProtocolError
 from repro.net.packets import CheetahPacket
-from repro.net.services import CMaster, CWorker, ValueCodec, stream_query_columns
+from repro.net.services import CMaster, CWorker, ValueCodec
+
+
+def stream_query_columns(table, columns, workers, codec=None):
+    """Wire up one CWorker per partition plus the CMaster expecting them."""
+    cworkers = [
+        CWorker(fid=i, partition=part, columns=columns, codec=codec)
+        for i, part in enumerate(table.partition(workers))
+    ]
+    return cworkers, CMaster(expected_fids=range(workers), codec=codec)
 
 
 @pytest.fixture
@@ -35,7 +44,6 @@ class TestValueCodec:
     def test_float_fixed_point_rounds_up(self):
         codec = ValueCodec(float_scale=1000)
         assert codec.encode(1.2501) == 1251  # ceil keeps sums one-sided
-        assert codec.decode_float(1250) == 1.25
 
     def test_numpy_values(self):
         codec = ValueCodec()
@@ -69,7 +77,7 @@ class TestValueCodec:
 class TestCWorker:
     def test_one_packet_per_row_plus_fin(self, visits):
         worker = CWorker(fid=0, partition=visits, columns=["agent"])
-        packets = worker.materialize()
+        packets = list(worker.packets())
         assert len(packets) == 7  # 6 data packets + one bare FIN
         assert [p.fin for p in packets] == [False] * 6 + [True]
         assert packets[-1].values == ()
@@ -77,14 +85,14 @@ class TestCWorker:
 
     def test_projected_columns_only(self, visits):
         worker = CWorker(fid=0, partition=visits, columns=["agent", "revenue"])
-        packet = worker.materialize()[0]
+        packet = next(worker.packets())
         assert len(packet.values) == 2
         assert packet.values[0] == 3
 
     def test_empty_partition_sends_bare_fin(self, visits):
         empty = visits.head(0) if False else Table("E", {"agent": np.array([], dtype=int)})
         worker = CWorker(fid=2, partition=empty, columns=["agent"])
-        packets = worker.materialize()
+        packets = list(worker.packets())
         assert len(packets) == 1
         assert packets[0].fin and packets[0].values == ()
 
@@ -111,7 +119,7 @@ class TestCMaster:
 
     def test_duplicate_seq_discarded(self, visits):
         workers, master = stream_query_columns(visits, ["agent"], workers=1)
-        packets = workers[0].materialize()
+        packets = list(workers[0].packets())
         master.receive(packets[0])
         assert master.receive(packets[0]) is False
         assert master.flows[0].duplicates == 1
@@ -121,15 +129,6 @@ class TestCMaster:
         _, master = stream_query_columns(visits, ["agent"], workers=1)
         with pytest.raises(ProtocolError):
             master.receive(CheetahPacket(fid=9, seq=0, values=(1,)))
-
-    def test_column_as_float_decodes_fixed_point(self, visits):
-        workers, master = stream_query_columns(visits, ["revenue"], workers=1)
-        for packet in workers[0].packets():
-            master.receive(packet)
-        decoded = master.column_as_float(0)
-        # Ceil encoding: decoded >= true value, within one quantum.
-        for got, true in zip(decoded, visits["revenue"].tolist()):
-            assert true <= got <= true + 0.001
 
     def test_per_fid_rows(self, visits):
         workers, master = stream_query_columns(visits, ["agent"], workers=2)
@@ -146,7 +145,7 @@ class TestEndToEndWithReliability:
         from repro.net.reliability import ReliableTransfer
 
         worker = CWorker(fid=0, partition=visits, columns=["agent"])
-        packets = worker.materialize()
+        packets = list(worker.packets())
         pruner = DistinctPruner(rows=8, cols=2)
         transfer = ReliableTransfer(
             pruner, decode_entry=lambda p: p.values[0], loss=0.25, seed=3
@@ -168,7 +167,7 @@ class TestWorkerAssistBits:
             columns=["agent"],
             assist_predicates=[lambda row: row[0] > 1],
         )
-        packets = worker.materialize()
+        packets = list(worker.packets())
         # agent values: 3,1,3,2,1,0 -> bits 1,0,1,1,0,0
         bits = [p.values[-1] for p in packets if p.values]
         assert bits == [1, 0, 1, 1, 0, 0]
@@ -190,7 +189,7 @@ class TestWorkerAssistBits:
         pruner = FilterPruner(bit_atom, worker_assist=True)
         survivors = [
             p.values[0]
-            for p in worker.materialize()
+            for p in worker.packets()
             if p.values and pruner.process(p.values) .value == "forward"
         ]
         expected = [a for a in visits["agent"].tolist() if a % 2 == 0]
@@ -203,5 +202,5 @@ class TestWorkerAssistBits:
             columns=["agent"],
             assist_predicates=[lambda r: r[0] > 1, lambda r: r[0] == 0],
         )
-        packet = worker.materialize()[0]
+        packet = next(worker.packets())
         assert len(packet.values) == 3  # value + two bits

@@ -109,10 +109,6 @@ class TestTopNConfig:
         config = TopNConfig.optimal(1000, 1e-4)
         assert config.rows * config.cols == config.matrix_cells
 
-    def test_expected_pruning_rate(self):
-        config = TopNConfig.for_rows(1000, 1e-4, 600)
-        assert config.expected_pruning_rate(8_000_000) >= 0.99
-
 
 class TestDistinctExpectedPruning:
     def test_reexported_and_consistent(self):

@@ -14,14 +14,32 @@ from repro.core.base import Guarantee, PruneDecision
 from repro.core.skyline import (
     AphScore,
     SkylinePruner,
-    dominates,
     master_skyline,
     score_product,
     score_sum,
     weakly_dominates,
 )
 from repro.errors import ConfigurationError, UnsupportedOperationError
-from repro.workloads.synthetic import correlated_points, uniform_points
+from repro.workloads.synthetic import uniform_points
+
+
+def correlated_points(length, dims=2, high=1 << 16, correlation=-0.6, seed=0):
+    """Anti-correlated points: large skylines, the hard SKYLINE case."""
+    rng = np.random.default_rng(seed)
+    cov = np.full((dims, dims), correlation)
+    np.fill_diagonal(cov, 1.0)
+    # Nearest PSD fix for strongly negative off-diagonals in high dims.
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    cov = (eigvecs * np.clip(eigvals, 1e-6, None)) @ eigvecs.T
+    raw = rng.multivariate_normal(np.zeros(dims), cov, size=length)
+    scaled = (raw - raw.min(axis=0)) / (raw.max(axis=0) - raw.min(axis=0) + 1e-12)
+    points = np.floor(scaled * (high - 1)).astype(int)
+    return [tuple(float(v) for v in row) for row in points]
+
+
+def _stored_scores(pruner):
+    """Scores of the points the pruner's slots hold, in slot order."""
+    return [slot[0] for slot in pruner._slots if slot is not None]
 
 
 def _run_with_drain(pruner, points):
@@ -35,11 +53,6 @@ def _run_with_drain(pruner, points):
 
 
 class TestDomination:
-    def test_dominates_strict(self):
-        assert dominates((5, 5), (3, 3))
-        assert dominates((5, 3), (3, 3))
-        assert not dominates((3, 3), (3, 3))  # equal: not strict
-
     def test_weakly_dominates(self):
         assert weakly_dominates((3, 3), (3, 3))
         assert weakly_dominates((5, 3), (3, 3))
@@ -128,7 +141,7 @@ class TestSkylinePruner:
         pruner = SkylinePruner(dims=2, points=2, score="sum")
         for point in [(1.0, 1.0), (10.0, 10.0), (5.0, 5.0), (20.0, 1.0)]:
             pruner.process(point)
-        scores = pruner.stored_scores()
+        scores = _stored_scores(pruner)
         assert sorted(scores, reverse=True) == scores
         assert 20.0 in scores and 21.0 in scores  # sums 20+1 and 10+10
 
@@ -154,7 +167,7 @@ class TestSkylinePruner:
         pruner = SkylinePruner(dims=2, points=1, score="baseline")
         pruner.process((1.0, 1.0))
         pruner.process((100.0, 100.0))
-        assert pruner.stored_scores() == [2.0]  # first point pinned
+        assert _stored_scores(pruner) == [2.0]  # first point pinned
 
     def test_wrong_dimensionality_raises(self):
         pruner = SkylinePruner(dims=2, points=2)
@@ -322,7 +335,7 @@ class TestSegmentKernelMatchesPerPointOracle:
             assert mask == expected_mask
             assert carried == expected_carried
             assert pruner.drain() == oracle.drain()
-            assert pruner.stored_scores() == oracle.stored_scores()
+            assert _stored_scores(pruner) == _stored_scores(oracle)
             assert pruner.stats.processed == oracle.stats.processed
             assert pruner.stats.pruned == oracle.stats.pruned
             assert pruner.last_carried == oracle.last_carried

@@ -18,7 +18,6 @@ from repro.switch.resources import (
 class TestResourceModel:
     def test_default_profile_totals(self):
         assert TOFINO.total_sram_bits == TOFINO.stages * TOFINO.sram_bits_per_stage
-        assert TOFINO.total_alus == TOFINO.stages * TOFINO.alus_per_stage
 
     def test_tofino2_is_larger(self):
         assert TOFINO2.sram_bits_per_stage > TOFINO.sram_bits_per_stage

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigurationError, ResourceError
 from repro.switch.pipeline import Phv, Pipeline
 from repro.switch.resources import MINI, ResourceModel
-from repro.switch.stage import MatchActionTable, RegisterArray, Stage
+from repro.switch.stage import RegisterArray, Stage
 
 
 class TestRegisterArray:
@@ -37,28 +37,11 @@ class TestRegisterArray:
             RegisterArray("r", size=1, width_bits=128)
 
 
-class TestMatchActionTable:
-    def test_default_action_on_miss(self):
-        table = MatchActionTable("t", default_action=7)
-        assert table.lookup(123) == 7
-
-    def test_installed_rule_matches(self):
-        table = MatchActionTable("t")
-        table.install(5, 42)
-        assert table.lookup(5) == 42
-
-    def test_len_counts_rules(self):
-        table = MatchActionTable("t")
-        table.install(1, 1)
-        table.install(2, 2)
-        assert len(table) == 2
-
-
 class TestStage:
     def test_register_allocation_charges_sram(self):
         stage = Stage(0, alus=2, sram_bits=1000)
         stage.alloc_register("r", size=10, width_bits=64)
-        assert stage.sram_used_bits == 640
+        assert stage._sram_used == 640
 
     def test_allocation_beyond_budget_raises(self):
         stage = Stage(0, alus=2, sram_bits=100)
@@ -75,18 +58,18 @@ class TestStage:
         stage = Stage(0, alus=2, sram_bits=10_000)
         stage.alloc_register("r", size=4)
         stage.begin_packet()
-        stage.reg_read("r", 0)
-        stage.reg_write("r", 0, 1)
+        stage.reg_read_modify_write("r", 0, lambda v: v)
+        stage.reg_read_modify_write("r", 0, lambda v: 1)
         with pytest.raises(ResourceError, match="ALU"):
-            stage.reg_read("r", 1)
+            stage.reg_read_modify_write("r", 1, lambda v: v)
 
     def test_begin_packet_resets_meter(self):
         stage = Stage(0, alus=1, sram_bits=10_000)
         stage.alloc_register("r", size=1)
         stage.begin_packet()
-        stage.reg_read("r", 0)
+        stage.reg_read_modify_write("r", 0, lambda v: v)
         stage.begin_packet()
-        stage.reg_read("r", 0)  # allowed again for the new packet
+        stage.reg_read_modify_write("r", 0, lambda v: v)  # allowed again
 
     def test_read_modify_write_is_one_op(self):
         stage = Stage(0, alus=1, sram_bits=10_000)
@@ -94,15 +77,7 @@ class TestStage:
         stage.begin_packet()
         old = stage.reg_read_modify_write("r", 0, lambda v: v + 5)
         assert old == 0
-        assert stage.alu_ops_this_packet == 1
-
-    def test_tables(self):
-        stage = Stage(0, alus=1, sram_bits=100)
-        table = stage.add_table("t", default_action=1)
-        table.install(9, 3)
-        assert stage.table("t").lookup(9) == 3
-        with pytest.raises(ConfigurationError):
-            stage.add_table("t")
+        assert stage._alu_ops_this_packet == 1
 
 
 class TestPhv:
@@ -204,12 +179,14 @@ class TestPipeline:
             def program(stage, phv):
                 if phv["hit"]:
                     return
-                stored = stage.reg_read("cell", 0)
-                if stored == phv["value"]:
+                value, carry = phv["value"], phv["carry"]
+                stored = stage.reg_read_modify_write(
+                    "cell", 0, lambda old: old if old == value else carry
+                )
+                if stored == value:
                     phv["hit"] = 1
                     phv.prune = True
                 else:
-                    stage.reg_write("cell", 0, phv["carry"])
                     phv["carry"] = stored
 
             return program
@@ -228,10 +205,3 @@ class TestPipeline:
         assert send(7) is False  # duplicate: pruned
         assert send(8) is True
         assert send(7) is False  # still cached in second cell
-
-    def test_reset_stats_keeps_state(self):
-        pipe = Pipeline(MINI)
-        phv = pipe.new_phv()
-        pipe.process(phv)
-        pipe.reset_stats()
-        assert pipe.stats.packets == 0

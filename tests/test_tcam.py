@@ -87,10 +87,13 @@ class TestLogApproxTable:
 
     def test_approx_log_wide_values(self):
         table = LogApproxTable(beta=256)
+        # Dropping low bits perturbs the value by at most 1 + 2^-15, and
+        # rounding the table output adds 0.5 / beta on the log.
+        relative = 2.0 ** -(table.INPUT_BITS - 1) + 0.5 / 256
         for value in (1 << 16, (1 << 20) + 12345, (1 << 40) + 999, (1 << 63) + 1):
             approx = table.approx_log(value) / 256
             exact = math.log2(value)
-            assert abs(approx - exact) <= exact * table.max_relative_error() + 0.01
+            assert abs(approx - exact) <= exact * relative + 0.01
 
     def test_approx_log_monotone(self):
         table = LogApproxTable(beta=256)
@@ -127,9 +130,13 @@ class TestLogApproxTable:
         assert table.tcam_entries() == 64
 
     def test_beta_scales_precision(self):
-        coarse = LogApproxTable(beta=4)
-        fine = LogApproxTable(beta=1 << 12)
-        assert fine.max_relative_error() < coarse.max_relative_error()
+        values = (3, 1000, 1 << 16, (1 << 20) + 12345, (1 << 40) + 999)
+
+        def worst_error(beta):
+            table = LogApproxTable(beta=beta)
+            return max(abs(table.approx_log(v) / beta - math.log2(v)) for v in values)
+
+        assert worst_error(1 << 12) < worst_error(4)
 
     def test_invalid_beta(self):
         with pytest.raises(ConfigurationError):

@@ -23,6 +23,11 @@ def _check_contract(pruner, stream, n):
     return survivors
 
 
+def _cutoff(pruner):
+    """The threshold a deterministic pruner prunes below (None in warmup)."""
+    return pruner._active_threshold() if pruner._thresholds else None
+
+
 class TestDeterministic:
     def test_warmup_forwards_first_n(self):
         pruner = TopNDeterministicPruner(n=3)
@@ -34,7 +39,7 @@ class TestDeterministic:
         pruner = TopNDeterministicPruner(n=3, thresholds=1)
         for value in (5.0, 4.0, 9.0):
             pruner.process(value)
-        assert pruner.current_cutoff == 4.0
+        assert _cutoff(pruner) == 4.0
         assert pruner.process(3.0) is PruneDecision.PRUNE
         assert pruner.process(4.5) is PruneDecision.FORWARD
 
@@ -49,10 +54,10 @@ class TestDeterministic:
         pruner.process(4.0)
         pruner.process(4.0)
         pruner.process(9.0)  # one value >= 8: t1 not yet active
-        assert pruner.current_cutoff == 4.0
+        assert _cutoff(pruner) == 4.0
         pruner.process(10.0)  # second value >= 8 (both also count for t0)
         # t0 active (counters saw 2 >= 4), t1 active (2 >= 8).
-        assert pruner.current_cutoff == 8.0
+        assert _cutoff(pruner) == 8.0
         assert pruner.process(5.0) is PruneDecision.PRUNE
 
     def test_contract_on_random_streams(self):
@@ -101,7 +106,7 @@ class TestDeterministic:
         for v in (1.0, 2.0, 3.0, 4.0):
             pruner.process(v)
         pruner.reset()
-        assert pruner.current_cutoff is None
+        assert _cutoff(pruner) is None
         assert pruner.stats.processed == 0
 
     def test_invalid_params(self):

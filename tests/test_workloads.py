@@ -8,6 +8,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.workloads import bigdata, synthetic, tpch
 
+from tests.test_skyline import correlated_points
+
 
 class TestSynthetic:
     def test_random_order_stream_covers_all_distinct(self):
@@ -47,7 +49,7 @@ class TestSynthetic:
         from repro.core.skyline import master_skyline
 
         uniform = synthetic.uniform_points(2000, dims=2, seed=6)
-        anti = synthetic.correlated_points(2000, dims=2, seed=6)
+        anti = correlated_points(2000, dims=2, seed=6)
         assert len(master_skyline(anti)) > len(master_skyline(uniform))
 
     def test_keyed_values(self):
@@ -159,8 +161,10 @@ class TestTpch:
 
     def test_selectivity_sweep_monotone(self, scale):
         base = tpch.tables(scale)
-        sweep = tpch.q3_selectivity_sweep(base, [600, 1200, 1800])
-        order_counts = [t["orders"].num_rows for _, t in sweep]
+        order_counts = [
+            tpch.q3_filtered_tables(base, date=date)["orders"].num_rows
+            for date in (600, 1200, 1800)
+        ]
         assert order_counts == sorted(order_counts)
 
     def test_q3_revenue_topn(self, scale):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.cluster import Cluster, ClusterConfig
-from repro.engine.cost import CostModel
+from repro.engine.cost import SETUP_S, CostModel
 from repro.workloads import bigdata, tpch
 
 from _harness import emit, scaled_volumes, table
@@ -108,7 +108,7 @@ def test_fig5_completion(runs, benchmark):
     b_first, b_next, b_cheetah = times["BigData B (groupby)"]
     a_worker = model.cheetah_breakdown(runs["BigData A (filter)"]).worker
     b_worker = model.cheetah_breakdown(runs["BigData B (groupby)"]).worker
-    ab_cheetah = a_cheetah + b_cheetah - 0.5 * (a_worker + b_worker) - model.setup_s
+    ab_cheetah = a_cheetah + b_cheetah - 0.5 * (a_worker + b_worker) - SETUP_S
     ab_first, ab_next = a_first + b_first, a_next + b_next
     rows.insert(
         2,

@@ -35,7 +35,7 @@ import time
 import numpy as np
 
 from repro.engine.cluster import PhaseVolume, RunResult
-from repro.engine.cost import CostModel
+from repro.engine.cost import SETUP_S, CostModel
 from repro.engine.expressions import col
 from repro.engine.plan import CountOp, DistinctOp, GroupByOp, Query, TopNOp
 from repro.engine.reference import run_reference
@@ -161,7 +161,7 @@ def _serve_mode(tag: str, max_pack: int, tables, queries, expected):
         )
     )
     modeled_s = (
-        slots * model.setup_s
+        slots * SETUP_S
         + breakdown.worker
         + max(breakdown.network, breakdown.master)
     )

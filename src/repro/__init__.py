@@ -57,7 +57,6 @@ from .engine import (
     Table,
     TopNOp,
     col,
-    parse_predicate,
     parse_sql,
     run_reference,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "Table",
     "TopNOp",
     "col",
-    "parse_predicate",
     "parse_sql",
     "run_reference",
     "CheetahError",

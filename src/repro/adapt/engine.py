@@ -33,8 +33,8 @@ Guardrails, all per signature:
   action's fate; no modeled numbers enter the verdict;
 * **automatic rollback** — "no measured improvement" (including "the
   canary signal never materialized") restores the prior configuration;
-* **circuit breaker** — ``max_actions`` applies without a commit freeze
-  the signature for ``freeze_s`` (one structured ``remediation-frozen``
+* **circuit breaker** — ``MAX_ACTIONS`` applies without a commit freeze
+  the signature for ``FREEZE_S`` (one structured ``remediation-frozen``
   event); a frozen signature takes no further actions until the freeze
   expires, and a committed action re-arms the budget.
 
@@ -53,6 +53,17 @@ from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigurationError
 from .actions import RemediationAction, plan_action
+
+#: Circuit breaker: applications without a commit before the signature
+#: freezes, and how long the freeze lasts (seconds).
+MAX_ACTIONS = 3
+FREEZE_S = 30.0
+#: Commit margin: a canary must beat its baseline by
+#: ``max(MIN_DELTA, MIN_IMPROVEMENT * |baseline|)``.
+MIN_IMPROVEMENT = 0.05
+MIN_DELTA = 0.01
+#: Action-history records kept.
+HISTORY_LIMIT = 256
 
 #: Stable outcome tags on the ``adapt_actions_total`` counter.
 OUTCOMES = (
@@ -139,11 +150,6 @@ class RemediationEngine:
         planner: Callable[..., Optional[RemediationAction]] = plan_action,
         cooldown_s: float = 1.0,
         canary_runs: int = 3,
-        min_improvement: float = 0.05,
-        min_delta: float = 0.01,
-        max_actions: int = 3,
-        freeze_s: float = 30.0,
-        history_limit: int = 256,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         """Wire the engine to its stores.
@@ -160,10 +166,6 @@ class RemediationEngine:
             raise ConfigurationError(
                 f"canary_runs must be positive, got {canary_runs}"
             )
-        if max_actions <= 0:
-            raise ConfigurationError(
-                f"max_actions must be positive, got {max_actions}"
-            )
         self.health = health
         self.store = store
         self.events = events
@@ -172,11 +174,6 @@ class RemediationEngine:
         self.planner = planner
         self.cooldown_s = cooldown_s
         self.canary_runs = canary_runs
-        self.min_improvement = min_improvement
-        self.min_delta = min_delta
-        self.max_actions = max_actions
-        self.freeze_s = freeze_s
-        self.history_limit = history_limit
         self._clock = clock
         self._lock = threading.Lock()
         self._cursor = 0
@@ -268,7 +265,7 @@ class RemediationEngine:
                 detail="no safe recovery action for this detector/operator",
             )
             return 0
-        if state.actions >= self.max_actions:
+        if state.actions >= MAX_ACTIONS:
             return self._freeze_locked(signature, state, action, detector, now)
         return self._apply_locked(signature, state, action, detector, now)
 
@@ -333,24 +330,24 @@ class RemediationEngine:
         detector: str,
         now: float,
     ) -> int:
-        state.frozen_until = now + self.freeze_s
+        state.frozen_until = now + FREEZE_S
         state.confirm_at = None
         self._count(action.action, "frozen")
         self._emit(
             "remediation-frozen",
             f"circuit breaker tripped after {state.actions} actions "
-            f"without improvement; frozen for {self.freeze_s:.0f}s",
+            f"without improvement; frozen for {FREEZE_S:.0f}s",
             severity="warning",
             signature=signature,
             actions=str(state.actions),
-            freeze_s=f"{self.freeze_s:.3f}",
+            freeze_s=f"{FREEZE_S:.3f}",
         )
         self._record(
             signature,
             action=action.action,
             outcome="frozen",
             detector=detector,
-            detail=f"budget of {self.max_actions} actions exhausted",
+            detail=f"budget of {MAX_ACTIONS} actions exhausted",
         )
         return 1
 
@@ -397,7 +394,7 @@ class RemediationEngine:
         """
         if canary.baseline is None or post is None:
             return False
-        margin = max(self.min_delta, self.min_improvement * abs(canary.baseline))
+        margin = max(MIN_DELTA, MIN_IMPROVEMENT * abs(canary.baseline))
         if canary.action.higher_is_better:
             return post >= canary.baseline + margin
         return post <= canary.baseline - margin
@@ -462,8 +459,8 @@ class RemediationEngine:
     def _record(self, signature: str, **fields) -> None:
         record = {"signature": signature, "at": self._clock(), **fields}
         self._history.append(record)
-        if len(self._history) > self.history_limit:
-            del self._history[: len(self._history) - self.history_limit]
+        if len(self._history) > HISTORY_LIMIT:
+            del self._history[: len(self._history) - HISTORY_LIMIT]
 
     # -- reporting -----------------------------------------------------------
 

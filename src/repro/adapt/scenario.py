@@ -119,8 +119,6 @@ def run_scenario(
     adaptive: bool = True,
     verify: bool = False,
     planner: Optional[Callable] = None,
-    engine_options: Optional[dict] = None,
-    health_options: Optional[dict] = None,
 ) -> ScenarioResult:
     """Drive one arm (static or adaptive) over the drift runs.
 
@@ -134,9 +132,7 @@ def run_scenario(
     config = base_config or ClusterConfig(distinct_rows=512, distinct_cols=2)
     registry = MetricsRegistry()
     events = EventLog(registry=registry)
-    health = HealthStore(
-        registry=registry, events=events, **(health_options or {})
-    )
+    health = HealthStore(registry=registry, events=events)
     query = parse(DRIFT_SQL)
     signature = query.cache_key()
     cluster = Cluster(workers, config=config)
@@ -146,15 +142,14 @@ def run_scenario(
     if adaptive:
         store = AdaptiveConfigStore(config)
         cluster.adaptive = store
-        options = {"cooldown_s": 0.0, "canary_runs": 3}
-        options.update(engine_options or {})
         engine = RemediationEngine(
             health=health,
             store=store,
             events=events,
             registry=registry,
             planner=planner or plan_action,
-            **options,
+            cooldown_s=0.0,
+            canary_runs=3,
         )
     records: List[dict] = []
     for index, (phase, table) in enumerate(runs):

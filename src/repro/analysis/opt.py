@@ -120,26 +120,21 @@ def opt_join_rate(
     return 1.0 - opt_join_unpruned(left_keys, right_keys) / total
 
 
-def opt_having_unpruned(
-    stream: Sequence[Tuple[Hashable, float]], threshold: float, aggregate: str = "sum"
-) -> int:
-    """OPT for HAVING forwards one entry per key, at threshold crossing."""
+def opt_having_unpruned(stream: Sequence[Tuple[Hashable, float]], threshold: float) -> int:
+    """OPT for HAVING SUM forwards one entry per key, at threshold crossing."""
     totals: Dict[Hashable, float] = {}
     crossed: Set[Hashable] = set()
     unpruned = 0
     for key, value in stream:
-        amount = 1.0 if aggregate == "count" else value
-        totals[key] = totals.get(key, 0.0) + amount
+        totals[key] = totals.get(key, 0.0) + value
         if key not in crossed and totals[key] > threshold:
             crossed.add(key)
             unpruned += 1
     return unpruned
 
 
-def opt_having_rate(
-    stream: Sequence[Tuple[Hashable, float]], threshold: float, aggregate: str = "sum"
-) -> float:
+def opt_having_rate(stream: Sequence[Tuple[Hashable, float]], threshold: float) -> float:
     """OPT pruning rate for HAVING."""
     if not stream:
         return 0.0
-    return 1.0 - opt_having_unpruned(stream, threshold, aggregate) / len(stream)
+    return 1.0 - opt_having_unpruned(stream, threshold) / len(stream)

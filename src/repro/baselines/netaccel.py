@@ -18,45 +18,34 @@ mechanisms analytically:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ConfigurationError
 
+#: Register read-out rate through the control plane.  Draining is a
+#: control-plane operation (RPC per register batch), orders of magnitude
+#: slower than dataplane forwarding.
+DRAIN_ENTRIES_PER_S = 250_000.0
+#: Fixed cost to initiate the drain.
+DRAIN_SETUP_S = 0.01
+#: Processing rate of the switch CPU (a small embedded core).
+SWITCH_CPU_ENTRIES_PER_S = 400_000.0
+#: Bandwidth of the dataplane-to-CPU channel.
+CPU_CHANNEL_GBPS = 1.0
+#: Processing rate of the master server for the same operator.
+SERVER_ENTRIES_PER_S = 5_000_000.0
+#: Entry width crossing the CPU channel.
+BYTES_PER_ENTRY = 64
+#: Master per-entry cost of a Cheetah survivor, microseconds.
+MASTER_ENTRY_US = 0.4
 
-@dataclass(frozen=True)
+
 class NetAccelModel:
-    """Calibration constants for the NetAccel lower-bound model.
-
-    Parameters
-    ----------
-    drain_entries_per_s:
-        Register read-out rate through the control plane.  Draining is a
-        control-plane operation (RPC per register batch), orders of
-        magnitude slower than dataplane forwarding.
-    drain_setup_s:
-        Fixed cost to initiate the drain.
-    switch_cpu_entries_per_s:
-        Processing rate of the switch CPU (a small embedded core).
-    cpu_channel_gbps:
-        Bandwidth of the dataplane-to-CPU channel.
-    server_entries_per_s:
-        Processing rate of the master server for the same operator.
-    bytes_per_entry:
-        Entry width crossing the CPU channel.
-    """
-
-    drain_entries_per_s: float = 250_000.0
-    drain_setup_s: float = 0.01
-    switch_cpu_entries_per_s: float = 400_000.0
-    cpu_channel_gbps: float = 1.0
-    server_entries_per_s: float = 5_000_000.0
-    bytes_per_entry: int = 64
+    """The NetAccel lower-bound model over the calibration constants above."""
 
     def drain_time(self, result_entries: int) -> float:
         """Seconds to move ``result_entries`` from switch registers to the master."""
         if result_entries < 0:
             raise ConfigurationError(f"result size cannot be negative: {result_entries}")
-        return self.drain_setup_s + result_entries / self.drain_entries_per_s
+        return DRAIN_SETUP_S + result_entries / DRAIN_ENTRIES_PER_S
 
     def switch_cpu_time(self, entries: int) -> float:
         """Seconds for the switch CPU to process ``entries`` overflow entries.
@@ -66,20 +55,20 @@ class NetAccelModel:
         """
         if entries < 0:
             raise ConfigurationError(f"entry count cannot be negative: {entries}")
-        transfer = entries * self.bytes_per_entry * 8 / (self.cpu_channel_gbps * 1e9)
-        compute = entries / self.switch_cpu_entries_per_s
+        transfer = entries * BYTES_PER_ENTRY * 8 / (CPU_CHANNEL_GBPS * 1e9)
+        compute = entries / SWITCH_CPU_ENTRIES_PER_S
         return transfer + compute
 
     def server_time(self, entries: int) -> float:
         """Seconds for the master server to process the same ``entries``."""
         if entries < 0:
             raise ConfigurationError(f"entry count cannot be negative: {entries}")
-        return entries / self.server_entries_per_s
+        return entries / SERVER_ENTRIES_PER_S
 
-    def cheetah_total(self, result_entries: int, master_entry_us: float = 0.4) -> float:
+    def cheetah_total(self, result_entries: int) -> float:
         """Cheetah's equivalent tail: survivors stream straight to the master.
 
         No drain: results never reside on the switch, so the next operator
         can consume them as they arrive (pipelining).
         """
-        return result_entries * master_entry_us * 1e-6
+        return result_entries * MASTER_ENTRY_US * 1e-6

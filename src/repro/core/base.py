@@ -184,8 +184,8 @@ class Pruner(ABC, Generic[Entry]):
     #: Guarantee class; overridden by probabilistic variants.
     guarantee: Guarantee = Guarantee.DETERMINISTIC
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
         self.stats = PruneStats(self.metrics, pruner=type(self).__name__)
 
     def __init_subclass__(cls, **kwargs) -> None:

@@ -49,9 +49,8 @@ class HavingPruner(Pruner[Tuple[Hashable, float]]):
         (single-entry path).
     width, depth:
         Count-Min dimensions (paper default 1024 x 3).
-    dedupe_rows, dedupe_cols:
-        Dimensions of the DISTINCT stage that suppresses repeat candidate
-        keys; pass ``dedupe_rows=0`` to disable deduplication.
+
+    A 1024 x 2 DISTINCT stage suppresses repeat candidate keys.
     """
 
     guarantee = Guarantee.DETERMINISTIC
@@ -62,9 +61,6 @@ class HavingPruner(Pruner[Tuple[Hashable, float]]):
         aggregate: str = "sum",
         width: int = 1024,
         depth: int = 3,
-        dedupe_rows: int = 1024,
-        dedupe_cols: int = 2,
-        conservative: bool = False,
         seed: int = 0,
     ) -> None:
         super().__init__()
@@ -84,12 +80,8 @@ class HavingPruner(Pruner[Tuple[Hashable, float]]):
         self.depth = depth
         self._sketch: Optional[CountMinSketch] = None
         if aggregate in _SKETCH_AGGREGATES:
-            self._sketch = CountMinSketch(
-                width, depth, conservative=conservative, seed=seed
-            )
-        self._dedupe: Optional[CacheMatrix] = None
-        if dedupe_rows > 0:
-            self._dedupe = CacheMatrix(dedupe_rows, dedupe_cols, seed=seed ^ 0xED)
+            self._sketch = CountMinSketch(width, depth, seed=seed)
+        self._dedupe = CacheMatrix(1024, 2, seed=seed ^ 0xED)
 
     def process(self, entry: Tuple[Hashable, float]) -> PruneDecision:
         key, value = entry
@@ -109,7 +101,7 @@ class HavingPruner(Pruner[Tuple[Hashable, float]]):
             passes = value < self.threshold
         if not passes:
             decision = PruneDecision.PRUNE
-        elif self._dedupe is not None and self._dedupe.lookup_insert(key):
+        elif self._dedupe.lookup_insert(key):
             # Candidate key already forwarded; suppress the duplicate.
             decision = PruneDecision.PRUNE
         else:
@@ -146,33 +138,28 @@ class HavingPruner(Pruner[Tuple[Hashable, float]]):
         else:  # min
             passes = values < self.threshold
         forward = passes.copy()
-        if self._dedupe is not None:
-            pass_positions = np.flatnonzero(passes)
-            if len(pass_positions):
-                if isinstance(keys, np.ndarray):
-                    pass_keys = keys[pass_positions]
-                else:
-                    pass_keys = [keys[i] for i in pass_positions]
-                hits = self._dedupe.lookup_insert_batch(pass_keys)
-                forward[pass_positions[hits]] = False
+        pass_positions = np.flatnonzero(passes)
+        if len(pass_positions):
+            if isinstance(keys, np.ndarray):
+                pass_keys = keys[pass_positions]
+            else:
+                pass_keys = [keys[i] for i in pass_positions]
+            hits = self._dedupe.lookup_insert_batch(pass_keys)
+            forward[pass_positions[hits]] = False
         self.stats.record_batch(count, count - int(forward.sum()))
         return forward
 
     def footprint(self) -> ResourceFootprint:
-        fp = footprint_having(width=self.width, depth=self.depth)
-        if self._dedupe is not None:
-            from ..switch.compiler import footprint_distinct
+        from ..switch.compiler import footprint_distinct
 
-            fp = fp.merged_serial(
-                footprint_distinct(cols=self._dedupe.cols, rows=self._dedupe.rows)
-            )
-        return fp
+        return footprint_having(width=self.width, depth=self.depth).merged_serial(
+            footprint_distinct(cols=self._dedupe.cols, rows=self._dedupe.rows)
+        )
 
     def _reset_state(self) -> None:
         if self._sketch is not None:
             self._sketch.clear()
-        if self._dedupe is not None:
-            self._dedupe.clear()
+        self._dedupe.clear()
 
     def _corrupt_state(self, rng) -> Optional[str]:
         """Flip a Count-Min counter bit (or garble the dedupe cache).
@@ -188,21 +175,18 @@ class HavingPruner(Pruner[Tuple[Hashable, float]]):
             bit = rng.randrange(16, 48)
             now = self._sketch.corrupt_cell(row, col, bit)
             return f"countmin[{row}][{col}] bit {bit} -> {now}"
-        if self._dedupe is not None:
-            return self._dedupe.corrupt_cell(
-                rng.randrange(self._dedupe.rows),
-                rng.randrange(self._dedupe.cols),
-                ("corrupt", rng.getrandbits(32)),
-            )
-        return None
+        return self._dedupe.corrupt_cell(
+            rng.randrange(self._dedupe.rows),
+            rng.randrange(self._dedupe.cols),
+            ("corrupt", rng.getrandbits(32)),
+        )
 
     def observe_health(self) -> None:
         """Publish Count-Min occupancy and dedupe cache pressure."""
         name = type(self).__name__
         if self._sketch is not None:
             self._sketch.observe_health(self.metrics, pruner=name)
-        if self._dedupe is not None:
-            self._dedupe.observe_health(self.metrics, pruner=name, role="dedupe")
+        self._dedupe.observe_health(self.metrics, pruner=name, role="dedupe")
 
 
 def master_having(

@@ -32,6 +32,10 @@ SideKey = Tuple[str, Hashable]
 _FILTERS = {"bf": BloomFilter, "rbf": RegisterBloomFilter}
 
 
+#: Hash functions per JOIN filter (the paper's ``H = 3``).
+HASHES = 3
+
+
 def _make_filter(variant: str, size_bits: int, hashes: int, seed: int):
     if variant not in _FILTERS:
         raise ConfigurationError(
@@ -54,9 +58,8 @@ class JoinPruner(Pruner[SideKey]):
         Table names for the two sides.
     memory_bits:
         Total filter memory ``M`` (split evenly between the two filters),
-        matching the paper's sweep of 1-16 MB.
-    hashes:
-        Hash functions per filter (paper default ``H = 3``).
+        matching the paper's sweep of 1-16 MB; each filter uses
+        ``HASHES`` hash functions.
     variant:
         ``"bf"`` (standard) or ``"rbf"`` (register Bloom filter).
     """
@@ -68,7 +71,6 @@ class JoinPruner(Pruner[SideKey]):
         left: str,
         right: str,
         memory_bits: int = 4 * 1024 * 1024 * 8,
-        hashes: int = 3,
         variant: str = "bf",
         seed: int = 0,
     ) -> None:
@@ -78,12 +80,11 @@ class JoinPruner(Pruner[SideKey]):
         self.left = left
         self.right = right
         self.memory_bits = memory_bits
-        self.hashes = hashes
         self.variant = variant
         half = max(64, memory_bits // 2)
         self._filters = {
-            left: _make_filter(variant, half, hashes, seed),
-            right: _make_filter(variant, half, hashes, seed ^ 0x10B),
+            left: _make_filter(variant, half, HASHES, seed),
+            right: _make_filter(variant, half, HASHES, seed ^ 0x10B),
         }
         self._built = False
 
@@ -180,7 +181,7 @@ class JoinPruner(Pruner[SideKey]):
 
     def footprint(self) -> ResourceFootprint:
         return footprint_join(
-            memory_bits=self.memory_bits, hashes=self.hashes, variant=self.variant
+            memory_bits=self.memory_bits, hashes=HASHES, variant=self.variant
         )
 
     def _reset_state(self) -> None:
@@ -324,7 +325,6 @@ class OuterJoinPruner(Pruner[SideKey]):
         right: str,
         preserved: str = "left",
         memory_bits: int = 4 * 1024 * 1024 * 8,
-        hashes: int = 3,
         variant: str = "bf",
         seed: int = 0,
     ) -> None:
@@ -340,7 +340,6 @@ class OuterJoinPruner(Pruner[SideKey]):
             left=left,
             right=right,
             memory_bits=memory_bits,
-            hashes=hashes,
             variant=variant,
             seed=seed,
         )

@@ -87,16 +87,16 @@ def topn_optimal_rows(n: int, delta: float) -> int:
     return max(1, round(delta * math.exp(w_val)))
 
 
-def topn_optimal_config(n: int, delta: float, search_factor: float = 4.0) -> Tuple[int, int]:
+def topn_optimal_config(n: int, delta: float) -> Tuple[int, int]:
     """Integer-optimal ``(d, w)`` minimizing ``w * d`` near the continuous optimum.
 
-    Scans ``d`` in ``[d*/factor, d* * factor]`` around the Lambert-W
+    Scans ``d`` in ``[d*/4, d* * 4]`` around the Lambert-W
     solution (paper footnote: the true optimum is the continuous one
     adjusted for the flooring of ``w``).
     """
     center = topn_optimal_rows(n, delta)
-    lo = max(1, int(center / search_factor))
-    hi = int(center * search_factor) + 1
+    lo = max(1, int(center / 4))
+    hi = int(center * 4) + 1
     best: Tuple[int, int] = (0, 0)
     best_cost = math.inf
     for d in range(lo, hi + 1):

@@ -29,7 +29,7 @@ from ..sketches.hashing import hash_range_batch
 from ..switch.compiler import footprint_topn_det, footprint_topn_rand
 from ..switch.resources import ResourceFootprint
 from .base import Guarantee, PruneDecision, Pruner
-from .sizing import TopNConfig, topn_cols
+from .sizing import topn_cols
 
 
 class TopNDeterministicPruner(Pruner[float]):
@@ -229,12 +229,6 @@ class TopNRandomizedPruner(Pruner[float]):
         self._seed = seed ^ 0x7099
         self._position = 0
         self._block_start, self._block = 0, []
-
-    @classmethod
-    def optimal(cls, n: int, delta: float = 1e-4, seed: int = 0) -> "TopNRandomizedPruner":
-        """Space-optimal configuration via the Lambert-W sizing."""
-        config = TopNConfig.optimal(n, delta)
-        return cls(n=n, rows=config.rows, cols=config.cols, delta=delta, seed=seed)
 
     @property
     def rows(self) -> int:

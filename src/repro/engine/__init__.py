@@ -28,7 +28,6 @@ from .plan import (
 )
 from .reference import run_reference
 from .sql import parse as parse_sql
-from .sql import parse_predicate
 from .table import Table, table_from_csv
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "TopNOp",
     "run_reference",
     "parse_sql",
-    "parse_predicate",
     "Table",
     "table_from_csv",
 ]

@@ -19,7 +19,7 @@ compares *ratios and trends*, which the structure determines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from ..errors import ConfigurationError
@@ -70,55 +70,48 @@ class Breakdown:
         return self.setup + self.worker + max(self.network, self.master)
 
 
+#: Wire bytes per streamed entry: Cheetah sends one entry per minimum
+#: 64-byte Ethernet frame.
+BYTES_PER_ENTRY = 64
+#: CWorker per-entry serialization cost, microseconds.
+WORKER_SERIALIZE_US = 0.08
+#: Strength of the super-linear buffering penalty at the master (Fig. 9):
+#: the effective per-entry cost is multiplied by
+#: ``1 + MASTER_QUEUE_FACTOR * unpruned_ratio``.
+MASTER_QUEUE_FACTOR = 8.0
+#: Slowdown of Spark's first run before caching/indexing/JIT kick in.
+SPARK_FIRST_RUN_FACTOR = 1.6
+#: Amdahl-style fraction of the software path that does not parallelize
+#: across workers (stage barriers, scheduling, the master-side merge).
+#: This is what keeps the Cheetah/Spark ratio roughly stable as workers
+#: vary (Fig. 6b): small Spark clusters are far from linear scaling
+#: [Ousterhout et al., NSDI'15].
+SPARK_SERIAL_FRACTION = 0.4
+#: Fraction of input entries Spark moves to the master after worker-side
+#: reduction (compressed, many entries per MTU), and their wire bytes.
+SPARK_RESULT_FRACTION = 0.02
+SPARK_RESULT_BYTES_PER_ENTRY = 8.0
+#: Fixed per-query overhead (rule installation takes < 1 ms; job launch
+#: dominates).
+SETUP_S = 0.05
+
+
 @dataclass
 class CostModel:
-    """Calibrated completion-time model.
+    """Calibrated completion-time model over the constants above.
 
     Parameters
     ----------
     network_gbps:
         NIC/link limit toward the master (the paper restricts 40G NICs to
         10G and 20G).
-    bytes_per_entry:
-        Wire bytes per streamed entry; Cheetah sends one entry per minimum
-        64-byte Ethernet frame.
     entries_per_packet:
         The §9 extension: packing k entries per packet divides the frame
         overhead (k = 1 reproduces the paper's prototype).
-    worker_serialize_us:
-        CWorker per-entry serialization cost.
-    master_queue_factor:
-        Strength of the super-linear buffering penalty at the master
-        (Fig. 9): effective per-entry cost is multiplied by
-        ``1 + factor * unpruned_ratio``.
-    spark_first_run_factor:
-        Slowdown of Spark's first run before caching/indexing/JIT kick in.
-    spark_serial_fraction:
-        Amdahl-style fraction of the software path that does not
-        parallelize across workers (stage barriers, scheduling, the
-        master-side merge).  This is what keeps the Cheetah/Spark ratio
-        roughly stable as workers vary (Fig. 6b) — small Spark clusters
-        are far from linear scaling [Ousterhout et al., NSDI'15].
-    spark_result_fraction:
-        Fraction of input entries Spark moves to the master after worker-
-        side reduction (compressed, many entries per MTU).
-    setup_s:
-        Fixed per-query overhead (rule installation takes < 1 ms; job
-        launch dominates).
     """
 
     network_gbps: float = 10.0
-    bytes_per_entry: int = 64
     entries_per_packet: int = 1
-    worker_serialize_us: float = 0.08
-    master_queue_factor: float = 8.0
-    spark_first_run_factor: float = 1.6
-    spark_serial_fraction: float = 0.4
-    spark_result_fraction: float = 0.02
-    spark_result_bytes_per_entry: float = 8.0
-    setup_s: float = 0.05
-    spark_task_us: Dict[str, float] = field(default_factory=lambda: dict(SPARK_TASK_US))
-    master_entry_us: Dict[str, float] = field(default_factory=lambda: dict(MASTER_ENTRY_US))
 
     def __post_init__(self) -> None:
         if self.network_gbps <= 0:
@@ -132,18 +125,18 @@ class CostModel:
 
     def _wire_seconds(self, entries: int) -> float:
         packets = entries / self.entries_per_packet
-        bytes_on_wire = packets * self.bytes_per_entry
+        bytes_on_wire = packets * BYTES_PER_ENTRY
         return bytes_on_wire * 8 / (self.network_gbps * 1e9)
 
     def _task_us(self, op_kind: str) -> float:
         try:
-            return self.spark_task_us[op_kind]
+            return SPARK_TASK_US[op_kind]
         except KeyError:
             raise ConfigurationError(f"no Spark task cost for op kind {op_kind!r}") from None
 
     def _master_us(self, op_kind: str) -> float:
         try:
-            return self.master_entry_us[op_kind]
+            return MASTER_ENTRY_US[op_kind]
         except KeyError:
             raise ConfigurationError(f"no master cost for op kind {op_kind!r}") from None
 
@@ -160,7 +153,7 @@ class CostModel:
         streamed = result.total_streamed
         forwarded = result.total_forwarded
         per_worker = streamed / result.workers
-        worker = per_worker * self.worker_serialize_us * 1e-6
+        worker = per_worker * WORKER_SERIALIZE_US * 1e-6
         network = self._wire_seconds(streamed)
         pruning_phases = [p for p in result.phases if p.forwarded < p.streamed]
         ratio_streamed = sum(p.streamed for p in pruning_phases)
@@ -169,9 +162,9 @@ class CostModel:
             unpruned_ratio = ratio_forwarded / ratio_streamed
         else:
             unpruned_ratio = 1.0 if streamed else 0.0
-        inflation = 1.0 + self.master_queue_factor * unpruned_ratio
+        inflation = 1.0 + MASTER_QUEUE_FACTOR * unpruned_ratio
         master = forwarded * self._master_us(result.op_kind) * inflation * 1e-6
-        return Breakdown(worker=worker, network=network, master=master, setup=self.setup_s)
+        return Breakdown(worker=worker, network=network, master=master, setup=SETUP_S)
 
     # -- Spark -----------------------------------------------------------------
 
@@ -182,23 +175,18 @@ class CostModel:
         input entry and moves only the reduced result over the wire.
         """
         streamed = result.total_streamed
-        factor = self.spark_first_run_factor if first_run else 1.0
-        efficiency = (
-            self.spark_serial_fraction
-            + (1.0 - self.spark_serial_fraction) / result.workers
-        )
+        factor = SPARK_FIRST_RUN_FACTOR if first_run else 1.0
+        efficiency = SPARK_SERIAL_FRACTION + (1.0 - SPARK_SERIAL_FRACTION) / result.workers
         worker = streamed * efficiency * self._task_us(result.op_kind) * factor * 1e-6
-        result_entries = streamed * self.spark_result_fraction
-        network = (
-            result_entries * self.spark_result_bytes_per_entry * 8 / (self.network_gbps * 1e9)
-        )
+        result_entries = streamed * SPARK_RESULT_FRACTION
+        network = result_entries * SPARK_RESULT_BYTES_PER_ENTRY * 8 / (self.network_gbps * 1e9)
         master = result_entries * self._master_us(result.op_kind) * 1e-6
-        return Breakdown(worker=worker, network=network, master=master, setup=self.setup_s)
+        return Breakdown(worker=worker, network=network, master=master, setup=SETUP_S)
 
     # -- comparisons -------------------------------------------------------------
 
-    def speedup(self, result: RunResult, first_run: bool = False) -> float:
-        """Spark time / Cheetah time for the same run volumes."""
-        spark = self.spark_breakdown(result, first_run=first_run).total
+    def speedup(self, result: RunResult) -> float:
+        """Spark time / Cheetah time for the same run volumes (warm Spark)."""
+        spark = self.spark_breakdown(result).total
         cheetah = self.cheetah_breakdown(result).total
         return spark / cheetah

@@ -10,28 +10,23 @@ re-checks.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..core.filtering import FilterPruner
-from ..switch.resources import ResourceModel, TOFINO
+from ..switch.resources import TOFINO
 from .cluster import Cluster, ClusterConfig
 from .operators import plan_for
 from .plan import Query
 
 
-def explain(
-    query: Query,
-    config: Optional[ClusterConfig] = None,
-    model: Optional[ResourceModel] = None,
-) -> str:
-    """Render a human-readable plan for ``query``.
+def explain(query: Query) -> str:
+    """Render a human-readable plan for ``query`` under the default
+    :class:`ClusterConfig` on a Tofino.
 
     Does not touch data: the pruner is instantiated only to compute its
     configuration and hardware footprint.
     """
-    config = config or ClusterConfig()
-    model = model or config.model or TOFINO
-    cluster = Cluster(workers=1, config=config)
+    cluster = Cluster(workers=1, config=ClusterConfig())
     lines: List[str] = [f"query   : {query.describe()}"]
     lines.append(f"stream  : columns {query.stream_columns()} (metadata pass)")
     kind, plan = plan_for(query.operator)
@@ -63,8 +58,8 @@ def explain(
         f"{footprint.tcam_entries} TCAM entries"
     )
     lines.append(
-        f"fits    : {'yes' if footprint.fits(model) else 'NO'} "
-        f"(target: {model.stages} stages x {model.alus_per_stage} ALUs)"
+        f"fits    : {'yes' if footprint.fits(TOFINO) else 'NO'} "
+        f"(target: {TOFINO.stages} stages x {TOFINO.alus_per_stage} ALUs)"
     )
     lines.append(f"master  : {plan.completion[kind]}")
     if query.where is not None and kind != "filter":

@@ -408,10 +408,3 @@ def parse(sql: str) -> Query:
     """Parse one SELECT statement into a runnable :class:`Query`."""
     return _Parser(sql).parse_query()
 
-
-def parse_predicate(sql: str) -> Expr:
-    """Parse a bare WHERE expression (useful in tests and notebooks)."""
-    parser = _Parser(sql)
-    expr = parser.parse_predicate()
-    parser._expect_end()
-    return expr

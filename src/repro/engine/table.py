@@ -94,10 +94,6 @@ class Table:
         order = rng.permutation(self.num_rows)
         return self.take(order)
 
-    def head(self, n: int) -> "Table":
-        """First ``n`` rows (data-scale prefixes for Fig. 11)."""
-        return Table(self.name, {k: v[:n] for k, v in self._columns.items()})
-
     def partition_bounds(self, parts: int) -> np.ndarray:
         """Row boundaries of :meth:`partition`: ``parts + 1`` ascending ints.
 

@@ -13,27 +13,20 @@ the levels, recording per-edge volumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.base import PruneDecision, Pruner
 from ..errors import ConfigurationError
 from ..switch.compiler import pack
-from ..switch.resources import ResourceFootprint, ResourceModel, TOFINO
+from ..switch.resources import TOFINO, ResourceFootprint
 
 
 @dataclass
 class EdgePruning:
-    """One DAG edge: a name, its pruner, and an optional transform.
-
-    ``transform`` models the task the *receiving* worker level runs on
-    each surviving entry before it is re-emitted downstream (e.g. project
-    a column, derive a key).  ``None`` output drops the entry — a worker
-    is always allowed to filter, that is its task.
-    """
+    """One DAG edge: a name and its pruner."""
 
     name: str
     pruner: Pruner
-    transform: Optional[Callable[[object], Optional[object]]] = None
 
 
 @dataclass
@@ -54,20 +47,17 @@ class WorkerDag:
     switch, which :meth:`validate` enforces via §6 packing.)
     """
 
-    def __init__(
-        self, edges: Sequence[EdgePruning], model: ResourceModel = TOFINO
-    ) -> None:
+    def __init__(self, edges: Sequence[EdgePruning]) -> None:
         if not edges:
             raise ConfigurationError("a worker DAG needs at least one edge")
         names = [edge.name for edge in edges]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate edge names: {names}")
         self.edges = list(edges)
-        self.model = model
 
     def validate(self) -> ResourceFootprint:
         """Pack every edge's program on the switch; raises ResourceError."""
-        return pack([edge.pruner.footprint() for edge in self.edges], self.model)
+        return pack([edge.pruner.footprint() for edge in self.edges], TOFINO)
 
     def run(self, stream: Sequence[object]) -> tuple:
         """Thread ``stream`` through every edge; returns (output, reports)."""
@@ -80,10 +70,6 @@ class WorkerDag:
                 if edge.pruner.process(entry) is PruneDecision.PRUNE:
                     report.pruned += 1
                     continue
-                if edge.transform is not None:
-                    entry = edge.transform(entry)
-                    if entry is None:
-                        continue
                 next_level.append(entry)
                 report.emitted += 1
             current = next_level

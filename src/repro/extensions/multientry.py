@@ -20,7 +20,7 @@ from typing import Callable, Generic, List, Sequence
 
 from ..core.base import Entry, PruneDecision, Pruner, PruneStats
 from ..errors import ConfigurationError
-from ..switch.resources import ResourceFootprint
+from ..switch.resources import TOFINO, ResourceFootprint
 
 
 class MultiEntryPruner(Generic[Entry]):
@@ -35,10 +35,8 @@ class MultiEntryPruner(Generic[Entry]):
         Maps an entry to its matrix row.  Entries of one packet that share
         a row beyond the first are forwarded unprocessed.
     entries_per_packet:
-        The packing factor ``k``; bounded by the per-stage ALU budget
-        (every algorithm uses at least one ALU per entry per stage).
-    alus_per_stage:
-        Hardware ALU slots; ``entries_per_packet`` may not exceed it.
+        The packing factor ``k``; bounded by the Tofino's per-stage ALU
+        budget (every algorithm uses at least one ALU per entry per stage).
     """
 
     def __init__(
@@ -46,16 +44,15 @@ class MultiEntryPruner(Generic[Entry]):
         pruner: Pruner[Entry],
         row_of: Callable[[Entry], int],
         entries_per_packet: int = 4,
-        alus_per_stage: int = 10,
     ) -> None:
         if entries_per_packet < 1:
             raise ConfigurationError(
                 f"entries_per_packet must be >= 1, got {entries_per_packet}"
             )
-        if entries_per_packet > alus_per_stage:
+        if entries_per_packet > TOFINO.alus_per_stage:
             raise ConfigurationError(
                 f"cannot process {entries_per_packet} entries per packet with "
-                f"{alus_per_stage} ALUs per stage (one ALU per entry per stage)"
+                f"{TOFINO.alus_per_stage} ALUs per stage (one ALU per entry per stage)"
             )
         self.pruner = pruner
         self.row_of = row_of

@@ -14,7 +14,7 @@ provided each level's pruner is individually correct for the query.
 
 from __future__ import annotations
 
-from typing import Callable, Generic, List, Optional, Sequence
+from typing import Generic, List, Sequence
 
 import numpy as np
 
@@ -58,38 +58,28 @@ class SwitchTree(Generic[Entry]):
         One pruner per leaf switch (independent state).
     root:
         The master switch's pruner, applied to leaf survivors.
-    partition:
-        Maps an entry to a leaf index.  Defaults to hashing, which keeps
-        same-key entries on one leaf — required for DISTINCT/GROUP BY
-        leaf pruners to be individually correct.
+
+    Entries reach a leaf by hash, which keeps same-key entries on one
+    leaf: required for DISTINCT/GROUP BY leaf pruners to be individually
+    correct.
     """
 
     def __init__(
         self,
         leaves: Sequence[Pruner[Entry]],
         root: Pruner[Entry],
-        partition: Optional[Callable[[Entry], int]] = None,
     ) -> None:
         if not leaves:
             raise ConfigurationError("a switch tree needs at least one leaf")
         self.leaves = list(leaves)
         self.root = root
-        self._partition = partition or self._hash_partition
         self.stats = PruneStats()
         self.leaf_pruned = 0
         self.root_pruned = 0
 
-    def _hash_partition(self, entry: Entry) -> int:
-        return hash_partition(entry, len(self.leaves))
-
     def process(self, entry: Entry) -> PruneDecision:
         """Route through the partition's leaf, then the root."""
-        leaf_index = self._partition(entry)
-        if not 0 <= leaf_index < len(self.leaves):
-            raise ConfigurationError(
-                f"partition function returned leaf {leaf_index}, "
-                f"have {len(self.leaves)} leaves"
-            )
+        leaf_index = hash_partition(entry, len(self.leaves))
         if self.leaves[leaf_index].process(entry) is PruneDecision.PRUNE:
             self.leaf_pruned += 1
             self.stats.record(PruneDecision.PRUNE)

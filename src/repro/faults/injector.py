@@ -33,12 +33,10 @@ from .plan import FaultEvent, FaultPlan, LINK_FAULTS, SWITCH_FAULTS, WORKER_FAUL
 class FaultInjector:
     """Executes one fault plan against one run, recording everything."""
 
-    def __init__(
-        self, plan: FaultPlan, registry: Optional[MetricsRegistry] = None
-    ) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.rng = random.Random(plan.seed ^ 0x5EEDFA17)
-        self.metrics = registry if registry is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.log: List[dict] = []
         self.degradations: List[dict] = []
         self._cursor = 0

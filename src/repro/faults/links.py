@@ -7,12 +7,10 @@ which every message is lost (a rebooting switch port, a flapping cable).
 Because the schedule is positional rather than probabilistic, tests can
 force a loss at precisely the transmission they care about.
 
-Links are plugged into the transfers via the ``link_factory`` parameter —
-no attribute poking required::
+A link replaces one of a transfer's four hops by assignment::
 
-    transfer = ReliableTransfer(
-        pruner, link_factory=lambda rng: ChaosLink(0.0, rng, drop_at={3, 7})
-    )
+    transfer = ReliableTransfer(pruner)
+    transfer.uplink = ChaosLink(0.0, random.Random(0), drop_at={3, 7})
 """
 
 from __future__ import annotations

@@ -107,13 +107,12 @@ class FaultPlan:
         kinds: Sequence[str] = FAULT_KINDS,
         rate: float = 0.005,
         count: Optional[int] = None,
-        max_events: int = 64,
         window: Tuple[float, float] = (0.0, 1.0),
     ) -> "FaultPlan":
         """Derive a schedule from a seed for a run of ``length`` entries.
 
         ``count`` fixes the number of events; otherwise ``rate`` scales
-        with ``length`` (capped at ``max_events``).  ``window`` confines
+        with ``length`` (capped at 64 events).  ``window`` confines
         positions to a fraction of the run — e.g. ``(0.6, 0.95)`` lands
         every event in a JOIN's probe phase.
         """
@@ -125,7 +124,7 @@ class FaultPlan:
         lo = int(length * window[0])
         hi = max(lo + 1, int(length * window[1]))
         if count is None:
-            count = max(1, min(max_events, round(length * rate)))
+            count = max(1, min(64, round(length * rate)))
         count = min(count, hi - lo)
         rng = random.Random(seed)
         positions = sorted(rng.sample(range(lo, hi), count))
@@ -134,11 +133,6 @@ class FaultPlan:
             for position in positions
         ]
         return cls(events, seed=seed)
-
-    @classmethod
-    def single(cls, kind: str, at: int, target: Optional[str] = None, seed: int = 0) -> "FaultPlan":
-        """A one-event plan (unit tests, targeted scenarios)."""
-        return cls([FaultEvent(at=at, kind=kind, target=target)], seed=seed)
 
     def to_dict(self) -> dict:
         """JSON-ready form (reports, CLI ``--json``)."""

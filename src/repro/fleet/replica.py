@@ -93,7 +93,7 @@ class Replica:
 
     # -- rolling-update steps ------------------------------------------------
 
-    def drain(self, timeout: float = 30.0, poll: float = 0.002) -> bool:
+    def drain(self, timeout: float = 30.0) -> bool:
         """Wait until nothing is queued or executing here; True on success.
 
         The caller must have stopped routing to this replica first
@@ -105,7 +105,7 @@ class Replica:
         while self.occupancy > 0:
             if time.monotonic() >= deadline:
                 return False
-            time.sleep(poll)
+            time.sleep(0.002)
         return True
 
     def update_tables(self, tables=None) -> int:

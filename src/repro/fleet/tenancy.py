@@ -39,7 +39,7 @@ class TenantQuota:
     """Per-tenant admission quotas over the bounded queue.
 
     A tenant's limit is ``limits[tenant]`` when configured, otherwise
-    ``max(min_queued, ceil(max_share * max_depth))`` — proportional by
+    ``max(2, ceil(max_share * max_depth))`` — proportional by
     default, overridable per tenant for known-heavy or premium tenants.
     Stateless over the queue snapshot: the check counts the tenant's
     queued requests under the admission lock, so no separate bookkeeping
@@ -49,7 +49,6 @@ class TenantQuota:
     def __init__(
         self,
         max_share: float = 0.5,
-        min_queued: int = 2,
         limits: Optional[Dict[str, int]] = None,
     ) -> None:
         """Configure the default share and any per-tenant overrides."""
@@ -57,19 +56,14 @@ class TenantQuota:
             raise ConfigurationError(
                 f"max_share must be in (0, 1], got {max_share}"
             )
-        if min_queued < 1:
-            raise ConfigurationError(
-                f"min_queued must be >= 1, got {min_queued}"
-            )
         self.max_share = max_share
-        self.min_queued = min_queued
         self.limits = dict(limits or {})
 
     def limit_for(self, tenant: str, max_depth: int) -> int:
         """The most queue entries ``tenant`` may hold at once."""
         if tenant in self.limits:
             return max(1, int(self.limits[tenant]))
-        return max(self.min_queued, math.ceil(self.max_share * max_depth))
+        return max(2, math.ceil(self.max_share * max_depth))
 
     def check(self, request, queue, max_depth: int) -> Optional[str]:
         """The admission hook: a shed message when over quota, else None.
@@ -113,16 +107,11 @@ class WeightedFairPolicy:
     def __init__(
         self,
         weights: Optional[Dict[str, float]] = None,
-        default_weight: float = 1.0,
         starvation_rounds: int = 64,
         events=None,
         registry=None,
     ) -> None:
         """Configure tenant weights and the starvation watchdog."""
-        if default_weight <= 0:
-            raise ConfigurationError(
-                f"default_weight must be positive, got {default_weight}"
-            )
         for tenant, weight in (weights or {}).items():
             if weight <= 0:
                 raise ConfigurationError(
@@ -133,7 +122,6 @@ class WeightedFairPolicy:
                 f"starvation_rounds must be >= 1, got {starvation_rounds}"
             )
         self.weights = dict(weights or {})
-        self.default_weight = default_weight
         self.starvation_rounds = starvation_rounds
         self.events = events
         self.registry = registry
@@ -150,7 +138,7 @@ class WeightedFairPolicy:
 
     def weight_for(self, tenant: str) -> float:
         """The configured (or default) weight of ``tenant``."""
-        return self.weights.get(tenant, self.default_weight)
+        return self.weights.get(tenant, 1.0)
 
     def select(self, queued: Sequence) -> int:
         """The scheduler hook: index of the request leading the next slot.

@@ -62,10 +62,9 @@ class FabricTopology:
         cls,
         tors: int = 2,
         spines: int = 1,
-        tor_model: ResourceModel = TOFINO,
-        spine_model: ResourceModel = TOFINO2,
     ) -> "FabricTopology":
-        """``tors`` ToRs × ``spines`` spines, every ToR uplinked into every spine.
+        """``tors`` Tofino ToRs × ``spines`` Tofino2 spines, every ToR uplinked
+        into every spine.
 
         Switches are named ``tor-0..`` and ``spine-0..``.
         """
@@ -75,8 +74,8 @@ class FabricTopology:
                 f"got {tors} and {spines}"
             )
         return cls(
-            [SwitchSpec(f"tor-{i}", "tor", tor_model) for i in range(tors)],
-            [SwitchSpec(f"spine-{j}", "spine", spine_model) for j in range(spines)],
+            [SwitchSpec(f"tor-{i}", "tor", TOFINO) for i in range(tors)],
+            [SwitchSpec(f"spine-{j}", "spine", TOFINO2) for j in range(spines)],
         )
 
     def __len__(self) -> int:

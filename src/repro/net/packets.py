@@ -139,10 +139,3 @@ class CheetahAck:
         """Serialize to bytes."""
         return _ACK.pack(self.fid, self.seq, self.origin)
 
-    @classmethod
-    def decode(cls, data: bytes) -> "CheetahAck":
-        """Parse bytes produced by :meth:`encode`."""
-        if len(data) != _ACK.size:
-            raise ProtocolError(f"ack must be {_ACK.size} bytes, got {len(data)}")
-        fid, seq, origin = _ACK.unpack(data)
-        return cls(fid=fid, seq=seq, origin=origin)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.base import PruneDecision, Pruner
 from ..errors import ProtocolError
@@ -105,15 +105,12 @@ class TransferStats:
         )
 
 
-#: Builds one link from the transfer's shared RNG; called once per hop.
-LinkFactory = Callable[[random.Random], LossyLink]
-
-
 class TransferBase:
     """Shared plumbing for every transfer variant.
 
-    Owns the four links (built by one ``link_factory`` sharing a single
-    RNG, so loss patterns across hops stay reproducible), the switch
+    Owns the four lossy links (sharing a single RNG, so loss patterns
+    across hops stay reproducible; assign over ``uplink``/``downlink``/
+    ``ack_switch_link``/``ack_master_link`` to swap one), the switch
     protocol state, the window validation every variant must perform,
     the master-side receive bookkeeping (arrival order, per-``(fid,
     seq)`` dedup, duplicate counting), and the round loop the
@@ -122,11 +119,8 @@ class TransferBase:
     Parameters
     ----------
     pruner:
-        The dataplane pruning algorithm; entries are extracted from packet
-        values with ``decode_entry``.
-    decode_entry:
-        Maps a packet to the entry the pruner processes (default: the
-        values tuple, unwrapped when it has a single element).
+        The dataplane pruning algorithm; a packet's entry is its values
+        tuple, unwrapped when it has a single element.
     loss:
         Per-link drop probability applied independently to the uplink,
         the downlink, and both ACK paths.
@@ -142,37 +136,27 @@ class TransferBase:
         unbounded window wastes transmissions after an early loss; a
         modest window models the pacing a real CWorker does with its
         per-packet timers.
-    link_factory:
-        Optional callable building each of the four links from the
-        transfer's shared RNG — inject a
-        :class:`GilbertElliottLink` or a
-        :class:`~repro.faults.links.ChaosLink` here instead of
-        assigning over the ``uplink``/... attributes.  When given,
-        ``loss`` is ignored.
     """
 
     def __init__(
         self,
         pruner: Pruner,
-        decode_entry: Optional[Callable[[CheetahPacket], object]] = None,
         loss: float = 0.0,
         seed: int = 0,
         max_rounds: int = 10_000,
         window: Optional[int] = None,
-        link_factory: Optional[LinkFactory] = None,
     ) -> None:
         if window is not None and window <= 0:
             raise ProtocolError(f"window must be positive, got {window}")
         rng = random.Random(seed)
-        factory = link_factory or (lambda r: LossyLink(loss, r))
         self.switch = SwitchReliabilityState(pruner)
-        self.uplink = factory(rng)
-        self.downlink = factory(rng)
-        self.ack_switch_link = factory(rng)
-        self.ack_master_link = factory(rng)
+        self.uplink = LossyLink(loss, rng)
+        self.downlink = LossyLink(loss, rng)
+        self.ack_switch_link = LossyLink(loss, rng)
+        self.ack_master_link = LossyLink(loss, rng)
         self.max_rounds = max_rounds
         self.window = window
-        self._decode = decode_entry or _default_decode
+        self._decode = _default_decode
         self.stats = TransferStats()
         self.master_entries: List[object] = []
         self.master_unique_entries: List[object] = []
@@ -274,7 +258,7 @@ def _default_decode(packet: CheetahPacket) -> object:
     return packet.values
 
 
-def packets_for(entries: List[object], fid: int = 0) -> List[CheetahPacket]:
+def packets_for(entries: List[object]) -> List[CheetahPacket]:
     """Build in-order packets for a list of entries (one entry per packet).
 
     Integer entries become single-value packets; tuples spread across the
@@ -286,7 +270,7 @@ def packets_for(entries: List[object], fid: int = 0) -> List[CheetahPacket]:
             values = tuple(int(v) for v in entry)
         else:
             values = (int(entry),)
-        packets.append(CheetahPacket(fid=fid, seq=seq, values=values))
+        packets.append(CheetahPacket(fid=0, seq=seq, values=values))
     return packets
 
 
@@ -295,8 +279,9 @@ class GilbertElliottLink(LossyLink):
 
     Real networks drop packets in bursts (congestion events), not
     independently.  The channel alternates between a GOOD state (low
-    loss) and a BAD state (high loss) with configurable transition
-    probabilities; the §7.2 protocol must converge under both regimes.
+    loss) and a BAD state (high loss), entering BAD with probability
+    0.05 and leaving it with probability 0.3 per packet; the §7.2
+    protocol must converge under both regimes.
     """
 
     def __init__(
@@ -304,8 +289,6 @@ class GilbertElliottLink(LossyLink):
         rng: random.Random,
         good_loss: float = 0.01,
         bad_loss: float = 0.7,
-        p_good_to_bad: float = 0.05,
-        p_bad_to_good: float = 0.3,
     ) -> None:
         super().__init__(0.0, rng)
         for name, value in (
@@ -314,25 +297,17 @@ class GilbertElliottLink(LossyLink):
         ):
             if not 0.0 <= value < 1.0:
                 raise ProtocolError(f"{name} must be in [0, 1), got {value}")
-        for name, value in (
-            ("p_good_to_bad", p_good_to_bad),
-            ("p_bad_to_good", p_bad_to_good),
-        ):
-            if not 0.0 < value <= 1.0:
-                raise ProtocolError(f"{name} must be in (0, 1], got {value}")
         self.good_loss = good_loss
         self.bad_loss = bad_loss
-        self.p_good_to_bad = p_good_to_bad
-        self.p_bad_to_good = p_bad_to_good
         self._bad_state = False
 
     def deliver(self) -> bool:
         """State transition, then a state-dependent coin flip."""
         if self._bad_state:
-            if self._rng.random() < self.p_bad_to_good:
+            if self._rng.random() < 0.3:
                 self._bad_state = False
         else:
-            if self._rng.random() < self.p_good_to_bad:
+            if self._rng.random() < 0.05:
                 self._bad_state = True
         self.sent += 1
         loss = self.bad_loss if self._bad_state else self.good_loss

@@ -7,9 +7,9 @@ pacing, or goodput.  :class:`TimedReliableTransfer` replaces the round
 loop with an event queue:
 
 * every transmission arms a **per-packet timeout** with capped
-  exponential backoff (``rto = min(rto_max, rto_initial * backoff^(a-1))``
+  exponential backoff (``rto = min(RTO_MAX, RTO_INITIAL * BACKOFF^(a-1))``
   for attempt ``a``), the way a real CWorker paces retransmissions;
-* a **sliding window** keeps at most ``window`` packets in flight; the
+* a **sliding window** keeps at most ``WINDOW`` packets in flight; the
   switch's in-order rule still yields go-back-N recovery, but driven by
   timers instead of lockstep rounds;
 * frames travel as **CRC-checksummed bytes**
@@ -30,77 +30,43 @@ injector's seeded RNG.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..core.base import Pruner
 from ..errors import ChecksumError, ProtocolError
 from .packets import CheetahPacket
-from .reliability import LinkFactory, TransferBase
+from .reliability import TransferBase
 
 #: Event kinds, in the order they appear in the queue payloads.
 _SWITCH, _MASTER, _ACK, _TIMEOUT = "switch", "master", "ack", "timeout"
 
 
+#: At most this many packets in flight.
+WINDOW = 32
+#: One-way latency of every hop, in simulated time units.
+LINK_DELAY = 1.0
+#: The retransmission-timeout ladder: attempt ``a`` waits
+#: ``min(RTO_MAX, RTO_INITIAL * BACKOFF**(a - 1))`` before firing.
+#: ``RTO_INITIAL`` covers the ~3-hop round trip, so healthy packets do
+#: not retransmit spuriously.
+RTO_INITIAL = 4.0
+RTO_MAX = 64.0
+BACKOFF = 2.0
+#: Per-packet give-up bound; exceeding it raises
+#: :class:`~repro.errors.ProtocolError` (the link is down, not lossy).
+MAX_ATTEMPTS = 50
+
+
 class TimedReliableTransfer(TransferBase):
     """§7.2 reliability with per-packet timers on a discrete-event clock.
 
-    Parameters beyond :class:`~repro.net.reliability.TransferBase`:
-
-    link_delay:
-        One-way latency of every hop, in simulated time units.
-    rto_initial / rto_max / backoff:
-        The retransmission-timeout ladder: attempt ``a`` waits
-        ``min(rto_max, rto_initial * backoff**(a - 1))`` before firing.
-        ``rto_initial`` must exceed the ~3-hop round trip or healthy
-        packets retransmit spuriously.
-    max_attempts:
-        Per-packet give-up bound; exceeding it raises
-        :class:`~repro.errors.ProtocolError` (the link is effectively
-        down, not lossy).
-    injector:
-        Optional :class:`~repro.faults.injector.FaultInjector` whose
-        link-fault events are applied by transmission index.
+    The links are lossless; ``injector``, an optional
+    :class:`~repro.faults.injector.FaultInjector`, applies its link-fault
+    events by transmission index.
     """
 
-    def __init__(
-        self,
-        pruner: Pruner,
-        decode_entry: Optional[Callable[[CheetahPacket], object]] = None,
-        loss: float = 0.0,
-        seed: int = 0,
-        window: int = 32,
-        link_factory: Optional[LinkFactory] = None,
-        link_delay: float = 1.0,
-        rto_initial: float = 4.0,
-        rto_max: float = 64.0,
-        backoff: float = 2.0,
-        max_attempts: int = 50,
-        injector=None,
-    ) -> None:
-        super().__init__(
-            pruner,
-            decode_entry,
-            loss=loss,
-            seed=seed,
-            window=window,
-            link_factory=link_factory,
-        )
-        if link_delay <= 0:
-            raise ProtocolError(f"link_delay must be positive, got {link_delay}")
-        if rto_initial < 3 * link_delay:
-            raise ProtocolError(
-                f"rto_initial ({rto_initial}) must cover the ~3-hop round trip "
-                f"({3 * link_delay})"
-            )
-        if backoff < 1.0:
-            raise ProtocolError(f"backoff must be >= 1, got {backoff}")
-        if max_attempts <= 0:
-            raise ProtocolError(f"max_attempts must be positive, got {max_attempts}")
-        self.link_delay = link_delay
-        self.rto_initial = rto_initial
-        self.rto_max = min(rto_max, max(rto_max, rto_initial))
-        self.backoff = backoff
-        self.max_attempts = max_attempts
+    def __init__(self, pruner: Pruner, seed: int = 0, injector=None) -> None:
+        super().__init__(pruner, seed=seed, window=WINDOW)
         self.injector = injector
         #: Final simulated clock value after :meth:`run`.
         self.sim_time = 0.0
@@ -118,7 +84,7 @@ class TimedReliableTransfer(TransferBase):
 
     def _rto(self, attempt: int) -> float:
         """The capped exponential backoff ladder for attempt ``attempt``."""
-        return min(self.rto_max, self.rto_initial * self.backoff ** (attempt - 1))
+        return min(RTO_MAX, RTO_INITIAL * BACKOFF ** (attempt - 1))
 
     # -- the transfer --------------------------------------------------------
 
@@ -148,7 +114,7 @@ class TimedReliableTransfer(TransferBase):
                     for seq in order[: next_to_arm]
                     if seq not in acked
                 )
-                if self.window is not None and in_flight >= self.window:
+                if in_flight >= WINDOW:
                     return
                 self._send(order[next_to_arm], attempts, now)
                 next_to_arm += 1
@@ -194,15 +160,15 @@ class TimedReliableTransfer(TransferBase):
             return
         if fault == "corrupt":
             frame = self.injector.corrupt_frame(frame)
-        delay = self.link_delay
+        delay = LINK_DELAY
         if fault == "reorder":
             # Held in a queue long enough for the next packet to overtake.
-            delay += 2.5 * self.link_delay
+            delay += 2.5 * LINK_DELAY
         if not self.uplink.deliver():
             return
         self._schedule(now + delay, _SWITCH, seq, frame)
         if fault == "duplicate":
-            self._schedule(now + delay + 0.25 * self.link_delay, _SWITCH, seq, frame)
+            self._schedule(now + delay + 0.25 * LINK_DELAY, _SWITCH, seq, frame)
 
     def _packet_for(self, seq: int) -> CheetahPacket:
         """The original packet for ``seq`` (kept on the run's closure)."""
@@ -224,7 +190,7 @@ class TimedReliableTransfer(TransferBase):
         if action == "prune":
             self.stats.switch_acks += 1
             if self.ack_switch_link.deliver():
-                self._schedule(now + self.link_delay, _ACK, seq, None)
+                self._schedule(now + LINK_DELAY, _ACK, seq, None)
             return
         fault = None
         if self.injector is not None:
@@ -238,7 +204,7 @@ class TimedReliableTransfer(TransferBase):
             frame = self.injector.corrupt_frame(frame)
         if not self.downlink.deliver():
             return
-        self._schedule(now + self.link_delay, _MASTER, seq, frame)
+        self._schedule(now + LINK_DELAY, _MASTER, seq, frame)
 
     def _on_master(self, seq: int, frame: bytes, now: float) -> None:
         """Frame arrives at the master: CRC check, ingest, ACK back."""
@@ -250,7 +216,7 @@ class TimedReliableTransfer(TransferBase):
         self._master_receive(packet)
         self.stats.master_acks += 1
         if self.ack_master_link.deliver():
-            self._schedule(now + self.link_delay, _ACK, seq, None)
+            self._schedule(now + LINK_DELAY, _ACK, seq, None)
 
     def _on_timeout(
         self,
@@ -264,7 +230,7 @@ class TimedReliableTransfer(TransferBase):
         if seq in acked or attempts.get(seq) != attempt:
             return  # delivered, or a newer attempt owns the timer
         self.stats.timeouts += 1
-        if attempt >= self.max_attempts:
+        if attempt >= MAX_ATTEMPTS:
             raise ProtocolError(
                 f"packet seq={seq} gave up after {attempt} attempts "
                 f"(link effectively down)"

@@ -22,7 +22,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..errors import ConfigurationError
 
@@ -136,12 +136,10 @@ class EventLog:
         with self._lock:
             return self._dropped
 
-    def snapshot(self, limit: Optional[int] = None) -> List[dict]:
-        """The most recent events as dicts, oldest first (capped at ``limit``)."""
+    def snapshot(self) -> List[dict]:
+        """The retained events as dicts, oldest first."""
         with self._lock:
             events = list(self._events)
-        if limit is not None:
-            events = events[-limit:]
         return [event.to_dict() for event in events]
 
     def since(self, seq: int) -> List[Event]:

@@ -30,7 +30,26 @@ import threading
 from collections import deque
 from typing import Dict, List, Optional
 
-from ..errors import ConfigurationError
+
+#: Rolling-window length per signal, and how many signatures are kept.
+WINDOW = 64
+MAX_SIGNATURES = 256
+#: Runs a signature needs before any detector gives a verdict.
+MIN_SAMPLES = 8
+#: Pruning collapse: fast EWMA below COLLAPSE_RATIO x a slow baseline of
+#: at least COLLAPSE_FLOOR.
+COLLAPSE_RATIO = 0.5
+COLLAPSE_FLOOR = 0.05
+#: Bloom saturation: FILL_GROWTH_RUN monotone fill increases ending at or
+#: above FILL_ALARM.
+FILL_ALARM = 0.9
+FILL_GROWTH_RUN = 8
+#: Threshold detectors: bloom false-positive rate and cache-matrix fill.
+FPR_ALARM = 0.1
+OCCUPANCY_ALARM = 0.95
+#: EWMA weights of the fast and slow pruning-ratio trackers.
+FAST_ALPHA = 0.3
+SLOW_ALPHA = 0.05
 
 #: Gauge families sampled from a run's metrics into the health windows.
 _GAUGE_SIGNALS = {
@@ -116,57 +135,20 @@ class HealthStore:
 
     One store serves a whole :class:`~repro.serve.server.QueryService`;
     all methods are thread-safe.  Signature count is bounded
-    (``max_signatures``, least-recently-observed evicted) so adversarial
+    (``MAX_SIGNATURES``, least-recently-observed evicted) so adversarial
     workloads cannot grow the store without bound.
+
+    ``WINDOW`` bounds each rolling window; ``MIN_SAMPLES`` gates the
+    detectors (no verdicts on thin evidence).  A pruning collapse fires
+    when the fast EWMA drops below ``COLLAPSE_RATIO`` x the slow baseline
+    while the baseline itself is at least ``COLLAPSE_FLOOR`` (queries
+    that never pruned are not "collapsing").  ``FILL_GROWTH_RUN``
+    monotone bloom-fill increases ending at or above ``FILL_ALARM`` flag
+    saturation; ``FPR_ALARM`` (bloom FPR) and ``OCCUPANCY_ALARM``
+    (cache-matrix occupied *fraction*) are plain threshold detectors.
     """
 
-    def __init__(
-        self,
-        window: int = 64,
-        registry=None,
-        events=None,
-        max_signatures: int = 256,
-        min_samples: int = 8,
-        collapse_ratio: float = 0.5,
-        collapse_floor: float = 0.05,
-        fill_alarm: float = 0.9,
-        fill_growth_run: int = 8,
-        fpr_alarm: float = 0.1,
-        occupancy_alarm: float = 0.95,
-        fast_alpha: float = 0.3,
-        slow_alpha: float = 0.05,
-    ) -> None:
-        """Create a store.
-
-        ``window`` bounds each rolling window; ``min_samples`` gates the
-        detectors (no verdicts on thin evidence).  A pruning collapse
-        fires when the fast EWMA drops below ``collapse_ratio`` × the
-        slow baseline while the baseline itself is at least
-        ``collapse_floor`` (queries that never pruned are not "collapsing").
-        ``fill_growth_run`` monotone bloom-fill increases ending at or
-        above ``fill_alarm`` flag saturation; ``fpr_alarm`` (bloom FPR)
-        and ``occupancy_alarm`` (cache-matrix occupied *fraction*) are
-        plain threshold detectors.
-        """
-        if window <= 0:
-            raise ConfigurationError(f"health window must be positive, got {window}")
-        if max_signatures <= 0:
-            raise ConfigurationError(
-                f"max_signatures must be positive, got {max_signatures}"
-            )
-        if not 0.0 < fast_alpha <= 1.0 or not 0.0 < slow_alpha <= 1.0:
-            raise ConfigurationError("EWMA alphas must be in (0, 1]")
-        self.window = window
-        self.max_signatures = max_signatures
-        self.min_samples = min_samples
-        self.collapse_ratio = collapse_ratio
-        self.collapse_floor = collapse_floor
-        self.fill_alarm = fill_alarm
-        self.fill_growth_run = fill_growth_run
-        self.fpr_alarm = fpr_alarm
-        self.occupancy_alarm = occupancy_alarm
-        self.fast_alpha = fast_alpha
-        self.slow_alpha = slow_alpha
+    def __init__(self, registry=None, events=None) -> None:
         self._registry = registry
         self._events = events
         self._lock = threading.Lock()
@@ -194,8 +176,8 @@ class HealthStore:
                 entry.fast_pruning = pruning
                 entry.slow_pruning = pruning
             else:
-                entry.fast_pruning += self.fast_alpha * (pruning - entry.fast_pruning)
-                entry.slow_pruning += self.slow_alpha * (pruning - entry.slow_pruning)
+                entry.fast_pruning += FAST_ALPHA * (pruning - entry.fast_pruning)
+                entry.slow_pruning += SLOW_ALPHA * (pruning - entry.slow_pruning)
             metrics = getattr(result, "metrics", None)
             if metrics is not None:
                 gauges = metrics.gauge_values()
@@ -227,8 +209,8 @@ class HealthStore:
     def _touch_locked(self, signature: str) -> SignatureHealth:
         entry = self._signatures.pop(signature, None)
         if entry is None:
-            entry = SignatureHealth(signature, self.window)
-            while len(self._signatures) >= self.max_signatures:
+            entry = SignatureHealth(signature, WINDOW)
+            while len(self._signatures) >= MAX_SIGNATURES:
                 # Oldest-observed signature falls off first.
                 evicted = next(iter(self._signatures))
                 del self._signatures[evicted]
@@ -238,14 +220,14 @@ class HealthStore:
     # -- detectors -----------------------------------------------------------
 
     def _detect_locked(self, entry: SignatureHealth) -> None:
-        if entry.runs >= self.min_samples:
+        if entry.runs >= MIN_SAMPLES:
             self._detect_collapse_locked(entry)
             self._detect_fill_growth_locked(entry)
             self._detect_threshold_locked(
                 entry,
                 "bloom_fpr_alarm",
                 entry.signals["bloom_fpr"],
-                self.fpr_alarm,
+                FPR_ALARM,
                 "bloom false-positive rate",
             )
             # Alarm on the occupied *fraction* (0..1) — the raw
@@ -254,15 +236,15 @@ class HealthStore:
                 entry,
                 "cache_fill_alarm",
                 entry.signals["cache_fill"],
-                self.occupancy_alarm,
+                OCCUPANCY_ALARM,
                 "cache-matrix fill ratio",
             )
 
     def _detect_collapse_locked(self, entry: SignatureHealth) -> None:
         fast, slow = entry.fast_pruning, entry.slow_pruning
-        if fast is None or slow is None or slow < self.collapse_floor:
+        if fast is None or slow is None or slow < COLLAPSE_FLOOR:
             return
-        collapsed = fast < self.collapse_ratio * slow
+        collapsed = fast < COLLAPSE_RATIO * slow
         if collapsed and not entry.active.get("pruning_collapse"):
             entry.active["pruning_collapse"] = True
             self._emit_locked(
@@ -281,9 +263,9 @@ class HealthStore:
     def _detect_fill_growth_locked(self, entry: SignatureHealth) -> None:
         window = entry.signals["bloom_fill"]
         saturating = (
-            entry.fill_growth_run >= self.fill_growth_run
+            entry.fill_growth_run >= FILL_GROWTH_RUN
             and bool(window)
-            and window[-1] >= self.fill_alarm
+            and window[-1] >= FILL_ALARM
         )
         if saturating and not entry.active.get("bloom_fill_growth"):
             entry.active["bloom_fill_growth"] = True
@@ -297,7 +279,7 @@ class HealthStore:
                 run=str(entry.fill_growth_run),
             )
         elif entry.active.get("bloom_fill_growth") and (
-            not window or window[-1] < self.fill_alarm
+            not window or window[-1] < FILL_ALARM
         ):
             entry.active["bloom_fill_growth"] = False
 

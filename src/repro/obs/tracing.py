@@ -62,9 +62,9 @@ class TraceContext:
     parent_id: Optional[str] = None
 
     @classmethod
-    def root(cls, trace_id: Optional[str] = None) -> "TraceContext":
-        """A new trace root (fresh trace id unless one is supplied)."""
-        return cls(trace_id=trace_id or _new_id(), span_id=_new_id(), parent_id=None)
+    def root(cls) -> "TraceContext":
+        """A new trace root with a fresh trace id."""
+        return cls(trace_id=_new_id(), span_id=_new_id(), parent_id=None)
 
     def child(self) -> "TraceContext":
         """A new node parented under this one, in the same trace."""

@@ -34,7 +34,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..engine.dataplane import DEFAULT_BATCH
 from ..engine.plan import Query
@@ -112,14 +112,11 @@ def _gather(
     specs: Sequence[dict],
     task,
     registry: MetricsRegistry,
-    on_result: Optional[Callable[[dict], None]] = None,
 ) -> Dict[int, dict]:
     """Run shard tasks with crash and timeout guardrails.
 
-    Results are *gathered* in completion order (``on_result`` is the
-    pipelining hook — per-shard post-processing runs while other shards
-    are still streaming) but always *merged* in shard order by the
-    caller.  Two recovery paths wrap the plain scatter:
+    Results are *gathered* in completion order but always *merged* in
+    shard order by the caller.  Two recovery paths wrap the plain scatter:
 
     * **pool respawn** — a ``BrokenProcessPool`` (a crashed worker kills
       the whole executor) shuts the cached pool down, spawns a fresh one
@@ -148,8 +145,6 @@ def _gather(
         shard = result["shard"]
         if shard not in results:
             results[shard] = result
-            if on_result is not None:
-                on_result(result)
 
     def respawn_or_raise(exc: BrokenProcessPool) -> List[tuple]:
         # One recovery point for both ways a dead pool shows up: a

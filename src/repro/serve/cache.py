@@ -44,17 +44,17 @@ from collections import OrderedDict
 from types import MappingProxyType
 from typing import Callable, Dict, Tuple
 
-from ..errors import ConfigurationError
+
+
+#: Entries each cache holds before evicting the least recently used.
+PROGRAM_CACHE_ENTRIES = 512
+RESULT_CACHE_ENTRIES = 256
 
 
 class _LRU:
     """A tiny thread-safe LRU map with hit/miss accounting."""
 
     def __init__(self, max_entries: int) -> None:
-        if max_entries <= 0:
-            raise ConfigurationError(
-                f"cache capacity must be positive, got {max_entries}"
-            )
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -165,8 +165,8 @@ def freeze_result(output: object) -> object:
 class ProgramCache:
     """Compiled-program (resource footprint) cache per canonical plan."""
 
-    def __init__(self, max_entries: int = 512) -> None:
-        self._lru = _LRU(max_entries)
+    def __init__(self) -> None:
+        self._lru = _LRU(PROGRAM_CACHE_ENTRIES)
 
     def footprint(self, query, build: Callable[[], object]):
         """The footprint for ``query``, building (and caching) on miss.
@@ -199,8 +199,8 @@ class ProgramCache:
 class ResultCache:
     """Exact-output cache keyed by ``(cache_key, table_version)``."""
 
-    def __init__(self, max_entries: int = 256) -> None:
-        self._lru = _LRU(max_entries)
+    def __init__(self) -> None:
+        self._lru = _LRU(RESULT_CACHE_ENTRIES)
 
     def get(self, cache_key: str, version: int) -> Tuple[bool, object]:
         """``(hit, output)``; hits share one immutable frozen view."""

@@ -182,11 +182,6 @@ class BloomFilter:
         self._words[index >> 3] ^= 1 << (index & 7)
         return bool(self._words[index >> 3] & (1 << (index & 7)))
 
-    @property
-    def inserted(self) -> int:
-        """Number of ``add`` calls (duplicates included)."""
-        return self._inserted
-
     def fill_ratio(self) -> float:
         """Fraction of set bits, an observable FP-rate proxy."""
         words = np.frombuffer(self._words, dtype=np.uint8)
@@ -316,11 +311,6 @@ class RegisterBloomFilter:
         word, bit = divmod(index, _WORD_BITS)
         self._registers[word] ^= np.uint64(1 << bit)
         return bool(int(self._registers[word]) & (1 << bit))
-
-    @property
-    def inserted(self) -> int:
-        """Number of ``add`` calls (duplicates included)."""
-        return self._inserted
 
     def fill_ratio(self) -> float:
         """Fraction of set bits across all registers."""

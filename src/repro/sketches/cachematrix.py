@@ -358,9 +358,9 @@ class _RowMatrix:
         for name, text, value in gauges:
             registry.gauge(f"{self._GAUGES}_{name}", text, **labels).set(value)
 
-    def sram_bits(self, value_bits: int = 64) -> int:
-        """SRAM footprint per Table 2: ``(d*w) x value_bits`` per cell field."""
-        return self.rows * self.cols * value_bits * self._FIELDS
+    def sram_bits(self) -> int:
+        """SRAM footprint per Table 2: ``(d*w) x 64b`` per cell field."""
+        return self.rows * self.cols * 64 * self._FIELDS
 
 
 class CacheMatrix(_RowMatrix):
@@ -423,9 +423,7 @@ class CacheMatrix(_RowMatrix):
         """Vectorized :meth:`row_of` over a value array."""
         return hash_range_batch(values, self.rows, self._seed ^ 0xD15C).astype(np.int64)
 
-    def lookup_insert_batch(
-        self, values: Sequence[Hashable], rows: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def lookup_insert_batch(self, values: Sequence[Hashable]) -> np.ndarray:
         """Batch driver for :meth:`lookup_insert`.
 
         Row assignment is vectorized.  An int, uint or finite-float array
@@ -442,15 +440,11 @@ class CacheMatrix(_RowMatrix):
             return hits
         typed = _numeric(values)
         if typed is not None and self._arrayed(count, typed.dtype):
-            keyed = None if rows is not None else self._keyed(typed)
+            keyed = self._keyed(typed)
             if keyed is not None:
                 return self._lookup_insert_settled(typed, *keyed)
-            if rows is None:
-                rows = self.row_of_batch(typed)
-            return self._lookup_insert_rounds(typed, np.asarray(rows))
-        if rows is None:
-            rows = self.row_of_batch(values)
-        for row, positions in _iter_row_groups(rows):
+            return self._lookup_insert_rounds(typed, self.row_of_batch(typed))
+        for row, positions in _iter_row_groups(self.row_of_batch(values)):
             for pos in positions:
                 hits[pos] = self.lookup_insert(values[pos], row)
         return hits
@@ -762,7 +756,6 @@ class KeyedAggregateMatrix(_RowMatrix):
         self,
         keys: Sequence[Hashable],
         values: Sequence[float],
-        rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Batch driver for :meth:`observe`.
 
@@ -772,8 +765,7 @@ class KeyedAggregateMatrix(_RowMatrix):
         hashed keys that cannot evict, which settle in closed form
         (:meth:`_observe_settled`); anything else replays each row's entries in stream order, as a
         key's decision depends on the aggregate its earlier occurrences
-        left.  ``rows`` short-circuits the row hash when the caller
-        already has it.
+        left.
         """
         count = len(keys)
         pruned = np.zeros(count, dtype=bool)
@@ -787,15 +779,11 @@ class KeyedAggregateMatrix(_RowMatrix):
             and self._arrayed(count, typed_keys.dtype, _WIDE["f"])
         ):
             typed = typed.astype(np.float64, copy=False)
-            keyed = None if rows is not None else self._keyed(typed_keys)
+            keyed = self._keyed(typed_keys)
             if keyed is not None:
                 return self._observe_settled(typed_keys, typed, *keyed)
-            if rows is None:
-                rows = self.row_of_batch(typed_keys)
-            return self._observe_rounds(typed_keys, typed, np.asarray(rows))
-        if rows is None:
-            rows = self.row_of_batch(keys)
-        for row, positions in _iter_row_groups(rows):
+            return self._observe_rounds(typed_keys, typed, self.row_of_batch(typed_keys))
+        for row, positions in _iter_row_groups(self.row_of_batch(keys)):
             for pos in positions:
                 pruned[pos] = self.observe(keys[pos], float(values[pos]), row)
         return pruned

@@ -260,6 +260,6 @@ class CountMinSketch:
             "countmin_total", "Total amount added across keys.", **labels
         ).set(self._total)
 
-    def sram_bits(self, counter_bits: int = 64) -> int:
+    def sram_bits(self) -> int:
         """SRAM footprint, matching Table 2's ``(d*w) x 64b`` accounting."""
-        return self.width * self.depth * counter_bits
+        return self.width * self.depth * 64

@@ -302,10 +302,8 @@ def stable_order(ids: np.ndarray, bound: int) -> np.ndarray:
 BatchHashFn = Callable[[Sequence], np.ndarray]
 
 
-def fingerprint_batch(
-    values, bits: int, seed: int = 0, canonical: Optional[np.ndarray] = None
-) -> np.ndarray:
+def fingerprint_batch(values, bits: int, seed: int = 0) -> np.ndarray:
     """Vectorized :func:`fingerprint`: ``bits``-wide fingerprints."""
     if not 1 <= bits <= 64:
         raise ValueError(f"fingerprint width must be in [1, 64], got {bits}")
-    return hash64_batch(values, seed ^ 0x5FD1, canonical=canonical) >> _U64(64 - bits)
+    return hash64_batch(values, seed ^ 0x5FD1) >> _U64(64 - bits)

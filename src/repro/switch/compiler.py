@@ -58,32 +58,31 @@ def check_fits_cached(footprint: ResourceFootprint, model: ResourceModel) -> Non
     _FIT_CACHE[key] = None
 
 
-def _spread(total_bits: int, stages: int, offset: int = 0) -> dict:
+def _spread(total_bits: int, stages: int) -> dict:
     """Distribute SRAM evenly across ``stages`` logical stages."""
     if stages <= 0:
         return {}
     per_stage = total_bits // stages
     remainder = total_bits - per_stage * stages
-    mapping = {offset + i: per_stage for i in range(stages)}
-    mapping[offset] += remainder
+    mapping = {i: per_stage for i in range(stages)}
+    mapping[0] += remainder
     return mapping
 
 
-def footprint_filtering(predicates: int = 1, reconfigurable: bool = True) -> ResourceFootprint:
+def footprint_filtering(predicates: int = 1) -> ResourceFootprint:
     """Filtering (Appendix A.2.2): one ALU per basic predicate.
 
-    A runtime-reconfigurable constant needs one register per predicate;
-    otherwise the comparison constant is baked into the action and costs
-    no SRAM.
+    Each comparison constant is runtime-reconfigurable, so it needs one
+    register per predicate.
     """
     if predicates <= 0:
         raise ConfigurationError(f"need at least one predicate, got {predicates}")
-    sram = predicates * _WORD if reconfigurable else 0
+    sram = predicates * _WORD
     return ResourceFootprint(
         stages=1,
         alus=predicates,
         sram_bits=sram,
-        stage_sram_bits={0: sram} if sram else {},
+        stage_sram_bits={0: sram},
         phv_bits=_WORD + predicates,  # value plus the predicate bit vector
         label="FILTER",
     )
@@ -102,7 +101,7 @@ def footprint_distinct(
     different register each stage).  FIFO, with same-stage shared memory,
     fits ``A`` columns per stage: ``ceil(w / A)`` stages.
     """
-    if policy == "fifo" and model.shared_stage_memory:
+    if policy == "fifo":
         stages = math.ceil(cols / model.alus_per_stage)
     else:
         stages = cols

@@ -120,16 +120,14 @@ class PipelineStats:
 class Pipeline:
     """An ordered set of stages sized by a :class:`ResourceModel`."""
 
-    def __init__(
-        self, model: ResourceModel = TOFINO, metrics: Optional[MetricsRegistry] = None
-    ) -> None:
+    def __init__(self, model: ResourceModel = TOFINO) -> None:
         self.model = model
         self.stages: List[Stage] = [
             Stage(i, model.alus_per_stage, model.sram_bits_per_stage)
             for i in range(model.stages)
         ]
         self._programs: Dict[int, List[StageProgram]] = {}
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.stats = PipelineStats(self.metrics)
         self._stage_counters: Dict[int, Counter] = {}
         self._phv_bits = self.metrics.gauge(

@@ -34,9 +34,7 @@ class PipelineDistinct:
     compare-and-shift.
     """
 
-    def __init__(
-        self, pipeline: Pipeline, rows: int, cols: int, seed: int = 0
-    ) -> None:
+    def __init__(self, pipeline: Pipeline, rows: int, cols: int) -> None:
         if rows <= 0 or cols <= 0:
             raise ConfigurationError(
                 f"matrix dimensions must be positive, got rows={rows} cols={cols}"
@@ -48,7 +46,6 @@ class PipelineDistinct:
         self.pipeline = pipeline
         self.rows = rows
         self.cols = cols
-        self._seed = seed
         for i in range(cols):
             pipeline.stage(i).alloc_register(f"distinct_col{i}", rows)
             pipeline.install(i, self._stage_program(i))
@@ -82,7 +79,7 @@ class PipelineDistinct:
         phv = self.pipeline.new_phv()
         phv.declare("value", 64, encoded)
         phv.declare("carry", 64, encoded)
-        phv.declare("row", 32, hash_range(value, self.rows, self._seed ^ 0xD15C))
+        phv.declare("row", 32, hash_range(value, self.rows, 0xD15C))
         phv.declare("hit", 1, 0)
         return self.pipeline.process(phv)
 
@@ -116,7 +113,7 @@ class PipelineTopNDeterministic:
         self.thresholds = thresholds
         stage0 = pipeline.stage(0)
         stage0.alloc_register("warmup_count", 1)
-        stage0.alloc_register("warmup_min", 1, width_bits=64)
+        stage0.alloc_register("warmup_min", 1)
         pipeline.install(0, self._warmup_program())
         for i in range(1, thresholds + 1):
             pipeline.stage(i).alloc_register(f"t{i}_counter", 1)

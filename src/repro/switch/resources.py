@@ -40,9 +40,9 @@ class ResourceModel:
     phv_bits:
         Packet header vector budget: parsed header + metadata bits carried
         across stages.
-    shared_stage_memory:
-        Whether same-stage ALUs can address the same register array (the
-        Table 2 rows marked ``*`` assume they can).
+
+    Same-stage ALUs can address the same register array, as the Table 2
+    rows marked ``*`` assume.
     """
 
     stages: int = 24
@@ -50,7 +50,6 @@ class ResourceModel:
     sram_bits_per_stage: int = 4 * MB
     tcam_entries: int = 100_000
     phv_bits: int = 2048
-    shared_stage_memory: bool = True
 
     @property
     def total_sram_bits(self) -> int:

@@ -62,11 +62,11 @@ class Stage:
 
     # -- control-plane-time allocation ------------------------------------
 
-    def alloc_register(self, name: str, size: int, width_bits: int = 64) -> RegisterArray:
-        """Allocate a register array, charging this stage's SRAM budget."""
+    def alloc_register(self, name: str, size: int) -> RegisterArray:
+        """Allocate a 64-bit register array, charging this stage's SRAM budget."""
         if name in self._arrays:
             raise ConfigurationError(f"register array {name!r} already exists in stage {self.index}")
-        array = RegisterArray(name, size, width_bits)
+        array = RegisterArray(name, size, width_bits=64)
         if self._sram_used + array.sram_bits > self.sram_budget_bits:
             raise ResourceError(
                 f"stage {self.index}: register {name!r} needs {array.sram_bits} bits, "

@@ -148,9 +148,9 @@ class LogApproxTable:
         shift = np.maximum(msb - (self.INPUT_BITS - 1), 0)
         return self.table[values >> shift] + self.beta * shift
 
-    def sram_bits(self, entry_bits: int = 32) -> int:
+    def sram_bits(self) -> int:
         """SRAM footprint of the exact-match table (Table 2: ``2^16 x 32b``)."""
-        return self.ENTRY_COUNT * entry_bits
+        return self.ENTRY_COUNT * 32
 
     def tcam_entries(self) -> int:
         """TCAM entries for the MSB finder."""

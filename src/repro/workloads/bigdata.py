@@ -38,6 +38,10 @@ from ..engine.plan import (
 from ..engine.table import Table
 
 
+#: Share of UserVisits.destURL drawn from Rankings.pageURL (the JOIN's matches).
+JOIN_OVERLAP = 0.10
+
+
 @dataclass(frozen=True)
 class BigDataScale:
     """Row counts and cardinalities for a generated benchmark instance.
@@ -52,7 +56,6 @@ class BigDataScale:
     distinct_urls: int = 20_000
     distinct_user_agents: int = 500
     distinct_languages: int = 25
-    join_overlap: float = 0.10
     string_agents: bool = False
 
 
@@ -97,10 +100,10 @@ def uservisits(scale: BigDataScale = BigDataScale(), seed: int = 0) -> Table:
     lang_weights /= lang_weights.sum()
     language_code = rng.choice(scale.distinct_languages, size=n, p=lang_weights)
     ad_revenue = rng.lognormal(mean=2.0, sigma=1.5, size=n)
-    # destURL overlaps Rankings.pageURL on ~join_overlap of the URL space.
-    overlap_urls = int(scale.distinct_urls * scale.join_overlap)
+    # destURL overlaps Rankings.pageURL on ~JOIN_OVERLAP of the URL space.
+    overlap_urls = int(scale.distinct_urls * JOIN_OVERLAP)
     dest_url = np.where(
-        rng.random(n) < scale.join_overlap,
+        rng.random(n) < JOIN_OVERLAP,
         rng.integers(0, max(1, overlap_urls), size=n),
         rng.integers(scale.distinct_urls, 2 * scale.distinct_urls, size=n),
     )
@@ -148,9 +151,9 @@ def query3_skyline() -> Query:
     return Query(SkylineOp("Rankings", ("pageRank", "avgDuration")))
 
 
-def query4_topn(n: int = 250) -> Query:
+def query4_topn() -> Query:
     """(4) SELECT TOP 250 * FROM UserVisits ORDER BY adRevenue."""
-    return Query(TopNOp("UserVisits", "adRevenue", n))
+    return Query(TopNOp("UserVisits", "adRevenue", 250))
 
 
 def query5_groupby() -> Query:

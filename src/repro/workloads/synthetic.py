@@ -50,14 +50,12 @@ def revenue_stream(length: int, scale: float = 100.0, seed: int = 0) -> List[flo
     return (rng.lognormal(mean=0.0, sigma=1.5, size=length) * scale).tolist()
 
 
-def uniform_points(
-    length: int, dims: int = 2, high: int = 1 << 16, seed: int = 0
-) -> List[Tuple[float, ...]]:
-    """Uniform integer points in ``[0, high)^dims`` for SKYLINE."""
+def uniform_points(length: int, dims: int = 2, seed: int = 0) -> List[Tuple[float, ...]]:
+    """Uniform integer points in ``[0, 2**16)^dims`` for SKYLINE."""
     if dims < 1:
         raise ConfigurationError(f"dims must be >= 1, got {dims}")
     rng = np.random.default_rng(seed)
-    raw = rng.integers(0, high, size=(length, dims))
+    raw = rng.integers(0, 1 << 16, size=(length, dims))
     return [tuple(float(v) for v in row) for row in raw]
 
 
@@ -65,12 +63,11 @@ def keyed_values(
     length: int,
     distinct_keys: int,
     skew: float = 1.2,
-    value_scale: float = 100.0,
     seed: int = 0,
 ) -> List[Tuple[int, float]]:
     """``(key, value)`` pairs: Zipf keys with lognormal values (GROUP BY / HAVING)."""
     keys = zipf_keys(length, distinct_keys, skew=skew, seed=seed)
-    values = revenue_stream(length, scale=value_scale, seed=seed ^ 0x5EED)
+    values = revenue_stream(length, scale=100.0, seed=seed ^ 0x5EED)
     return list(zip(keys, values))
 
 

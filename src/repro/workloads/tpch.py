@@ -30,21 +30,20 @@ SEGMENTS = 5  # BUILDING, AUTOMOBILE, MACHINERY, HOUSEHOLD, FURNITURE
 
 @dataclass(frozen=True)
 class TpchScale:
-    """Row counts for a generated TPC-H-like instance."""
+    """Row counts for a generated TPC-H-like instance: 10 orders per
+    customer, 4 lineitems per order."""
 
     customers: int = 3_000
-    orders_per_customer: int = 10
-    lineitems_per_order: int = 4
 
     @property
     def orders(self) -> int:
         """Orders row count."""
-        return self.customers * self.orders_per_customer
+        return self.customers * 10
 
     @property
     def lineitems(self) -> int:
         """Lineitem row count."""
-        return self.orders * self.lineitems_per_order
+        return self.orders * 4
 
 
 def customer(scale: TpchScale = TpchScale(), seed: int = 0) -> Table:

@@ -22,9 +22,11 @@ from repro.adapt import (
     RemediationEngine,
     plan_action,
 )
+from repro.adapt.engine import FREEZE_S, MAX_ACTIONS
 from repro.engine.cluster import ClusterConfig
 from repro.errors import ConfigurationError, Overloaded
 from repro.obs import EventLog, HealthStore, MetricsRegistry
+from repro.obs.health import MAX_SIGNATURES
 from repro.serve.admission import AdmissionController, Request
 from repro.serve.cache import ProgramCache, ResultCache
 
@@ -321,7 +323,7 @@ def test_engine_rolls_back_when_canary_signal_never_materialized():
 
 
 def test_engine_requires_margin_not_noise():
-    engine, health, store, _, _, _, _ = make_engine(min_delta=0.01)
+    engine, health, store, _, _, _, _ = make_engine()
     degrade(health, mean=0.50)
     run_until_applied(engine, health, store)
     health.run_counts["q"] += engine.canary_runs
@@ -345,9 +347,7 @@ def test_unactionable_detection_is_counted_not_guessed():
 
 
 def test_circuit_breaker_freezes_flapping_signature_then_rearms():
-    engine, health, store, events, registry, clock, _ = make_engine(
-        max_actions=2, freeze_s=30.0
-    )
+    engine, health, store, events, registry, clock, _ = make_engine()
     degrade(health, mean=0.05)
 
     def flap_once():
@@ -355,9 +355,9 @@ def test_circuit_breaker_freezes_flapping_signature_then_rearms():
         health.run_counts["q"] += engine.canary_runs
         engine.tick()  # canary fails (mean never changes) -> rollback
 
-    flap_once()
-    flap_once()
-    # Budget (2) exhausted: the next planned action trips the breaker.
+    for _ in range(MAX_ACTIONS):
+        flap_once()
+    # Budget exhausted: the next planned action trips the breaker.
     engine.tick()
     health.run_counts["q"] += engine.canary_runs
     engine.tick()
@@ -375,7 +375,7 @@ def test_circuit_breaker_freezes_flapping_signature_then_rearms():
     assert store.version("q") == version
     assert engine.stats()["signatures"]["q"]["frozen"]
     # Freeze expiry re-arms the budget; the engine may act again.
-    clock.now += 31.0
+    clock.now += FREEZE_S + 1.0
     run_until_applied(engine, health, store)
     assert store.version("q") == version + 1
     assert len(
@@ -437,8 +437,6 @@ def test_engine_validates_guardrail_parameters():
     store = AdaptiveConfigStore(ClusterConfig())
     with pytest.raises(ConfigurationError):
         RemediationEngine(health=health, store=store, canary_runs=0)
-    with pytest.raises(ConfigurationError):
-        RemediationEngine(health=health, store=store, max_actions=0)
 
 
 def test_engine_consumes_degradation_events():
@@ -576,25 +574,25 @@ class FakeResult:
 
 
 def test_eviction_under_churn_bounds_the_store():
-    store = HealthStore(max_signatures=2)
-    for i in range(50):
+    store = HealthStore()
+    for i in range(MAX_SIGNATURES + 48):
         store.observe_run(f"sig-{i}", FakeResult(0.5), 0.01)
-    assert len(store) == 2
-    assert store.runs("sig-49") == 1
+    assert len(store) == MAX_SIGNATURES
+    assert store.runs(f"sig-{MAX_SIGNATURES + 47}") == 1
     assert store.runs("sig-0") == 0, "evicted signatures leave no state"
 
 
 def test_recently_observed_signature_survives_churn():
-    store = HealthStore(max_signatures=2)
-    for i in range(20):
+    store = HealthStore()
+    for i in range(2 * MAX_SIGNATURES):
         store.observe_run("hot", FakeResult(0.5), 0.01)
         store.observe_run(f"cold-{i}", FakeResult(0.5), 0.01)
-    assert store.runs("hot") == 20, "recency keeps the live signature"
-    assert len(store) == 2
+    assert store.runs("hot") == 2 * MAX_SIGNATURES, "recency keeps the live signature"
+    assert len(store) == MAX_SIGNATURES
 
 
 def test_evicted_signature_returns_with_fresh_detector_state():
-    store = HealthStore(max_signatures=2, min_samples=2, collapse_floor=0.05)
+    store = HealthStore()
     events = []
     # Drive "victim" into a pruning collapse (active excursion).
     for _ in range(6):
@@ -606,8 +604,8 @@ def test_evicted_signature_returns_with_fresh_detector_state():
     }
     assert "pruning_collapse" in degraded["victim"]
     # Churn it out, then bring it back healthy.
-    store.observe_run("a", FakeResult(0.5), 0.01)
-    store.observe_run("b", FakeResult(0.5), 0.01)
+    for i in range(MAX_SIGNATURES):
+        store.observe_run(f"churn-{i}", FakeResult(0.5), 0.01)
     assert store.runs("victim") == 0
     store.observe_run("victim", FakeResult(0.9), 0.01)
     entry = [e for e in store.snapshot() if e["signature"] == "victim"][0]
@@ -617,9 +615,10 @@ def test_evicted_signature_returns_with_fresh_detector_state():
 
 
 def test_remediation_accessors_on_evicted_signature_are_safe():
-    store = HealthStore(max_signatures=1)
+    store = HealthStore()
     store.observe_run("gone", FakeResult(0.5), 0.01)
-    store.observe_run("here", FakeResult(0.5), 0.01)
+    for i in range(MAX_SIGNATURES):
+        store.observe_run(f"here-{i}", FakeResult(0.5), 0.01)
     assert store.op_kind("gone") is None
     assert store.recent_mean("gone", "pruning_ratio", 3) is None
     assert store.signal_values("gone", "pruning_ratio") == []

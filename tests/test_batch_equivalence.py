@@ -195,14 +195,14 @@ class TestSketchBatch:
         batch.add_batch(inserts)
         batch.add_batch(str_inserts)
         assert bytes(batch._words) == bytes(scalar._words)
-        assert batch.inserted == scalar.inserted
+        assert batch._inserted == scalar._inserted
         # An integer array sets its bits in scatter rounds: bits of one
         # slice that share a byte take more than one.
         arrayed = BloomFilter(size_bits=1 << 14, hashes=3, seed=4)
         arrayed.add_batch(np.array(inserts))
         arrayed.add_batch(str_inserts)
         assert bytes(arrayed._words) == bytes(scalar._words)
-        assert arrayed.inserted == scalar.inserted
+        assert arrayed._inserted == scalar._inserted
         got = batch.contains_batch(probes)
         assert [bool(x) for x in got] == [p in scalar for p in probes]
 
@@ -385,8 +385,7 @@ class TestPrunerBatchEquivalence:
     @pytest.mark.parametrize(
         "aggregate,threshold", [("sum", 5000.0), ("count", 10), ("max", 8000.0), ("min", 50.0)]
     )
-    @pytest.mark.parametrize("conservative", [False, True])
-    def test_having_all_aggregates(self, aggregate, threshold, conservative):
+    def test_having_all_aggregates(self, aggregate, threshold):
         rng = random.Random(29)
         pairs = [(rng.randrange(0, 150), rng.uniform(0, 1e3)) for _ in range(3000)]
         pairs += [(f"k{k}", v) for k, v in pairs[:200]]
@@ -396,7 +395,6 @@ class TestPrunerBatchEquivalence:
                 aggregate=aggregate,
                 width=256,
                 depth=3,
-                conservative=conservative,
             ),
             pairs,
             pairs[:200],

@@ -38,7 +38,7 @@ class TestBloomFilter:
         bf = BloomFilter(1024)
         bf.update(range(50))
         bf.clear()
-        assert bf.inserted == 0
+        assert bf._inserted == 0
         assert all(i not in bf for i in range(50))
 
     def test_fill_ratio_grows_with_inserts(self):
@@ -51,7 +51,7 @@ class TestBloomFilter:
         bf = BloomFilter(1024)
         bf.add("x")
         bf.add("x")
-        assert bf.inserted == 2
+        assert bf._inserted == 2
 
     def test_invalid_size_raises(self):
         with pytest.raises(ConfigurationError):
@@ -81,7 +81,7 @@ def test_reset_state_equals_a_fresh_filter(cls):
     bits = "_words" if cls is BloomFilter else "_registers"
     assert bytes(getattr(used, bits)) == bytes(getattr(fresh, bits))
     assert used.fill_ratio() == fresh.fill_ratio() == 0.0
-    assert used.inserted == fresh.inserted == 0
+    assert used._inserted == fresh._inserted == 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -141,7 +141,7 @@ class TestRegisterBloomFilter:
         rbf = RegisterBloomFilter(1 << 12)
         rbf.update(range(100))
         rbf.clear()
-        assert rbf.inserted == 0
+        assert rbf._inserted == 0
         assert all(i not in rbf for i in range(100))
 
     def test_mask_has_at_most_h_bits(self):
@@ -192,7 +192,7 @@ def test_batch_build_and_probe_equal_the_per_value_loop(kind):
     for value in build:
         scalar.add(value)
     assert bytes(batch._words) == bytes(scalar._words)
-    assert batch.inserted == scalar.inserted == len(build)
+    assert batch._inserted == scalar._inserted == len(build)
     got = batch.contains_batch(probe)
     assert got.dtype == bool
     assert got.tolist() == [value in scalar for value in probe]

@@ -160,6 +160,32 @@ def _state(matrix, counters):
     return rows, {name: getattr(matrix, name) for name in counters}
 
 
+class given_rows:
+    """Route a batch through ``rows`` instead of the matrix's row hash, as
+    the per-entry oracle's ``row`` argument does; ``None`` keeps the hash.
+    The closed-form settling path hashes keys itself, so it stands down.
+    Use as a context manager or call it: ``given_rows(m, rows)(fn, *args)``."""
+
+    def __init__(self, matrix, rows) -> None:
+        self._patches = [] if rows is None else [
+            mock.patch.object(matrix, "row_of_batch", lambda values: np.asarray(rows)),
+            mock.patch.object(matrix, "_keyed", lambda keys: None),
+        ]
+
+    def __enter__(self):
+        for patch in self._patches:
+            patch.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for patch in self._patches:
+            patch.stop()
+
+    def __call__(self, fn, *args):
+        with self:
+            return fn(*args)
+
+
 def _drive(subject, oracle, chunks, few, one, many, corrupt):
     """Batch calls on ``subject``, one call per entry on ``oracle``."""
     with mock.patch.object(cachematrix, "_FEW_LANES", few):
@@ -191,8 +217,8 @@ class TestCacheMatrixKernel:
         _drive(
             subject, oracle, chunks, few,
             one=lambda m, key, _, r: m.lookup_insert(key, row(r)),
-            many=lambda m, keys, _, rows: m.lookup_insert_batch(
-                keys, rows=None if hashed else rows
+            many=lambda m, keys, _, rows: given_rows(m, None if hashed else rows)(
+                m.lookup_insert_batch, keys
             ),
             corrupt=lambda m, r, c: m.corrupt_cell(r, c, "corrupt-7"),
         )
@@ -245,8 +271,8 @@ class TestKeyedAggregateMatrixKernel:
         _drive(
             subject, oracle, chunks, few,
             one=lambda m, key, value, r: m.observe(key, float(value), row(r)),
-            many=lambda m, keys, values, rows: m.observe_batch(
-                keys, values, rows=None if hashed else rows
+            many=lambda m, keys, values, rows: given_rows(m, None if hashed else rows)(
+                m.observe_batch, keys, values
             ),
             corrupt=lambda m, r, c: m.corrupt_cell(r, c, "corrupt-7", float(1 << 48)),
         )
@@ -265,10 +291,12 @@ def test_a_run_of_one_key_stops_at_the_row_boundary():
     rows = np.array([1, 2, 1, 2, 1, 2])
     expected = [False, False, True, True, True, True]
     cache = CacheMatrix(4, 2)
-    assert cache.lookup_insert_batch(keys, rows=rows).tolist() == expected
+    with given_rows(cache, rows):
+        assert cache.lookup_insert_batch(keys).tolist() == expected
     assert (cache.hits, cache.misses) == (4, 2)
     keyed = KeyedAggregateMatrix(4, 2, better=operator.gt)
-    assert keyed.observe_batch(keys, np.ones(6), rows=rows).tolist() == expected
+    with given_rows(keyed, rows):
+        assert keyed.observe_batch(keys, np.ones(6)).tolist() == expected
     assert (keyed.hits, keyed.inserts) == (4, 2)
     assert _cells_of(keyed) == [[], [(5, 1.0)], [(5, 1.0)], []]
 
@@ -295,7 +323,7 @@ def _pruner_cases():
             lambda _, values: values,
         ),
         "having-max": (
-            lambda: HavingPruner(0.0, "max", dedupe_rows=16, dedupe_cols=2),
+            lambda: HavingPruner(0.0, "max"),
             lambda ids, values: (ids, values),
         ),
     }
@@ -430,8 +458,8 @@ def test_observe_batch_at_production_size(pattern, hashed):
         one=lambda m, key, value, r: m.observe(
             int(key), float(value), None if hashed else int(r)
         ),
-        many=lambda m, keys, values, rows: m.observe_batch(
-            keys, values, rows=None if hashed else rows
+        many=lambda m, keys, values, rows: given_rows(m, None if hashed else rows)(
+            m.observe_batch, keys, values
         ),
         pattern=pattern,
         counters=("hits", "updates", "inserts", "evictions"),

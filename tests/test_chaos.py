@@ -251,7 +251,7 @@ class TestRowIdDedup:
 
 class TestSkylineReplayAcrossBatches:
     def test_replay_longer_than_a_batch(self, tables, queries, references):
-        plan = FaultPlan.single("reboot", at=20)
+        plan = FaultPlan([FaultEvent(at=20, kind="reboot")])
         result = _run_chaos(queries["Q3-skyline"], tables, plan, batch_size=7)
         assert result.output == references["Q3-skyline"]
         (degradation,) = result.faults["degradations"]

@@ -70,8 +70,8 @@ class TestRunVerified:
         assert result.op_kind == "skyline"
 
     def test_topn(self, cluster, small_tables):
-        result = cluster.run_verified(bigdata.query4_topn(n=50), small_tables)
-        assert len(result.output) == 50
+        result = cluster.run_verified(bigdata.query4_topn(), small_tables)
+        assert len(result.output) == 250
 
     def test_groupby(self, cluster, small_tables):
         result = cluster.run_verified(bigdata.query5_groupby(), small_tables)
@@ -228,7 +228,7 @@ class TestConfiguration:
         cluster = Cluster(
             workers=2, config=ClusterConfig(topn_randomized=False)
         )
-        cluster.run_verified(bigdata.query4_topn(n=100), small_tables)
+        cluster.run_verified(bigdata.query4_topn(), small_tables)
 
     def test_fifo_distinct_config(self, small_tables):
         cluster = Cluster(workers=2, config=ClusterConfig(distinct_policy="fifo"))
@@ -290,12 +290,12 @@ class TestTable2Sizes:
                 id="fingerprint-distinct",
             ),
             pytest.param(
-                {}, bigdata.query4_topn(n=250),
+                {}, bigdata.query4_topn(),
                 footprint_topn_rand(cols=topn_cols(4096, 250, 1e-4), rows=4096),
                 id="topn-randomized",
             ),
             pytest.param(
-                {"topn_randomized": False}, bigdata.query4_topn(n=250),
+                {"topn_randomized": False}, bigdata.query4_topn(),
                 footprint_topn_det(thresholds=4), id="topn-deterministic",
             ),
             pytest.param(

@@ -96,9 +96,6 @@ class TestTable2Formulas:
         assert fp.alus == 3
         assert fp.sram_bits == 3 * 64
 
-    def test_filtering_static_constant_needs_no_sram(self):
-        assert footprint_filtering(reconfigurable=False).sram_bits == 0
-
     def test_all_table2_defaults_fit_tofino(self):
         for fp in table2():
             fp.check_fits(TOFINO)

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.cluster import ClusterConfig
 from repro.engine.explain import explain
 from repro.engine.sql import parse
-from repro.switch.resources import MINI
 
 
 class TestExplain:
@@ -77,19 +75,11 @@ class TestExplain:
         text = explain(parse("SELECT TOP 100 x FROM T ORDER BY x"))
         assert "probabilistic" in text
 
-    def test_deterministic_topn_config(self):
-        text = explain(
-            parse("SELECT TOP 100 x FROM T ORDER BY x"),
-            config=ClusterConfig(topn_randomized=False),
-        )
-        assert "TopNDeterministicPruner" in text
-        assert "deterministic" in text
-
     def test_too_small_hardware_reported(self):
-        text = explain(
-            parse("SELECT * FROM A JOIN B ON A.x = B.y"), model=MINI
-        )
-        assert "NO" in text
+        # A 30-dimension SKYLINE needs more stages than the Tofino has.
+        dims = ", ".join(f"x{i}" for i in range(30))
+        text = explain(parse(f"SELECT a FROM T SKYLINE OF {dims}"))
+        assert "fits    : NO" in text
 
     def test_packed_where_mentioned(self):
         text = explain(

@@ -65,8 +65,7 @@ class TestMultiEntryPruner:
             MultiEntryPruner(
                 pruner,
                 row_of=pruner._matrix.row_of,
-                entries_per_packet=11,
-                alus_per_stage=10,
+                entries_per_packet=TOFINO.alus_per_stage + 1,
             )
 
     def test_footprint_multiplies_alus(self):
@@ -146,15 +145,6 @@ class TestSwitchTree:
         with pytest.raises(ConfigurationError):
             SwitchTree(leaves=[], root=DistinctPruner())
 
-    def test_bad_partition_function_rejected(self):
-        tree = SwitchTree(
-            leaves=[DistinctPruner(rows=8, cols=2)],
-            root=DistinctPruner(rows=8, cols=2),
-            partition=lambda entry: 5,
-        )
-        with pytest.raises(ConfigurationError):
-            tree.process("x")
-
     def test_reset(self):
         tree = SwitchTree(
             leaves=[DistinctPruner(rows=8, cols=2)],
@@ -176,9 +166,7 @@ class TestWorkerDag:
         dag = WorkerDag(
             [
                 EdgePruning("agg-edge", groupby),
-                EdgePruning(
-                    "dedup-edge", distinct, transform=None
-                ),
+                EdgePruning("dedup-edge", distinct),
             ]
         )
         # For the second edge, entries are (key, value) tuples; DISTINCT
@@ -188,40 +176,12 @@ class TestWorkerDag:
         assert reports[0].arrived == len(stream)
         assert reports[1].arrived == reports[0].emitted
 
-    def test_transform_projects_entries(self):
-        stream = keyed_values(2000, 50, seed=11)
-        dag = WorkerDag(
-            [
-                EdgePruning(
-                    "edge",
-                    GroupByPruner(rows=64, cols=4),
-                    transform=lambda entry: entry[0],
-                )
-            ]
-        )
-        output, _ = dag.run(stream)
-        assert set(output) == {key for key, _ in stream}
-
-    def test_transform_can_drop(self):
-        dag = WorkerDag(
-            [
-                EdgePruning(
-                    "edge",
-                    DistinctPruner(rows=16, cols=2),
-                    transform=lambda entry: entry if entry % 2 == 0 else None,
-                )
-            ]
-        )
-        output, reports = dag.run([1, 2, 3, 4])
-        assert output == [2, 4]
-
     def test_validate_packs_edges(self):
         dag = WorkerDag(
             [
                 EdgePruning("a", DistinctPruner(rows=256, cols=2)),
                 EdgePruning("b", GroupByPruner(rows=256, cols=4)),
             ],
-            model=TOFINO,
         )
         footprint = dag.validate()
         assert footprint.fits(TOFINO)
@@ -229,12 +189,13 @@ class TestWorkerDag:
     def test_validate_rejects_overcommit(self):
         from repro.core.join import JoinPruner
 
+        # Two JOINs that each claim the whole Tofino's SRAM.
+        memory = TOFINO.total_sram_bits
         dag = WorkerDag(
             [
-                EdgePruning("a", JoinPruner("L", "R")),
-                EdgePruning("b", JoinPruner("X", "Y")),
+                EdgePruning("a", JoinPruner("L", "R", memory_bits=memory)),
+                EdgePruning("b", JoinPruner("X", "Y", memory_bits=memory)),
             ],
-            model=MINI,
         )
         with pytest.raises(ResourceError):
             dag.validate()

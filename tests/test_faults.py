@@ -35,7 +35,14 @@ from repro.faults import (
 )
 from repro.net.packets import CheetahPacket
 from repro.net.reliability import MultiFlowTransfer, ReliableTransfer
-from repro.net.timed import TimedReliableTransfer
+from repro.net.timed import LINK_DELAY, MAX_ATTEMPTS, RTO_INITIAL, RTO_MAX, TimedReliableTransfer
+
+
+def _drops(rng, rate, transmissions):
+    """An injector dropping each of the first ``transmissions`` uplink
+    transmissions with probability ``rate``: a lossy link."""
+    events = [FaultEvent(at=i, kind="drop") for i in range(transmissions) if rng.random() < rate]
+    return FaultInjector(FaultPlan(events))
 
 
 def packets_for(entries, fid=0):
@@ -75,7 +82,7 @@ class TestFaultPlan:
             FaultPlan.random(0, 100, kinds=("drop", "meteor"))
 
     def test_single_and_events_of(self):
-        plan = FaultPlan.single("reboot", at=5)
+        plan = FaultPlan([FaultEvent(at=5, kind="reboot")])
         assert len(plan) == 1
         assert [(e.kind, e.at) for e in plan] == [("reboot", 5)]
 
@@ -207,7 +214,7 @@ class TestFaultCursorSegments:
         assert injector.entries_until_event() == oracle.entries_until_event()
 
     def test_no_later_event_means_unbounded_segment(self):
-        injector = FaultInjector(FaultPlan.single("reboot", at=3))
+        injector = FaultInjector(FaultPlan([FaultEvent(at=3, kind="reboot")]))
         assert injector.entries_until_event() == 3
         assert injector.advance(3) == []
         # The event at the cursor is due at the next segment's start, so it
@@ -229,10 +236,8 @@ class TestChaosLink:
         assert outcomes == [True, True, False, False, True, True]
 
     def test_plugs_into_reliable_transfer(self):
-        transfer = ReliableTransfer(
-            DistinctPruner(rows=16, cols=2),
-            link_factory=lambda rng: ChaosLink(0.0, rng, drop_at={0, 5}),
-        )
+        transfer = ReliableTransfer(DistinctPruner(rows=16, cols=2))
+        transfer.uplink = ChaosLink(0.0, random.Random(0), drop_at={0, 5})
         entries = [1, 2, 3, 1, 2, 4]
         delivered = transfer.run(packets_for(entries))
         assert set(delivered) == {1, 2, 3, 4}
@@ -323,19 +328,6 @@ class TestTransferWindowValidation:
         with pytest.raises(ProtocolError):
             MultiFlowTransfer(DistinctPruner(rows=8, cols=2), window=-3)
 
-    def test_timed_transfer_rejects_bad_params(self):
-        pruner = DistinctPruner(rows=8, cols=2)
-        with pytest.raises(ProtocolError):
-            TimedReliableTransfer(pruner, window=0)
-        with pytest.raises(ProtocolError):
-            TimedReliableTransfer(pruner, link_delay=0.0)
-        with pytest.raises(ProtocolError):
-            TimedReliableTransfer(pruner, rto_initial=1.0, link_delay=1.0)
-        with pytest.raises(ProtocolError):
-            TimedReliableTransfer(pruner, backoff=0.5)
-        with pytest.raises(ProtocolError):
-            TimedReliableTransfer(pruner, max_attempts=0)
-
 
 class TestTimedTransfer:
     def test_lossless_run_has_no_retransmissions(self):
@@ -352,7 +344,7 @@ class TestTimedTransfer:
         rng = random.Random(9)
         entries = [rng.randrange(30) for _ in range(120)]
         transfer = TimedReliableTransfer(
-            DistinctPruner(rows=16, cols=2), loss=0.3, seed=5
+            DistinctPruner(rows=16, cols=2), seed=5, injector=_drops(rng, 0.3, 600)
         )
         delivered = transfer.run(packets_for(entries))
         assert set(delivered) == set(entries)
@@ -364,7 +356,8 @@ class TestTimedTransfer:
 
         def run():
             transfer = TimedReliableTransfer(
-                DistinctPruner(rows=32, cols=2), loss=0.2, seed=3
+                DistinctPruner(rows=32, cols=2), seed=3,
+                injector=_drops(random.Random(3), 0.2, 300),
             )
             transfer.run(packets_for(entries))
             return (
@@ -376,16 +369,13 @@ class TestTimedTransfer:
         assert run() == run()
 
     def test_backoff_ladder_is_capped(self):
-        transfer = TimedReliableTransfer(
-            DistinctPruner(rows=8, cols=2),
-            rto_initial=4.0,
-            rto_max=16.0,
-            backoff=2.0,
-        )
-        assert transfer._rto(1) == 4.0
+        transfer = TimedReliableTransfer(DistinctPruner(rows=8, cols=2))
+        assert transfer._rto(1) == RTO_INITIAL == 4.0
         assert transfer._rto(2) == 8.0
-        assert transfer._rto(3) == 16.0
-        assert transfer._rto(10) == 16.0
+        assert transfer._rto(5) == RTO_MAX == 64.0
+        assert transfer._rto(10) == 64.0
+        # The first timeout outlasts the ~3-hop round trip.
+        assert transfer._rto(1) > 3 * LINK_DELAY
 
     def test_injected_corruption_is_checksum_detected(self):
         plan = FaultPlan(
@@ -425,10 +415,10 @@ class TestTimedTransfer:
         assert transfer.downlink.dropped == 1
 
     def test_dead_link_gives_up_with_protocol_error(self):
+        # Every uplink transmission is dropped: the link is down.
+        plan = FaultPlan([FaultEvent(at=i, kind="drop") for i in range(2 * MAX_ATTEMPTS)])
         transfer = TimedReliableTransfer(
-            DistinctPruner(rows=8, cols=2),
-            link_factory=lambda rng: ChaosLink(0.0, rng, blackout=(0, 10**9)),
-            max_attempts=3,
+            DistinctPruner(rows=8, cols=2), injector=FaultInjector(plan)
         )
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="gave up"):
             transfer.run(packets_for([1, 2]))

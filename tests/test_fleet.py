@@ -121,7 +121,7 @@ class TestTenantQuota:
         assert quota.limit_for("vip", 16) == 10
 
     def test_check_sheds_only_over_quota(self):
-        quota = TenantQuota(max_share=0.5, min_queued=1)
+        quota = TenantQuota(max_share=0.5)
         queue = [self.Req("loud"), self.Req("loud"), self.Req("quiet")]
         assert quota.check(self.Req("loud"), queue, max_depth=4) is not None
         assert quota.check(self.Req("quiet"), queue, max_depth=4) is None
@@ -129,13 +129,11 @@ class TestTenantQuota:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
             TenantQuota(max_share=0.0)
-        with pytest.raises(ConfigurationError):
-            TenantQuota(min_queued=0)
 
     def test_service_sheds_typed_tenant_quota(self, fleet_tables):
         service = QueryService(
             fleet_tables, workers=3, max_queue=8,
-            quota=TenantQuota(max_share=0.25, min_queued=1),
+            quota=TenantQuota(max_share=0.25),
         )
         try:
             service.pause()
@@ -215,8 +213,6 @@ class TestWeightedFairPolicy:
         assert policy.snapshot()["max_rounds_waited"]["a"] >= 3
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            WeightedFairPolicy(default_weight=0)
         with pytest.raises(ConfigurationError):
             WeightedFairPolicy(weights={"t": -1})
         with pytest.raises(ConfigurationError):
@@ -375,7 +371,7 @@ class TestResultCacheSharing:
         assert cache.get("q", 1)[0] is False
 
     def test_concurrent_readers_sweeps_and_writes(self):
-        cache = ResultCache(max_entries=64)
+        cache = ResultCache()
         errors = []
         stop = threading.Event()
 

@@ -16,6 +16,7 @@ from repro.core.having import (
     second_pass,
 )
 from repro.errors import ConfigurationError, UnsupportedOperationError
+from repro.switch.compiler import footprint_having
 from repro.workloads.synthetic import keyed_values
 
 
@@ -58,13 +59,10 @@ class TestHavingSumPath:
         assert len(wide_cand) <= len(narrow_cand)
 
     def test_dedupe_suppresses_repeat_candidates(self):
+        # Every entry crosses the threshold; the dedupe stage forwards one.
         stream = [("hot", 100.0)] * 100
-        with_dedupe = HavingPruner(threshold=50, width=64, dedupe_rows=64)
-        without = HavingPruner(threshold=50, width=64, dedupe_rows=0)
-        _, fwd_dedupe = _run(with_dedupe, stream)
-        _, fwd_plain = _run(without, list(stream))
-        assert fwd_dedupe == 1
-        assert fwd_plain > 50
+        _, forwarded = _run(HavingPruner(threshold=50, width=64), stream)
+        assert forwarded == 1
 
     def test_count_aggregate(self):
         stream = [("a", 1.0)] * 10 + [("b", 1.0)] * 2
@@ -93,19 +91,19 @@ class TestHavingSumPath:
 
 class TestHavingMaxMinPath:
     def test_max_forwards_only_passing_entries(self):
-        pruner = HavingPruner(threshold=10, aggregate="max", dedupe_rows=0)
+        pruner = HavingPruner(threshold=10, aggregate="max")
         assert pruner.process(("k", 5.0)) is PruneDecision.PRUNE
         assert pruner.process(("k", 15.0)) is PruneDecision.FORWARD
 
     def test_max_with_dedupe_one_per_key(self):
-        pruner = HavingPruner(threshold=10, aggregate="max", dedupe_rows=64)
+        pruner = HavingPruner(threshold=10, aggregate="max")
         stream = [("k", 20.0)] * 5 + [("j", 30.0)]
         candidates, fwd = _run(pruner, stream)
         assert candidates == {"k", "j"}
         assert fwd == 2
 
     def test_min_direction(self):
-        pruner = HavingPruner(threshold=10, aggregate="min", dedupe_rows=0)
+        pruner = HavingPruner(threshold=10, aggregate="min")
         assert pruner.process(("k", 5.0)) is PruneDecision.FORWARD
         assert pruner.process(("k", 50.0)) is PruneDecision.PRUNE
 
@@ -117,7 +115,7 @@ class TestHavingMaxMinPath:
         assert answer == set(reference_having(stream, 80, "max"))
 
     def test_negative_threshold_allowed_for_max(self):
-        pruner = HavingPruner(threshold=-5, aggregate="max", dedupe_rows=0)
+        pruner = HavingPruner(threshold=-5, aggregate="max")
         assert pruner.process(("k", 0.0)) is PruneDecision.FORWARD
 
 
@@ -130,13 +128,12 @@ class TestConfiguration:
         assert HavingPruner(threshold=1).guarantee is Guarantee.DETERMINISTIC
 
     def test_footprint_includes_dedupe_stage(self):
-        with_dedupe = HavingPruner(threshold=1, width=1024, depth=3, dedupe_rows=64)
-        without = HavingPruner(threshold=1, width=1024, depth=3, dedupe_rows=0)
-        assert with_dedupe.footprint().stages > without.footprint().stages
+        pruner = HavingPruner(threshold=1, width=1024, depth=3)
+        assert pruner.footprint().stages > footprint_having(width=1024, depth=3).stages
 
     def test_footprint_having_sram(self):
-        fp = HavingPruner(threshold=1, width=1024, depth=3, dedupe_rows=0).footprint()
-        assert fp.sram_bits == 1024 * 3 * 64
+        fp = HavingPruner(threshold=1, width=1024, depth=3).footprint()
+        assert fp.sram_bits == 1024 * 3 * 64 + 1024 * 2 * 64  # Count-Min + dedupe
 
     def test_reset(self):
         pruner = HavingPruner(threshold=5, width=64)

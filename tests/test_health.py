@@ -17,6 +17,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import EventLog, HealthStore, MetricsRegistry
+from repro.obs.health import MAX_SIGNATURES, MIN_SAMPLES, WINDOW
 
 
 class FakeResult:
@@ -62,12 +63,6 @@ class TestEventLog:
         assert counters["events_dropped_total{}"] == 2
         assert counters["events_total{kind=tick}"] == 5
 
-    def test_snapshot_limit_returns_most_recent(self):
-        log = EventLog(capacity=8)
-        for i in range(4):
-            log.emit("tick", f"event {i}")
-        assert [e["seq"] for e in log.snapshot(limit=2)] == [3, 4]
-
     def test_invalid_severity_rejected(self):
         log = EventLog(capacity=4)
         with pytest.raises(ConfigurationError):
@@ -96,15 +91,15 @@ class TestEventLog:
 
 class TestHealthStoreMechanics:
     def test_windows_are_bounded(self):
-        store = HealthStore(window=4)
-        for i in range(10):
+        store = HealthStore()
+        for i in range(WINDOW + 6):
             store.observe_run("q", FakeResult(0.5), latency_s=0.001 * i)
         snap = store.snapshot()[0]
-        assert snap["runs"] == 10
-        assert snap["window"] == 4
+        assert snap["runs"] == WINDOW + 6
+        assert snap["window"] == WINDOW
 
     def test_latency_quantiles_reported_in_ms(self):
-        store = HealthStore(window=16)
+        store = HealthStore()
         for ms in (1.0, 2.0, 3.0, 4.0):
             store.observe_latency("q", ms / 1000.0)
         snap = store.snapshot()[0]
@@ -112,25 +107,19 @@ class TestHealthStoreMechanics:
         assert snap["latency_p99_ms"] == pytest.approx(4.0)
 
     def test_max_signatures_evicts_least_recent(self):
-        store = HealthStore(window=4, max_signatures=2)
+        store = HealthStore()
         store.observe_run("a", FakeResult(0.5), 0.001)
         store.observe_run("b", FakeResult(0.5), 0.001)
+        for i in range(MAX_SIGNATURES - 2):
+            store.observe_run(f"s{i}", FakeResult(0.5), 0.001)
         store.observe_run("a", FakeResult(0.5), 0.001)  # refresh "a"
         store.observe_run("c", FakeResult(0.5), 0.001)  # evicts "b"
-        assert len(store) == 2
+        assert len(store) == MAX_SIGNATURES
         tracked = {s["signature"] for s in store.snapshot()}
-        assert tracked == {"a", "c"}
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HealthStore(window=0)
-        with pytest.raises(ConfigurationError):
-            HealthStore(max_signatures=0)
-        with pytest.raises(ConfigurationError):
-            HealthStore(fast_alpha=0.0)
+        assert {"a", "c"} <= tracked and "b" not in tracked
 
     def test_gauge_signals_sampled_from_metrics(self):
-        store = HealthStore(window=8)
+        store = HealthStore()
         result = result_with_gauges(
             0.6, bloom_fill_ratio=0.4, bloom_false_positive_rate=0.02
         )
@@ -140,7 +129,7 @@ class TestHealthStoreMechanics:
         assert snap["bloom_fpr"] == pytest.approx(0.02)
 
     def test_cache_hit_rate_derived_from_hit_miss_gauges(self):
-        store = HealthStore(window=8)
+        store = HealthStore()
         result = result_with_gauges(
             0.6, cache_matrix_hits=3.0, cache_matrix_misses=1.0
         )
@@ -157,9 +146,7 @@ class TestDriftDetectors:
     def test_pruning_collapse_flags_and_emits_once(self):
         events = EventLog(capacity=32)
         registry = MetricsRegistry()
-        store = HealthStore(
-            window=16, registry=registry, events=events, min_samples=4
-        )
+        store = HealthStore(registry=registry, events=events)
         for _ in range(8):
             store.observe_run("q", FakeResult(0.9), 0.001)
         assert events.snapshot() == []
@@ -183,7 +170,7 @@ class TestDriftDetectors:
 
     def test_stable_workload_emits_no_degradations(self):
         events = EventLog(capacity=32)
-        store = HealthStore(window=16, events=events, min_samples=4)
+        store = HealthStore(events=events)
         rng = np.random.default_rng(7)
         for _ in range(32):
             store.observe_run(
@@ -194,14 +181,14 @@ class TestDriftDetectors:
 
     def test_never_pruning_signature_is_not_collapsing(self):
         events = EventLog(capacity=32)
-        store = HealthStore(window=16, events=events, min_samples=4)
+        store = HealthStore(events=events)
         for _ in range(32):
             store.observe_run("q", FakeResult(0.0), 0.001)
         assert events.snapshot() == []
 
     def test_recovery_rearms_collapse_detector(self):
         events = EventLog(capacity=32)
-        store = HealthStore(window=16, events=events, min_samples=4)
+        store = HealthStore(events=events)
         for _ in range(8):
             store.observe_run("q", FakeResult(0.9), 0.001)
         for _ in range(8):
@@ -221,11 +208,8 @@ class TestDriftDetectors:
 
     def test_bloom_fill_growth_detector(self):
         events = EventLog(capacity=32)
-        store = HealthStore(
-            window=32, events=events, min_samples=2, fill_growth_run=4,
-            fill_alarm=0.9,
-        )
-        fills = [0.5, 0.6, 0.7, 0.8, 0.92]
+        store = HealthStore(events=events)
+        fills = [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.92]
         for fill in fills:
             store.observe_run(
                 "q", result_with_gauges(0.5, bloom_fill_ratio=fill), 0.001
@@ -239,8 +223,8 @@ class TestDriftDetectors:
 
     def test_bloom_fpr_threshold_detector(self):
         events = EventLog(capacity=32)
-        store = HealthStore(window=16, events=events, min_samples=2)
-        for fpr in (0.01, 0.02, 0.15):
+        store = HealthStore(events=events)
+        for fpr in [0.01] * (MIN_SAMPLES - 1) + [0.02, 0.15]:
             store.observe_run(
                 "q",
                 result_with_gauges(0.5, bloom_false_positive_rate=fpr),
@@ -256,10 +240,10 @@ class TestDriftDetectors:
 
     def test_cache_fill_threshold_uses_fill_ratio_not_occupancy(self):
         events = EventLog(capacity=32)
-        store = HealthStore(window=16, events=events, min_samples=2)
+        store = HealthStore(events=events)
         # Absolute occupancy far above 1.0 must NOT trip the alarm while
         # the fill *ratio* stays low.
-        for _ in range(4):
+        for _ in range(MIN_SAMPLES):
             store.observe_run(
                 "q",
                 result_with_gauges(

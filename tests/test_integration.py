@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.engine.cluster import Cluster, ClusterConfig
@@ -17,6 +18,7 @@ from repro.switch.compiler import (
 )
 from repro.switch.resources import TOFINO
 from repro.workloads import bigdata, tpch
+from tests.test_cost import first_run_speedup
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +74,8 @@ class TestBigDataEndToEnd:
         model = CostModel()
         groupby = cluster.run(bigdata.query5_groupby(), tables)
         filtering = cluster.run(bigdata.query1_filter_count(), tables)
-        assert model.speedup(groupby, first_run=True) > model.speedup(
-            filtering, first_run=True
-        )
-        assert model.speedup(groupby, first_run=False) > 1.0
+        assert first_run_speedup(model, groupby) > first_run_speedup(model, filtering)
+        assert model.speedup(groupby) > 1.0
 
 
 class TestTpchEndToEnd:
@@ -94,7 +94,7 @@ class TestTpchEndToEnd:
         base = tpch.tables(tpch.TpchScale(customers=500), seed=3)
         filtered = tpch.q3_filtered_tables(base)
         result = Cluster(workers=2).run(tpch.q3_join_query(), filtered)
-        assert CostModel().speedup(result, first_run=True) > 1.0
+        assert first_run_speedup(CostModel(), result) > 1.0
 
 
 class TestReliabilityIntegration:
@@ -103,7 +103,7 @@ class TestReliabilityIntegration:
         # with the GROUP BY pruner and verify the completed query.
         from repro.core.groupby import GroupByPruner, master_groupby
 
-        visits = tables["UserVisits"].head(400)
+        visits = tables["UserVisits"].take(np.arange(400))
         entries = [
             (int(k), int(v))
             for k, v in zip(
@@ -113,7 +113,6 @@ class TestReliabilityIntegration:
         pruner = GroupByPruner(rows=64, cols=4)
         transfer = ReliableTransfer(
             pruner,
-            decode_entry=lambda p: (p.values[0], p.values[1]),
             loss=0.2,
             seed=5,
         )

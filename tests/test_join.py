@@ -46,7 +46,7 @@ def master_outer_join(left_rows, right_rows, preserved="left"):
 
 class TestJoinPruner:
     def _pruner(self, **kwargs):
-        defaults = dict(left="A", right="B", memory_bits=MB8, hashes=3)
+        defaults = dict(left="A", right="B", memory_bits=MB8)
         defaults.update(kwargs)
         return JoinPruner(**defaults)
 

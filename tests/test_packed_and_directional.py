@@ -176,9 +176,9 @@ class TestDirectionalSkyline:
 
     def test_min_min_skyline_contract(self):
         # Minimize both dimensions (e.g. price and latency).
-        points = uniform_points(2000, dims=2, high=1000, seed=4)
+        points = uniform_points(2000, dims=2, seed=4)
         pruner = DirectionalSkylinePruner(
-            directions=["min", "min"], bounds=[1000, 1000], points=8
+            directions=["min", "min"], bounds=[1 << 16, 1 << 16], points=8
         )
         received = self._run(pruner, points)
         got = set(master_directional_skyline(received, ["min", "min"]))
@@ -186,10 +186,10 @@ class TestDirectionalSkyline:
         assert got == expected
 
     def test_mixed_directions_contract(self):
-        points = uniform_points(2000, dims=2, high=1000, seed=5)
+        points = uniform_points(2000, dims=2, seed=5)
         directions = ["max", "min"]
         pruner = DirectionalSkylinePruner(
-            directions=directions, bounds=[1000, 1000], points=8
+            directions=directions, bounds=[1 << 16, 1 << 16], points=8
         )
         received = self._run(pruner, points)
         got = set(master_directional_skyline(received, directions))
@@ -199,7 +199,7 @@ class TestDirectionalSkyline:
     def test_all_max_matches_plain_skyline(self):
         from repro.core.skyline import master_skyline
 
-        points = uniform_points(1000, dims=2, high=500, seed=6)
+        points = uniform_points(1000, dims=2, seed=6)
         assert set(master_directional_skyline(points, ["max", "max"])) == set(
             master_skyline(points)
         )
@@ -212,9 +212,9 @@ class TestDirectionalSkyline:
         assert (5.0, 5.0) in pruner.drain()
 
     def test_aph_score_works_with_reflection(self):
-        points = uniform_points(1500, dims=2, high=1 << 15, seed=7)
+        points = uniform_points(1500, dims=2, seed=7)
         pruner = DirectionalSkylinePruner(
-            directions=["min", "max"], bounds=[1 << 15, 1 << 15],
+            directions=["min", "max"], bounds=[1 << 16, 1 << 16],
             points=6, score="aph",
         )
         received = self._run(pruner, points)

@@ -58,14 +58,6 @@ class TestCheetahPacket:
 
 
 class TestCheetahAck:
-    def test_roundtrip(self):
-        ack = CheetahAck(fid=5, seq=99, origin=ACK_FROM_SWITCH)
-        assert CheetahAck.decode(ack.encode()) == ack
-
     def test_origin_distinguishes_pruned(self):
         # §7.2: the switch ACKs pruned packets; the master ACKs received ones.
         assert ACK_FROM_MASTER != ACK_FROM_SWITCH
-
-    def test_decode_rejects_wrong_length(self):
-        with pytest.raises(ProtocolError):
-            CheetahAck.decode(b"xy")

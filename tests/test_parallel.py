@@ -324,7 +324,7 @@ class TestFallbacks:
         """The registry that saw the respawn is the result's registry."""
         import repro.parallel.runner as runner
 
-        def dying_gather(cluster, specs, task, registry, on_result=None):
+        def dying_gather(cluster, specs, task, registry):
             registry.counter("pool_respawns_total", "Respawns.").inc()
             raise SharedMemoryUnavailable(
                 "shard pool died twice: injected", reason="pool-died"

@@ -44,8 +44,8 @@ class TestPipelineProgramProperties:
         cols=st.integers(1, 4),
     )
     def test_pipeline_distinct_matches_sketch_lru(self, stream, rows, cols):
-        program = PipelineDistinct(_pipeline(), rows=rows, cols=cols, seed=5)
-        sketch = DistinctPruner(rows=rows, cols=cols, policy="lru", seed=5)
+        program = PipelineDistinct(_pipeline(), rows=rows, cols=cols)
+        sketch = DistinctPruner(rows=rows, cols=cols, policy="lru")
         for value in stream:
             assert program.process(value) == (
                 sketch.process(value) is PruneDecision.FORWARD
@@ -157,7 +157,7 @@ class TestSqlRoundTripProperties:
         connective=st.sampled_from(["AND", "OR"]),
     )
     def test_parsed_predicate_matches_semantics(self, terms, connective):
-        from repro.engine.sql import parse_predicate
+        from tests.test_sql import parse_predicate
 
         sql = f" {connective} ".join(f"{c} {op} {lit}" for c, op, lit in terms)
         expr = parse_predicate(sql)

@@ -32,6 +32,7 @@ from repro.serve import (
     ResultCache,
     ServeClient,
 )
+from repro.serve.cache import RESULT_CACHE_ENTRIES
 
 
 @pytest.fixture
@@ -405,10 +406,11 @@ class TestResultCache:
             service.shutdown()
 
     def test_lru_unit(self):
-        cache = ResultCache(max_entries=2)
+        cache = ResultCache()
         cache.put("a", 0, {1})
         cache.put("b", 0, {2})
-        cache.put("c", 0, {3})
+        for i in range(RESULT_CACHE_ENTRIES - 1):
+            cache.put(f"c{i}", 0, {3})
         assert cache.get("a", 0) == (False, None)
         assert cache.get("b", 0) == (True, {2})
         assert cache.get("b", 1) == (False, None)  # version mismatch
@@ -558,7 +560,7 @@ class TestFrozenResults:
     def test_result_cache_hits_share_one_frozen_view(self):
         from repro.serve.cache import ResultCache
 
-        cache = ResultCache(max_entries=4)
+        cache = ResultCache()
         original = {10, 20}
         cache.put("plan", 1, original)
         hit, first = cache.get("plan", 1)

@@ -148,7 +148,7 @@ class TestEndToEndWithReliability:
         packets = list(worker.packets())
         pruner = DistinctPruner(rows=8, cols=2)
         transfer = ReliableTransfer(
-            pruner, decode_entry=lambda p: p.values[0], loss=0.25, seed=3
+            pruner, loss=0.25, seed=3
         )
         transfer.run(packets)
         master = CMaster(expected_fids=[0])

@@ -16,7 +16,7 @@ from repro.engine.plan import (
     TopNOp,
 )
 from repro.engine.reference import run_reference
-from repro.engine.sql import parse, parse_predicate
+from repro.engine.sql import parse
 from repro.errors import PlanError
 
 
@@ -119,6 +119,11 @@ class TestSelectForms:
     def test_keywords_case_insensitive(self):
         q = parse("select distinct seller from Products")
         assert isinstance(q.operator, DistinctOp)
+
+
+def parse_predicate(sql):
+    """The WHERE expression ``sql`` parses to."""
+    return parse(f"SELECT DISTINCT k FROM t WHERE {sql}").where
 
 
 class TestPredicateGrammar:

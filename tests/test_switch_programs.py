@@ -37,7 +37,7 @@ class TestPipelineDistinct:
     def test_no_false_positives(self):
         # The hardware variant may miss duplicates (evictions) but must
         # never prune a first occurrence.
-        program = PipelineDistinct(_pipeline(), rows=8, cols=2, seed=3)
+        program = PipelineDistinct(_pipeline(), rows=8, cols=2)
         rng = random.Random(1)
         seen = set()
         for _ in range(2000):
@@ -58,8 +58,8 @@ class TestPipelineDistinct:
         # per-entry decisions must match the CacheMatrix model bit for bit
         # (same row hash, same replacement).
         stream = random_order_stream(5000, 200, seed=7)
-        program = PipelineDistinct(_pipeline(), rows=256, cols=2, seed=7)
-        sketch = DistinctPruner(rows=256, cols=2, policy="lru", seed=7)
+        program = PipelineDistinct(_pipeline(), rows=256, cols=2)
+        sketch = DistinctPruner(rows=256, cols=2, policy="lru")
         from repro.core.base import PruneDecision
 
         for value in stream:

@@ -40,13 +40,13 @@ class TestRegisterArray:
 class TestStage:
     def test_register_allocation_charges_sram(self):
         stage = Stage(0, alus=2, sram_bits=1000)
-        stage.alloc_register("r", size=10, width_bits=64)
+        stage.alloc_register("r", size=10)
         assert stage._sram_used == 640
 
     def test_allocation_beyond_budget_raises(self):
         stage = Stage(0, alus=2, sram_bits=100)
         with pytest.raises(ResourceError):
-            stage.alloc_register("r", size=10, width_bits=64)
+            stage.alloc_register("r", size=10)
 
     def test_duplicate_register_name_raises(self):
         stage = Stage(0, alus=2, sram_bits=10_000)

@@ -81,9 +81,6 @@ class TestTransforms:
         taken = table.take(np.array([4, 0]))
         assert taken["a"].tolist() == [5, 1]
 
-    def test_head(self, table):
-        assert table.head(2)["a"].tolist() == [1, 2]
-
     def test_shuffled_is_permutation(self, table):
         shuffled = table.shuffled(seed=3)
         assert sorted(shuffled["a"].tolist()) == [1, 2, 3, 4, 5]

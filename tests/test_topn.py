@@ -13,6 +13,7 @@ from repro.core.topn import (
     TopNRandomizedPruner,
     master_topn,
 )
+from repro.core.sizing import TopNConfig
 from repro.errors import ConfigurationError
 
 
@@ -165,7 +166,8 @@ class TestRandomized:
         assert len(survivors) == len(stream)
 
     def test_optimal_constructor(self):
-        pruner = TopNRandomizedPruner.optimal(n=100, delta=1e-4)
+        config = TopNConfig.optimal(100, 1e-4)
+        pruner = TopNRandomizedPruner(n=100, rows=config.rows, cols=config.cols, delta=1e-4)
         assert pruner.rows > 0 and pruner.cols > 0
 
     def test_seed_reproducibility(self):

@@ -29,7 +29,8 @@ Every function, class, method and defaulted parameter under
   ``dataclasses.replace(..., field=...)`` or by assigning an attribute
   of its name.  A class's parameters are its ``__init__``'s or its
   fields; calling a subclass, ``cls(...)`` or ``super().__init__(...)``
-  sets them too.
+  sets them too.  A call made inside an allowlisted definition sets
+  nothing; ``PARAM_ALLOWLIST`` names the parameters kept anyway.
 
 A fourth check flags a module-level import that its module never reads,
 unless another module imports that name from it.

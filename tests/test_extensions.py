@@ -12,7 +12,7 @@ from repro.errors import ConfigurationError, ResourceError
 from repro.extensions.dag import EdgePruning, WorkerDag
 from repro.extensions.multientry import MultiEntryPruner
 from repro.extensions.multiswitch import SwitchTree
-from repro.switch.resources import MINI, TOFINO
+from repro.switch.resources import TOFINO
 from repro.workloads.synthetic import keyed_values, random_order_stream
 
 

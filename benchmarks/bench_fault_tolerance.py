@@ -44,9 +44,7 @@ def _timed_run(fault_count: int, seed: int):
             count=fault_count,
         )
         injector = FaultInjector(plan)
-    transfer = TimedReliableTransfer(
-        DistinctPruner(rows=16, cols=2), seed=seed, injector=injector
-    )
+    transfer = TimedReliableTransfer(DistinctPruner(rows=16, cols=2), injector=injector)
     transfer.run(packets_for(entries))
     exact = set(master_distinct(transfer.master_unique_entries)) == set(entries)
     return transfer, exact

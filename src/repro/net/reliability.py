@@ -156,7 +156,6 @@ class TransferBase:
         self.ack_master_link = LossyLink(loss, rng)
         self.max_rounds = max_rounds
         self.window = window
-        self._decode = _default_decode
         self.stats = TransferStats()
         self.master_entries: List[object] = []
         self.master_unique_entries: List[object] = []
@@ -166,7 +165,7 @@ class TransferBase:
     def _master_receive(self, packet: CheetahPacket) -> None:
         """Master-side ingest: record arrival, dedupe by ``(fid, seq)``."""
         key = (packet.fid, packet.seq)
-        entry = self._decode(packet) if packet.values else None
+        entry = _default_decode(packet) if packet.values else None
         if key in self._master_seen_seqs:
             self.stats.duplicates_at_master += 1
         else:
@@ -215,7 +214,7 @@ class TransferBase:
                     packet = packet.as_retransmit()
                 if not self.uplink.deliver():
                     continue
-                entry = self._decode(packet) if packet.values else None
+                entry = _default_decode(packet) if packet.values else None
                 action, _ = self.switch.on_packet(packet, entry)
                 if action == "drop":
                     continue

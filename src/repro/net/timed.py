@@ -23,8 +23,8 @@ loop with an event queue:
   duplicates.
 
 Simulated time is deterministic: events at equal timestamps fire in
-scheduling order, and all randomness comes from the seeded links and the
-injector's seeded RNG.
+scheduling order, and all randomness comes from the injector's seeded RNG
+and from any seeded links assigned over the lossless defaults.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Dict, List, Set, Tuple
 from ..core.base import Pruner
 from ..errors import ChecksumError, ProtocolError
 from .packets import CheetahPacket
-from .reliability import TransferBase
+from .reliability import TransferBase, _default_decode
 
 #: Event kinds, in the order they appear in the queue payloads.
 _SWITCH, _MASTER, _ACK, _TIMEOUT = "switch", "master", "ack", "timeout"
@@ -65,8 +65,8 @@ class TimedReliableTransfer(TransferBase):
     events by transmission index.
     """
 
-    def __init__(self, pruner: Pruner, seed: int = 0, injector=None) -> None:
-        super().__init__(pruner, seed=seed, window=WINDOW)
+    def __init__(self, pruner: Pruner, injector=None) -> None:
+        super().__init__(pruner, window=WINDOW)
         self.injector = injector
         #: Final simulated clock value after :meth:`run`.
         self.sim_time = 0.0
@@ -183,7 +183,7 @@ class TimedReliableTransfer(TransferBase):
         except ChecksumError:
             self.stats.checksum_drops += 1
             return
-        entry = self._decode(packet) if packet.values else None
+        entry = _default_decode(packet) if packet.values else None
         action, _ = self.switch.on_packet(packet, entry)
         if action == "drop":
             return

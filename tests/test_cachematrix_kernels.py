@@ -322,11 +322,15 @@ def _pruner_cases():
             lambda: TopNRandomizedPruner(n=5, rows=16, cols=3, seed=9),
             lambda _, values: values,
         ),
-        "having-max": (
-            lambda: HavingPruner(0.0, "max"),
-            lambda ids, values: (ids, values),
-        ),
+        "having-max": (_small_dedupe_having, lambda ids, values: (ids, values)),
     }
+
+
+def _small_dedupe_having():
+    """HAVING MAX over a 16x2 dedupe, small enough that 12 keys evict."""
+    pruner = HavingPruner(0.0, "max")
+    pruner._dedupe = CacheMatrix(16, 2, seed=0 ^ 0xED)
+    return pruner
 
 
 @pytest.mark.parametrize("case", _pruner_cases())

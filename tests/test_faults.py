@@ -34,15 +34,17 @@ from repro.faults import (
     scenario,
 )
 from repro.net.packets import CheetahPacket
-from repro.net.reliability import MultiFlowTransfer, ReliableTransfer
+from repro.net.reliability import LossyLink, MultiFlowTransfer, ReliableTransfer
 from repro.net.timed import LINK_DELAY, MAX_ATTEMPTS, RTO_INITIAL, RTO_MAX, TimedReliableTransfer
 
 
-def _drops(rng, rate, transmissions):
-    """An injector dropping each of the first ``transmissions`` uplink
-    transmissions with probability ``rate``: a lossy link."""
-    events = [FaultEvent(at=i, kind="drop") for i in range(transmissions) if rng.random() < rate]
-    return FaultInjector(FaultPlan(events))
+def _lossy(transfer, loss, seed):
+    """Make all four hops of ``transfer`` drop with probability ``loss``,
+    drawing from one RNG seeded with ``seed``."""
+    shared = random.Random(seed)
+    for hop in ("uplink", "downlink", "ack_switch_link", "ack_master_link"):
+        setattr(transfer, hop, LossyLink(loss, shared))
+    return transfer
 
 
 def packets_for(entries, fid=0):
@@ -343,22 +345,20 @@ class TestTimedTransfer:
     def test_converges_under_heavy_loss(self):
         rng = random.Random(9)
         entries = [rng.randrange(30) for _ in range(120)]
-        transfer = TimedReliableTransfer(
-            DistinctPruner(rows=16, cols=2), seed=5, injector=_drops(rng, 0.3, 600)
-        )
+        transfer = _lossy(TimedReliableTransfer(DistinctPruner(rows=16, cols=2)), 0.3, 5)
         delivered = transfer.run(packets_for(entries))
         assert set(delivered) == set(entries)
         assert transfer.stats.retransmissions > 0
         assert transfer.stats.timeouts > 0
+        # Every hop lost something, lost ACKs included.
+        for hop in ("uplink", "downlink", "ack_switch_link", "ack_master_link"):
+            assert getattr(transfer, hop).dropped > 0, hop
 
     def test_deterministic_for_fixed_seed(self):
         entries = list(range(60))
 
         def run():
-            transfer = TimedReliableTransfer(
-                DistinctPruner(rows=32, cols=2), seed=3,
-                injector=_drops(random.Random(3), 0.2, 300),
-            )
+            transfer = _lossy(TimedReliableTransfer(DistinctPruner(rows=32, cols=2)), 0.2, 3)
             transfer.run(packets_for(entries))
             return (
                 transfer.sim_time,
